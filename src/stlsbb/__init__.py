@@ -5,13 +5,13 @@ The package provides the one-parameter steplength family interpolating the
 two classical BB rules, brute-force oracles for all of its closed forms, a
 matrix-free random quadratic benchmark family, a safeguarded nonmonotone
 line-search solver for general smooth objectives, and an experiment
-harness with performance profiles.  Hot kernels compile with numba; set
-STLSBB_DISABLE_JIT=1 to run the identical code as plain numpy.
+harness with performance profiles.  Everything runs as plain numpy.
 """
 
 __version__ = "0.1.0"
 
-from ._jit import HAVE_NUMBA, JIT_ENABLED
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AllFailedOnProblemError,
     DegenerateInputError,
@@ -93,79 +93,9 @@ from .harness import (
     sweep_to_json,
 )
 
-__all__ = [
-    "__version__",
-    "HAVE_NUMBA",
-    "JIT_ENABLED",
-    "StlsbbError",
-    "NonpositiveCurvatureError",
-    "InvalidParameterError",
-    "MissingStateError",
-    "DimensionMismatchError",
-    "DimensionTooSmallError",
-    "InvalidSettingError",
-    "InvalidBracketError",
-    "DegenerateInputError",
-    "ZeroGradientError",
-    "LineSearchStallError",
-    "AllFailedOnProblemError",
-    "StepPair",
-    "FamilyParameter",
-    "ConvexWeight",
-    "SteplengthPolicy",
-    "curvature",
-    "bb1",
-    "bb2",
-    "alpha_convex",
-    "alpha_family",
-    "alpha_family_prime",
-    "alpha_tls",
-    "tau_from_gamma",
-    "atc_next",
-    "next_steplength",
-    "parse_policy",
-    "ScalarMinProblem",
-    "minimize_scalar",
-    "stls_ratio",
-    "family_argmin",
-    "family_prime_argmin",
-    "homogeneous_residual_min",
-    "oracle_steplength",
-    "TraceRow",
-    "RunTrace",
-    "GRADIENT_TOLERANCE",
-    "ITERATION_CAP",
-    "QuadraticInstance",
-    "SpectrumSetting",
-    "generate_instance",
-    "apply_hessian",
-    "gradient",
-    "objective",
-    "dense_hessian",
-    "solve_bb",
-    "Objective",
-    "SolverConfig",
-    "NonmonotoneWindow",
-    "nonmonotone_accept",
-    "safeguard",
-    "backtrack",
-    "initial_steplength",
-    "run",
-    "audit_trace",
-    "rosenbrock2",
-    "register_objective",
-    "make_objective",
-    "ExperimentGrid",
-    "SweepCell",
-    "run_quadratic_sweep",
-    "average_table",
-    "sweep_to_csv",
-    "sweep_from_csv",
-    "sweep_to_json",
-    "RosenbrockTable",
-    "run_rosenbrock_table",
-    "ProfileTable",
-    "performance_profile",
-    "profile_from_cells",
-    "profile_from_matrix_csv",
+# every public name imported above; submodules bound as attributes stay out
+__all__ = ["__version__"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

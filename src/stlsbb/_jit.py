@@ -1,29 +1,10 @@
-"""JIT toggle for the numeric kernels.
+"""Backend flags read by the benchmark's environment block (perfbench/run.py).
 
-Kernels compile with numba when it is importable, unless the environment
-variable STLSBB_DISABLE_JIT is set to a truthy value, in which case the
-same functions run as plain numpy.  The choice is made once at import.
+Every kernel runs as plain numpy; nothing here is used by the package.
+The module goes once the benchmark stops reading these two names.
 """
 
-import os
+import importlib.util
 
-_DISABLE = os.environ.get("STLSBB_DISABLE_JIT", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _njit = None
-    HAVE_NUMBA = False
-
-JIT_ENABLED = HAVE_NUMBA and not _DISABLE
-
-
-def maybe_jit(func):
-    """Compile func with numba when enabled, else return it unchanged."""
-    if JIT_ENABLED:
-        return _njit(cache=True)(func)
-    return func
+JIT_ENABLED = False
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None

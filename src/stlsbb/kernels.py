@@ -1,9 +1,9 @@
 """Hot numeric kernels.
 
 Steplength formulas on secant scalars, Householder Hessian products, and
-the raw (no line search) BB iteration for factored quadratics.  Everything
-here is compiled by numba unless STLSBB_DISABLE_JIT is set, in which case
-the identical source runs as plain numpy.
+the raw (no line search) BB iteration for factored quadratics, in plain
+numpy.  policy_step is the one dispatch from a policy code to its
+steplength formula.
 
 Nothing in this module validates its inputs; `steps` and `quadratic` wrap
 these with the checked public API.
@@ -12,8 +12,6 @@ these with the checked public API.
 import math
 
 import numpy as np
-
-from ._jit import maybe_jit
 
 # policy codes understood by policy_step / raw_bb_loop
 POLICY_BB1 = 0
@@ -24,19 +22,16 @@ POLICY_CONVEX = 4
 POLICY_ATC = 5
 
 
-@maybe_jit
 def bb1_step(ss, sy):
     # long BB steplength ||s||^2 / s'y
     return ss / sy
 
 
-@maybe_jit
 def bb2_step(sy, yy):
     # short BB steplength s'y / ||y||^2
     return sy / yy
 
 
-@maybe_jit
 def family_step(ss, yy, sy, gamma):
     """Scaled-TLS family steplength from the secant scalars.
 
@@ -62,7 +57,6 @@ def family_step(ss, yy, sy, gamma):
     return num / (2.0 * sy)
 
 
-@maybe_jit
 def family_prime_step(ss, yy, sy, gamma):
     """Inverse-fit variant of the scaled-TLS family (decreasing in gamma).
 
@@ -85,13 +79,11 @@ def family_prime_step(ss, yy, sy, gamma):
     return 2.0 * sy / den
 
 
-@maybe_jit
 def convex_step(ss, yy, sy, tau):
     # convex mix tau*BB1 + (1-tau)*BB2
     return tau * (ss / sy) + (1.0 - tau) * (sy / yy)
 
 
-@maybe_jit
 def atc_step(ss, yy, sy, prev_alpha, index, cycle):
     """Adaptive truncated cyclic steplength.
 
@@ -109,7 +101,6 @@ def atc_step(ss, yy, sy, prev_alpha, index, cycle):
     return prev_alpha
 
 
-@maybe_jit
 def policy_step(code, param, cycle, ss, yy, sy, prev_alpha, index):
     """Dispatch on a policy code; param is gamma or tau as appropriate."""
     if code == 0:
@@ -126,13 +117,6 @@ def policy_step(code, param, cycle, ss, yy, sy, prev_alpha, index):
         return atc_step(ss, yy, sy, prev_alpha, index, cycle)
 
 
-@maybe_jit
-def reflect(x, w):
-    """Householder reflection x - 2(w'x)w for a unit vector w."""
-    return x - (2.0 * (w @ x)) * w
-
-
-@maybe_jit
 def hessian_apply(w1, w2, w3, v, x):
     """Apply Q diag(v) Q' to x, where Q is the product of the Householder
     reflections (I - 2 w3 w3')(I - 2 w2 w2')(I - 2 w1 w1').
@@ -150,7 +134,6 @@ def hessian_apply(w1, w2, w3, v, x):
     return u
 
 
-@maybe_jit
 def raw_bb_loop(w1, w2, w3, v, b, x0, alpha0, eps_rel, max_iter, code, param, cycle):
     """Raw BB gradient iteration on the factored quadratic, one Hessian
     product per iteration.

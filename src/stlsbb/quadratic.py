@@ -76,6 +76,8 @@ class QuadraticInstance:
                 raise DimensionMismatchError(
                     f"{name} has length {arr.size}, expected {n}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise InvalidParameterError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("w1", "w2", "w3"):

@@ -268,7 +268,7 @@ class SteplengthPolicy:
         return self.kind
 
     def kernel_args(self):
-        """(code, param, cycle) triple for the compiled dispatch."""
+        """(code, param, cycle) triple for kernels.policy_step."""
         code = _CODES[self.kind]
         if self.kind in ("gamma", "gamma_prime"):
             param = self.gamma
@@ -314,18 +314,7 @@ def atc_next(policy, pair):
     multiple of cycle), otherwise prev_alpha clamped into [bb2, bb1]."""
     if policy.kind != "atc":
         raise InvalidParameterError(f"atc_next needs an 'atc' policy, got {policy.kind!r}")
-    sy = _positive_curvature(pair)
-    if policy.iteration_index % policy.cycle == 0:
-        prev = math.nan  # unused on a restart
-    elif policy.prev_alpha is None:
-        raise MissingStateError(
-            "ATC needs prev_alpha between cycle restarts; none was carried"
-        )
-    else:
-        prev = float(policy.prev_alpha)
-    return float(
-        kernels.atc_step(pair.ss, pair.yy, sy, prev, policy.iteration_index, policy.cycle)
-    )
+    return next_steplength(policy, pair)[0]
 
 
 def next_steplength(policy, pair):
@@ -334,22 +323,20 @@ def next_steplength(policy, pair):
     Returns (alpha, advanced_policy); the advanced copy has
     iteration_index incremented and prev_alpha set to alpha.  Raises
     NonpositiveCurvatureError when s'y <= 0 (callers such as the
-    line-search solver turn that into a safeguard reset).
+    line-search solver turn that into a safeguard reset), and
+    MissingStateError for ATC between cycle restarts without prev_alpha.
     """
-    k = policy.kind
-    if k == "bb1":
-        a = bb1(pair)
-    elif k == "bb2":
-        a = bb2(pair)
-    elif k == "gamma":
-        a = alpha_family(pair, policy.gamma)
-    elif k == "gamma_prime":
-        a = alpha_family_prime(pair, policy.gamma)
-    elif k == "tau":
-        a = alpha_convex(pair, policy.tau)
-    else:
-        a = atc_next(policy, pair)
-    advanced = replace(
-        policy, iteration_index=policy.iteration_index + 1, prev_alpha=float(a)
+    sy = _positive_curvature(pair)
+    prev = math.nan  # read only by ATC off a cycle restart
+    if policy.kind == "atc" and policy.iteration_index % policy.cycle != 0:
+        if policy.prev_alpha is None:
+            raise MissingStateError(
+                "ATC needs prev_alpha between cycle restarts; none was carried"
+            )
+        prev = float(policy.prev_alpha)
+    a = float(
+        kernels.policy_step(
+            *policy.kernel_args(), pair.ss, pair.yy, sy, prev, policy.iteration_index
+        )
     )
-    return float(a), advanced
+    return a, replace(policy, iteration_index=policy.iteration_index + 1, prev_alpha=a)

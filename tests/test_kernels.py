@@ -1,16 +1,12 @@
-"""Kernel-level checks: closed forms, the compiled/fallback seam, and the
-raw BB loop."""
+"""Kernel-level checks: closed forms, the policy dispatch, the Householder
+Hessian product, and the raw BB loop."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from stlsbb import SteplengthPolicy, kernels
-from stlsbb._jit import HAVE_NUMBA
 
 from conftest import random_pair
 
@@ -112,20 +108,6 @@ class TestPolicyDispatch:
 
 
 class TestHouseholder:
-    def test_reflect_is_an_involution(self, rng):
-        w = rng.standard_normal(9)
-        w /= np.linalg.norm(w)
-        x = rng.standard_normal(9)
-        back = np.asarray(kernels.reflect(kernels.reflect(x.copy(), w), w))
-        assert back == pytest.approx(x, rel=1e-14, abs=1e-14)
-
-    def test_reflect_preserves_norm(self, rng):
-        w = rng.standard_normal(9)
-        w /= np.linalg.norm(w)
-        x = rng.standard_normal(9)
-        rx = np.asarray(kernels.reflect(x.copy(), w))
-        assert np.linalg.norm(rx) == pytest.approx(np.linalg.norm(x), rel=1e-14)
-
     def test_hessian_apply_matches_dense_product(self, rng):
         n = 14
         ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
@@ -189,91 +171,3 @@ class TestRawLoop:
         assert math.isnan(a_hist[-1])
         assert g_hist[-1] > 0.0
 
-
-BATTERY = r"""
-import json
-import numpy as np
-from stlsbb import kernels
-
-rng = np.random.default_rng(7)
-out = []
-for _ in range(20):
-    s = rng.standard_normal(6)
-    y = rng.standard_normal(6)
-    ss, yy, sy = float(s @ s), float(y @ y), float(s @ y)
-    if sy <= 0.0:
-        continue
-    for g in (1e-3, 0.5, 1.0, 7.0, 1e4, 1e-200, 1e200):
-        out.append(kernels.family_step(ss, yy, sy, g))
-        out.append(kernels.family_prime_step(ss, yy, sy, g))
-    out.append(kernels.bb1_step(ss, sy))
-    out.append(kernels.bb2_step(sy, yy))
-    out.append(kernels.convex_step(ss, yy, sy, 0.3))
-    out.append(kernels.atc_step(ss, yy, sy, 0.01, 3, 4))
-n = 12
-w = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
-v = np.sort(rng.uniform(1.0, 100.0, n))
-b = rng.uniform(-10.0, 10.0, n)
-x = rng.standard_normal(n)
-out.extend(np.asarray(kernels.hessian_apply(w[0], w[1], w[2], v, x.copy())).tolist())
-for code, param, cycle in ((0, 0.0, 1), (2, 1.0, 1), (5, 0.0, 4)):
-    rows, capped, f, gh, ah, xf = kernels.raw_bb_loop(
-        w[0], w[1], w[2], v, b, np.ones(n), 0.01, 1e-10, 500, code, param, cycle
-    )
-    out.extend([float(rows), float(capped)])
-    out.extend(np.asarray(f).tolist())
-    out.extend(np.asarray(gh).tolist())
-    out.extend(np.asarray(ah).tolist())
-    out.extend(np.asarray(xf).tolist())
-print(json.dumps([repr(t) for t in out]))
-"""
-
-
-def run_battery(tmp_path, disable_jit):
-    script = tmp_path / "battery.py"
-    script.write_text(BATTERY)
-    env = dict(os.environ)
-    env.pop("STLSBB_DISABLE_JIT", None)
-    if disable_jit:
-        env["STLSBB_DISABLE_JIT"] = "1"
-    proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree_bitwise(tmp_path):
-    """The compiled and plain-numpy paths must produce byte-identical
-    results, including through hundreds of chaotic BB iterations."""
-    jit = run_battery(tmp_path, disable_jit=False)
-    plain = run_battery(tmp_path, disable_jit=True)
-    assert jit == plain
-
-
-def test_jit_toggle_env_values(tmp_path):
-    probe = "import stlsbb._jit as j; print(j.JIT_ENABLED, j.HAVE_NUMBA)"
-    expect_when_numba = {
-        None: "True",
-        "1": "False",
-        "true": "False",
-        "YES": "False",
-        "on": "False",
-        "0": "True",
-        "": "True",
-    }
-    for value, want in expect_when_numba.items():
-        env = dict(os.environ)
-        env.pop("STLSBB_DISABLE_JIT", None)
-        if value is not None:
-            env["STLSBB_DISABLE_JIT"] = value
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        enabled, have = proc.stdout.split()
-        if have == "True":
-            assert enabled == want, f"STLSBB_DISABLE_JIT={value!r}"
-        else:
-            assert enabled == "False"

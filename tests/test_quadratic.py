@@ -100,6 +100,24 @@ class TestInstanceValidation:
         with pytest.raises((ValueError, RuntimeError)):
             inst.eigenvalues[0] = 2.0
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("w1", float("nan")),
+            ("w2", float("nan")),
+            ("w3", float("nan")),
+            ("eigenvalues", float("inf")),
+            ("linear", float("nan")),
+        ],
+    )
+    def test_nonfinite_field_rejected_on_load(self, name, bad):
+        # a NaN w passes the unit-norm check and an inf eigenvalue passes
+        # the positivity check, so finiteness is checked on its own
+        d = generate_instance(6, SpectrumSetting(1, 1e2), seed=0).to_dict()
+        d[name][2] = bad
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            QuadraticInstance.from_dict(d)
+
 
 class TestGeneration:
     def test_deterministic(self):

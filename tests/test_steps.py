@@ -1,6 +1,7 @@
 """Steplength math: closed forms, family properties, policies."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestPairValidation:
             alpha_family(pair, 2.0)
         with pytest.raises(NonpositiveCurvatureError):
             alpha_convex(pair, 0.5)
+        # solver.run turns this error into its delta reset, for every kind
+        for pol in (
+            SteplengthPolicy.long(),
+            SteplengthPolicy.short(),
+            SteplengthPolicy.family(2.0),
+            SteplengthPolicy.family_prime(2.0),
+            SteplengthPolicy.convex(0.5),
+            SteplengthPolicy.adaptive_cyclic(3),
+            SteplengthPolicy("atc", cycle=3, prev_alpha=0.5, iteration_index=1),
+        ):
+            with pytest.raises(NonpositiveCurvatureError):
+                next_steplength(pol, pair)
 
     def test_parameter_validation(self, canonical_pair):
         with pytest.raises(InvalidParameterError):
@@ -258,16 +271,23 @@ class TestPolicy:
         assert pol.iteration_index == 0  # original untouched
 
     def test_each_kind_matches_direct_form(self, canonical_pair):
+        # both sides evaluate the same kernel, so the match is exact
+        b1, b2 = bb1(canonical_pair), bb2(canonical_pair)
         cases = [
-            (SteplengthPolicy.long(), bb1(canonical_pair)),
-            (SteplengthPolicy.short(), bb2(canonical_pair)),
+            (SteplengthPolicy.long(), b1),
+            (SteplengthPolicy.short(), b2),
             (SteplengthPolicy.family(3.0), alpha_family(canonical_pair, 3.0)),
             (SteplengthPolicy.family_prime(3.0), alpha_family_prime(canonical_pair, 3.0)),
             (SteplengthPolicy.convex(0.25), alpha_convex(canonical_pair, 0.25)),
+            (SteplengthPolicy.adaptive_cyclic(3), b1),
+            (SteplengthPolicy("atc", cycle=3, prev_alpha=9.0, iteration_index=3), b1),
+            (SteplengthPolicy("atc", cycle=3, prev_alpha=0.01, iteration_index=1), b2),
+            (SteplengthPolicy("atc", cycle=3, prev_alpha=50.0, iteration_index=2), b1),
+            (SteplengthPolicy("atc", cycle=3, prev_alpha=0.62, iteration_index=1), 0.62),
         ]
         for pol, want in cases:
             got, _ = next_steplength(pol, canonical_pair)
-            assert got == pytest.approx(want, rel=1e-15)
+            assert got == want
 
 
 class TestAdaptiveCyclic:
@@ -310,6 +330,8 @@ class TestAdaptiveCyclic:
         pol = SteplengthPolicy("atc", cycle=3, iteration_index=1)
         with pytest.raises(MissingStateError):
             atc_next(pol, canonical_pair)
+        with pytest.raises(MissingStateError):
+            next_steplength(pol, canonical_pair)
 
     def test_wrong_kind(self, canonical_pair):
         with pytest.raises(InvalidParameterError):
@@ -318,3 +340,12 @@ class TestAdaptiveCyclic:
 
 def test_version_string():
     assert stlsbb.__version__ == "0.1.0"
+
+
+def test_all_is_the_public_namespace():
+    names = stlsbb.__all__
+    assert len(names) == len(set(names)) == 72
+    # every name resolves, and no submodule or private name leaks
+    for name in names:
+        assert not isinstance(getattr(stlsbb, name), types.ModuleType), name
+    assert [n for n in names if n.startswith("_")] == ["__version__"]
