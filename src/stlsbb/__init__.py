@@ -70,9 +70,7 @@ from .solver import (
     audit_trace,
     backtrack,
     initial_steplength,
-    make_objective,
     nonmonotone_accept,
-    register_objective,
     rosenbrock2,
     run,
     safeguard,

@@ -79,6 +79,18 @@ def _read_text(path):
         raise SystemExit(1)
 
 
+def _parse_file(path, parse):
+    """parse(text of path); malformed content is an input-file problem
+    (exit 1).  A package error such as a failed validation is not caught
+    here and keeps exit 2."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        print(f"stlsbb: cannot parse {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _write_text(path, text):
     try:
         Path(path).write_text(text)
@@ -110,7 +122,7 @@ def _cmd_steps(args):
 
 def _cmd_quad(args):
     if args.instance:
-        inst = quadratic.QuadraticInstance.from_json(_read_text(args.instance))
+        inst = _parse_file(args.instance, quadratic.QuadraticInstance.from_json)
     else:
         setting = quadratic.SpectrumSetting(args.setting, args.kappa)
         inst = quadratic.generate_instance(args.n, setting, args.seed)
@@ -184,9 +196,9 @@ def _cmd_bench(args):
 
 def _cmd_profile(args):
     if args.cells:
-        prof = harness.profile_from_cells(harness.sweep_from_csv(_read_text(args.cells)))
+        prof = harness.profile_from_cells(_parse_file(args.cells, harness.sweep_from_csv))
     else:
-        prof = harness.profile_from_matrix_csv(_read_text(args.costs))
+        prof = _parse_file(args.costs, harness.profile_from_matrix_csv)
     text = prof.to_csv()
     if args.out:
         _write_text(args.out, text)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadratic, solver
+from . import quadratic, solver, trace
 from .errors import AllFailedOnProblemError, InvalidParameterError, StlsbbError
 from .steps import parse_policy
 
@@ -79,7 +79,7 @@ class SweepCell:
     max_iter: int
     iterations: int | None
     solved: bool
-    status: str  # "ok", "cap", or "error:<type>"
+    status: str  # "ok", "cap", "nonfinite", or "error:<type>"
 
     def cost(self):
         """Profile cost: iterations when solved, +inf otherwise."""
@@ -94,9 +94,10 @@ def run_quadratic_sweep(grid, progress=None):
     (setting, kappa, epsilon, seed, policy, outermost first).
 
     A cell that hits the iteration cap is recorded at the cap with
-    solved=False; a cell that raises is recorded as an error marker, and
-    neither aborts the sweep.  progress, when given, is called with each
-    finished cell.
+    solved=False; a cell whose gradient turns nan or inf is recorded as
+    nonfinite and a cell that raises as an error marker, both without an
+    iteration count, and none aborts the sweep.  progress, when given, is
+    called with each finished cell.
     """
     cells = []
     instances = {}
@@ -117,9 +118,12 @@ def run_quadratic_sweep(grid, progress=None):
                             tr = quadratic.solve_bb(
                                 inst, parse_policy(pol), eps, grid.max_iter
                             )
-                            iterations = tr.iterations
-                            solved = tr.solved
-                            status = "ok" if solved else "cap"
+                            if tr.termination == trace.NONFINITE:
+                                status = trace.NONFINITE
+                            else:
+                                iterations = tr.iterations
+                                solved = tr.solved
+                                status = "ok" if solved else "cap"
                         except StlsbbError as exc:
                             status = f"error:{type(exc).__name__}"
                         cell = SweepCell(
@@ -136,7 +140,8 @@ def run_quadratic_sweep(grid, progress=None):
 def average_table(cells):
     """Mean iteration count per (setting, kappa, epsilon, policy) over
     seeds; capped cells enter the mean at the cap value and are counted in
-    'failed', error cells are excluded from the mean entirely."""
+    'failed', error and nonfinite cells are excluded from the mean
+    entirely."""
     groups = {}
     order = []
     for c in cells:

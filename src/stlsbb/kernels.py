@@ -2,8 +2,8 @@
 
 Steplength formulas on secant scalars, Householder Hessian products, and
 the raw (no line search) BB iteration for factored quadratics, in plain
-numpy.  policy_step is the one dispatch from a policy code to its
-steplength formula.
+numpy.  policy_step is the one dispatch from a policy to its steplength
+formula.
 
 Nothing in this module validates its inputs; `steps` and `quadratic` wrap
 these with the checked public API.
@@ -13,13 +13,7 @@ import math
 
 import numpy as np
 
-# policy codes understood by policy_step / raw_bb_loop
-POLICY_BB1 = 0
-POLICY_BB2 = 1
-POLICY_FAMILY = 2
-POLICY_FAMILY_PRIME = 3
-POLICY_CONVEX = 4
-POLICY_ATC = 5
+from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
 def bb1_step(ss, sy):
@@ -101,20 +95,26 @@ def atc_step(ss, yy, sy, prev_alpha, index, cycle):
     return prev_alpha
 
 
-def policy_step(code, param, cycle, ss, yy, sy, prev_alpha, index):
-    """Dispatch on a policy code; param is gamma or tau as appropriate."""
-    if code == 0:
+def policy_step(policy, ss, yy, sy, prev_alpha, index):
+    """Steplength a SteplengthPolicy's rule gives on the secant scalars.
+
+    Only the rule and its parameter (gamma, tau or cycle) are read from
+    policy; prev_alpha and index are the ATC state, ignored by the other
+    rules.
+    """
+    kind = policy.kind
+    if kind == "bb1":
         return ss / sy
-    elif code == 1:
+    elif kind == "bb2":
         return sy / yy
-    elif code == 2:
-        return family_step(ss, yy, sy, param)
-    elif code == 3:
-        return family_prime_step(ss, yy, sy, param)
-    elif code == 4:
-        return convex_step(ss, yy, sy, param)
+    elif kind == "gamma":
+        return family_step(ss, yy, sy, policy.gamma)
+    elif kind == "gamma_prime":
+        return family_prime_step(ss, yy, sy, policy.gamma)
+    elif kind == "tau":
+        return convex_step(ss, yy, sy, policy.tau)
     else:
-        return atc_step(ss, yy, sy, prev_alpha, index, cycle)
+        return atc_step(ss, yy, sy, prev_alpha, index, policy.cycle)
 
 
 def hessian_apply(w1, w2, w3, v, x):
@@ -134,21 +134,22 @@ def hessian_apply(w1, w2, w3, v, x):
     return u
 
 
-def raw_bb_loop(w1, w2, w3, v, b, x0, alpha0, eps_rel, max_iter, code, param, cycle):
-    """Raw BB gradient iteration on the factored quadratic, one Hessian
+def raw_bb_loop(inst, policy, x0, alpha0, eps_rel, max_iter):
+    """Raw BB gradient iteration on a QuadraticInstance, one Hessian
     product per iteration.
 
     The gradient is carried by the recurrence g <- g - alpha * A g, and the
     secant scalars for the next steplength are formed from g and A g: the
     pair is (s, y) = (-alpha g, -alpha A g), and the shared alpha^2 factor
     cancels in every steplength formula, so (g'g, g'Ag, Ag'Ag) are passed
-    directly.  Stops when ||g|| <= eps_rel * ||g0|| or at the iteration
-    cap.
+    directly.  Stops when ||g|| is not finite, when ||g|| <= eps_rel *
+    ||g0||, or at the iteration cap.  x0 is not modified.
 
-    Returns (rows, capped, f_hist, gnorm_hist, alpha_hist, x): row k of the
+    Returns (termination, f_hist, gnorm_hist, alpha_hist, x): row k of the
     histories describes iterate k, alpha_hist[k] is the steplength taken
     from it (nan on the terminal row).
     """
+    w1, w2, w3, v, b = inst.w1, inst.w2, inst.w3, inst.eigenvalues, inst.linear
     f_hist = np.empty(max_iter + 1)
     g_hist = np.empty(max_iter + 1)
     a_hist = np.empty(max_iter + 1)
@@ -157,17 +158,18 @@ def raw_bb_loop(w1, w2, w3, v, b, x0, alpha0, eps_rel, max_iter, code, param, cy
     gn0 = np.sqrt(g @ g)
     alpha = alpha0
     k = 0
-    capped = False
     while True:
         gn = np.sqrt(g @ g)
         f_hist[k] = 0.5 * (x @ (g - b))  # f = x'(Ax - 2b)/2 and g = Ax - b
         g_hist[k] = gn
+        if not math.isfinite(gn):
+            termination = NONFINITE
+            break
         if gn <= eps_rel * gn0:
-            a_hist[k] = np.nan
+            termination = GRADIENT_TOLERANCE
             break
         if k >= max_iter:
-            a_hist[k] = np.nan
-            capped = True
+            termination = ITERATION_CAP
             break
         a_hist[k] = alpha
         ag = hessian_apply(w1, w2, w3, v, g)
@@ -178,6 +180,7 @@ def raw_bb_loop(w1, w2, w3, v, b, x0, alpha0, eps_rel, max_iter, code, param, cy
         g -= alpha * ag
         # the policy's iteration index counts policy calls; alpha0 is
         # supplied externally and is never produced by the policy
-        alpha = policy_step(code, param, cycle, gg, agag, gag, alpha, k)
+        alpha = policy_step(policy, gg, agag, gag, alpha, k)
         k += 1
-    return k + 1, capped, f_hist[: k + 1], g_hist[: k + 1], a_hist[: k + 1], x
+    a_hist[k] = np.nan
+    return termination, f_hist[: k + 1], g_hist[: k + 1], a_hist[: k + 1], x

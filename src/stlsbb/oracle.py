@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     NonpositiveCurvatureError,
 )
-from .steps import FamilyParameter, bb1, bb2
+from .steps import _gamma_value, bb1, bb2
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,7 +77,7 @@ def stls_ratio(pair, gamma, alpha):
 
     Its minimizer over alpha is the family steplength for this gamma.
     """
-    g = gamma.gamma if isinstance(gamma, FamilyParameter) else FamilyParameter(gamma).gamma
+    g = _gamma_value(gamma)
     a = float(alpha)
     r = a * pair.y - pair.s
     return float(r @ r) / (1.0 / (g * g) + a * a)
@@ -97,7 +97,7 @@ def centered_stls_ratio(pair, gamma, alpha, center):
     division keeps the well resolvable at full relative precision instead
     of drowning it in the plateau's rounding.
     """
-    g = gamma.gamma if isinstance(gamma, FamilyParameter) else FamilyParameter(gamma).gamma
+    g = _gamma_value(gamma)
     t = 1.0 / (g * g)
     a2, a0 = _centered_coeffs(pair.ss, pair.yy, pair.sy, t, float(center))
     a = float(alpha)
@@ -151,7 +151,7 @@ def family_argmin(pair, gamma, tol=1e-10):
     """Brute-force family steplength: golden-section minimizer of the
     scaled-TLS ratio on the BB bracket (searched through its centered
     form, which shares the minimizer exactly)."""
-    g = gamma.gamma if isinstance(gamma, FamilyParameter) else FamilyParameter(gamma).gamma
+    g = _gamma_value(gamma)
     t = 1.0 / (g * g)
     lo, hi = family_bracket(pair)
     return _search_centered(pair.ss, pair.yy, pair.sy, t, lo, hi, tol)
@@ -166,7 +166,7 @@ def family_prime_argmin(pair, gamma, tol=1e-12):
     with the roles of s and y swapped, so the same centered search
     applies with swapped scalars.
     """
-    g = gamma.gamma if isinstance(gamma, FamilyParameter) else FamilyParameter(gamma).gamma
+    g = _gamma_value(gamma)
     t = 1.0 / (g * g)
     b1 = bb1(pair)
     b2 = bb2(pair)

@@ -101,10 +101,9 @@ class QuadraticInstance:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("format") != _FORMAT:
-            raise InvalidParameterError(
-                f"not a serialized instance (format {d.get('format')!r})"
-            )
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != _FORMAT:
+            raise InvalidParameterError(f"not a serialized instance (format {fmt!r})")
         return cls(
             dim=int(d["dim"]),
             w1=d["w1"],
@@ -219,9 +218,7 @@ def _check_vec(inst, x):
 def apply_hessian(inst, x):
     """A x through the Householder factorization, O(n)."""
     x = _check_vec(inst, x)
-    return np.asarray(
-        kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x.copy())
-    )
+    return kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
 
 
 def gradient(inst, x):
@@ -232,7 +229,7 @@ def gradient(inst, x):
 def objective(inst, x):
     """Objective value x'Ax/2 - b'x."""
     x = _check_vec(inst, x)
-    ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x.copy())
+    ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
     return 0.5 * float(x @ ax) - float(inst.linear @ x)
 
 
@@ -253,9 +250,9 @@ def as_objective(inst, name=None):
 
     def eval_(x):
         x = _check_vec(inst, x)
-        ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x.copy())
+        ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
         f = 0.5 * float(x @ ax) - float(inst.linear @ x)
-        return f, np.asarray(ax) - inst.linear
+        return f, ax - inst.linear
 
     label = name or f"quadratic-n{inst.dim}"
     return Objective(label, inst.dim, eval_, x0=np.ones(inst.dim))
@@ -271,7 +268,8 @@ def default_alpha0(inst, x0):
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     """Raw BB iteration (no line search) on an instance.
 
-    Stops when ||g_k|| <= epsilon * ||g_0|| or after max_iter steps; x0
+    Stops when ||g_k|| is not finite (termination nonfinite), when
+    ||g_k|| <= epsilon * ||g_0||, or after max_iter steps; x0
     defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf.
     Curvature s'y = s'As is structurally positive here, so the policy
     needs no fallback.  Returns a RunTrace whose rows carry f, ||g|| and
@@ -286,19 +284,17 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     cap = int(max_iter)
     if cap < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0).copy()
+    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
     a0 = default_alpha0(inst, x0) if alpha0 is None else float(alpha0)
     if not (math.isfinite(a0) and a0 > 0.0):
         raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
-    code, param, cycle = policy.kernel_args()
-    rows_n, capped, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
-        inst.w1, inst.w2, inst.w3, inst.eigenvalues, inst.linear,
-        x0, a0, eps, cap, code, param, cycle,
+    termination, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
+        inst, policy, x0, a0, eps, cap
     )
     rows = [
         trace.TraceRow(k=k, f=float(f_hist[k]), grad_norm=float(g_hist[k]),
                        alpha=float(a_hist[k]))
-        for k in range(rows_n)
+        for k in range(len(f_hist))
     ]
     meta = {
         "solver": "raw_bb",
@@ -313,5 +309,4 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
         "kappa": inst.kappa,
         "seed": inst.seed,
     }
-    term = trace.ITERATION_CAP if capped else trace.GRADIENT_TOLERANCE
-    return trace.RunTrace(rows=rows, termination=term, final_x=np.asarray(x), meta=meta)
+    return trace.RunTrace(rows=rows, termination=termination, final_x=x, meta=meta)

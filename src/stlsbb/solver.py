@@ -25,6 +25,7 @@ from .steps import StepPair, next_steplength
 from .trace import (
     GRADIENT_TOLERANCE,
     ITERATION_CAP,
+    NONFINITE,
     RunTrace,
     TraceRow,
     terminal_row,
@@ -75,33 +76,6 @@ def rosenbrock2():
         return f, g
 
     return Objective("rosenbrock2", 2, eval_, x0=np.array([-1.2, 1.0]))
-
-
-_OBJECTIVES = {}
-
-
-def register_objective(name, factory, overwrite=False):
-    """Register a zero-argument factory under a name for make_objective."""
-    if name in _OBJECTIVES and not overwrite:
-        raise InvalidParameterError(f"objective {name!r} is already registered")
-    _OBJECTIVES[name] = factory
-
-
-def make_objective(name):
-    try:
-        factory = _OBJECTIVES[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown objective {name!r}; registered: {sorted(_OBJECTIVES)}"
-        ) from None
-    return factory()
-
-
-def objective_names():
-    return sorted(_OBJECTIVES)
-
-
-register_objective("rosenbrock2", rosenbrock2)
 
 
 @dataclass(frozen=True)
@@ -275,7 +249,9 @@ def run(objective, x0, config, policy):
     point passes the nonmonotone test, then steps and asks the policy for
     the next proposal from the accepted secant pair.  Nonpositive
     curvature maps the proposal to +inf, which the next safeguard resets
-    to delta.  A zero gradient stops immediately regardless of stop rule.
+    to delta.  A zero gradient stops immediately regardless of stop rule;
+    a nan or inf f or ||g|| at an iterate stops the run first, with
+    termination nonfinite.
 
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
@@ -290,7 +266,7 @@ def run(objective, x0, config, policy):
     gn0 = float(np.linalg.norm(g))
     if config.alpha0 is not None:
         alpha = config.alpha0
-    elif gn0 == 0.0:
+    elif gn0 == 0.0 or not math.isfinite(gn0):
         alpha = config.delta  # never used: the loop stops before stepping
     else:
         alpha = initial_steplength(objective, x)
@@ -302,6 +278,9 @@ def run(objective, x0, config, policy):
     k = 0
     while True:
         gn = float(np.linalg.norm(g))
+        if not (math.isfinite(f) and math.isfinite(gn)):
+            termination = NONFINITE
+            break
         if gn == 0.0 or _stopped(config, x, gn, gn0):
             termination = GRADIENT_TOLERANCE
             break

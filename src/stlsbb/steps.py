@@ -26,16 +26,6 @@ DEGENERACY_RTOL = 1e-14
 
 POLICY_KINDS = ("bb1", "bb2", "gamma", "gamma_prime", "tau", "atc")
 
-_CODES = {
-    "bb1": kernels.POLICY_BB1,
-    "bb2": kernels.POLICY_BB2,
-    "gamma": kernels.POLICY_FAMILY,
-    "gamma_prime": kernels.POLICY_FAMILY_PRIME,
-    "tau": kernels.POLICY_CONVEX,
-    "atc": kernels.POLICY_ATC,
-}
-
-
 @dataclass(frozen=True)
 class StepPair:
     """Secant pair: iterate difference s and gradient difference y.
@@ -267,17 +257,6 @@ class SteplengthPolicy:
             return f"atc:{self.cycle}"
         return self.kind
 
-    def kernel_args(self):
-        """(code, param, cycle) triple for kernels.policy_step."""
-        code = _CODES[self.kind]
-        if self.kind in ("gamma", "gamma_prime"):
-            param = self.gamma
-        elif self.kind == "tau":
-            param = self.tau
-        else:
-            param = 0.0
-        return code, param, self.cycle if self.cycle is not None else 1
-
 
 def parse_policy(text):
     """Parse a policy descriptor string.
@@ -335,8 +314,6 @@ def next_steplength(policy, pair):
             )
         prev = float(policy.prev_alpha)
     a = float(
-        kernels.policy_step(
-            *policy.kernel_args(), pair.ss, pair.yy, sy, prev, policy.iteration_index
-        )
+        kernels.policy_step(policy, pair.ss, pair.yy, sy, prev, policy.iteration_index)
     )
     return a, replace(policy, iteration_index=policy.iteration_index + 1, prev_alpha=a)

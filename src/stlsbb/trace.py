@@ -10,7 +10,8 @@ from .errors import InvalidParameterError
 
 GRADIENT_TOLERANCE = "gradient_tolerance"
 ITERATION_CAP = "iteration_cap"
-TERMINATIONS = (GRADIENT_TOLERANCE, ITERATION_CAP)
+NONFINITE = "nonfinite"  # the objective or gradient became nan or inf
+TERMINATIONS = (GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,58 @@
+"""The benchmark's per-layer metrics wrap module attributes of the package
+(perfbench/workloads.py:trace_targets).  A renamed attribute, or a call
+that goes through a local name instead of the module, would read as a
+crash or a silent zero in a traced benchmark run; this checks that every
+wrapped layer still records spans, nested where the benchmark expects."""
+
+import importlib
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from stlsbb import SpectrumSetting, generate_instance, harness, quadratic
+from stlsbb.steps import parse_policy
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+LAYERS = (
+    "kernels.raw_bb_loop",
+    "kernels.hessian_apply",
+    "kernels.policy_step",
+    "steps.next_steplength",
+    "solver.run",
+)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans"), importlib.import_module("workloads")
+
+
+def test_trace_targets_reach_every_layer(perfbench):
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    inst = generate_instance(30, SpectrumSetting(1, 1e3), seed=2)
+    with spans.patched(workloads.trace_targets(tracer)):
+        tr = quadratic.solve_bb(inst, parse_policy("atc:3"), 1e-6, 5000)
+        harness.run_rosenbrock_table(epsilons=(1e-1,), policies=("gamma:1",))
+    rows = tracer.rows()
+    calls = {name: n for name, (n, _) in spans.self_times(rows).items()}
+    for layer in LAYERS:
+        assert calls.get(layer, 0) > 0, layer
+
+    def under(parent):
+        return Counter(name for name, _, _, p in rows if p >= 0 and rows[p][0] == parent)
+
+    # the raw loop reaches both kernels through the module, once per step
+    assert under("kernels.raw_bb_loop") == {
+        "kernels.hessian_apply": tr.iterations + 1,
+        "kernels.policy_step": tr.iterations,
+    }
+    assert under("steps.next_steplength")["kernels.policy_step"] > 0
+    assert under("solver.run")["steps.next_steplength"] > 0
+    # hessian_apply's fifth argument is the vector the benchmark sizes
+    assert tracer.counters["kernels.hessian_apply.elems"] == 30 * calls[
+        "kernels.hessian_apply"
+    ]

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from stlsbb import QuadraticInstance, RunTrace, __version__, sweep_from_csv
+from stlsbb import (
+    QuadraticInstance,
+    RunTrace,
+    SpectrumSetting,
+    __version__,
+    generate_instance,
+    sweep_from_csv,
+)
 from stlsbb.cli import main
 from stlsbb.harness import fmt17
 
@@ -99,6 +106,12 @@ class TestQuad:
 
     def test_invalid_setting_is_exit_2(self, capsys):
         assert main(["quad", "--n", "20", "--setting", "9"]) == 2
+
+    def test_overflow_ends_nonfinite(self, capsys):
+        with np.errstate(all="ignore"):
+            rc = main(["quad", "--n", "50", "--alpha0", "1e300", "--max-iter", "200"])
+        assert rc == 2
+        assert "termination=nonfinite" in capsys.readouterr().out
 
 
 class TestRosenbrock:
@@ -217,6 +230,47 @@ class TestProfile:
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--costs", "x.csv", "--cells", "y.csv"])
         assert exc.value.code == 1
+
+
+def _instance_doc(drop=None, **changes):
+    d = generate_instance(5, SpectrumSetting(1, 500.0), 0).to_dict()
+    d.update(changes)
+    d.pop(drop, None)
+    return json.dumps(d)
+
+
+_SWEEP_HEAD = "setting,kappa,epsilon,seed,n,policy,max_iter,iterations,status\n"
+
+INPUT_FILES = {
+    "instance-missing-key": (["quad", "--instance"], _instance_doc(drop="w1"), 1),
+    "instance-not-json": (["quad", "--instance"], "{not json", 1),
+    "instance-text-eigenvalue": (
+        ["quad", "--instance"], _instance_doc(eigenvalues=["one"] * 5), 1
+    ),
+    "costs-text-cell": (["profile", "--costs"], "problem,a,b\np1,10,twenty\n", 1),
+    "cells-text-kappa": (
+        ["profile", "--cells"], _SWEEP_HEAD + "1,big,1e-4,0,20,bb1,100,5,ok\n", 1
+    ),
+    # parsed fine but rejected by validation: a failed computation, exit 2
+    "instance-inf-eigenvalue": (
+        ["quad", "--instance"], _instance_doc(eigenvalues=[1.0, 2.0, 3.0, 4.0, math.inf]), 2
+    ),
+    "instance-json-list": (["quad", "--instance"], "[1, 2]", 2),
+}
+
+
+@pytest.mark.parametrize("argv, text, code", list(INPUT_FILES.values()), ids=list(INPUT_FILES))
+def test_bad_input_file_exit_code(tmp_path, capsys, argv, text, code):
+    path = tmp_path / "input"
+    path.write_text(text)
+    try:
+        rc = main(argv + [str(path)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    prefix = f"stlsbb: cannot parse {path}: " if code == 1 else "stlsbb: "
+    assert err.startswith(prefix)
 
 
 class TestTopLevel:

@@ -102,6 +102,17 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             sweep_from_csv("a,b,c\n1,2,3\n")
 
+    def test_overflowing_instance_is_nonfinite(self):
+        grid = ExperimentGrid(n=20, kappas=(1e300,), seeds=(0,), policies=("bb1",))
+        with np.errstate(all="ignore"):
+            cells = run_quadratic_sweep(grid)
+        assert [(c.status, c.solved, c.iterations) for c in cells] == [
+            ("nonfinite", False, None)
+        ]
+        assert sweep_from_csv(sweep_to_csv(cells)) == cells
+        (row,) = average_table(cells)
+        assert row["failed"] == 1 and math.isnan(row["mean_iterations"])
+
     def test_json_shape(self, tiny):
         cells = run_quadratic_sweep(tiny)
         doc = json.loads(sweep_to_json(cells))

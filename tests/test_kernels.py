@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from stlsbb import SteplengthPolicy, kernels
+from stlsbb import (
+    GRADIENT_TOLERANCE,
+    ITERATION_CAP,
+    QuadraticInstance,
+    SteplengthPolicy,
+    kernels,
+)
 
 from conftest import random_pair
 
@@ -76,33 +82,20 @@ class TestScalarKernels:
 
 
 class TestPolicyDispatch:
-    def test_codes_match_kernel_args(self):
-        cases = [
-            (SteplengthPolicy.long(), kernels.POLICY_BB1, 0.0),
-            (SteplengthPolicy.short(), kernels.POLICY_BB2, 0.0),
-            (SteplengthPolicy.family(3.5), kernels.POLICY_FAMILY, 3.5),
-            (SteplengthPolicy.family_prime(0.2), kernels.POLICY_FAMILY_PRIME, 0.2),
-            (SteplengthPolicy.convex(0.75), kernels.POLICY_CONVEX, 0.75),
-        ]
-        for pol, code, param in cases:
-            assert pol.kernel_args() == (code, param, 1)
-        assert SteplengthPolicy.adaptive_cyclic(6).kernel_args() == (
-            kernels.POLICY_ATC,
-            0.0,
-            6,
-        )
-
     def test_dispatch_equals_direct_kernels(self, rng):
         ss, yy, sy = scalars(random_pair(rng))
-        step = kernels.policy_step
-        assert step(0, 0.0, 1, ss, yy, sy, 0.5, 0) == kernels.bb1_step(ss, sy)
-        assert step(1, 0.0, 1, ss, yy, sy, 0.5, 0) == kernels.bb2_step(sy, yy)
-        assert step(2, 2.0, 1, ss, yy, sy, 0.5, 0) == kernels.family_step(ss, yy, sy, 2.0)
-        assert step(3, 2.0, 1, ss, yy, sy, 0.5, 0) == kernels.family_prime_step(
+
+        def step(policy, prev=0.5, index=0):
+            return kernels.policy_step(policy, ss, yy, sy, prev, index)
+
+        assert step(SteplengthPolicy.long()) == kernels.bb1_step(ss, sy)
+        assert step(SteplengthPolicy.short()) == kernels.bb2_step(sy, yy)
+        assert step(SteplengthPolicy.family(2.0)) == kernels.family_step(ss, yy, sy, 2.0)
+        assert step(SteplengthPolicy.family_prime(2.0)) == kernels.family_prime_step(
             ss, yy, sy, 2.0
         )
-        assert step(4, 0.4, 1, ss, yy, sy, 0.5, 0) == kernels.convex_step(ss, yy, sy, 0.4)
-        assert step(5, 0.0, 3, ss, yy, sy, 0.5, 2) == kernels.atc_step(
+        assert step(SteplengthPolicy.convex(0.4)) == kernels.convex_step(ss, yy, sy, 0.4)
+        assert step(SteplengthPolicy.adaptive_cyclic(3), index=2) == kernels.atc_step(
             ss, yy, sy, 0.5, 2, 3
         )
 
@@ -119,33 +112,41 @@ class TestHouseholder:
         dense = q @ np.diag(v) @ q.T
         for _ in range(10):
             x = rng.standard_normal(n)
-            fast = np.asarray(kernels.hessian_apply(ws[0], ws[1], ws[2], v, x.copy()))
+            fast = kernels.hessian_apply(ws[0], ws[1], ws[2], v, x.copy())
             assert fast == pytest.approx(dense @ x, rel=1e-12, abs=1e-12)
 
 
 class TestRawLoop:
-    def run_tiny(self, rng, max_iter=500, code=0, param=0.0, cycle=1):
+    def run_tiny(self, rng, max_iter=500):
         n = 12
         ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
         v = np.sort(rng.uniform(1.0, 100.0, n))
         b = rng.uniform(-10.0, 10.0, n)
-        return ws, v, b, kernels.raw_bb_loop(
-            ws[0], ws[1], ws[2], v, b, np.ones(n), 0.01, 1e-10, max_iter, code, param, cycle
-        )
+        inst = QuadraticInstance(n, ws[0], ws[1], ws[2], v, b)
+        out = kernels.raw_bb_loop(inst, SteplengthPolicy.long(), np.ones(n), 0.01, 1e-10,
+                                  max_iter)
+        return inst, out
 
     def test_histories_align(self, rng):
-        ws, v, b, out = self.run_tiny(rng)
-        rows, capped, f_hist, g_hist, a_hist, x = out
-        assert not capped
-        assert len(f_hist) == len(g_hist) == len(a_hist) == rows
-        g0 = np.asarray(kernels.hessian_apply(ws[0], ws[1], ws[2], v, np.ones(12))) - b
+        inst, out = self.run_tiny(rng)
+        termination, f_hist, g_hist, a_hist, x = out
+        assert termination == GRADIENT_TOLERANCE
+        assert len(f_hist) == len(g_hist) == len(a_hist)
+        ws, v, b = (inst.w1, inst.w2, inst.w3), inst.eigenvalues, inst.linear
+        g0 = kernels.hessian_apply(ws[0], ws[1], ws[2], v, np.ones(12)) - b
         assert g_hist[0] == pytest.approx(np.linalg.norm(g0), rel=1e-14)
         assert f_hist[0] == pytest.approx(0.5 * float(np.ones(12) @ (g0 - b)), rel=1e-14)
         assert a_hist[0] == 0.01
         assert math.isnan(a_hist[-1])
         assert g_hist[-1] <= 1e-10 * g_hist[0]
-        gx = np.asarray(kernels.hessian_apply(ws[0], ws[1], ws[2], v, np.asarray(x))) - b
+        gx = kernels.hessian_apply(ws[0], ws[1], ws[2], v, x) - b
         assert np.linalg.norm(gx) == pytest.approx(g_hist[-1], rel=1e-6, abs=1e-18)
+
+    def test_x0_is_not_modified(self, rng):
+        inst, _ = self.run_tiny(rng)
+        x0 = np.ones(inst.dim)
+        kernels.raw_bb_loop(inst, SteplengthPolicy.long(), x0, 0.01, 1e-10, 50)
+        assert np.all(x0 == 1.0)
 
     def test_identity_spectrum_finishes_in_two_steps(self):
         # with A = I the first BB steplength is exactly 1 and the second
@@ -153,21 +154,21 @@ class TestRawLoop:
         n = 8
         e1 = np.zeros(n)
         e1[0] = 1.0
-        v = np.ones(n)
         b = np.linspace(-1.0, 2.5, n)
-        rows, capped, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
-            e1, e1, e1, v, b, np.zeros(n), 0.3, 1e-12, 50, 0, 0.0, 1
+        inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
+        termination, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
+            inst, SteplengthPolicy.long(), np.zeros(n), 0.3, 1e-12, 50
         )
-        assert rows == 3 and not capped
+        assert termination == GRADIENT_TOLERANCE
+        assert len(g_hist) == 3
         assert g_hist[-1] == 0.0
         assert a_hist[1] == 1.0
-        assert np.asarray(x) == pytest.approx(b, abs=1e-15)
+        assert x == pytest.approx(b, abs=1e-15)
 
     def test_iteration_cap(self, rng):
-        _, _, _, out = self.run_tiny(rng, max_iter=3)
-        rows, capped, f_hist, g_hist, a_hist, _ = out
-        assert capped
-        assert rows == 4
+        _, out = self.run_tiny(rng, max_iter=3)
+        termination, f_hist, g_hist, a_hist, _ = out
+        assert termination == ITERATION_CAP
+        assert len(g_hist) == 4
         assert math.isnan(a_hist[-1])
         assert g_hist[-1] > 0.0
-

@@ -7,12 +7,15 @@ import pytest
 from stlsbb import (
     QuadraticInstance,
     SpectrumSetting,
+    StepPair,
     SteplengthPolicy,
     apply_hessian,
     dense_hessian,
     generate_instance,
     gradient,
+    next_steplength,
     objective,
+    parse_policy,
     solve_bb,
 )
 from stlsbb.errors import (
@@ -22,7 +25,7 @@ from stlsbb.errors import (
     InvalidSettingError,
 )
 from stlsbb.quadratic import as_objective, default_alpha0
-from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP
+from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
 class TestSpectrumSetting:
@@ -288,6 +291,31 @@ class TestSolveBB:
         tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-10, max_iter=3)
         assert not tr.solved and tr.termination == ITERATION_CAP
         assert tr.iterations == 3
+
+    def test_overflowing_start_ends_nonfinite(self, inst):
+        # ||g0|| is inf, and inf <= eps * inf must not read as converged
+        with np.errstate(all="ignore"):
+            tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=100,
+                          x0=np.full(inst.dim, 1e300))
+        assert tr.termination == NONFINITE and not tr.solved
+        assert tr.iterations == 0
+        assert tr.rows[-1].grad_norm == np.inf
+
+    @pytest.mark.parametrize(
+        "desc", ["bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.5", "tau:0.3", "atc:4"]
+    )
+    def test_raw_loop_agrees_with_public_dispatch(self, inst, desc):
+        # replay the gradient recurrence through the checked public API;
+        # both paths evaluate the same kernel on the same scalars
+        policy = parse_policy(desc)
+        tr = solve_bb(inst, policy, epsilon=1e-6, max_iter=5000)
+        assert tr.solved and tr.iterations > 10
+        g = gradient(inst, np.ones(inst.dim))
+        for row, nxt in zip(tr.rows[:-2], tr.rows[1:-1]):
+            ag = apply_hessian(inst, g)
+            alpha, policy = next_steplength(policy, StepPair(g, ag))
+            assert alpha == nxt.alpha
+            g -= row.alpha * ag
 
     def test_trace_row_semantics(self, inst):
         tr = solve_bb(inst, SteplengthPolicy.short(), epsilon=1e-4, max_iter=5000)

@@ -16,7 +16,6 @@ from stlsbb import (
     ZeroGradientError,
     audit_trace,
     initial_steplength,
-    make_objective,
     nonmonotone_accept,
     rosenbrock2,
     run,
@@ -28,10 +27,8 @@ from stlsbb.solver import (
     STOP_POINT_DIST,
     NonmonotoneWindow,
     backtrack,
-    objective_names,
-    register_objective,
 )
-from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP
+from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
 def sphere(dim=3):
@@ -192,16 +189,6 @@ class TestRosenbrock:
                 fd = (obj.eval(xp)[0] - obj.eval(xm)[0]) / (2.0 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-4)
 
-    def test_registry(self):
-        assert "rosenbrock2" in objective_names()
-        obj = make_objective("rosenbrock2")
-        assert obj.name == "rosenbrock2"
-        with pytest.raises(InvalidParameterError):
-            make_objective("nope")
-        with pytest.raises(InvalidParameterError):
-            register_objective("rosenbrock2", rosenbrock2)
-        register_objective("rosenbrock2", rosenbrock2, overwrite=True)
-
 
 class TestRunLoop:
     def test_sphere_converges_fast(self):
@@ -284,6 +271,35 @@ class TestRunLoop:
         obj = Objective("cliff", 1, eval_)
         with pytest.raises(LineSearchStallError):
             run(obj, [0.0], SolverConfig(backtrack_cap=5), SteplengthPolicy.long())
+
+    def test_nan_gradient_ends_nonfinite(self):
+        # the gradient is nan everywhere but at the start, so the first
+        # step is accepted on f and the second iterate has no gradient;
+        # backtracking on it could only stall
+        x0 = np.array([2.0, -1.0])
+
+        def eval_(x):
+            g = x.copy() if np.array_equal(x, x0) else np.full(2, np.nan)
+            return 0.5 * float(x @ x), g
+
+        obj = Objective("nan-gradient", 2, eval_)
+        tr = run(obj, x0, SolverConfig(alpha0=0.5), SteplengthPolicy.long())
+        assert tr.termination == NONFINITE
+        assert not tr.solved
+        assert tr.iterations == 1
+        assert math.isnan(tr.rows[-1].grad_norm)
+        # a nan gradient at the start stops before the opening probe
+        # evaluates the objective anywhere else
+        seen = []
+
+        def nan_everywhere(x):
+            seen.append(x)
+            return 0.5 * float(x @ x), np.full(2, np.nan)
+
+        obj = Objective("nan-start", 2, nan_everywhere)
+        tr = run(obj, x0, SolverConfig(), SteplengthPolicy.long())
+        assert tr.termination == NONFINITE and tr.iterations == 0
+        assert len(seen) == 1
 
     def test_backtracks_and_fevals_recorded(self):
         obj = rosenbrock2()
