@@ -265,8 +265,38 @@ def default_alpha0(inst, x0):
     return 1.0 / gi if gi > 0.0 else 1.0
 
 
+def bb_start(inst, x0=None, alpha0=None):
+    """Checked start (x0, alpha0) of a raw BB run on an instance: x0
+    defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf."""
+    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
+    a0 = default_alpha0(inst, x0) if alpha0 is None else float(alpha0)
+    if not (math.isfinite(a0) and a0 > 0.0):
+        raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
+    return x0, a0
+
+
+def solve_bb_block(insts, policies, x0, alpha0, epsilon, max_iter):
+    """Raw BB iteration (no line search) on a block of rows in lock step.
+
+    Row i runs policies[i] on insts[i] from x0[i] with the opening
+    steplength alpha0[i] (see bb_start); every row stops as solve_bb
+    describes, and computes bit for bit what it computes alone.  Returns
+    kernels.raw_bb_loop's list of per-row (termination, f_hist,
+    gnorm_hist, alpha_hist, x).
+    """
+    if not all(isinstance(p, SteplengthPolicy) for p in policies):
+        raise InvalidParameterError("policy must be a SteplengthPolicy")
+    eps = float(epsilon)
+    if not (0.0 < eps < 1.0):
+        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    cap = int(max_iter)
+    if cap < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
+    return kernels.raw_bb_loop(insts, policies, x0, alpha0, eps, cap)
+
+
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
-    """Raw BB iteration (no line search) on an instance.
+    """Raw BB iteration (no line search) on an instance: a block of one.
 
     Stops when ||g_k|| is not finite (termination nonfinite), when
     ||g_k|| <= epsilon * ||g_0||, or after max_iter steps; x0
@@ -276,20 +306,9 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     the steplength taken from each iterate (backtracks and fevals are
     zero: the raw method never evaluates f to decide anything).
     """
-    if not isinstance(policy, SteplengthPolicy):
-        raise InvalidParameterError("policy must be a SteplengthPolicy")
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    cap = int(max_iter)
-    if cap < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
-    a0 = default_alpha0(inst, x0) if alpha0 is None else float(alpha0)
-    if not (math.isfinite(a0) and a0 > 0.0):
-        raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
-    termination, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
-        inst, policy, x0, a0, eps, cap
+    x0, a0 = bb_start(inst, x0, alpha0)
+    ((termination, f_hist, g_hist, a_hist, x),) = solve_bb_block(
+        [inst], [policy], [x0], [a0], epsilon, max_iter
     )
     rows = [
         trace.TraceRow(k=k, f=float(f_hist[k]), grad_norm=float(g_hist[k]),
@@ -300,8 +319,8 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
         "solver": "raw_bb",
         "policy": policy.describe(),
         "stop_rule": "grad_rel",
-        "epsilon": eps,
-        "max_iter": cap,
+        "epsilon": float(epsilon),
+        "max_iter": int(max_iter),
         "alpha0": a0,
         "alpha0_rule": "inf_norm" if alpha0 is None else "fixed",
         "n": inst.dim,

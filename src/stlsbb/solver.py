@@ -251,7 +251,9 @@ def run(objective, x0, config, policy):
     curvature maps the proposal to +inf, which the next safeguard resets
     to delta.  A zero gradient stops immediately regardless of stop rule;
     a nan or inf f or ||g|| at an iterate stops the run first, with
-    termination nonfinite.
+    termination nonfinite.  So does a line search whose every trial f was
+    nan or +inf when the backtrack cap is hit; if some trial f was finite,
+    that raises LineSearchStallError instead.
 
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
@@ -291,18 +293,25 @@ def run(objective, x0, config, policy):
         grad_sq = gn * gn
         a_eff = alpha
         backtracks = 0
+        finite_trial = False
         while True:
             x_trial = x - a_eff * g
             f_trial, g_trial = objective.eval(x_trial)
             f_trial = float(f_trial)
             if nonmonotone_accept(f_trial, window, config.beta, a_eff, grad_sq):
                 break
+            finite_trial = finite_trial or f_trial < math.inf  # false for nan
             if backtracks >= config.backtrack_cap:
-                raise LineSearchStallError(
-                    f"no acceptable step after {backtracks} backtracks at iterate {k}"
-                )
+                if finite_trial:
+                    raise LineSearchStallError(
+                        f"no acceptable step after {backtracks} backtracks at iterate {k}"
+                    )
+                termination = NONFINITE  # f was nan or +inf at every trial
+                break
             a_eff = backtrack(a_eff, config.sigma)
             backtracks += 1
+        if termination == NONFINITE:
+            break
         rows.append(
             TraceRow(k=k, f=f, grad_norm=gn, alpha=alpha,
                      backtracks=backtracks, fevals=1 + backtracks)

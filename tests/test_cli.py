@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ class TestQuad:
             rc = main(["quad", "--n", "50", "--alpha0", "1e300", "--max-iter", "200"])
         assert rc == 2
         assert "termination=nonfinite" in capsys.readouterr().out
+
+    def test_overflow_prints_no_warning(self, capsys):
+        # the termination names the overflow; numpy's RuntimeWarnings, which
+        # would reach stderr through the warnings module, must not repeat it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["quad", "--n", "50", "--alpha0", "1e300", "--max-iter", "200"])
+        assert rc == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        out, err = capsys.readouterr()
+        assert "termination=nonfinite" in out
+        assert "RuntimeWarning" not in err
 
 
 class TestRosenbrock:

@@ -11,18 +11,23 @@ from stlsbb import (
     ExperimentGrid,
     ProfileTable,
     RosenbrockTable,
+    SpectrumSetting,
     SweepCell,
     average_table,
+    generate_instance,
+    harness,
+    parse_policy,
     performance_profile,
     profile_from_cells,
     profile_from_matrix_csv,
     run_quadratic_sweep,
     run_rosenbrock_table,
+    solve_bb,
     sweep_from_csv,
     sweep_to_csv,
     sweep_to_json,
 )
-from stlsbb.errors import InvalidParameterError
+from stlsbb.errors import InvalidParameterError, StlsbbError
 from stlsbb.harness import CAP_MARK, averages_to_csv, fmt17
 
 
@@ -93,6 +98,37 @@ class TestSweep:
         seen = []
         run_quadratic_sweep(tiny, progress=seen.append)
         assert len(seen) == tiny.cell_count()
+
+    @pytest.mark.parametrize("block_doubles", [None, 150])
+    def test_blocks_equal_cell_by_cell_solve_bb(self, monkeypatch, block_doubles):
+        # each (setting, kappa) block runs its seed x policy cells in lock
+        # step, with 150 doubles as 5-row calls (5, 5, 2); kappa=100 is
+        # invalid for setting 2, so that block has no row to run and every
+        # cell is an error marker
+        if block_doubles is not None:
+            monkeypatch.setattr(harness, "_BLOCK_DOUBLES", block_doubles)
+        grid = ExperimentGrid(
+            n=30, setting_ids=(1, 2), kappas=(100.0, 1e4), seeds=(0, 1, 2),
+            policies=("bb1", "bb2", "gamma:20", "atc:3"), max_iter=120,
+        )
+        seen = []
+        cells = run_quadratic_sweep(grid, progress=seen.append)
+        assert seen == cells
+        want = []
+        for sid in grid.setting_ids:
+            for kappa in grid.kappas:
+                for seed in grid.seeds:
+                    for pol in grid.policies:
+                        try:
+                            inst = generate_instance(grid.n, SpectrumSetting(sid, kappa), seed)
+                            tr = solve_bb(inst, parse_policy(pol), 1e-6, grid.max_iter)
+                            outcome = (tr.iterations, "ok" if tr.solved else "cap")
+                        except StlsbbError as exc:
+                            outcome = (None, f"error:{type(exc).__name__}")
+                        want.append((sid, kappa, seed, pol, *outcome))
+        assert [(c.setting_id, c.kappa, c.seed, c.policy, c.iterations, c.status)
+                for c in cells] == want
+        assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
 
     def test_csv_roundtrip(self, tiny):
         cells = run_quadratic_sweep(tiny)

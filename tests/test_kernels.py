@@ -1,7 +1,8 @@
 """Kernel-level checks: closed forms, the policy dispatch, the Householder
-Hessian product, and the raw BB loop."""
+Hessian product, row dots, and the lock-step raw BB loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from stlsbb import (
     QuadraticInstance,
     SteplengthPolicy,
     kernels,
+    parse_policy,
 )
+from stlsbb.trace import NONFINITE
 
 from conftest import random_pair
 
@@ -116,15 +119,33 @@ class TestHouseholder:
             assert fast == pytest.approx(dense @ x, rel=1e-12, abs=1e-12)
 
 
+def tiny_instance(rng, n=12, kappa=100.0, v=None):
+    ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
+    v = np.sort(rng.uniform(1.0, kappa, n)) if v is None else v
+    b = rng.uniform(-10.0, 10.0, n)
+    return QuadraticInstance(n, ws[0], ws[1], ws[2], v, b)
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("n", [3, 100, 1000])
+    def test_vecdot_rounds_like_the_1d_dot(self, rng, n):
+        # the lock-step raw loop relies on this to reproduce every row's
+        # run alone bit for bit; a numpy or BLAS change that breaks it
+        # fails here rather than as a changed iteration count.  The second
+        # block starts one element into its buffer, off the alignment of
+        # a fresh array
+        ys = rng.standard_normal((5, n))
+        for xs in (rng.standard_normal((5, n)), rng.standard_normal(5 * n + 1)[1:]):
+            xs = xs.reshape(5, n)
+            want = np.array([x @ y for x, y in zip(xs, ys)])
+            assert np.array_equal(np.vecdot(xs, ys), want)
+
+
 class TestRawLoop:
     def run_tiny(self, rng, max_iter=500):
-        n = 12
-        ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
-        v = np.sort(rng.uniform(1.0, 100.0, n))
-        b = rng.uniform(-10.0, 10.0, n)
-        inst = QuadraticInstance(n, ws[0], ws[1], ws[2], v, b)
-        out = kernels.raw_bb_loop(inst, SteplengthPolicy.long(), np.ones(n), 0.01, 1e-10,
-                                  max_iter)
+        inst = tiny_instance(rng)
+        (out,) = kernels.raw_bb_loop([inst], [SteplengthPolicy.long()], [np.ones(12)],
+                                     [0.01], 1e-10, max_iter)
         return inst, out
 
     def test_histories_align(self, rng):
@@ -143,9 +164,10 @@ class TestRawLoop:
         assert np.linalg.norm(gx) == pytest.approx(g_hist[-1], rel=1e-6, abs=1e-18)
 
     def test_x0_is_not_modified(self, rng):
-        inst, _ = self.run_tiny(rng)
-        x0 = np.ones(inst.dim)
-        kernels.raw_bb_loop(inst, SteplengthPolicy.long(), x0, 0.01, 1e-10, 50)
+        insts = [tiny_instance(rng), tiny_instance(rng)]
+        x0 = np.ones((2, 12))
+        kernels.raw_bb_loop(insts, [SteplengthPolicy.long()] * 2, x0, [0.01, 0.02],
+                            1e-10, 50)
         assert np.all(x0 == 1.0)
 
     def test_identity_spectrum_finishes_in_two_steps(self):
@@ -156,8 +178,8 @@ class TestRawLoop:
         e1[0] = 1.0
         b = np.linspace(-1.0, 2.5, n)
         inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
-        termination, f_hist, g_hist, a_hist, x = kernels.raw_bb_loop(
-            inst, SteplengthPolicy.long(), np.zeros(n), 0.3, 1e-12, 50
+        ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
+            [inst], [SteplengthPolicy.long()], [np.zeros(n)], [0.3], 1e-12, 50
         )
         assert termination == GRADIENT_TOLERANCE
         assert len(g_hist) == 3
@@ -172,3 +194,43 @@ class TestRawLoop:
         assert len(g_hist) == 4
         assert math.isnan(a_hist[-1])
         assert g_hist[-1] > 0.0
+
+
+class TestLockStep:
+    DESCRIPTORS = ("bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.5", "tau:0.3", "atc:4")
+
+    def test_block_equals_its_rows_alone(self, rng):
+        # seven converging rows, one that runs into the cap and one whose
+        # first Hessian product overflows; rows leave the block at
+        # different steps and must not disturb the rows that go on
+        n = 30
+        insts = [tiny_instance(rng, n, kappa) for kappa in (10, 30, 50, 100, 200, 300, 500)]
+        policies = [parse_policy(d) for d in self.DESCRIPTORS]
+        insts.append(tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n)))
+        policies.append(parse_policy("bb2"))
+        insts.append(tiny_instance(rng, n, 1e300))
+        policies.append(parse_policy("gamma:1"))
+        x0 = rng.uniform(-1.0, 1.0, (len(insts), n))
+        alpha0 = rng.uniform(1e-3, 1e-2, len(insts))
+        x0[-1] = 1e10
+        alpha0[-1] = 1.0
+        block = kernels.raw_bb_loop(insts, policies, x0, alpha0, 1e-8, 400)
+        terminations = [row[0] for row in block]
+        assert terminations[:7] == [GRADIENT_TOLERANCE] * 7
+        assert terminations[7:] == [ITERATION_CAP, NONFINITE]
+        assert len({len(row[1]) for row in block}) > 5  # rows leave at many steps
+        for i, row in enumerate(block):
+            (alone,) = kernels.raw_bb_loop([insts[i]], [policies[i]], x0[i:i + 1],
+                                           alpha0[i:i + 1], 1e-8, 400)
+            assert row[0] == alone[0]
+            for got, want in zip(row[1:], alone[1:]):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_overflow_raises_no_warning(self, rng):
+        inst = tiny_instance(rng, 30, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((termination, *_),) = kernels.raw_bb_loop(
+                [inst], [SteplengthPolicy.long()], [np.full(30, 1e10)], [1.0], 1e-8, 50
+            )
+        assert termination == NONFINITE

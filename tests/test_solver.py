@@ -301,6 +301,41 @@ class TestRunLoop:
         assert tr.termination == NONFINITE and tr.iterations == 0
         assert len(seen) == 1
 
+    def test_nan_at_every_trial_ends_nonfinite(self):
+        # f is nan everywhere but at the start: no trial point can pass the
+        # acceptance test, and the backtrack cap ends the run as nonfinite
+        # at iterate 0 instead of reporting a stall
+        x0 = np.array([2.0, -1.0])
+        seen = []
+
+        def eval_(x):
+            seen.append(x)
+            f = 0.5 * float(x @ x) if np.array_equal(x, x0) else math.nan
+            return f, x.copy()
+
+        obj = Objective("nan-trials", 2, eval_)
+        tr = run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=7), SteplengthPolicy.long())
+        assert tr.termination == NONFINITE and not tr.solved
+        assert tr.iterations == 0
+        assert len(seen) == 1 + 8  # x0, then the first trial and 7 backtracks
+        assert np.array_equal(tr.final_x, x0)
+        assert tr.rows[-1].f == 2.5
+
+    def test_finite_rejected_trial_still_stalls(self):
+        # one finite but rejected trial among nan ones keeps the stall error
+        x0 = np.array([1.0])
+        calls = []
+
+        def eval_(x):
+            calls.append(x)
+            if np.array_equal(x, x0):
+                return 0.0, np.array([1.0])
+            return (1.0 if len(calls) == 3 else math.nan), np.array([1.0])
+
+        obj = Objective("mostly-nan", 1, eval_)
+        with pytest.raises(LineSearchStallError):
+            run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=5), SteplengthPolicy.long())
+
     def test_backtracks_and_fevals_recorded(self):
         obj = rosenbrock2()
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, alpha0=1.0, max_iter=2000),
