@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, harness, oracle, quadratic, solver
 from .errors import InvalidParameterError, StlsbbError
 from .harness import fmt17
-from .steps import StepPair, parse_policy
+from .steps import StepPair, next_steplength, parse_policy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,9 +102,7 @@ def _write_text(path, text):
 def _cmd_steps(args):
     pair = StepPair(args.s, args.y)
     policy = parse_policy(args.policy)
-    from .steps import next_steplength
-
-    alpha, _ = next_steplength(policy, pair)
+    alpha = next_steplength(policy, pair)
     print(fmt17(alpha))
     if args.verify:
         ref = oracle.oracle_steplength(policy, pair)

@@ -264,9 +264,9 @@ def homogeneous_residual_min(pair, grid_points=200_000, refine_tol=1e-12):
     return _search_centered(ss, yy, sy, 1.0, a_lo, a_hi, tol)
 
 
-def oracle_steplength(policy, pair):
-    """Independent value for one policy evaluation, matching the state in
-    the policy (iteration_index and prev_alpha for ATC).
+def oracle_steplength(policy, pair, index=0, prev_alpha=None):
+    """Independent value for one policy evaluation; index and prev_alpha
+    are ATC's run state, as next_steplength takes them.
 
     Every route goes through golden-section searches on the defining
     least-squares or scaled-TLS objectives; none touches the closed-form
@@ -285,10 +285,10 @@ def oracle_steplength(policy, pair):
         t = policy.tau
         return t * bb1_argmin(pair) + (1.0 - t) * bb2_argmin(pair)
     # atc: restart gives the long steplength, otherwise clamp prev_alpha
-    if policy.iteration_index % policy.cycle == 0:
+    if index % policy.cycle == 0:
         return bb1_argmin(pair)
-    if policy.prev_alpha is None:
+    if prev_alpha is None:
         raise InvalidParameterError("ATC oracle needs prev_alpha off-restart")
     lo = bb2_argmin(pair)
     hi = bb1_argmin(pair)
-    return min(max(float(policy.prev_alpha), lo), hi)
+    return min(max(float(prev_alpha), lo), hi)

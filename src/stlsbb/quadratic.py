@@ -21,6 +21,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
+from .solver import Objective
 from .steps import SteplengthPolicy
 
 SETTING_IDS = (1, 2, 3, 4, 5, 6, 7)
@@ -246,7 +247,6 @@ def dense_hessian(inst):
 def as_objective(inst, name=None):
     """Wrap an instance as a generic (f, grad) objective for the
     line-search solver."""
-    from .solver import Objective
 
     def eval_(x):
         x = _check_vec(inst, x)

@@ -9,7 +9,7 @@ hands its secant pair to the steplength policy for the next proposal.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -249,8 +249,9 @@ def run(objective, x0, config, policy):
     point passes the nonmonotone test, then steps and asks the policy for
     the next proposal from the accepted secant pair.  Nonpositive
     curvature maps the proposal to +inf, which the next safeguard resets
-    to delta.  A zero gradient stops immediately regardless of stop rule;
-    a nan or inf f or ||g|| at an iterate stops the run first, with
+    to delta, and ATC then reads delta as its previous steplength.  A
+    zero gradient stops immediately regardless of stop rule; a nan or inf
+    f or ||g|| at an iterate stops the run first, with
     termination nonfinite.  So does a line search whose every trial f was
     nan or +inf when the backtrack cap is hit; if some trial f was finite,
     that raises LineSearchStallError instead.
@@ -278,6 +279,7 @@ def run(objective, x0, config, policy):
     rows = []
     termination = ITERATION_CAP
     k = 0
+    prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     while True:
         gn = float(np.linalg.norm(g))
         if not (math.isfinite(f) and math.isfinite(gn)):
@@ -322,15 +324,10 @@ def run(objective, x0, config, policy):
         g = np.asarray(g_trial, dtype=float).reshape(-1)
         window.push(f)
         try:
-            alpha, policy = next_steplength(policy, pair)
+            alpha = prev = next_steplength(policy, pair, k, prev)
         except NonpositiveCurvatureError:
             # out of band on purpose: the next safeguard resets it to delta
-            alpha = math.inf
-            policy = replace(
-                policy,
-                iteration_index=policy.iteration_index + 1,
-                prev_alpha=config.delta,
-            )
+            alpha, prev = math.inf, config.delta
         k += 1
     rows.append(terminal_row(k, f, gn))
     meta = config.to_meta()
@@ -353,9 +350,13 @@ def audit_trace(run_trace, config=None):
     must pass the nonmonotone test at the effective steplength
     alpha * sigma**backtracks, reconstructed by repeated multiplication
     exactly as the solver applied it.  config defaults to the one stored
-    in the trace meta.  Returns a list of violation strings; empty means
-    the trace is internally consistent.
+    in the trace meta, which only a gbb trace has; any other trace without
+    a config raises InvalidParameterError.  Returns a list of violation
+    strings; empty means the trace is internally consistent.
     """
+    solver = run_trace.meta.get("solver")
+    if config is None and solver != "gbb":
+        raise InvalidParameterError(f"a {solver!r} trace stores no line-search config")
     cfg = config if config is not None else SolverConfig.from_meta(run_trace.meta)
     violations = []
     rows = run_trace.rows

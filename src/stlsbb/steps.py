@@ -4,12 +4,13 @@ The two classical BB steplengths are least-squares fits of the secant pair
 (s, y); the family implemented here interpolates between them through a
 scaled total-least-squares fit with scale parameter gamma.  Also provided:
 the equivalent convex-combination form, the adaptive truncated cyclic
-(ATC) rule, and a tagged policy type that carries per-iteration state for
-solver loops.
+(ATC) rule, and a tagged policy type that names one rule.  A policy holds
+no run state: ATC's iteration index and previous steplength belong to the
+loop that evaluates it, which passes them to next_steplength.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class ConvexWeight:
 def _as_float(value, name):
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
 
 
@@ -180,22 +181,18 @@ def tau_from_gamma(pair, gamma):
 
 @dataclass(frozen=True)
 class SteplengthPolicy:
-    """Tagged steplength rule plus the per-iteration state it carries.
+    """Tagged steplength rule on the secant scalars.
 
-    kind is one of POLICY_KINDS; gamma/tau/cycle are the rule's parameters
-    where applicable.  iteration_index counts policy evaluations from 0
-    and prev_alpha is the last steplength handed back by the policy; the
-    opening steplength of a run is supplied externally, never by the
-    policy.  Instances are immutable: next_steplength returns the advanced
-    copy.
+    kind is one of POLICY_KINDS; gamma/tau/cycle are the rule's fixed
+    parameters where applicable.  A policy is only the rule: the run state
+    ATC reads (the iteration index and the previous steplength) is carried
+    by the calling loop and passed to next_steplength.
     """
 
     kind: str
     gamma: float | None = None
     tau: float | None = None
     cycle: int | None = None
-    prev_alpha: float | None = None
-    iteration_index: int = 0
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -213,13 +210,10 @@ class SteplengthPolicy:
         if self.kind == "atc":
             if self.cycle is None:
                 raise InvalidParameterError("policy 'atc' needs a cycle length")
-            c = int(self.cycle)
-            if c < 1:
-                raise InvalidParameterError(f"cycle length must be >= 1, got {self.cycle!r}")
-            object.__setattr__(self, "cycle", c)
-        if int(self.iteration_index) < 0:
-            raise InvalidParameterError("iteration_index must be >= 0")
-        object.__setattr__(self, "iteration_index", int(self.iteration_index))
+            c = _as_float(self.cycle, "cycle")
+            if not (c >= 1.0 and c.is_integer()):  # false for inf and nan
+                raise InvalidParameterError(f"cycle must be an integer >= 1, got {self.cycle!r}")
+            object.__setattr__(self, "cycle", int(c))
 
     @classmethod
     def long(cls):
@@ -288,32 +282,33 @@ def parse_policy(text):
     raise InvalidParameterError(f"unknown policy descriptor {text!r}")
 
 
-def atc_next(policy, pair):
-    """One ATC evaluation: BB1 on cycle restarts (iteration_index a
-    multiple of cycle), otherwise prev_alpha clamped into [bb2, bb1]."""
+def atc_next(policy, pair, index=0, prev_alpha=None):
+    """One ATC evaluation: BB1 on cycle restarts (index a multiple of
+    cycle), otherwise prev_alpha clamped into [bb2, bb1]."""
     if policy.kind != "atc":
         raise InvalidParameterError(f"atc_next needs an 'atc' policy, got {policy.kind!r}")
-    return next_steplength(policy, pair)[0]
+    return next_steplength(policy, pair, index, prev_alpha)
 
 
-def next_steplength(policy, pair):
-    """Evaluate a policy on a secant pair.
+def next_steplength(policy, pair, index=0, prev_alpha=None):
+    """Steplength a policy gives on a secant pair, as a float.
 
-    Returns (alpha, advanced_policy); the advanced copy has
-    iteration_index incremented and prev_alpha set to alpha.  Raises
+    index and prev_alpha are ATC's state, carried by the calling loop:
+    index counts the run's policy evaluations from 0 (the opening
+    steplength is never the policy's), and prev_alpha is the last one.
+    Raises InvalidParameterError for a negative index,
     NonpositiveCurvatureError when s'y <= 0 (callers such as the
     line-search solver turn that into a safeguard reset), and
     MissingStateError for ATC between cycle restarts without prev_alpha.
     """
+    if index < 0:
+        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
     sy = _positive_curvature(pair)
     prev = math.nan  # read only by ATC off a cycle restart
-    if policy.kind == "atc" and policy.iteration_index % policy.cycle != 0:
-        if policy.prev_alpha is None:
+    if policy.kind == "atc" and index % policy.cycle != 0:
+        if prev_alpha is None:
             raise MissingStateError(
-                "ATC needs prev_alpha between cycle restarts; none was carried"
+                "ATC needs prev_alpha between cycle restarts; none was given"
             )
-        prev = float(policy.prev_alpha)
-    a = float(
-        kernels.policy_step(policy, pair.ss, pair.yy, sy, prev, policy.iteration_index)
-    )
-    return a, replace(policy, iteration_index=policy.iteration_index + 1, prev_alpha=a)
+        prev = float(prev_alpha)
+    return float(kernels.policy_step(policy, pair.ss, pair.yy, sy, prev, index))

@@ -300,15 +300,14 @@ def test_criterion_09_adaptive_cyclic_branches_exact(report):
     pair = random_pair(rng)
     b1, b2 = bb1(pair), bb2(pair)
 
-    restart = SteplengthPolicy("atc", cycle=4, prev_alpha=0.123, iteration_index=8)
-    reset_ok = atc_next(restart, pair) == b1
+    # the calling loop carries ATC's state: (index, prev_alpha) per call
+    atc = SteplengthPolicy.adaptive_cyclic(4)
+    reset_ok = atc_next(atc, pair, 8, 0.123) == b1
 
-    low = SteplengthPolicy("atc", cycle=4, prev_alpha=b2 / 2.0, iteration_index=1)
-    clamp_ok = atc_next(low, pair) == b2
+    clamp_ok = atc_next(atc, pair, 1, b2 / 2.0) == b2
 
     inside = 0.5 * (b1 + b2)
-    mid = SteplengthPolicy("atc", cycle=4, prev_alpha=inside, iteration_index=2)
-    pass_ok = atc_next(mid, pair) == inside
+    pass_ok = atc_next(atc, pair, 2, inside) == inside
 
     report(
         9,

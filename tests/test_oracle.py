@@ -206,16 +206,12 @@ class TestOracleDispatch:
 
     def test_atc_branches(self, rng):
         pair = random_pair(rng)
-        restart = SteplengthPolicy.adaptive_cyclic(4)
-        assert oracle_steplength(restart, pair) == pytest.approx(
-            atc_next(restart, pair), rel=1e-6, abs=1e-8
+        atc = SteplengthPolicy.adaptive_cyclic(4)
+        assert oracle_steplength(atc, pair) == pytest.approx(
+            atc_next(atc, pair), rel=1e-6, abs=1e-8
         )
-        mid = SteplengthPolicy("atc", cycle=4, prev_alpha=0.01, iteration_index=2)
-        assert oracle_steplength(mid, pair) == pytest.approx(
-            atc_next(mid, pair), rel=1e-6, abs=1e-8
+        assert oracle_steplength(atc, pair, 2, 0.01) == pytest.approx(
+            atc_next(atc, pair, 2, 0.01), rel=1e-6, abs=1e-8
         )
         inside = 0.5 * (bb1(pair) + bb2(pair))
-        pass_through = SteplengthPolicy(
-            "atc", cycle=4, prev_alpha=inside, iteration_index=1
-        )
-        assert oracle_steplength(pass_through, pair) == pytest.approx(inside, abs=1e-8)
+        assert oracle_steplength(atc, pair, 1, inside) == pytest.approx(inside, abs=1e-8)

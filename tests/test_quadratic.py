@@ -311,10 +311,10 @@ class TestSolveBB:
         tr = solve_bb(inst, policy, epsilon=1e-6, max_iter=5000)
         assert tr.solved and tr.iterations > 10
         g = gradient(inst, np.ones(inst.dim))
-        for row, nxt in zip(tr.rows[:-2], tr.rows[1:-1]):
+        for k, (row, nxt) in enumerate(zip(tr.rows[:-2], tr.rows[1:-1])):
             ag = apply_hessian(inst, g)
-            alpha, policy = next_steplength(policy, StepPair(g, ag))
-            assert alpha == nxt.alpha
+            # the raw loop's ATC state: index k and the alpha just taken
+            assert next_steplength(policy, StepPair(g, ag), k, row.alpha) == nxt.alpha
             g -= row.alpha * ag
 
     def test_trace_row_semantics(self, inst):

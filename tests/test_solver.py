@@ -13,13 +13,18 @@ from stlsbb import (
     RunTrace,
     SolverConfig,
     SteplengthPolicy,
+    SpectrumSetting,
     ZeroGradientError,
     audit_trace,
+    generate_instance,
     initial_steplength,
+    kernels,
     nonmonotone_accept,
+    parse_policy,
     rosenbrock2,
     run,
     safeguard,
+    solve_bb,
 )
 from stlsbb.errors import DimensionMismatchError, InvalidParameterError
 from stlsbb.solver import (
@@ -261,6 +266,49 @@ class TestRunLoop:
         assert tr.solved
         assert abs(abs(tr.final_x[0]) - 1.0 / math.sqrt(2.0)) < 1e-6
 
+    @staticmethod
+    def quartic_iterates(x0, config, policy):
+        # run f = sum(x^4 - x^2) and return the trace, the accepted iterates
+        # and the gradient; evals are the start, the start again and its
+        # probe, then 1 + backtracks trials per row, the last of which is
+        # the next iterate
+        evals = []
+
+        def grad(x):
+            return 4.0 * x**3 - 2.0 * x
+
+        def eval_(x):
+            x = np.array(x, dtype=float)
+            evals.append(x)
+            return float(np.sum(x**4 - x**2)), grad(x)
+
+        tr = run(Objective("quartic-well", len(x0), eval_), x0, config, policy)
+        ends = 2 + np.cumsum([r.fevals for r in tr.rows[:-1]])
+        return tr, [evals[0]] + [evals[e] for e in ends], grad
+
+    def test_atc_carries_delta_through_curvature_failures(self):
+        # the first two secant pairs from 0.1 have s'y <= 0, so rows 1 and 2
+        # take delta, and ATC reads delta as its previous steplength at index 2
+        cfg = SolverConfig(epsilon=1e-10)
+        tr, xs, grad = self.quartic_iterates([0.1], cfg, parse_policy("atc:3"))
+        assert [r.alpha for r in tr.rows[1:3]] == [cfg.delta, cfg.delta]
+        s, y = xs[3] - xs[2], grad(xs[3]) - grad(xs[2])
+        want = kernels.atc_step(float(s @ s), float(y @ y), float(s @ y), cfg.delta, 2, 3)
+        assert tr.rows[3].alpha == want
+        assert want == pytest.approx(4.4969, rel=1e-4)
+
+    def test_atc_passes_delta_through_after_a_curvature_failure(self):
+        # in 1-D bb2 == bb1 and the clamp hides prev; in 2-D pair 4 fails,
+        # pair 5 brackets delta strictly, and index 5 is off a cycle restart,
+        # so row 6 is delta passed through, not a reset
+        cfg = SolverConfig(epsilon=1e-10)
+        tr, xs, grad = self.quartic_iterates([0.1, 1.2], cfg, parse_policy("atc:4"))
+        pairs = [(xs[k + 1] - xs[k], grad(xs[k + 1]) - grad(xs[k])) for k in (4, 5)]
+        (s4, y4), (s5, y5) = pairs
+        assert s4 @ y4 <= 0.0 < s5 @ y5
+        assert (s5 @ y5) / (y5 @ y5) < cfg.delta < (s5 @ s5) / (s5 @ y5)
+        assert tr.rows[5].alpha == tr.rows[6].alpha == cfg.delta
+
     def test_line_search_stall_raises(self):
         # a cliff objective that never improves: every trial fails the
         # acceptance test until the backtrack cap trips
@@ -387,6 +435,12 @@ class TestAudit:
         bad = RunTrace(rows=rows, termination=tr.termination,
                        final_x=tr.final_x, meta=tr.meta)
         assert any("safeguard band" in v for v in audit_trace(bad))
+
+    def test_raw_trace_needs_a_config(self):
+        inst = generate_instance(20, SpectrumSetting(1, 1e2), seed=0)
+        tr = solve_bb(inst, SteplengthPolicy.long(), 1e-6, 500)
+        with pytest.raises(InvalidParameterError, match="raw_bb"):
+            audit_trace(tr)
 
     def test_explicit_config_overrides_meta(self):
         tr = self.make_trace()

@@ -1,5 +1,6 @@
 """Steplength math: closed forms, family properties, policies."""
 
+import dataclasses
 import math
 import types
 
@@ -104,10 +105,11 @@ class TestPairValidation:
             SteplengthPolicy.family_prime(2.0),
             SteplengthPolicy.convex(0.5),
             SteplengthPolicy.adaptive_cyclic(3),
-            SteplengthPolicy("atc", cycle=3, prev_alpha=0.5, iteration_index=1),
         ):
             with pytest.raises(NonpositiveCurvatureError):
                 next_steplength(pol, pair)
+        with pytest.raises(NonpositiveCurvatureError):
+            next_steplength(SteplengthPolicy.adaptive_cyclic(3), pair, 1, 0.5)
 
     def test_parameter_validation(self, canonical_pair):
         with pytest.raises(InvalidParameterError):
@@ -122,6 +124,8 @@ class TestPairValidation:
             ConvexWeight(-0.1)
         with pytest.raises(InvalidParameterError):
             alpha_family(canonical_pair, "not a number")
+        with pytest.raises(InvalidParameterError):
+            FamilyParameter(10**400)  # too large for a float
 
 
 class TestFamilyProperties:
@@ -248,7 +252,7 @@ class TestPolicy:
         with pytest.raises(InvalidParameterError):
             parse_policy(42)
 
-    def test_constructor_validation(self):
+    def test_constructor_validation(self, canonical_pair):
         with pytest.raises(InvalidParameterError):
             SteplengthPolicy("nope")
         with pytest.raises(InvalidParameterError):
@@ -257,18 +261,22 @@ class TestPolicy:
             SteplengthPolicy("tau")
         with pytest.raises(InvalidParameterError):
             SteplengthPolicy("atc")
+        for cycle in (0, -2, 2.5, "x", float("inf"), float("nan"), 10**400):
+            with pytest.raises(InvalidParameterError):
+                SteplengthPolicy("atc", cycle=cycle)
+        assert SteplengthPolicy("atc", cycle=4.0).cycle == 4
+        assert SteplengthPolicy("atc", cycle=np.int64(3)).describe() == "atc:3"
+        # the index is the caller's, so the call checks it
         with pytest.raises(InvalidParameterError):
-            SteplengthPolicy("atc", cycle=0)
-        with pytest.raises(InvalidParameterError):
-            SteplengthPolicy("bb1", iteration_index=-1)
+            next_steplength(SteplengthPolicy.long(), canonical_pair, -1)
 
-    def test_next_steplength_advances(self, canonical_pair):
+    def test_next_steplength_returns_a_float(self, canonical_pair):
         pol = SteplengthPolicy.family(1.0)
-        a, nxt = next_steplength(pol, canonical_pair)
+        a = next_steplength(pol, canonical_pair)
+        assert type(a) is float
         assert a == pytest.approx(GOLDEN, rel=1e-14)
-        assert nxt.iteration_index == 1
-        assert nxt.prev_alpha == a
-        assert pol.iteration_index == 0  # original untouched
+        # a policy is its rule alone; no run state rides on it
+        assert [f.name for f in dataclasses.fields(pol)] == ["kind", "gamma", "tau", "cycle"]
 
     def test_each_kind_matches_direct_form(self, canonical_pair):
         # both sides evaluate the same kernel, so the match is exact
@@ -280,14 +288,12 @@ class TestPolicy:
             (SteplengthPolicy.family_prime(3.0), alpha_family_prime(canonical_pair, 3.0)),
             (SteplengthPolicy.convex(0.25), alpha_convex(canonical_pair, 0.25)),
             (SteplengthPolicy.adaptive_cyclic(3), b1),
-            (SteplengthPolicy("atc", cycle=3, prev_alpha=9.0, iteration_index=3), b1),
-            (SteplengthPolicy("atc", cycle=3, prev_alpha=0.01, iteration_index=1), b2),
-            (SteplengthPolicy("atc", cycle=3, prev_alpha=50.0, iteration_index=2), b1),
-            (SteplengthPolicy("atc", cycle=3, prev_alpha=0.62, iteration_index=1), 0.62),
         ]
         for pol, want in cases:
-            got, _ = next_steplength(pol, canonical_pair)
-            assert got == want
+            assert next_steplength(pol, canonical_pair) == want
+        atc = SteplengthPolicy.adaptive_cyclic(3)
+        for index, prev, want in [(3, 9.0, b1), (1, 0.01, b2), (2, 50.0, b1), (1, 0.62, 0.62)]:
+            assert next_steplength(atc, canonical_pair, index, prev) == want
 
 
 class TestAdaptiveCyclic:
@@ -298,28 +304,29 @@ class TestAdaptiveCyclic:
         )
 
     def test_lower_clamp(self, canonical_pair):
-        pol = SteplengthPolicy("atc", cycle=3, prev_alpha=0.01, iteration_index=1)
-        assert atc_next(pol, canonical_pair) == pytest.approx(
+        pol = SteplengthPolicy.adaptive_cyclic(3)
+        assert atc_next(pol, canonical_pair, 1, 0.01) == pytest.approx(
             bb2(canonical_pair), rel=1e-15
         )
 
     def test_upper_clamp(self, canonical_pair):
-        pol = SteplengthPolicy("atc", cycle=3, prev_alpha=50.0, iteration_index=2)
-        assert atc_next(pol, canonical_pair) == pytest.approx(
+        pol = SteplengthPolicy.adaptive_cyclic(3)
+        assert atc_next(pol, canonical_pair, 2, 50.0) == pytest.approx(
             bb1(canonical_pair), rel=1e-15
         )
 
     def test_interior_pass_through(self, canonical_pair):
         inside = 0.62  # strictly between bb2 = 0.6 and bb1 = 2/3
-        pol = SteplengthPolicy("atc", cycle=3, prev_alpha=inside, iteration_index=1)
-        assert atc_next(pol, canonical_pair) == inside
+        pol = SteplengthPolicy.adaptive_cyclic(3)
+        assert atc_next(pol, canonical_pair, 1, inside) == inside
 
     def test_cycle_sequence(self, rng):
         """Indices 0, cycle, 2*cycle restart; the rest carry state."""
         pol = SteplengthPolicy.adaptive_cyclic(2)
+        a = None
         for k in range(6):
             pair = random_pair(rng)
-            a, pol = next_steplength(pol, pair)
+            a = next_steplength(pol, pair, k, a)
             if k % 2 == 0:
                 assert a == pytest.approx(bb1(pair), rel=1e-14)
             else:
@@ -327,11 +334,11 @@ class TestAdaptiveCyclic:
                 assert lo - 1e-15 <= a <= hi + 1e-15
 
     def test_missing_state(self, canonical_pair):
-        pol = SteplengthPolicy("atc", cycle=3, iteration_index=1)
+        pol = SteplengthPolicy.adaptive_cyclic(3)
         with pytest.raises(MissingStateError):
-            atc_next(pol, canonical_pair)
+            atc_next(pol, canonical_pair, 1)
         with pytest.raises(MissingStateError):
-            next_steplength(pol, canonical_pair)
+            next_steplength(pol, canonical_pair, 1)
 
     def test_wrong_kind(self, canonical_pair):
         with pytest.raises(InvalidParameterError):
