@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadratic, solver, trace
+from . import kernels, quadratic, solver, trace
 from .errors import AllFailedOnProblemError, InvalidParameterError, StlsbbError
 from .steps import parse_policy
 
@@ -89,15 +89,6 @@ class SweepCell:
         return (self.setting_id, self.kappa, self.epsilon, self.seed)
 
 
-# Rows of one lock-step solve_bb_block call: each of its (rows x n) arrays
-# holds at most this many doubles (256 KiB), so a block's step works in
-# cache and a large-n grid runs a block as several calls.  On a 2 MiB L2
-# host, full 20-row blocks at n = 1e4 ran 1.8x the time of one run per
-# cell, and rows of 2^15 doubles matched it; at n <= 1e3 the whole block
-# fits and runs 2-5x faster.
-_BLOCK_DOUBLES = 1 << 15
-
-
 def _error(exc):
     return None, False, f"error:{type(exc).__name__}"
 
@@ -118,7 +109,9 @@ def _block_outcomes(grid, sid, kappa, eps, block, instances):
             started.append((i, inst, parse_policy(pol), *quadratic.bb_start(inst)))
         except StlsbbError as exc:
             outcomes[i] = _error(exc)
-    rows = max(1, _BLOCK_DOUBLES // grid.n)
+    # a call's (rows x n) arrays stay within the block cap, so a large-n
+    # grid runs a block as several calls
+    rows = max(1, kernels._BLOCK_DOUBLES // grid.n)
     for lo in range(0, len(started), rows):
         index, insts, policies, x0, alpha0 = zip(*started[lo : lo + rows])
         try:

@@ -143,15 +143,27 @@ def hessian_apply(w1, w2, w3, v, x):
     Q'x reflects by w3, w2, w1 in that order and Q reverses it; the whole
     product costs O(n) and nothing n-by-n is ever formed.  A 2-D x is a
     block of rows, each reflected by the same row of w1, w2, w3 and scaled
-    by the same row of v; np.vecdot rounds each row dot exactly like the
-    1-D dot, so a row's product equals the row's 1-D product bit for bit.
+    by the same row of v, or by the same 1-D w1, w2, w3, v for every row;
+    np.vecdot rounds each row dot exactly like the 1-D dot, so a row's
+    product equals the row's 1-D product bit for bit.
     """
     if x.ndim == 1:
         return _householder_product(np.dot, w1, w2, w3, v, x)
     if len(x) == 1:
         # a block of one takes the 1-D path, whose scalar dots cost less
-        return _householder_product(np.dot, w1[0], w2[0], w3[0], v[0], x[0])[None]
+        if w1.ndim == 2:
+            w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
+        return _householder_product(np.dot, w1, w2, w3, v, x[0])[None]
     return _householder_product(_row_dots, w1, w2, w3, v, x)
+
+
+# A block of rows, in raw_bb_loop's lock-step calls and in the line-search
+# solver's trial rounds, holds at most this many doubles (256 KiB) per
+# (rows x n) array, so a step works in cache.  On a 2 MiB L2 host, full
+# 20-row raw blocks at n = 1e4 ran 1.8x the time of one run per row, and
+# rows of 2^15 doubles matched it; at n <= 1e3 the whole block fits and
+# runs 2-5x faster.
+_BLOCK_DOUBLES = 1 << 15
 
 
 # raw_bb_loop records (f, ||g||, alpha) of every live row in a buffer of

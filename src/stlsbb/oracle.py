@@ -18,6 +18,7 @@ from .errors import (
     DegenerateInputError,
     InvalidBracketError,
     InvalidParameterError,
+    MissingStateError,
     NonpositiveCurvatureError,
 )
 from .steps import _gamma_value, bb1, bb2
@@ -270,8 +271,12 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
 
     Every route goes through golden-section searches on the defining
     least-squares or scaled-TLS objectives; none touches the closed-form
-    family expressions.
+    family expressions.  Like next_steplength, it raises
+    InvalidParameterError for a negative index and MissingStateError for
+    ATC between cycle restarts without prev_alpha.
     """
+    if index < 0:
+        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
     k = policy.kind
     if k == "bb1":
         return bb1_argmin(pair)
@@ -288,7 +293,7 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
     if index % policy.cycle == 0:
         return bb1_argmin(pair)
     if prev_alpha is None:
-        raise InvalidParameterError("ATC oracle needs prev_alpha off-restart")
+        raise MissingStateError("ATC oracle needs prev_alpha off a cycle restart")
     lo = bb2_argmin(pair)
     hi = bb1_argmin(pair)
     return min(max(float(prev_alpha), lo), hi)

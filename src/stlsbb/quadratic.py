@@ -246,7 +246,12 @@ def dense_hessian(inst):
 
 def as_objective(inst, name=None):
     """Wrap an instance as a generic (f, grad) objective for the
-    line-search solver."""
+    line-search solver.
+
+    Its eval_rows takes one block Hessian product for all rows, and row
+    dots through np.vecdot, which rounds like the 1-D dot, so each row is
+    eval's result bit for bit.
+    """
 
     def eval_(x):
         x = _check_vec(inst, x)
@@ -254,8 +259,17 @@ def as_objective(inst, name=None):
         f = 0.5 * float(x @ ax) - float(inst.linear @ x)
         return f, ax - inst.linear
 
+    def eval_rows(xs):
+        if xs.ndim != 2 or xs.shape[1] != inst.dim:
+            raise DimensionMismatchError(
+                f"rows have shape {xs.shape}, expected (m, {inst.dim})"
+            )
+        ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
+        f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
+        return f, ax - inst.linear
+
     label = name or f"quadratic-n{inst.dim}"
-    return Objective(label, inst.dim, eval_, x0=np.ones(inst.dim))
+    return Objective(label, inst.dim, eval_, x0=np.ones(inst.dim), eval_rows=eval_rows)
 
 
 def default_alpha0(inst, x0):

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -42,12 +43,18 @@ class Objective:
     """Differentiable objective: eval(x) returns (f, gradient).
 
     x0 is the conventional starting point, when the problem has one.
+    eval_rows, when given, evaluates a block at once: eval_rows(X) for a
+    (rows, dim) array returns (f_rows, G_rows), and row i must equal
+    eval(X[i]) bit for bit, because run() uses it to evaluate a round of
+    trial points whose first acceptable row it keeps.  Without it, run()
+    calls eval once per trial point and never at a point it does not need.
     """
 
     name: str
     dim: int
     eval: Callable
     x0: np.ndarray | None = None
+    eval_rows: Callable | None = None
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -75,7 +82,20 @@ def rosenbrock2():
         g = np.array([-400.0 * x1 * t - 2.0 * (1.0 - x1), 200.0 * t])
         return f, g
 
-    return Objective("rosenbrock2", 2, eval_, x0=np.array([-1.2, 1.0]))
+    def eval_rows(xs):
+        x1 = xs[:, 0]
+        t = xs[:, 1] - x1 * x1
+        u = 1.0 - x1
+        # a float's ** 2 is libm pow, which is not always u * u; numpy's
+        # square and power round differently, so square the floats alone
+        f = 100.0 * t * t + np.array([r**2 for r in u.tolist()])
+        g = np.empty_like(xs)
+        g[:, 0] = -400.0 * x1 * t - 2.0 * u
+        g[:, 1] = 200.0 * t
+        return f, g
+
+    return Objective("rosenbrock2", 2, eval_, x0=np.array([-1.2, 1.0]),
+                     eval_rows=eval_rows)
 
 
 @dataclass(frozen=True)
@@ -196,13 +216,14 @@ class NonmonotoneWindow:
         return len(self._values)
 
 
-def nonmonotone_accept(f_trial, window, beta, alpha, grad_sq):
-    """Acceptance test: f_trial <= max(window) - beta * alpha * grad_sq.
+def nonmonotone_accept(f_trial, f_max, beta, alpha, grad_sq):
+    """Acceptance test: f_trial <= f_max - beta * alpha * grad_sq, where
+    f_max is the nonmonotone window's max().
 
     The same expression decides acceptance in run() and in audit_trace(),
     so a replayed trace reproduces the decision bit for bit.
     """
-    return f_trial <= window.max() - beta * alpha * grad_sq
+    return f_trial <= f_max - beta * alpha * grad_sq
 
 
 def safeguard(alpha, eta, delta):
@@ -241,6 +262,15 @@ def _stopped(config, x, gn, gn0):
     return float(np.linalg.norm(x - config.target)) <= config.epsilon
 
 
+def _rounds_of_one(objective):
+    # eval_rows for an objective without one: each round is one eval call
+    def eval_rows(xs):
+        f, g = objective.eval(xs[0])
+        return [f], [g]
+
+    return eval_rows
+
+
 def run(objective, x0, config, policy):
     """Minimize a smooth objective with safeguarded nonmonotone BB steps.
 
@@ -256,6 +286,16 @@ def run(objective, x0, config, policy):
     nan or +inf when the backtrack cap is hit; if some trial f was finite,
     that raises LineSearchStallError instead.
 
+    The line search backtracks in rounds: a round evaluates the next trial
+    steplengths a, sigma*a, sigma^2*a, ... as the rows of one
+    objective.eval_rows call and keeps the first row that passes; rows
+    after it are discarded.  A round holds as many trials as the previous
+    iteration needed, twice as many as the round before it when that one
+    failed, never more than backtrack_cap + 1 trials in all, and never
+    more rows than fit kernels._BLOCK_DOUBLES.  An objective without
+    eval_rows takes rounds of one through eval.  Every decision is the one
+    trial-by-trial backtracking makes.
+
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
     alpha * sigma**backtracks.
@@ -263,6 +303,10 @@ def run(objective, x0, config, policy):
     x = np.array(x0, dtype=float, copy=True).reshape(-1)
     if x.size != objective.dim:
         raise DimensionMismatchError(f"x0 has length {x.size}, expected {objective.dim}")
+    eval_rows = objective.eval_rows
+    block_rows = max(1, kernels._BLOCK_DOUBLES // objective.dim)
+    if eval_rows is None:
+        eval_rows, block_rows = _rounds_of_one(objective), 1
     f, g = objective.eval(x)
     f = float(f)
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -280,6 +324,7 @@ def run(objective, x0, config, policy):
     termination = ITERATION_CAP
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
+    needed = 1  # trials the previous iteration needed
     while True:
         gn = float(np.linalg.norm(g))
         if not (math.isfinite(f) and math.isfinite(gn)):
@@ -293,35 +338,54 @@ def run(objective, x0, config, policy):
             break
         alpha = safeguard(alpha, config.eta, config.delta)
         grad_sq = gn * gn
+        f_max = window.max()
         a_eff = alpha
-        backtracks = 0
+        tried = 0  # trials evaluated in this iteration's earlier rounds
+        size = needed
         finite_trial = False
         while True:
-            x_trial = x - a_eff * g
-            f_trial, g_trial = objective.eval(x_trial)
-            f_trial = float(f_trial)
-            if nonmonotone_accept(f_trial, window, config.beta, a_eff, grad_sq):
-                break
-            finite_trial = finite_trial or f_trial < math.inf  # false for nan
-            if backtracks >= config.backtrack_cap:
+            size = min(size, config.backtrack_cap + 1 - tried, block_rows)
+            steps = []
+            for _ in range(size):
+                steps.append(a_eff)
+                a_eff = backtrack(a_eff, config.sigma)
+            if size == 1:  # the outer product costs more than this for one row
+                xs = (x - steps[0] * g)[None]
+            else:
+                xs = x - np.multiply.outer(steps, g)
+            f_rows, g_rows = eval_rows(xs)
+            # the first row that passes is taken; rows after it are discarded
+            for hit, a_trial in enumerate(steps):
+                f_trial = float(f_rows[hit])
+                if nonmonotone_accept(f_trial, f_max, config.beta, a_trial, grad_sq):
+                    break
+                finite_trial = finite_trial or f_trial < math.inf  # false for nan
+            else:  # no row of the round passed
+                tried += size
+                if tried <= config.backtrack_cap:
+                    size *= 2
+                    continue
                 if finite_trial:
                     raise LineSearchStallError(
-                        f"no acceptable step after {backtracks} backtracks at iterate {k}"
+                        f"no acceptable step after {config.backtrack_cap} backtracks "
+                        f"at iterate {k}"
                     )
                 termination = NONFINITE  # f was nan or +inf at every trial
-                break
-            a_eff = backtrack(a_eff, config.sigma)
-            backtracks += 1
+            break
         if termination == NONFINITE:
             break
+        backtracks = tried + hit
+        needed = 1 + backtracks
         rows.append(
             TraceRow(k=k, f=f, grad_norm=gn, alpha=alpha,
-                     backtracks=backtracks, fevals=1 + backtracks)
+                     backtracks=backtracks, fevals=needed)
         )
-        pair = StepPair(x_trial - x, np.asarray(g_trial, dtype=float).reshape(-1) - g)
+        x_trial = xs[hit]
+        g_trial = np.asarray(g_rows[hit], dtype=float).reshape(-1)
+        pair = StepPair(x_trial - x, g_trial - g)
         x = x_trial
         f = f_trial
-        g = np.asarray(g_trial, dtype=float).reshape(-1)
+        g = g_trial
         window.push(f)
         try:
             alpha = prev = next_steplength(policy, pair, k, prev)
@@ -339,7 +403,8 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    return RunTrace(rows=rows, termination=termination, final_x=x, meta=meta)
+    # a copy, so the trace does not hold on to the last round's block
+    return RunTrace(rows=rows, termination=termination, final_x=x.copy(), meta=meta)
 
 
 def audit_trace(run_trace, config=None):
@@ -373,7 +438,7 @@ def audit_trace(run_trace, config=None):
             a_eff = backtrack(a_eff, cfg.sigma)
         f_next = rows[i + 1].f
         grad_sq = row.grad_norm * row.grad_norm
-        if not nonmonotone_accept(f_next, window, cfg.beta, a_eff, grad_sq):
+        if not nonmonotone_accept(f_next, window.max(), cfg.beta, a_eff, grad_sq):
             violations.append(
                 f"row {row.k}: accepted step fails the nonmonotone test on replay"
             )

@@ -20,10 +20,12 @@ class TraceRow:
 
     alpha is the steplength entering the acceptance test, i.e. after the
     safeguard and before any backtracking; the step actually taken is
-    alpha * sigma**backtracks.  fevals counts objective evaluations spent
-    leaving this iterate (1 + backtracks for line-search runs, 0 for raw
-    runs, which never evaluate f to decide anything).  The terminal row
-    has alpha = nan, backtracks = 0, fevals = 0.
+    alpha * sigma**backtracks.  fevals counts the trials leaving this
+    iterate up to and including the accepted one (1 + backtracks for
+    line-search runs, 0 for raw runs, which never evaluate f to decide
+    anything); rows a line-search round evaluated after the accepted trial
+    are discarded and not counted.  The terminal row has alpha = nan,
+    backtracks = 0, fevals = 0.
     """
 
     k: int

@@ -8,9 +8,10 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stlsbb import SpectrumSetting, generate_instance, harness, quadratic
+from stlsbb import SpectrumSetting, generate_instance, harness, quadratic, solver
 from stlsbb.steps import parse_policy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -56,3 +57,22 @@ def test_trace_targets_reach_every_layer(perfbench):
     assert tracer.counters["kernels.hessian_apply.elems"] == 30 * calls[
         "kernels.hessian_apply"
     ]
+
+
+def test_traced_gbb_objective_rebuild_runs(perfbench):
+    # GbbLineSearch.run rebuilds the quadratic objective positionally as
+    # Objective(name, dim, eval, x0) to put a span on eval; a field inserted
+    # before x0 would shift x0 into it and break that traced run here first
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    obj = quadratic.as_objective(generate_instance(30, SpectrumSetting(1, 1e3), seed=2))
+    traced = solver.Objective(obj.name, obj.dim,
+                              tracer.wrap("quadratic.objective_eval", obj.eval), obj.x0)
+    cfg = workloads.GbbLineSearch.config
+    policy = parse_policy(workloads.GbbLineSearch.policy)
+    tr = solver.run(traced, traced.x0, cfg, policy)
+    assert np.array_equal(traced.x0, obj.x0)
+    assert tr.to_json() == solver.run(obj, obj.x0, cfg, policy).to_json()
+    # without eval_rows every trial is one traced eval call
+    calls = spans.self_times(tracer.rows())["quadratic.objective_eval"][0]
+    assert calls == 3 + sum(r.fevals for r in tr.rows)

@@ -16,6 +16,7 @@ from stlsbb import (
     average_table,
     generate_instance,
     harness,
+    kernels,
     parse_policy,
     performance_profile,
     profile_from_cells,
@@ -106,7 +107,7 @@ class TestSweep:
         # invalid for setting 2, so that block has no row to run and every
         # cell is an error marker
         if block_doubles is not None:
-            monkeypatch.setattr(harness, "_BLOCK_DOUBLES", block_doubles)
+            monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
         grid = ExperimentGrid(
             n=30, setting_ids=(1, 2), kappas=(100.0, 1e4), seeds=(0, 1, 2),
             policies=("bb1", "bb2", "gamma:20", "atc:3"), max_iter=120,

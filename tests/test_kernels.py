@@ -118,6 +118,19 @@ class TestHouseholder:
             fast = kernels.hessian_apply(ws[0], ws[1], ws[2], v, x.copy())
             assert fast == pytest.approx(dense @ x, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 2, 16])
+    def test_shared_vectors_give_each_rows_product(self, rng, rows):
+        # one set of 1-D vectors for every row, as the line search's trial
+        # rounds pass them; a block of one must not index into them
+        n = 50
+        ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
+        v = np.sort(rng.uniform(1.0, 1e4, n))
+        xs = rng.standard_normal((rows, n))
+        block = kernels.hessian_apply(ws[0], ws[1], ws[2], v, xs)
+        assert block.shape == (rows, n)
+        for got, x in zip(block, xs):
+            assert np.array_equal(got, kernels.hessian_apply(ws[0], ws[1], ws[2], v, x))
+
 
 def tiny_instance(rng, n=12, kappa=100.0, v=None):
     ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]

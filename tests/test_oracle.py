@@ -8,6 +8,8 @@ import pytest
 from stlsbb import (
     DegenerateInputError,
     InvalidBracketError,
+    InvalidParameterError,
+    MissingStateError,
     NonpositiveCurvatureError,
     ScalarMinProblem,
     SteplengthPolicy,
@@ -23,6 +25,7 @@ from stlsbb import (
     family_prime_argmin,
     homogeneous_residual_min,
     minimize_scalar,
+    next_steplength,
     oracle_steplength,
     stls_ratio,
 )
@@ -215,3 +218,9 @@ class TestOracleDispatch:
         )
         inside = 0.5 * (bb1(pair) + bb2(pair))
         assert oracle_steplength(atc, pair, 1, inside) == pytest.approx(inside, abs=1e-8)
+        # the oracle rejects the calls next_steplength rejects, with its errors
+        for call in (oracle_steplength, next_steplength):
+            with pytest.raises(InvalidParameterError):
+                call(atc, pair, -1, 0.5)
+            with pytest.raises(MissingStateError):
+                call(atc, pair, 1)

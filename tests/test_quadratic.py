@@ -370,3 +370,15 @@ class TestSolveBB:
         assert f == pytest.approx(objective(inst, x), rel=1e-12)
         assert g == pytest.approx(gradient(inst, x), rel=1e-12, abs=1e-12)
         assert np.array_equal(obj.x0, np.ones(inst.dim))
+
+    @pytest.mark.parametrize("rows", [1, 2, 16])
+    def test_eval_rows_equal_eval_bitwise(self, inst, rng, rows):
+        obj = as_objective(inst)
+        xs = rng.standard_normal((rows, inst.dim))
+        f_rows, g_rows = obj.eval_rows(xs)
+        for x, f, g in zip(xs, f_rows, g_rows):
+            want_f, want_g = obj.eval(x)
+            assert f == want_f
+            assert np.array_equal(g, want_g)
+        with pytest.raises(DimensionMismatchError):
+            obj.eval_rows(xs[:, 1:])

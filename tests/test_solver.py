@@ -25,8 +25,10 @@ from stlsbb import (
     run,
     safeguard,
     solve_bb,
+    solver,
 )
 from stlsbb.errors import DimensionMismatchError, InvalidParameterError
+from stlsbb.quadratic import as_objective
 from stlsbb.solver import (
     STOP_GRAD_REL,
     STOP_POINT_DIST,
@@ -101,8 +103,8 @@ class TestNonmonotoneWindow:
         for f in (5.0, 3.0, 4.0):
             w.push(f)
         # threshold is 5 - 0.1 * 0.5 * 2 = 4.9
-        assert nonmonotone_accept(4.9, w, 0.1, 0.5, 2.0)
-        assert not nonmonotone_accept(4.900001, w, 0.1, 0.5, 2.0)
+        assert nonmonotone_accept(4.9, w.max(), 0.1, 0.5, 2.0)
+        assert not nonmonotone_accept(4.900001, w.max(), 0.1, 0.5, 2.0)
 
 
 class TestSolverConfig:
@@ -172,6 +174,17 @@ class TestInitialSteplength:
 
 
 class TestRosenbrock:
+    def test_rows_equal_eval_bitwise(self, rng):
+        # the row eval must square 1 - x1 as the float ** 2 of eval does,
+        # which on some of these points is not u * u
+        obj = rosenbrock2()
+        xs = rng.uniform(-3.0, 3.0, (20_000, 2))
+        assert any(u**2 != u * u for u in (1.0 - xs[:, 0]).tolist())
+        f_rows, g_rows = obj.eval_rows(xs)
+        want = [obj.eval(x) for x in xs]
+        assert np.array_equal(f_rows, [f for f, _ in want])
+        assert np.array_equal(g_rows, [g for _, g in want])
+
     def test_start_value(self):
         obj = rosenbrock2()
         f, _ = obj.eval(np.array([-1.2, 1.0]))
@@ -447,3 +460,141 @@ class TestAudit:
         strict = SolverConfig.from_meta(tr.meta, beta=0.999)
         # a near-1 sufficient decrease coefficient rejects real steps
         assert audit_trace(tr, config=strict) != []
+
+
+def without_rows(obj):
+    return Objective(obj.name, obj.dim, obj.eval, obj.x0)
+
+
+def product_quartic():
+    # f = sum(x^4 - x^2) from (0.1, 1.2), where secant pairs can fail
+    # curvature; written with products so that eval and eval_rows round alike
+    def eval_(x):
+        x2 = x * x
+        return float(np.sum(x2 * x2 - x2)), 4.0 * x2 * x - 2.0 * x
+
+    def eval_rows(xs):
+        x2 = xs * xs
+        return np.sum(x2 * x2 - x2, axis=1), 4.0 * x2 * xs - 2.0 * xs
+
+    return Objective("quartic-well", 2, eval_, x0=[0.1, 1.2], eval_rows=eval_rows)
+
+
+class TestRounds:
+    """The line search evaluates a round of trials through eval_rows and
+    must decide exactly as one trial per eval call does."""
+
+    DESCRIPTORS = ("bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.5", "tau:0.3", "atc:4")
+    INSTANCE = generate_instance(200, SpectrumSetting(1, 1e4), seed=0)
+    PROBLEMS = {
+        "rosenbrock": (rosenbrock2, SolverConfig(epsilon=1e-6, max_iter=500)),
+        "quadratic-eta1e-3": (
+            lambda: as_objective(TestRounds.INSTANCE),
+            SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=150),
+        ),
+        "quadratic-eta1e-10": (
+            lambda: as_objective(TestRounds.INSTANCE),
+            SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=300, eta=1e-10),
+        ),
+        "quartic": (product_quartic, SolverConfig(epsilon=1e-10)),
+    }
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    @pytest.mark.parametrize("descriptor", DESCRIPTORS)
+    def test_rounds_equal_one_trial_per_eval(self, monkeypatch, problem, descriptor):
+        make, cfg = self.PROBLEMS[problem]
+        obj = make()
+        policy = parse_policy(descriptor)
+        sizes = []
+        eval_rows = obj.eval_rows
+
+        def recorded(xs):
+            sizes.append(len(xs))
+            return eval_rows(xs)
+
+        obj = dataclasses.replace(obj, eval_rows=recorded)
+        got = run(obj, obj.x0, cfg, policy)
+        want = run(without_rows(obj), obj.x0, cfg, policy)
+        assert got.to_json() == want.to_json()
+        # a run that ever backtracks evaluates some round of several trials
+        assert max(sizes) > 1 or not any(r.backtracks for r in got.rows)
+        if problem == "quartic":
+            # the runs pass through a curvature failure
+            failures = []
+            original = solver.next_steplength
+
+            def counted(policy, pair, index=0, prev_alpha=None):
+                failures.append(pair.sy <= 0.0)
+                return original(policy, pair, index, prev_alpha)
+
+            monkeypatch.setattr(solver, "next_steplength", counted)
+            run(obj, obj.x0, cfg, policy)
+            assert any(failures)
+
+    @staticmethod
+    def notch(miss, sizes):
+        # 1-D, g = 1 everywhere; f is 0 at the start x = 1, -1 at exactly
+        # x = 0.75 and miss elsewhere.  From alpha0 = 1 with sigma = 0.5 the
+        # third trial lands on 0.75; its pair has s'y = 0, so the next
+        # search starts at delta and no trial of it hits 0.75 again
+        def f_at(t):
+            return 0.0 if t == 1.0 else -1.0 if t == 0.75 else miss
+
+        def eval_(x):
+            return f_at(float(x[0])), np.array([1.0])
+
+        def eval_rows(xs):
+            sizes.append(len(xs))
+            return np.array([f_at(t) for t in xs[:, 0].tolist()]), np.ones_like(xs)
+
+        return Objective("notch", 1, eval_, x0=[1.0], eval_rows=eval_rows)
+
+    # backtrack_cap = 4 allows 5 trials: after the first iteration's 3, the
+    # second takes a round of 3, then one cut to the 2 left; a block cap of
+    # 2 doubles cuts every round to 2 rows or fewer
+    CAP = SolverConfig(alpha0=1.0, sigma=0.5, backtrack_cap=4)
+    ROUNDS = pytest.mark.parametrize(
+        "block_doubles, want_sizes", [(None, [1, 2, 3, 2]), (2, [1, 2, 2, 2, 1])],
+        ids=["default-block", "2-doubles"],
+    )
+
+    @ROUNDS
+    def test_stall_inside_a_round(self, monkeypatch, block_doubles, want_sizes):
+        if block_doubles is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
+        sizes = []
+        obj = self.notch(1.0, sizes)
+        with pytest.raises(LineSearchStallError) as got:
+            run(obj, obj.x0, self.CAP, SteplengthPolicy.long())
+        with pytest.raises(LineSearchStallError) as want:
+            run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy.long())
+        assert str(got.value) == str(want.value)
+        assert sizes == want_sizes
+
+    @ROUNDS
+    def test_nan_trials_inside_a_round(self, monkeypatch, block_doubles, want_sizes):
+        if block_doubles is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
+        sizes = []
+        obj = self.notch(math.nan, sizes)
+        got = run(obj, obj.x0, self.CAP, SteplengthPolicy.long())
+        want = run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy.long())
+        assert got.to_json() == want.to_json()
+        assert got.termination == NONFINITE and got.iterations == 1
+        assert (got.rows[0].backtracks, got.rows[1].f) == (2, -1.0)
+        assert sizes == want_sizes
+
+    def test_eval_is_called_only_for_needed_trials(self):
+        # without eval_rows, eval runs at the start, the opening probe's two
+        # points and every trial up to each accepted one, and nowhere else
+        calls = []
+        ros = rosenbrock2()
+
+        def counted(x):
+            calls.append(x)
+            return ros.eval(x)
+
+        obj = Objective(ros.name, ros.dim, counted, ros.x0)
+        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, max_iter=300), SteplengthPolicy.short())
+        assert any(r.backtracks for r in tr.rows)
+        assert len(calls) == 3 + sum(r.fevals for r in tr.rows)
