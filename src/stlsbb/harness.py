@@ -93,73 +93,103 @@ def _error(exc):
     return None, False, f"error:{type(exc).__name__}"
 
 
-def _block_outcomes(grid, sid, kappa, eps, block, instances):
-    """(iterations, solved, status) of every (seed, policy) cell in block,
-    in order, from lock-step quadratic.solve_bb_block calls; instances
-    maps a seed to its instance."""
-    outcomes = [None] * len(block)
-    started = []  # (cell index, instance, policy, x0, alpha0)
-    for i, (seed, pol) in enumerate(block):
-        try:
-            inst = instances.get(seed)
-            if inst is None:
-                setting = quadratic.SpectrumSetting(sid, kappa)
-                inst = quadratic.generate_instance(grid.n, setting, seed)
-                instances[seed] = inst
-            started.append((i, inst, parse_policy(pol), *quadratic.bb_start(inst)))
-        except StlsbbError as exc:
-            outcomes[i] = _error(exc)
-    # a call's (rows x n) arrays stay within the block cap, so a large-n
-    # grid runs a block as several calls
-    rows = max(1, kernels._BLOCK_DOUBLES // grid.n)
-    for lo in range(0, len(started), rows):
-        index, insts, policies, x0, alpha0 = zip(*started[lo : lo + rows])
-        try:
-            runs = quadratic.solve_bb_block(insts, policies, x0, alpha0, eps, grid.max_iter)
-        except StlsbbError as exc:
-            for i in index:
-                outcomes[i] = _error(exc)
-            continue
-        for i, (termination, f_hist, *_) in zip(index, runs):
-            if termination == trace.NONFINITE:
-                outcomes[i] = (None, False, trace.NONFINITE)
-            else:
-                solved = termination == trace.GRADIENT_TOLERANCE
-                outcomes[i] = (len(f_hist) - 1, solved, "ok" if solved else "cap")
-    return outcomes
+# A sweep's lock-step calls hold at most this many rows, which is the
+# tighter cap below n = 342.  Longer calls take fewer block steps but hold
+# more memory.  On the benchmark's n = 100, 280-cell sweep (2-vCPU Xeon,
+# BLAS threads 1), history-free calls of 40 / 96 / 140 / 280 rows took
+# 9-13 / 24-25 / 27-28 / 31-32 % less time per iteration than 40-row calls
+# with histories, at -2 / +1 / +5 / +14 % peak RSS.
+_SWEEP_ROWS = 96
+
+
+def _bb_start(n, sid, kappa, seed):
+    # (instance, x0, alpha0) of every run on one (setting, kappa, seed)
+    inst = quadratic.generate_instance(n, quadratic.SpectrumSetting(sid, kappa), seed)
+    return (inst, *quadratic.bb_start(inst))
+
+
+def _outcome(termination, iterations):
+    if termination == trace.NONFINITE:
+        return None, False, trace.NONFINITE
+    solved = termination == trace.GRADIENT_TOLERANCE
+    return iterations, solved, "ok" if solved else "cap"
 
 
 def run_quadratic_sweep(grid, progress=None):
     """Run every grid cell; returns SweepCells in deterministic grid order
     (setting, kappa, epsilon, seed, policy, outermost first).
 
-    Each (setting, kappa, epsilon) runs its seed x policy cells as one
-    lock-step block (quadratic.solve_bb_block; split into several calls
-    when rows x n would pass 2^15 doubles), and every cell counts exactly
-    what a solve_bb call on it counts.  A
+    The cells run, in grid order, as consecutive lock-step calls of
+    quadratic.solve_bb_block without histories; a call holds at most 96
+    rows and at most 2^15 doubles per (rows x n) array, and may span
+    several (setting, kappa, epsilon) groups.  Every cell counts exactly
+    what a solve_bb call on it counts.  Each (setting, kappa, seed)
+    instance is generated once and freed when no pending call needs it.  A
     cell that hits the iteration cap is recorded at the cap with
     solved=False; a cell whose gradient turns nan or inf is recorded as
-    nonfinite and a cell that raises as an error marker, both without an
-    iteration count, and none aborts the sweep.  progress, when given, is
-    called with each finished cell in grid order; a block's cells finish
-    together when the block ends.
+    nonfinite and a cell that raises as an error marker (an instance that
+    fails to build takes no row), both without an iteration count, and
+    none aborts the sweep.  progress, when given, is called with each
+    finished cell in grid order; a call's cells, and the error markers
+    before them, are passed on when that call ends.
     """
+    policies = {p: parse_policy(p) for p in grid.policies}
+    rows = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
+    keys = [
+        (sid, kappa, eps, seed, pol)
+        for sid in grid.setting_ids for kappa in grid.kappas
+        for eps in grid.epsilons for seed in grid.seeds for pol in grid.policies
+    ]
+    outcomes = [None] * len(keys)
     cells = []
-    for sid in grid.setting_ids:
-        for kappa in grid.kappas:
-            instances = {}  # this (setting, kappa)'s instances, shared by its epsilons
-            for eps in grid.epsilons:
-                block = [(seed, pol) for seed in grid.seeds for pol in grid.policies]
-                outcomes = _block_outcomes(grid, sid, kappa, eps, block, instances)
-                for (seed, pol), (iterations, solved, status) in zip(block, outcomes):
-                    cell = SweepCell(
-                        setting_id=sid, kappa=kappa, epsilon=eps, seed=seed,
-                        n=grid.n, policy=pol, max_iter=grid.max_iter,
-                        iterations=iterations, solved=solved, status=status,
-                    )
-                    cells.append(cell)
-                    if progress is not None:
-                        progress(cell)
+    pending = []  # (cell index, instance, policy, x0, alpha0, epsilon) per row
+
+    def run_pending():
+        if pending:
+            index, insts, pols, x0, alpha0, eps = zip(*pending)
+            pending.clear()
+            try:
+                runs = quadratic.solve_bb_block(insts, pols, x0, alpha0, eps,
+                                                grid.max_iter, history=False)
+            except StlsbbError as exc:
+                for i in index:
+                    outcomes[i] = _error(exc)
+            else:
+                for i, (termination, iterations, _) in zip(index, runs):
+                    outcomes[i] = _outcome(termination, iterations)
+        # pass on every finished cell up to the first one still running
+        while len(cells) < len(keys) and outcomes[len(cells)] is not None:
+            sid, kappa, eps, seed, pol = keys[len(cells)]
+            iterations, solved, status = outcomes[len(cells)]
+            cell = SweepCell(
+                setting_id=sid, kappa=kappa, epsilon=eps, seed=seed, n=grid.n,
+                policy=pol, max_iter=grid.max_iter, iterations=iterations,
+                solved=solved, status=status,
+            )
+            cells.append(cell)
+            if progress is not None:
+                progress(cell)
+
+    group = None
+    for i, (sid, kappa, eps, seed, pol) in enumerate(keys):
+        if (sid, kappa) != group:
+            # the last group's instances live on only in pending rows
+            group, starts = (sid, kappa), {}
+        start = starts.get(seed)
+        if start is None:
+            try:
+                start = _bb_start(grid.n, sid, kappa, seed)
+            except StlsbbError as exc:
+                start = _error(exc)
+            starts[seed] = start
+        inst, x0, alpha0 = start
+        if inst is None:  # the instance failed to build: start is the outcome
+            outcomes[i] = start
+            continue
+        pending.append((i, inst, policies[pol], x0, alpha0, eps))
+        if len(pending) == rows:
+            run_pending()
+    run_pending()
     return cells
 
 

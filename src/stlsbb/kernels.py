@@ -162,7 +162,8 @@ def hessian_apply(w1, w2, w3, v, x):
 # (rows x n) array, so a step works in cache.  On a 2 MiB L2 host, full
 # 20-row raw blocks at n = 1e4 ran 1.8x the time of one run per row, and
 # rows of 2^15 doubles matched it; at n <= 1e3 the whole block fits and
-# runs 2-5x faster.
+# runs 2-5x faster.  A quadratic sweep also caps its calls at 96 rows
+# (harness), which is the tighter cap below n = 342.
 _BLOCK_DOUBLES = 1 << 15
 
 
@@ -177,27 +178,30 @@ def _block(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
+def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
     """Raw BB gradient iteration on a block of QuadraticInstances, advanced
     in lock step with one Hessian product per step for the whole block.
 
     Row i runs policies[i] on insts[i] from x0[i] with the opening
-    steplength alpha0[i]; eps_rel and max_iter are shared.  Each row
-    carries its gradient by the recurrence g <- g - alpha * A g, and the
-    secant scalars for its next steplength are formed from g and A g: the
-    pair is (s, y) = (-alpha g, -alpha A g), and the shared alpha^2 factor
-    cancels in every steplength formula, so (g'g, g'Ag, Ag'Ag) are passed
-    to a scalar policy_step call per row.  A row stops when its ||g|| is
-    not finite, when ||g|| <= eps_rel * ||g0||, or at the iteration cap,
-    and leaves the block.  Row dots are np.vecdot, which rounds like the
-    1-D dot, so every row computes bit for bit what it computes as a block
-    of one.  Overflow raises no warning: it ends its row as nonfinite.  x0
-    is not modified.
+    steplength alpha0[i] and the relative tolerance eps_rel[i] (a scalar
+    eps_rel applies to every row); max_iter is shared.  Each row carries
+    its gradient by the recurrence g <- g - alpha * A g, and the secant
+    scalars for its next steplength are formed from g and A g: the pair is
+    (s, y) = (-alpha g, -alpha A g), and the shared alpha^2 factor cancels
+    in every steplength formula, so (g'g, g'Ag, Ag'Ag) are passed to a
+    scalar policy_step call per row.  A row stops when its
+    ||g|| is not finite, when ||g|| <= eps_rel[i] * ||g0||, or at the
+    iteration cap, and leaves the block.  Row dots are np.vecdot, which
+    rounds like the 1-D dot, so every row computes bit for bit what it
+    computes as a block of one, whatever the other rows' tolerances.
+    Overflow raises no warning: it ends its row as nonfinite.  x0 is not
+    modified.
 
     Returns a list with, per row, (termination, f_hist, gnorm_hist,
     alpha_hist, x): entry k of the histories describes iterate k, and
     alpha_hist[k] is the steplength taken from it (nan on the terminal
-    entry).
+    entry).  With history=False nothing is recorded per step, f is never
+    evaluated, and each row is (termination, iterations, x) instead.
     """
     w1, w2, w3, v, b = (
         _block([getattr(inst, name) for inst in insts])
@@ -207,21 +211,23 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
     alpha = np.array(alpha0, dtype=float)
     live = list(range(len(insts)))  # the input row of each block row
     policies = list(policies)
-    ends = [None] * len(live)  # (termination, x) per input row
-    pieces = [[] for _ in live]  # history of each input row, (3, steps) pieces
-    hist = np.empty((3, _HISTORY_CHUNK, len(live)))
-    j = 0
+    ends = [None] * len(live)  # (termination, iterations, x) per input row
+    if history:
+        pieces = [[] for _ in live]  # history of each input row, (3, steps) pieces
+        hist = np.empty((3, _HISTORY_CHUNK, len(live)))
+        j = 0
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         g = hessian_apply(w1, w2, w3, v, x) - b
-        tol = eps_rel * np.sqrt(np.vecdot(g, g))
+        tol = np.array(eps_rel, dtype=float) * np.sqrt(np.vecdot(g, g))
         while True:
             gg = np.vecdot(g, g)
             gn = np.sqrt(gg)
-            hist[0, j] = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
-            hist[1, j] = gn
-            hist[2, j] = alpha
-            j += 1
+            if history:
+                hist[0, j] = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
+                hist[1, j] = gn
+                hist[2, j] = alpha
+                j += 1
             # a row goes on while eps_rel ||g0|| < ||g|| < inf (a nan ||g||
             # fails both); Python floats test a few rows faster than ufuncs
             go = [k < max_iter and t < r < math.inf
@@ -229,11 +235,13 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
             stopping = not all(go)
             if stopping:
                 go = np.array(go)
-                hist[2, j - 1, ~go] = np.nan
-            if stopping or j == _HISTORY_CHUNK:
-                for col, i in enumerate(live):
-                    pieces[i].append(hist[:, :j, col].copy())
-                j = 0
+            if history:
+                if stopping:
+                    hist[2, j - 1, ~go] = np.nan
+                if stopping or j == _HISTORY_CHUNK:
+                    for col, i in enumerate(live):
+                        pieces[i].append(hist[:, :j, col].copy())
+                    j = 0
             if stopping:
                 done = np.flatnonzero(~go)
                 last = len(done) == len(live)
@@ -241,7 +249,7 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
                 for r, xr in zip(done, x if last else x[done]):
                     termination = (NONFINITE if not math.isfinite(gn[r]) else
                                    GRADIENT_TOLERANCE if gn[r] <= tol[r] else ITERATION_CAP)
-                    ends[live[r]] = termination, xr
+                    ends[live[r]] = termination, k, xr
                 if last:
                     break
                 live = [i for i, on in zip(live, go) if on]
@@ -249,7 +257,8 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
                 w1, w2, w3, v, b, x, g, gg, alpha, tol = (
                     a[go] for a in (w1, w2, w3, v, b, x, g, gg, alpha, tol)
                 )
-                hist = hist[:, :, : len(live)]
+                if history:
+                    hist = hist[:, :, : len(live)]
             ag = hessian_apply(w1, w2, w3, v, g)
             gag = np.vecdot(g, ag)
             agag = np.vecdot(ag, ag)
@@ -263,8 +272,10 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter):
                 for policy, ss, yy, sy, prev in zip(policies, gg, agag, gag, alpha)
             ])
             k += 1
+    if not history:
+        return ends
     out = []
-    for i, (termination, xr) in enumerate(ends):
+    for i, (termination, _, xr) in enumerate(ends):
         f_hist, g_hist, a_hist = np.concatenate(pieces[i], axis=1)
         pieces[i] = None  # free each row's pieces as its histories are joined
         out.append((termination, f_hist, g_hist, a_hist, xr))

@@ -289,24 +289,28 @@ def bb_start(inst, x0=None, alpha0=None):
     return x0, a0
 
 
-def solve_bb_block(insts, policies, x0, alpha0, epsilon, max_iter):
+def solve_bb_block(insts, policies, x0, alpha0, epsilon, max_iter, history=True):
     """Raw BB iteration (no line search) on a block of rows in lock step.
 
     Row i runs policies[i] on insts[i] from x0[i] with the opening
-    steplength alpha0[i] (see bb_start); every row stops as solve_bb
-    describes, and computes bit for bit what it computes alone.  Returns
-    kernels.raw_bb_loop's list of per-row (termination, f_hist,
-    gnorm_hist, alpha_hist, x).
+    steplength alpha0[i] (see bb_start) and the relative tolerance
+    epsilon[i]; every row stops as solve_bb describes, and computes bit
+    for bit what it computes alone.  Returns kernels.raw_bb_loop's list of
+    per-row (termination, f_hist, gnorm_hist, alpha_hist, x), or with
+    history=False of per-row (termination, iterations, x).
     """
     if not all(isinstance(p, SteplengthPolicy) for p in policies):
         raise InvalidParameterError("policy must be a SteplengthPolicy")
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    eps = [float(e) for e in epsilon]
+    if len(eps) != len(insts):
+        raise InvalidParameterError(f"got {len(eps)} epsilons for {len(insts)} rows")
+    for e, given in zip(eps, epsilon):
+        if not (0.0 < e < 1.0):
+            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {given!r}")
     cap = int(max_iter)
     if cap < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    return kernels.raw_bb_loop(insts, policies, x0, alpha0, eps, cap)
+    return kernels.raw_bb_loop(insts, policies, x0, alpha0, eps, cap, history=history)
 
 
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
@@ -322,7 +326,7 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     """
     x0, a0 = bb_start(inst, x0, alpha0)
     ((termination, f_hist, g_hist, a_hist, x),) = solve_bb_block(
-        [inst], [policy], [x0], [a0], epsilon, max_iter
+        [inst], [policy], [x0], [a0], [epsilon], max_iter
     )
     rows = [
         trace.TraceRow(k=k, f=float(f_hist[k]), grad_norm=float(g_hist[k]),

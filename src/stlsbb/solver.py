@@ -289,12 +289,13 @@ def run(objective, x0, config, policy):
     The line search backtracks in rounds: a round evaluates the next trial
     steplengths a, sigma*a, sigma^2*a, ... as the rows of one
     objective.eval_rows call and keeps the first row that passes; rows
-    after it are discarded.  A round holds as many trials as the previous
-    iteration needed, twice as many as the round before it when that one
-    failed, never more than backtrack_cap + 1 trials in all, and never
-    more rows than fit kernels._BLOCK_DOUBLES.  An objective without
-    eval_rows takes rounds of one through eval.  Every decision is the one
-    trial-by-trial backtracking makes.
+    after it are discarded.  An iteration's first round holds as many
+    trials as the previous iteration needed; if it fails, the next round
+    holds one trial and each later round twice as many as the one before.
+    An iteration never evaluates more than backtrack_cap + 1 trials, and a
+    round never more rows than fit kernels._BLOCK_DOUBLES.  An objective
+    without eval_rows takes rounds of one through eval.  Every decision is
+    the one trial-by-trial backtracking makes.
 
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
@@ -361,9 +362,12 @@ def run(objective, x0, config, policy):
                     break
                 finite_trial = finite_trial or f_trial < math.inf  # false for nan
             else:  # no row of the round passed
+                first_round = tried == 0
                 tried += size
                 if tried <= config.backtrack_cap:
-                    size *= 2
+                    # most iterations need only a trial or two more than the
+                    # last one, so the next round holds one trial, then doubles
+                    size = 1 if first_round else 2 * size
                     continue
                 if finite_trial:
                     raise LineSearchStallError(

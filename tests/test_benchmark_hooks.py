@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlsbb import SpectrumSetting, generate_instance, harness, quadratic, solver
+from stlsbb import (
+    ExperimentGrid,
+    SpectrumSetting,
+    generate_instance,
+    harness,
+    quadratic,
+    solver,
+)
 from stlsbb.steps import parse_policy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,6 +64,38 @@ def test_trace_targets_reach_every_layer(perfbench):
     assert tracer.counters["kernels.hessian_apply.elems"] == 30 * calls[
         "kernels.hessian_apply"
     ]
+
+
+def test_traced_sweep_reaches_the_kernels(perfbench, monkeypatch):
+    # the sweep runs history-free calls; a path that bypassed the module
+    # attributes would read as zeros in a traced sweep-small-n run
+    spans, workloads = perfbench
+    monkeypatch.setattr(harness, "_SWEEP_ROWS", 5)
+    tracer = spans.Tracer()
+    grid = ExperimentGrid(n=20, setting_ids=(1, 2), kappas=(1e3,), epsilons=(1e-6, 1e-3),
+                          seeds=(0, 1), policies=("bb1", "atc:3"), max_iter=200)
+    with spans.patched(workloads.trace_targets(tracer)):
+        cells = harness.run_quadratic_sweep(grid)
+    assert len(cells) == grid.cell_count()
+    rows = tracer.rows()
+    assert spans.self_times(rows)["harness.run_quadratic_sweep"][0] == 1
+
+    def under(parent):
+        return Counter(name for name, _, _, p in rows if p >= 0 and rows[p][0] == parent)
+
+    # four (setting, seed) instances, each with one Hessian product for its
+    # opening steplength; 16 rows in calls of 5, each taking one Hessian
+    # product per block step and one policy step per row step
+    its = [c.iterations for c in cells]
+    assert under("harness.run_quadratic_sweep") == {
+        "quadratic.generate_instance": 4,
+        "kernels.hessian_apply": 4,
+        "kernels.raw_bb_loop": 4,
+    }
+    assert under("kernels.raw_bb_loop") == {
+        "kernels.hessian_apply": sum(max(its[i:i + 5]) + 1 for i in range(0, 16, 5)),
+        "kernels.policy_step": sum(its),
+    }
 
 
 def test_traced_gbb_objective_rebuild_runs(perfbench):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from stlsbb import (
     performance_profile,
     profile_from_cells,
     profile_from_matrix_csv,
+    quadratic,
     run_quadratic_sweep,
     run_rosenbrock_table,
     solve_bb,
@@ -100,12 +103,37 @@ class TestSweep:
         run_quadratic_sweep(tiny, progress=seen.append)
         assert len(seen) == tiny.cell_count()
 
+    @staticmethod
+    def cells_alone(grid):
+        # (setting, kappa, epsilon, seed, policy, iterations, status) of
+        # every cell from its own solve_bb run, in grid order
+        want = []
+        for sid in grid.setting_ids:
+            for kappa in grid.kappas:
+                for eps in grid.epsilons:
+                    for seed in grid.seeds:
+                        for pol in grid.policies:
+                            try:
+                                inst = generate_instance(grid.n, SpectrumSetting(sid, kappa),
+                                                         seed)
+                                tr = solve_bb(inst, parse_policy(pol), eps, grid.max_iter)
+                                outcome = (tr.iterations, "ok" if tr.solved else "cap")
+                            except StlsbbError as exc:
+                                outcome = (None, f"error:{type(exc).__name__}")
+                            want.append((sid, kappa, eps, seed, pol, *outcome))
+        return want
+
+    @staticmethod
+    def outcomes(cells):
+        return [(c.setting_id, c.kappa, c.epsilon, c.seed, c.policy, c.iterations, c.status)
+                for c in cells]
+
     @pytest.mark.parametrize("block_doubles", [None, 150])
     def test_blocks_equal_cell_by_cell_solve_bb(self, monkeypatch, block_doubles):
-        # each (setting, kappa) block runs its seed x policy cells in lock
-        # step, with 150 doubles as 5-row calls (5, 5, 2); kappa=100 is
-        # invalid for setting 2, so that block has no row to run and every
-        # cell is an error marker
+        # the grid's rows run as consecutive lock-step calls, with 150
+        # doubles as 5-row calls that straddle (setting, kappa) groups;
+        # kappa=100 is invalid for setting 2, so those cells take no row
+        # and every one is an error marker
         if block_doubles is not None:
             monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
         grid = ExperimentGrid(
@@ -115,21 +143,72 @@ class TestSweep:
         seen = []
         cells = run_quadratic_sweep(grid, progress=seen.append)
         assert seen == cells
-        want = []
-        for sid in grid.setting_ids:
-            for kappa in grid.kappas:
-                for seed in grid.seeds:
-                    for pol in grid.policies:
-                        try:
-                            inst = generate_instance(grid.n, SpectrumSetting(sid, kappa), seed)
-                            tr = solve_bb(inst, parse_policy(pol), 1e-6, grid.max_iter)
-                            outcome = (tr.iterations, "ok" if tr.solved else "cap")
-                        except StlsbbError as exc:
-                            outcome = (None, f"error:{type(exc).__name__}")
-                        want.append((sid, kappa, seed, pol, *outcome))
-        assert [(c.setting_id, c.kappa, c.seed, c.policy, c.iterations, c.status)
-                for c in cells] == want
+        assert self.outcomes(cells) == self.cells_alone(grid)
         assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
+
+    # 72 rows: 48 on setting 1 and 24 on (2, 1e4); None leaves the
+    # 2^15-double cap (1092 rows at n = 30), so one call runs them all
+    @pytest.mark.parametrize("sweep_rows", [1, 5, 7, None])
+    def test_calls_across_groups_equal_cell_by_cell_solve_bb(self, monkeypatch, sweep_rows):
+        grid = ExperimentGrid(
+            n=30, setting_ids=(1, 2), kappas=(100.0, 1e4), epsilons=(1e-6, 1e-3),
+            seeds=(0, 1, 2), policies=("bb1", "bb2", "gamma:20", "atc:3"), max_iter=120,
+        )
+        want = self.cells_alone(grid)
+        if sweep_rows is not None:
+            monkeypatch.setattr(harness, "_SWEEP_ROWS", sweep_rows)
+        calls = []
+        original = quadratic.solve_bb_block
+
+        def recorded(insts, policies, x0, alpha0, epsilon, max_iter, history=True):
+            calls.append([(inst.setting_id, inst.kappa, eps) for inst, eps in zip(insts, epsilon)])
+            return original(insts, policies, x0, alpha0, epsilon, max_iter, history)
+
+        monkeypatch.setattr(quadratic, "solve_bb_block", recorded)
+        seen = []
+        cells = run_quadratic_sweep(grid, progress=seen.append)
+        assert seen == cells
+        assert self.outcomes(cells) == want
+        assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
+        sizes = [len(call) for call in calls]
+        assert sum(sizes) == 72
+        assert set(sizes[:-1]) <= {sweep_rows or 72}
+        if sweep_rows in (5, 7, None):
+            # some call mixes epsilons, and some mixes (setting, kappa) groups
+            assert any(len({eps for _, _, eps in call}) > 1 for call in calls)
+            assert any(len({(sid, kappa) for sid, kappa, _ in call}) > 1 for call in calls)
+
+    def test_instances_are_built_once_and_freed(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SWEEP_ROWS", 4)
+        built = Counter()
+        refs = {}
+        original = quadratic.generate_instance
+
+        def counted(n, setting, seed):
+            built[setting.setting_id, setting.kappa, seed] += 1
+            inst = original(n, setting, seed)
+            refs[setting.setting_id, setting.kappa, seed] = weakref.ref(inst)
+            return inst
+
+        monkeypatch.setattr(quadratic, "generate_instance", counted)
+        grid = ExperimentGrid(
+            n=20, setting_ids=(1, 2), kappas=(100.0, 1e4), epsilons=(1e-6, 1e-3),
+            seeds=(0, 1, 2), policies=("bb1", "gamma:20"), max_iter=200,
+        )
+        alive = []  # instances alive when the first (2, 1e4) cell is passed on
+
+        def progress(cell):
+            if not alive and (cell.setting_id, cell.kappa) == (2, 1e4):
+                alive.extend(key for key, ref in refs.items() if ref() is not None)
+
+        cells = run_quadratic_sweep(grid, progress=progress)
+        assert len(cells) == grid.cell_count()
+        keys = [(s, k, seed) for s in (1, 2) for k in (100.0, 1e4) for seed in (0, 1, 2)]
+        assert built == Counter(keys)
+        # (2, 100) never builds; once (2, 1e4)'s first call has ended,
+        # setting 1's instances are gone
+        assert len(refs) == 9
+        assert alive and all(key[:2] == (2, 1e4) for key in alive)
 
     def test_csv_roundtrip(self, tiny):
         cells = run_quadratic_sweep(tiny)

@@ -212,10 +212,9 @@ class TestRawLoop:
 class TestLockStep:
     DESCRIPTORS = ("bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.5", "tau:0.3", "atc:4")
 
-    def test_block_equals_its_rows_alone(self, rng):
+    def mixed_block(self, rng):
         # seven converging rows, one that runs into the cap and one whose
-        # first Hessian product overflows; rows leave the block at
-        # different steps and must not disturb the rows that go on
+        # first Hessian product overflows
         n = 30
         insts = [tiny_instance(rng, n, kappa) for kappa in (10, 30, 50, 100, 200, 300, 500)]
         policies = [parse_policy(d) for d in self.DESCRIPTORS]
@@ -227,6 +226,12 @@ class TestLockStep:
         alpha0 = rng.uniform(1e-3, 1e-2, len(insts))
         x0[-1] = 1e10
         alpha0[-1] = 1.0
+        return insts, policies, x0, alpha0
+
+    def test_block_equals_its_rows_alone(self, rng):
+        # rows leave the block at different steps and must not disturb the
+        # rows that go on
+        insts, policies, x0, alpha0 = self.mixed_block(rng)
         block = kernels.raw_bb_loop(insts, policies, x0, alpha0, 1e-8, 400)
         terminations = [row[0] for row in block]
         assert terminations[:7] == [GRADIENT_TOLERANCE] * 7
@@ -238,6 +243,32 @@ class TestLockStep:
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
                 assert np.array_equal(got, want, equal_nan=True)
+
+    # per-row tolerances; the capped row (7) keeps 1e-8
+    EPSILONS = (1e-8, 1e-4, 1e-12, 1e-6, 1e-4, 1e-12, 1e-6, 1e-8, 1e-4)
+
+    def test_per_row_eps_equals_scalar_eps_alone(self, rng):
+        insts, policies, x0, alpha0 = self.mixed_block(rng)
+        block = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400)
+        assert {row[0] for row in block} == {GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE}
+        for i, (row, eps) in enumerate(zip(block, self.EPSILONS)):
+            (alone,) = kernels.raw_bb_loop([insts[i]], [policies[i]], x0[i:i + 1],
+                                           alpha0[i:i + 1], eps, 400)
+            assert row[0] == alone[0]
+            for got, want in zip(row[1:], alone[1:]):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_history_free_rows_equal_recorded_rows(self, rng):
+        insts, policies, x0, alpha0 = self.mixed_block(rng)
+        recorded = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400)
+        bare = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400,
+                                   history=False)
+        assert [row[0] for row in bare][7:] == [ITERATION_CAP, NONFINITE]
+        assert len({row[1] for row in bare}) > 5  # rows leave at many steps
+        for (termination, f_hist, _, _, x), got in zip(recorded, bare):
+            assert got[0] == termination
+            assert got[1] == len(f_hist) - 1
+            assert got[2].tobytes() == x.tobytes()
 
     def test_overflow_raises_no_warning(self, rng):
         inst = tiny_instance(rng, 30, 1e300)

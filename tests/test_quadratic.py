@@ -24,7 +24,7 @@ from stlsbb.errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from stlsbb.quadratic import as_objective, default_alpha0
+from stlsbb.quadratic import as_objective, bb_start, default_alpha0, solve_bb_block
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
@@ -361,6 +361,17 @@ class TestSolveBB:
             solve_bb(
                 inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=100, alpha0=-1.0
             )
+
+    def test_block_checks_each_epsilon(self, inst):
+        x0, a0 = bb_start(inst)
+        rows = ([inst] * 3, [SteplengthPolicy.long()] * 3, [x0] * 3, [a0] * 3)
+        for bad in ([1e-6, 1.0, 1e-3], [1e-6, 1e-3, 0.0], [1e-6, 1e-3]):
+            with pytest.raises(InvalidParameterError):
+                solve_bb_block(*rows, bad, 100)
+        runs = solve_bb_block(*rows, [1e-6, 1e-2, 1e-4], 500, history=False)
+        counts = [solve_bb(inst, SteplengthPolicy.long(), eps, 500).iterations
+                  for eps in (1e-6, 1e-2, 1e-4)]
+        assert [its for _, its, _ in runs] == counts
 
     def test_as_objective_wraps_instance(self, inst, rng):
         obj = as_objective(inst)

@@ -531,6 +531,30 @@ class TestRounds:
             run(obj, obj.x0, cfg, policy)
             assert any(failures)
 
+    @pytest.mark.parametrize("problem", ["rosenbrock-table", "quadratic-eta1e-3"])
+    def test_rounds_waste_few_rows(self, problem):
+        # an iteration that needs a trial or two more than the last one
+        # evaluates about that many more rows, not a doubled round
+        if problem == "rosenbrock-table":
+            obj = rosenbrock2()
+            cfg = SolverConfig(epsilon=0.1, alpha0=1.0, stop_rule=STOP_POINT_DIST,
+                               target=np.array([1.0, 1.0]))
+        else:
+            make, cfg = self.PROBLEMS[problem]
+            obj = make()
+        rows = []
+        eval_rows = obj.eval_rows
+
+        def counted(xs):
+            rows.append(len(xs))
+            return eval_rows(xs)
+
+        tr = run(dataclasses.replace(obj, eval_rows=counted), obj.x0, cfg,
+                 SteplengthPolicy.long())
+        fevals = sum(r.fevals for r in tr.rows)
+        assert any(r.backtracks > 1 for r in tr.rows)
+        assert sum(rows) <= 1.05 * fevals
+
     @staticmethod
     def notch(miss, sizes):
         # 1-D, g = 1 everywhere; f is 0 at the start x = 1, -1 at exactly
@@ -549,12 +573,14 @@ class TestRounds:
 
         return Objective("notch", 1, eval_, x0=[1.0], eval_rows=eval_rows)
 
-    # backtrack_cap = 4 allows 5 trials: after the first iteration's 3, the
-    # second takes a round of 3, then one cut to the 2 left; a block cap of
-    # 2 doubles cuts every round to 2 rows or fewer
+    # backtrack_cap = 4 allows 5 trials: the first iteration takes rounds
+    # of 1, 1 and 2 and passes at its third trial; the second takes a round
+    # of 3, then one of 1, then 2 cut to the 1 left; a block cap of 2
+    # doubles cuts every round to 2 rows or fewer
     CAP = SolverConfig(alpha0=1.0, sigma=0.5, backtrack_cap=4)
     ROUNDS = pytest.mark.parametrize(
-        "block_doubles, want_sizes", [(None, [1, 2, 3, 2]), (2, [1, 2, 2, 2, 1])],
+        "block_doubles, want_sizes",
+        [(None, [1, 1, 2, 3, 1, 1]), (2, [1, 1, 2, 2, 1, 2])],
         ids=["default-block", "2-doubles"],
     )
 
