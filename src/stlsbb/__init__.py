@@ -27,18 +27,14 @@ from .errors import (
     ZeroGradientError,
 )
 from .steps import (
-    ConvexWeight,
-    FamilyParameter,
     StepPair,
     SteplengthPolicy,
     alpha_convex,
     alpha_family,
     alpha_family_prime,
     alpha_tls,
-    atc_next,
     bb1,
     bb2,
-    curvature,
     next_steplength,
     parse_policy,
     tau_from_gamma,

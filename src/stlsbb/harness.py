@@ -47,6 +47,9 @@ class ExperimentGrid:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "policies", tuple(str(p) for p in self.policies))
         object.__setattr__(self, "max_iter", int(self.max_iter))
+        for name in ("n", "max_iter"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for name in ("setting_ids", "kappas", "epsilons", "seeds", "policies"):
             if not getattr(self, name):
                 raise InvalidParameterError(f"grid axis {name} is empty")

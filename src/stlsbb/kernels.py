@@ -3,13 +3,16 @@
 Steplength formulas on secant scalars, Householder Hessian products, and
 the raw (no line search) BB iteration for factored quadratics, in plain
 numpy.  policy_step is the one dispatch from a policy to its steplength
-formula.  raw_bb_loop advances a block of runs in lock step: one Hessian
-product per step for the whole block, row dots through np.vecdot (which
-rounds like the 1-D dot), and a scalar policy_step call per row, so every
-row reproduces its run alone bit for bit.
+formula and the only place that holds each rule's arithmetic; the family
+rules call family_step / family_prime_step and ATC calls atc_step.
+raw_bb_loop advances a block of runs in lock step: one Hessian product per
+step for the whole block, row dots through np.vecdot (which rounds like
+the 1-D dot), and a scalar policy_step call per row, so every row
+reproduces its run alone bit for bit.
 
-Nothing in this module validates its inputs; `steps` and `quadratic` wrap
-these with the checked public API.
+Nothing in this module validates its inputs: steps.SteplengthPolicy and
+steps.next_steplength check what reaches policy_step, and `quadratic`
+checks what reaches raw_bb_loop.
 """
 
 import math
@@ -17,16 +20,6 @@ import math
 import numpy as np
 
 from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
-
-
-def bb1_step(ss, sy):
-    # long BB steplength ||s||^2 / s'y
-    return ss / sy
-
-
-def bb2_step(sy, yy):
-    # short BB steplength s'y / ||y||^2
-    return sy / yy
 
 
 def family_step(ss, yy, sy, gamma):
@@ -37,8 +30,8 @@ def family_step(ss, yy, sy, gamma):
     e = 4 (s'y)^2 / gamma^2; for d <= 0 the numerator is evaluated as
     e / (sqrt(d^2 + e) - d), which is algebraically identical but free of
     cancellation.  hypot keeps the discriminant from overflowing, and once
-    the intermediates do overflow (gamma below ~1e-150 for unit-scale
-    pairs) the value equals the short-step limit sy/yy to full precision.
+    e or r - d does overflow (gamma below ~1e-150 for unit-scale pairs)
+    the value is the short-step limit sy/yy.
     """
     ti = 1.0 / gamma
     t = ti * ti
@@ -48,9 +41,10 @@ def family_step(ss, yy, sy, gamma):
     if d > 0.0:
         num = d + r
     else:
-        if r == np.inf:
+        rd = r - d
+        if e == math.inf or rd == math.inf:
             return sy / yy
-        num = e / (r - d)
+        num = e / rd
     return num / (2.0 * sy)
 
 
@@ -70,15 +64,11 @@ def family_prime_step(ss, yy, sy, gamma):
     if d > 0.0:
         den = d + r
     else:
-        if r == np.inf:
+        rd = r - d
+        if e == math.inf or rd == math.inf:
             return ss / sy
-        den = e / (r - d)
+        den = e / rd
     return 2.0 * sy / den
-
-
-def convex_step(ss, yy, sy, tau):
-    # convex mix tau*BB1 + (1-tau)*BB2
-    return tau * (ss / sy) + (1.0 - tau) * (sy / yy)
 
 
 def atc_step(ss, yy, sy, prev_alpha, index, cycle):
@@ -115,7 +105,8 @@ def policy_step(policy, ss, yy, sy, prev_alpha, index):
     elif kind == "gamma_prime":
         return family_prime_step(ss, yy, sy, policy.gamma)
     elif kind == "tau":
-        return convex_step(ss, yy, sy, policy.tau)
+        tau = policy.tau
+        return tau * (ss / sy) + (1.0 - tau) * (sy / yy)
     else:
         return atc_step(ss, yy, sy, prev_alpha, index, policy.cycle)
 

@@ -9,7 +9,7 @@ hands its secant pair to the steplength policy for the next proposal.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -162,38 +162,26 @@ class SolverConfig:
         object.__setattr__(self, "backtrack_cap", int(self.backtrack_cap))
 
     def to_meta(self):
-        d = {
-            "solver": "gbb",
-            "epsilon": self.epsilon,
-            "max_iter": self.max_iter,
-            "memory": self.memory,
-            "beta": self.beta,
-            "delta": self.delta,
-            "eta": self.eta,
-            "sigma": self.sigma,
-            "stop_rule": self.stop_rule,
-            "backtrack_cap": self.backtrack_cap,
-        }
+        """Trace meta: every field but alpha0 and target in declaration
+        order, then target when it is set.  from_meta inverts it."""
+        d = {"solver": "gbb"}
+        d.update((name, getattr(self, name)) for name in _META_FIELDS)
         if self.target is not None:
             d["target"] = [float(v) for v in self.target]
         return d
 
     @classmethod
     def from_meta(cls, meta, **overrides):
-        kw = {
-            "epsilon": meta["epsilon"],
-            "max_iter": meta["max_iter"],
-            "memory": meta["memory"],
-            "beta": meta["beta"],
-            "delta": meta["delta"],
-            "eta": meta["eta"],
-            "sigma": meta["sigma"],
-            "stop_rule": meta["stop_rule"],
-            "backtrack_cap": meta["backtrack_cap"],
-            "target": meta.get("target"),
-        }
+        kw = {name: meta[name] for name in _META_FIELDS}
+        kw["target"] = meta.get("target")
         kw.update(overrides)
         return cls(**kw)
+
+
+# alpha0 is stored apart, as the value the run used; target only when set
+_META_FIELDS = tuple(
+    f.name for f in fields(SolverConfig) if f.name not in ("alpha0", "target")
+)
 
 
 class NonmonotoneWindow:
@@ -304,6 +292,10 @@ def run(objective, x0, config, policy):
     x = np.array(x0, dtype=float, copy=True).reshape(-1)
     if x.size != objective.dim:
         raise DimensionMismatchError(f"x0 has length {x.size}, expected {objective.dim}")
+    if config.stop_rule == STOP_POINT_DIST and config.target.size != objective.dim:
+        raise DimensionMismatchError(
+            f"target has length {config.target.size}, expected {objective.dim}"
+        )
     eval_rows = objective.eval_rows
     block_rows = max(1, kernels._BLOCK_DOUBLES // objective.dim)
     if eval_rows is None:

@@ -7,6 +7,11 @@ the equivalent convex-combination form, the adaptive truncated cyclic
 (ATC) rule, and a tagged policy type that names one rule.  A policy holds
 no run state: ATC's iteration index and previous steplength belong to the
 loop that evaluates it, which passes them to next_steplength.
+
+SteplengthPolicy checks a rule's parameter and next_steplength checks the
+pair and the ATC state; the arithmetic of every rule is in
+kernels.policy_step.  bb1, bb2, alpha_convex, alpha_family,
+alpha_family_prime and alpha_tls are that one call on the named rule.
 """
 
 import math
@@ -60,34 +65,6 @@ class StepPair:
         object.__setattr__(self, "sy", float(s @ y))
 
 
-@dataclass(frozen=True)
-class FamilyParameter:
-    """Scale gamma of the total-least-squares fit; positive and finite."""
-
-    gamma: float
-
-    def __post_init__(self):
-        g = _as_float(self.gamma, "gamma")
-        if not (math.isfinite(g) and g > 0.0):
-            raise InvalidParameterError(
-                f"gamma must be positive and finite, got {self.gamma!r}"
-            )
-        object.__setattr__(self, "gamma", g)
-
-
-@dataclass(frozen=True)
-class ConvexWeight:
-    """Weight tau in [0, 1] mixing the long and short BB steplengths."""
-
-    tau: float
-
-    def __post_init__(self):
-        t = _as_float(self.tau, "tau")
-        if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-            raise InvalidParameterError(f"tau must lie in [0, 1], got {self.tau!r}")
-        object.__setattr__(self, "tau", t)
-
-
 def _as_float(value, name):
     try:
         return float(value)
@@ -96,87 +73,59 @@ def _as_float(value, name):
 
 
 def _gamma_value(gamma):
-    if isinstance(gamma, FamilyParameter):
-        return gamma.gamma
-    return FamilyParameter(gamma).gamma
-
-
-def _tau_value(tau):
-    if isinstance(tau, ConvexWeight):
-        return tau.tau
-    return ConvexWeight(tau).tau
-
-
-def _positive_curvature(pair):
-    if not pair.sy > 0.0:
-        raise NonpositiveCurvatureError(
-            f"s'y = {pair.sy:.6g} is not positive; no BB steplength is defined"
-        )
-    return pair.sy
-
-
-def curvature(pair):
-    """Inner product s'y; positive iff the pair admits BB steplengths."""
-    return pair.sy
+    # the scale gamma of the total-least-squares fit: positive and finite
+    g = _as_float(gamma, "gamma")
+    if not (math.isfinite(g) and g > 0.0):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    return g
 
 
 def bb1(pair):
     """Long BB steplength ||s||^2 / s'y."""
-    sy = _positive_curvature(pair)
-    return float(kernels.bb1_step(pair.ss, sy))
+    return next_steplength(SteplengthPolicy.long(), pair)
 
 
 def bb2(pair):
     """Short BB steplength s'y / ||y||^2."""
-    sy = _positive_curvature(pair)
-    return float(kernels.bb2_step(sy, pair.yy))
+    return next_steplength(SteplengthPolicy.short(), pair)
 
 
 def alpha_convex(pair, tau):
     """Convex combination tau*bb1 + (1-tau)*bb2."""
-    t = _tau_value(tau)
-    sy = _positive_curvature(pair)
-    return float(kernels.convex_step(pair.ss, pair.yy, sy, t))
+    return next_steplength(SteplengthPolicy.convex(tau), pair)
 
 
 def alpha_family(pair, gamma):
     """Scaled-TLS family steplength; increasing in gamma from bb2 to bb1."""
-    g = _gamma_value(gamma)
-    sy = _positive_curvature(pair)
-    return float(kernels.family_step(pair.ss, pair.yy, sy, g))
+    return next_steplength(SteplengthPolicy.family(gamma), pair)
 
 
 def alpha_family_prime(pair, gamma):
     """Inverse-fit family steplength; decreasing in gamma from bb1 to bb2."""
-    g = _gamma_value(gamma)
-    sy = _positive_curvature(pair)
-    return float(kernels.family_prime_step(pair.ss, pair.yy, sy, g))
+    return next_steplength(SteplengthPolicy.family_prime(gamma), pair)
 
 
 def alpha_tls(pair):
     """Plain TLS steplength: the gamma = 1 member, where the two family
     parameterizations coincide."""
-    return alpha_family(pair, 1.0)
+    return next_steplength(SteplengthPolicy.family(1.0), pair)
 
 
 def tau_from_gamma(pair, gamma):
     """Weight placing alpha_family(pair, gamma) inside [bb2, bb1].
 
-    Returns ConvexWeight((alpha - bb2) / (bb1 - bb2)), clipped into [0, 1]
-    against last-ulp rounding.  When the interval is collapsed (bb1 and
-    bb2 equal to within DEGENERACY_RTOL, which happens exactly when s and
-    y are parallel) every weight gives the same steplength and 1/2 is
-    returned by convention.
+    Returns (alpha - bb2) / (bb1 - bb2), clipped into [0, 1] against
+    last-ulp rounding.  When the interval is collapsed (bb1 and bb2 equal
+    to within DEGENERACY_RTOL, which happens exactly when s and y are
+    parallel) every weight gives the same steplength and 1/2 is returned
+    by convention.
     """
-    g = _gamma_value(gamma)
-    sy = _positive_curvature(pair)
-    b1 = float(kernels.bb1_step(pair.ss, sy))
-    b2 = float(kernels.bb2_step(sy, pair.yy))
+    policy = SteplengthPolicy.family(gamma)
+    b1, b2 = bb1(pair), bb2(pair)
     if b1 - b2 <= DEGENERACY_RTOL * max(1.0, abs(b1)):
-        return ConvexWeight(0.5)
-    a = float(kernels.family_step(pair.ss, pair.yy, sy, g))
-    t = (a - b2) / (b1 - b2)
-    return ConvexWeight(min(max(t, 0.0), 1.0))
+        return 0.5
+    t = (next_steplength(policy, pair) - b2) / (b1 - b2)
+    return min(max(t, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +155,10 @@ class SteplengthPolicy:
         if self.kind == "tau":
             if self.tau is None:
                 raise InvalidParameterError("policy 'tau' needs a weight")
-            object.__setattr__(self, "tau", _tau_value(self.tau))
+            t = _as_float(self.tau, "tau")
+            if not 0.0 <= t <= 1.0:  # false for nan
+                raise InvalidParameterError(f"tau must lie in [0, 1], got {self.tau!r}")
+            object.__setattr__(self, "tau", t)
         if self.kind == "atc":
             if self.cycle is None:
                 raise InvalidParameterError("policy 'atc' needs a cycle length")
@@ -282,14 +234,6 @@ def parse_policy(text):
     raise InvalidParameterError(f"unknown policy descriptor {text!r}")
 
 
-def atc_next(policy, pair, index=0, prev_alpha=None):
-    """One ATC evaluation: BB1 on cycle restarts (index a multiple of
-    cycle), otherwise prev_alpha clamped into [bb2, bb1]."""
-    if policy.kind != "atc":
-        raise InvalidParameterError(f"atc_next needs an 'atc' policy, got {policy.kind!r}")
-    return next_steplength(policy, pair, index, prev_alpha)
-
-
 def next_steplength(policy, pair, index=0, prev_alpha=None):
     """Steplength a policy gives on a secant pair, as a float.
 
@@ -303,7 +247,10 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
     """
     if index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index!r}")
-    sy = _positive_curvature(pair)
+    if not pair.sy > 0.0:
+        raise NonpositiveCurvatureError(
+            f"s'y = {pair.sy:.6g} is not positive; no BB steplength is defined"
+        )
     prev = math.nan  # read only by ATC off a cycle restart
     if policy.kind == "atc" and index % policy.cycle != 0:
         if prev_alpha is None:
@@ -311,4 +258,4 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
                 "ATC needs prev_alpha between cycle restarts; none was given"
             )
         prev = float(prev_alpha)
-    return float(kernels.policy_step(policy, pair.ss, pair.yy, sy, prev, index))
+    return float(kernels.policy_step(policy, pair.ss, pair.yy, pair.sy, prev, index))

@@ -18,13 +18,13 @@ from stlsbb import (
     alpha_family,
     alpha_family_prime,
     alpha_tls,
-    atc_next,
     audit_trace,
     bb1,
     bb2,
     family_argmin,
     generate_instance,
     homogeneous_residual_min,
+    next_steplength,
     parse_policy,
     performance_profile,
     rosenbrock2,
@@ -302,12 +302,12 @@ def test_criterion_09_adaptive_cyclic_branches_exact(report):
 
     # the calling loop carries ATC's state: (index, prev_alpha) per call
     atc = SteplengthPolicy.adaptive_cyclic(4)
-    reset_ok = atc_next(atc, pair, 8, 0.123) == b1
+    reset_ok = next_steplength(atc, pair, 8, 0.123) == b1
 
-    clamp_ok = atc_next(atc, pair, 1, b2 / 2.0) == b2
+    clamp_ok = next_steplength(atc, pair, 1, b2 / 2.0) == b2
 
     inside = 0.5 * (b1 + b2)
-    pass_ok = atc_next(atc, pair, 2, inside) == inside
+    pass_ok = next_steplength(atc, pair, 2, inside) == inside
 
     report(
         9,

@@ -179,6 +179,14 @@ class TestBench:
         capsys.readouterr()
         assert path1.read_text() == path2.read_text()
 
+    def test_empty_dimension_or_cap_is_exit_2(self, capsys):
+        for flag in ("--n", "--max-iter"):
+            rc = main(["bench", flag, "0", "--seeds", "1", "--quiet"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("stlsbb: ") and err.count("\n") == 1
+            assert "must be >= 1" in err
+
     def test_json_cells(self, tmp_path, capsys):
         cells_path = tmp_path / "cells.json"
         rc = main([

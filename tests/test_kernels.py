@@ -11,7 +11,9 @@ from stlsbb import (
     GRADIENT_TOLERANCE,
     ITERATION_CAP,
     QuadraticInstance,
+    StepPair,
     SteplengthPolicy,
+    alpha_family_prime,
     kernels,
     parse_policy,
 )
@@ -24,18 +26,22 @@ def scalars(pair):
     return pair.ss, pair.yy, pair.sy
 
 
+def policy_step(policy, ss, yy, sy, prev=0.5, index=0):
+    return kernels.policy_step(policy, ss, yy, sy, prev, index)
+
+
 class TestScalarKernels:
     def test_bb_steps_are_the_ratios(self, rng):
         for _ in range(50):
             ss, yy, sy = scalars(random_pair(rng))
-            assert kernels.bb1_step(ss, sy) == ss / sy
-            assert kernels.bb2_step(sy, yy) == sy / yy
+            assert policy_step(SteplengthPolicy.long(), ss, yy, sy) == ss / sy
+            assert policy_step(SteplengthPolicy.short(), ss, yy, sy) == sy / yy
 
     def test_convex_step(self, rng):
         ss, yy, sy = scalars(random_pair(rng))
         for tau in (0.0, 0.25, 1.0):
             want = tau * (ss / sy) + (1.0 - tau) * (sy / yy)
-            assert kernels.convex_step(ss, yy, sy, tau) == want
+            assert policy_step(SteplengthPolicy.convex(tau), ss, yy, sy) == want
 
     def test_family_matches_naive_formula(self, rng):
         # the textbook expression cancels badly when d < 0, so evaluate it
@@ -75,6 +81,37 @@ class TestScalarKernels:
                     1.0 / swapped, rel=1e-14
                 )
 
+    def test_overflowing_intermediates_give_the_limits(self):
+        # at tiny gamma e = 4 s'y^2 / gamma^2 and r - d overflow before r
+        # does; these two gave nan and 0.0 before the guard looked at them
+        ss, yy, sy = 135921.95316024128, 2.6447324283812172e16, 40859494580.49226
+        a = kernels.family_step(ss, yy, sy, 1.3732567963014338e-146)
+        assert a == pytest.approx(sy / yy, rel=1e-12)
+        pair = StepPair([1.0, 1.0], [1e8, 2e8])
+        assert alpha_family_prime(pair, 1e-150) == pytest.approx(2.0 / 3e8, rel=1e-12)
+
+    def test_family_kernels_stay_in_the_interval_at_any_scale(self):
+        # ss and yy across 1e+-150, s'y from nearly orthogonal to parallel,
+        # gamma across 1e+-300: some intermediates overflow on about 2 % of
+        # the draws, and every value must still lie in [bb2, bb1] up to
+        # rounding
+        rng = np.random.default_rng(20261018)
+        n = 20_000
+        ss = 10.0 ** rng.uniform(-150.0, 150.0, n)
+        yy = 10.0 ** rng.uniform(-150.0, 150.0, n)
+        sy = 10.0 ** rng.uniform(-6.0, 0.0, n) * np.sqrt(ss * yy)
+        gammas = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        slack = 4.0 * np.finfo(float).eps
+        outside = []
+        for draw in zip(ss.tolist(), yy.tolist(), sy.tolist(), gammas.tolist()):
+            d_ss, d_yy, d_sy, _ = draw
+            lo, hi = d_sy / d_yy, d_ss / d_sy
+            for step in (kernels.family_step, kernels.family_prime_step):
+                a = step(*draw)
+                if not lo * (1.0 - slack) <= a <= hi * (1.0 + slack):  # false for nan
+                    outside.append((step.__name__, draw, a))
+        assert outside == []
+
     def test_atc_step_branches(self):
         ss, yy, sy = 2.0, 5.0, 3.0  # bb1 = 2/3, bb2 = 3/5
         assert kernels.atc_step(ss, yy, sy, 0.123, 0, 4) == 2.0 / 3.0
@@ -89,15 +126,15 @@ class TestPolicyDispatch:
         ss, yy, sy = scalars(random_pair(rng))
 
         def step(policy, prev=0.5, index=0):
-            return kernels.policy_step(policy, ss, yy, sy, prev, index)
+            return policy_step(policy, ss, yy, sy, prev, index)
 
-        assert step(SteplengthPolicy.long()) == kernels.bb1_step(ss, sy)
-        assert step(SteplengthPolicy.short()) == kernels.bb2_step(sy, yy)
+        assert step(SteplengthPolicy.long()) == ss / sy
+        assert step(SteplengthPolicy.short()) == sy / yy
         assert step(SteplengthPolicy.family(2.0)) == kernels.family_step(ss, yy, sy, 2.0)
         assert step(SteplengthPolicy.family_prime(2.0)) == kernels.family_prime_step(
             ss, yy, sy, 2.0
         )
-        assert step(SteplengthPolicy.convex(0.4)) == kernels.convex_step(ss, yy, sy, 0.4)
+        assert step(SteplengthPolicy.convex(0.4)) == 0.4 * (ss / sy) + (1.0 - 0.4) * (sy / yy)
         assert step(SteplengthPolicy.adaptive_cyclic(3), index=2) == kernels.atc_step(
             ss, yy, sy, 0.5, 2, 3
         )

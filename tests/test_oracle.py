@@ -18,7 +18,6 @@ from stlsbb import (
     alpha_family,
     alpha_family_prime,
     alpha_tls,
-    atc_next,
     bb1,
     bb2,
     family_argmin,
@@ -211,10 +210,10 @@ class TestOracleDispatch:
         pair = random_pair(rng)
         atc = SteplengthPolicy.adaptive_cyclic(4)
         assert oracle_steplength(atc, pair) == pytest.approx(
-            atc_next(atc, pair), rel=1e-6, abs=1e-8
+            next_steplength(atc, pair), rel=1e-6, abs=1e-8
         )
         assert oracle_steplength(atc, pair, 2, 0.01) == pytest.approx(
-            atc_next(atc, pair, 2, 0.01), rel=1e-6, abs=1e-8
+            next_steplength(atc, pair, 2, 0.01), rel=1e-6, abs=1e-8
         )
         inside = 0.5 * (bb1(pair) + bb2(pair))
         assert oracle_steplength(atc, pair, 1, inside) == pytest.approx(inside, abs=1e-8)

@@ -154,6 +154,18 @@ class TestSolverConfig:
         c = SolverConfig(epsilon=1e-4, memory=7, sigma=0.5)
         back = SolverConfig.from_meta(c.to_meta())
         assert back == c
+        # trace JSON keeps this key order: alpha0 is not a meta key, and
+        # target comes last, only when it is set
+        keys = ["solver", "epsilon", "max_iter", "memory", "beta", "delta",
+                "eta", "sigma", "stop_rule", "backtrack_cap"]
+        assert list(c.to_meta()) == keys
+        c = SolverConfig(alpha0=0.5, stop_rule=STOP_POINT_DIST, target=[1.0, 2.0])
+        meta = c.to_meta()
+        assert list(meta) == keys + ["target"]
+        assert meta["target"] == [1.0, 2.0]
+        back = SolverConfig.from_meta(meta, alpha0=0.5)
+        assert np.array_equal(back.target, c.target)
+        assert back.to_meta() == meta and back.alpha0 == 0.5
 
 
 class TestInitialSteplength:
@@ -228,6 +240,12 @@ class TestRunLoop:
         obj = sphere()
         with pytest.raises(DimensionMismatchError):
             run(obj, np.zeros(4), SolverConfig(), SteplengthPolicy.long())
+        # a point_dist target must not broadcast against the iterate
+        obj = rosenbrock2()
+        for target in ([1.0], [1.0, 1.0, 1.0]):
+            cfg = SolverConfig(stop_rule=STOP_POINT_DIST, target=target)
+            with pytest.raises(DimensionMismatchError):
+                run(obj, obj.x0, cfg, SteplengthPolicy.long())
 
     def test_fixed_alpha0_recorded(self):
         obj = sphere()

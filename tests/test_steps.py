@@ -9,8 +9,6 @@ import pytest
 
 import stlsbb
 from stlsbb import (
-    ConvexWeight,
-    FamilyParameter,
     InvalidParameterError,
     MissingStateError,
     NonpositiveCurvatureError,
@@ -20,10 +18,8 @@ from stlsbb import (
     alpha_family,
     alpha_family_prime,
     alpha_tls,
-    atc_next,
     bb1,
     bb2,
-    curvature,
     next_steplength,
     parse_policy,
     tau_from_gamma,
@@ -44,9 +40,6 @@ class TestWorkedExample:
     def test_bb2(self, canonical_pair):
         assert bb2(canonical_pair) == pytest.approx(3.0 / 5.0, rel=1e-15)
 
-    def test_curvature(self, canonical_pair):
-        assert curvature(canonical_pair) == 3.0
-
     def test_convex_midpoint(self, canonical_pair):
         assert alpha_convex(canonical_pair, 0.5) == pytest.approx(19.0 / 30.0, rel=1e-15)
 
@@ -61,8 +54,8 @@ class TestWorkedExample:
 
     def test_tau_at_one(self, canonical_pair):
         w = tau_from_gamma(canonical_pair, 1.0)
-        assert isinstance(w, ConvexWeight)
-        assert w.tau == pytest.approx(0.2705098312484227, rel=1e-12)
+        assert type(w) is float
+        assert w == pytest.approx(0.2705098312484227, rel=1e-12)
 
 
 class TestPairValidation:
@@ -112,20 +105,16 @@ class TestPairValidation:
             next_steplength(SteplengthPolicy.adaptive_cyclic(3), pair, 1, 0.5)
 
     def test_parameter_validation(self, canonical_pair):
-        with pytest.raises(InvalidParameterError):
-            FamilyParameter(0.0)
-        with pytest.raises(InvalidParameterError):
-            FamilyParameter(-3.0)
-        with pytest.raises(InvalidParameterError):
-            FamilyParameter(float("inf"))
-        with pytest.raises(InvalidParameterError):
-            ConvexWeight(1.5)
-        with pytest.raises(InvalidParameterError):
-            ConvexWeight(-0.1)
-        with pytest.raises(InvalidParameterError):
-            alpha_family(canonical_pair, "not a number")
-        with pytest.raises(InvalidParameterError):
-            FamilyParameter(10**400)  # too large for a float
+        for gamma in (0.0, -3.0, float("inf"), float("nan"), 10**400, "not a number"):
+            with pytest.raises(InvalidParameterError):
+                SteplengthPolicy.family(gamma)
+            with pytest.raises(InvalidParameterError):
+                alpha_family(canonical_pair, gamma)
+        for tau in (1.5, -0.1, float("nan"), "x"):
+            with pytest.raises(InvalidParameterError):
+                SteplengthPolicy.convex(tau)
+            with pytest.raises(InvalidParameterError):
+                alpha_convex(canonical_pair, tau)
 
 
 class TestFamilyProperties:
@@ -218,7 +207,7 @@ class TestFamilyProperties:
     def test_parallel_pair_collapses(self):
         pair = StepPair(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
         assert bb1(pair) == pytest.approx(bb2(pair), rel=1e-15)
-        assert tau_from_gamma(pair, 7.0).tau == 0.5
+        assert tau_from_gamma(pair, 7.0) == 0.5
         assert alpha_family(pair, 7.0) == pytest.approx(bb1(pair), rel=1e-12)
 
 
@@ -299,26 +288,26 @@ class TestPolicy:
 class TestAdaptiveCyclic:
     def test_restart_uses_bb1(self, canonical_pair):
         pol = SteplengthPolicy.adaptive_cyclic(3)
-        assert atc_next(pol, canonical_pair) == pytest.approx(
+        assert next_steplength(pol, canonical_pair) == pytest.approx(
             bb1(canonical_pair), rel=1e-15
         )
 
     def test_lower_clamp(self, canonical_pair):
         pol = SteplengthPolicy.adaptive_cyclic(3)
-        assert atc_next(pol, canonical_pair, 1, 0.01) == pytest.approx(
+        assert next_steplength(pol, canonical_pair, 1, 0.01) == pytest.approx(
             bb2(canonical_pair), rel=1e-15
         )
 
     def test_upper_clamp(self, canonical_pair):
         pol = SteplengthPolicy.adaptive_cyclic(3)
-        assert atc_next(pol, canonical_pair, 2, 50.0) == pytest.approx(
+        assert next_steplength(pol, canonical_pair, 2, 50.0) == pytest.approx(
             bb1(canonical_pair), rel=1e-15
         )
 
     def test_interior_pass_through(self, canonical_pair):
         inside = 0.62  # strictly between bb2 = 0.6 and bb1 = 2/3
         pol = SteplengthPolicy.adaptive_cyclic(3)
-        assert atc_next(pol, canonical_pair, 1, inside) == inside
+        assert next_steplength(pol, canonical_pair, 1, inside) == inside
 
     def test_cycle_sequence(self, rng):
         """Indices 0, cycle, 2*cycle restart; the rest carry state."""
@@ -336,13 +325,7 @@ class TestAdaptiveCyclic:
     def test_missing_state(self, canonical_pair):
         pol = SteplengthPolicy.adaptive_cyclic(3)
         with pytest.raises(MissingStateError):
-            atc_next(pol, canonical_pair, 1)
-        with pytest.raises(MissingStateError):
             next_steplength(pol, canonical_pair, 1)
-
-    def test_wrong_kind(self, canonical_pair):
-        with pytest.raises(InvalidParameterError):
-            atc_next(SteplengthPolicy.long(), canonical_pair)
 
 
 def test_version_string():
@@ -351,7 +334,7 @@ def test_version_string():
 
 def test_all_is_the_public_namespace():
     names = stlsbb.__all__
-    assert len(names) == len(set(names)) == 70
+    assert len(names) == len(set(names)) == 66
     # every name resolves, and no submodule or private name leaks
     for name in names:
         assert not isinstance(getattr(stlsbb, name), types.ModuleType), name
