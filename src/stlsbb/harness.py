@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -122,48 +123,36 @@ def run_quadratic_sweep(grid, progress=None):
     """Run every grid cell; returns SweepCells in deterministic grid order
     (setting, kappa, epsilon, seed, policy, outermost first).
 
-    The cells run, in grid order, as consecutive lock-step calls of
-    quadratic.solve_bb_block without histories; a call holds at most 96
-    rows and at most 2^15 doubles per (rows x n) array, and may span
-    several (setting, kappa, epsilon) groups.  Every cell counts exactly
-    what a solve_bb call on it counts.  Each (setting, kappa, seed)
-    instance is generated once and freed when no pending call needs it.  A
-    cell that hits the iteration cap is recorded at the cap with
-    solved=False; a cell whose gradient turns nan or inf is recorded as
-    nonfinite and a cell that raises as an error marker (an instance that
-    fails to build takes no row), both without an iteration count, and
-    none aborts the sweep.  progress, when given, is called with each
-    finished cell in grid order; a call's cells, and the error markers
-    before them, are passed on when that call ends.
+    The cells run, in grid order, as consecutive history-free lock-step
+    calls of kernels.raw_bb_loop; the grid has already checked epsilon,
+    max_iter and the policies.  A call holds at most 96 rows and at most
+    2^15 doubles per (rows x n) array, and may span several (setting,
+    kappa, epsilon) groups.  Every cell counts exactly what a solve_bb
+    call on it counts.  Each (setting, kappa, seed) instance is generated
+    once and freed when no waiting cell needs it.  A cell that hits the
+    iteration cap is recorded at the cap with solved=False; a cell whose
+    gradient turns nan or inf is recorded as nonfinite, and a cell whose
+    instance fails to build as an error marker that takes no row, both
+    without an iteration count; neither aborts the sweep.  progress, when
+    given, is called with each finished cell in grid order; the cells
+    waiting since the last call, error markers included, are passed on
+    when the next call ends.
     """
     policies = {p: parse_policy(p) for p in grid.policies}
     rows = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
-    keys = [
-        (sid, kappa, eps, seed, pol)
-        for sid in grid.setting_ids for kappa in grid.kappas
-        for eps in grid.epsilons for seed in grid.seeds for pol in grid.policies
-    ]
-    outcomes = [None] * len(keys)
     cells = []
-    pending = []  # (cell index, instance, policy, x0, alpha0, epsilon) per row
+    waiting = []  # (cell key, start) of every cell since the last call
+    block = []  # (instance, policy, x0, alpha0, epsilon) of each waiting row
 
-    def run_pending():
-        if pending:
-            index, insts, pols, x0, alpha0, eps = zip(*pending)
-            pending.clear()
-            try:
-                runs = quadratic.solve_bb_block(insts, pols, x0, alpha0, eps,
-                                                grid.max_iter, history=False)
-            except StlsbbError as exc:
-                for i in index:
-                    outcomes[i] = _error(exc)
+    def pass_on():
+        ends = iter(kernels.raw_bb_loop(*zip(*block), grid.max_iter, history=False)
+                    if block else ())
+        for (sid, kappa, eps, seed, pol), start in waiting:
+            if start[0] is None:  # the instance failed to build: start is the outcome
+                iterations, solved, status = start
             else:
-                for i, (termination, iterations, _) in zip(index, runs):
-                    outcomes[i] = _outcome(termination, iterations)
-        # pass on every finished cell up to the first one still running
-        while len(cells) < len(keys) and outcomes[len(cells)] is not None:
-            sid, kappa, eps, seed, pol = keys[len(cells)]
-            iterations, solved, status = outcomes[len(cells)]
+                termination, iterations, _ = next(ends)
+                iterations, solved, status = _outcome(termination, iterations)
             cell = SweepCell(
                 setting_id=sid, kappa=kappa, epsilon=eps, seed=seed, n=grid.n,
                 policy=pol, max_iter=grid.max_iter, iterations=iterations,
@@ -172,27 +161,24 @@ def run_quadratic_sweep(grid, progress=None):
             cells.append(cell)
             if progress is not None:
                 progress(cell)
+        waiting.clear()
+        block.clear()
 
-    group = None
-    for i, (sid, kappa, eps, seed, pol) in enumerate(keys):
-        if (sid, kappa) != group:
-            # the last group's instances live on only in pending rows
-            group, starts = (sid, kappa), {}
-        start = starts.get(seed)
-        if start is None:
-            try:
-                start = _bb_start(grid.n, sid, kappa, seed)
-            except StlsbbError as exc:
-                start = _error(exc)
-            starts[seed] = start
-        inst, x0, alpha0 = start
-        if inst is None:  # the instance failed to build: start is the outcome
-            outcomes[i] = start
-            continue
-        pending.append((i, inst, policies[pol], x0, alpha0, eps))
-        if len(pending) == rows:
-            run_pending()
-    run_pending()
+    for sid, kappa in product(grid.setting_ids, grid.kappas):
+        starts = {}  # the last group's instances live on only in waiting cells
+        for eps, seed, pol in product(grid.epsilons, grid.seeds, grid.policies):
+            if seed not in starts:
+                try:
+                    starts[seed] = _bb_start(grid.n, sid, kappa, seed)
+                except StlsbbError as exc:
+                    starts[seed] = _error(exc)
+            inst, x0, alpha0 = start = starts[seed]
+            waiting.append(((sid, kappa, eps, seed, pol), start))
+            if inst is not None:
+                block.append((inst, policies[pol], x0, alpha0, eps))
+                if len(block) == rows:
+                    pass_on()
+    pass_on()
     return cells
 
 

@@ -11,8 +11,8 @@ the 1-D dot), and a scalar policy_step call per row, so every row
 reproduces its run alone bit for bit.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
-steps.next_steplength check what reaches policy_step, and `quadratic`
-checks what reaches raw_bb_loop.
+steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
+and harness.ExperimentGrid for the sweep, check what reaches raw_bb_loop.
 """
 
 import math
@@ -158,12 +158,6 @@ def hessian_apply(w1, w2, w3, v, x):
 _BLOCK_DOUBLES = 1 << 15
 
 
-# raw_bb_loop records (f, ||g||, alpha) of every live row in a buffer of
-# this many steps, and copies each row's part out when the buffer fills or
-# a row stops, so no history outlives its row's own copies.
-_HISTORY_CHUNK = 256
-
-
 def _block(arrays):
     # a block of one is a view: stacking would copy the n-vector
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -189,10 +183,11 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
     modified.
 
     Returns a list with, per row, (termination, f_hist, gnorm_hist,
-    alpha_hist, x): entry k of the histories describes iterate k, and
-    alpha_hist[k] is the steplength taken from it (nan on the terminal
-    entry).  With history=False nothing is recorded per step, f is never
-    evaluated, and each row is (termination, iterations, x) instead.
+    alpha_hist, x): the histories are lists of floats whose entry k
+    describes iterate k, and alpha_hist[k] is the steplength taken from it
+    (nan on the terminal entry).  With history=False nothing is recorded
+    per step, f is never evaluated, and each row is (termination,
+    iterations, x) instead.
     """
     w1, w2, w3, v, b = (
         _block([getattr(inst, name) for inst in insts])
@@ -204,9 +199,7 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
     policies = list(policies)
     ends = [None] * len(live)  # (termination, iterations, x) per input row
     if history:
-        pieces = [[] for _ in live]  # history of each input row, (3, steps) pieces
-        hist = np.empty((3, _HISTORY_CHUNK, len(live)))
-        j = 0
+        hists = [([], [], []) for _ in live]  # (f, ||g||, alpha) lists per input row
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         g = hessian_apply(w1, w2, w3, v, x) - b
@@ -215,10 +208,10 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
             gg = np.vecdot(g, g)
             gn = np.sqrt(gg)
             if history:
-                hist[0, j] = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
-                hist[1, j] = gn
-                hist[2, j] = alpha
-                j += 1
+                f = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
+                for i, *entry in zip(live, f.tolist(), gn.tolist(), alpha.tolist()):
+                    for h, value in zip(hists[i], entry):
+                        h.append(value)
             # a row goes on while eps_rel ||g0|| < ||g|| < inf (a nan ||g||
             # fails both); Python floats test a few rows faster than ufuncs
             go = [k < max_iter and t < r < math.inf
@@ -226,13 +219,6 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
             stopping = not all(go)
             if stopping:
                 go = np.array(go)
-            if history:
-                if stopping:
-                    hist[2, j - 1, ~go] = np.nan
-                if stopping or j == _HISTORY_CHUNK:
-                    for col, i in enumerate(live):
-                        pieces[i].append(hist[:, :j, col].copy())
-                    j = 0
             if stopping:
                 done = np.flatnonzero(~go)
                 last = len(done) == len(live)
@@ -241,6 +227,8 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
                     termination = (NONFINITE if not math.isfinite(gn[r]) else
                                    GRADIENT_TOLERANCE if gn[r] <= tol[r] else ITERATION_CAP)
                     ends[live[r]] = termination, k, xr
+                    if history:
+                        hists[live[r]][2][-1] = math.nan  # no step leaves it
                 if last:
                     break
                 live = [i for i, on in zip(live, go) if on]
@@ -248,8 +236,6 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
                 w1, w2, w3, v, b, x, g, gg, alpha, tol = (
                     a[go] for a in (w1, w2, w3, v, b, x, g, gg, alpha, tol)
                 )
-                if history:
-                    hist = hist[:, :, : len(live)]
             ag = hessian_apply(w1, w2, w3, v, g)
             gag = np.vecdot(g, ag)
             agag = np.vecdot(ag, ag)
@@ -265,9 +251,4 @@ def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
             k += 1
     if not history:
         return ends
-    out = []
-    for i, (termination, _, xr) in enumerate(ends):
-        f_hist, g_hist, a_hist = np.concatenate(pieces[i], axis=1)
-        pieces[i] = None  # free each row's pieces as its histories are joined
-        out.append((termination, f_hist, g_hist, a_hist, xr))
-    return out
+    return [(termination, *h, xr) for (termination, _, xr), h in zip(ends, hists)]

@@ -52,7 +52,9 @@ def minimize_scalar(problem):
     """Golden-section search over the bracket.
 
     Returns (argmin, value).  For a unimodal objective the argmin is
-    within problem.tolerance of the true minimizer.
+    within problem.tolerance of the true minimizer, or within 4 ulps of
+    the bracket's larger end when the tolerance is finer than that: floats
+    cannot split a bracket that narrow, and the search would not end.
     """
     f = problem.objective
     a, b = problem.bracket
@@ -60,7 +62,7 @@ def minimize_scalar(problem):
     d = a + _INVPHI * (b - a)
     fc = f(c)
     fd = f(d)
-    while (b - a) > problem.tolerance:
+    while (b - a) > max(problem.tolerance, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

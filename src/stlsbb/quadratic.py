@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from .solver import Objective
+from .solver import Objective, first_row_eval
 from .steps import SteplengthPolicy
 
 SETTING_IDS = (1, 2, 3, 4, 5, 6, 7)
@@ -249,15 +249,9 @@ def as_objective(inst, name=None):
     line-search solver.
 
     Its eval_rows takes one block Hessian product for all rows, and row
-    dots through np.vecdot, which rounds like the 1-D dot, so each row is
-    eval's result bit for bit.
+    dots through np.vecdot, which rounds like the 1-D dot, so each row
+    computes what it computes alone; eval is row 0 of the one-row block.
     """
-
-    def eval_(x):
-        x = _check_vec(inst, x)
-        ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
-        f = 0.5 * float(x @ ax) - float(inst.linear @ x)
-        return f, ax - inst.linear
 
     def eval_rows(xs):
         if xs.ndim != 2 or xs.shape[1] != inst.dim:
@@ -269,7 +263,8 @@ def as_objective(inst, name=None):
         return f, ax - inst.linear
 
     label = name or f"quadratic-n{inst.dim}"
-    return Objective(label, inst.dim, eval_, x0=np.ones(inst.dim), eval_rows=eval_rows)
+    return Objective(label, inst.dim, first_row_eval(eval_rows), x0=np.ones(inst.dim),
+                     eval_rows=eval_rows)
 
 
 def default_alpha0(inst, x0):
@@ -289,30 +284,6 @@ def bb_start(inst, x0=None, alpha0=None):
     return x0, a0
 
 
-def solve_bb_block(insts, policies, x0, alpha0, epsilon, max_iter, history=True):
-    """Raw BB iteration (no line search) on a block of rows in lock step.
-
-    Row i runs policies[i] on insts[i] from x0[i] with the opening
-    steplength alpha0[i] (see bb_start) and the relative tolerance
-    epsilon[i]; every row stops as solve_bb describes, and computes bit
-    for bit what it computes alone.  Returns kernels.raw_bb_loop's list of
-    per-row (termination, f_hist, gnorm_hist, alpha_hist, x), or with
-    history=False of per-row (termination, iterations, x).
-    """
-    if not all(isinstance(p, SteplengthPolicy) for p in policies):
-        raise InvalidParameterError("policy must be a SteplengthPolicy")
-    eps = [float(e) for e in epsilon]
-    if len(eps) != len(insts):
-        raise InvalidParameterError(f"got {len(eps)} epsilons for {len(insts)} rows")
-    for e, given in zip(eps, epsilon):
-        if not (0.0 < e < 1.0):
-            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {given!r}")
-    cap = int(max_iter)
-    if cap < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    return kernels.raw_bb_loop(insts, policies, x0, alpha0, eps, cap, history=history)
-
-
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     """Raw BB iteration (no line search) on an instance: a block of one.
 
@@ -325,20 +296,27 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     zero: the raw method never evaluates f to decide anything).
     """
     x0, a0 = bb_start(inst, x0, alpha0)
-    ((termination, f_hist, g_hist, a_hist, x),) = solve_bb_block(
-        [inst], [policy], [x0], [a0], [epsilon], max_iter
+    if not isinstance(policy, SteplengthPolicy):
+        raise InvalidParameterError("policy must be a SteplengthPolicy")
+    eps = float(epsilon)
+    if not (0.0 < eps < 1.0):
+        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    cap = int(max_iter)
+    if cap < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
+    ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
+        [inst], [policy], [x0], [a0], eps, cap
     )
     rows = [
-        trace.TraceRow(k=k, f=float(f_hist[k]), grad_norm=float(g_hist[k]),
-                       alpha=float(a_hist[k]))
-        for k in range(len(f_hist))
+        trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)
+        for k, (f, gn, a) in enumerate(zip(f_hist, g_hist, a_hist))
     ]
     meta = {
         "solver": "raw_bb",
         "policy": policy.describe(),
         "stop_rule": "grad_rel",
-        "epsilon": float(epsilon),
-        "max_iter": int(max_iter),
+        "epsilon": eps,
+        "max_iter": cap,
         "alpha0": a0,
         "alpha0_rule": "inf_norm" if alpha0 is None else "fixed",
         "n": inst.dim,

@@ -48,6 +48,9 @@ class Objective:
     eval(X[i]) bit for bit, because run() uses it to evaluate a round of
     trial points whose first acceptable row it keeps.  Without it, run()
     calls eval once per trial point and never at a point it does not need.
+    The built-in objectives (rosenbrock2, quadratic.as_objective) write
+    only eval_rows and take eval from it through first_row_eval, so the
+    two agree by construction.
     """
 
     name: str
@@ -70,32 +73,36 @@ class Objective:
             object.__setattr__(self, "x0", x0)
 
 
+def first_row_eval(eval_rows):
+    """eval(x) of an objective written as eval_rows: row 0 of eval_rows
+    on the one-row block x[None], with f as a float."""
+
+    def eval_(x):
+        f, g = eval_rows(np.asarray(x, dtype=float)[None])
+        return float(f[0]), g[0]
+
+    return eval_
+
+
 def rosenbrock2():
     """Planar Rosenbrock valley, minimum f = 0 at (1, 1); the conventional
     start is (-1.2, 1)."""
-
-    def eval_(x):
-        x1 = float(x[0])
-        x2 = float(x[1])
-        t = x2 - x1 * x1
-        f = 100.0 * t * t + (1.0 - x1) ** 2
-        g = np.array([-400.0 * x1 * t - 2.0 * (1.0 - x1), 200.0 * t])
-        return f, g
 
     def eval_rows(xs):
         x1 = xs[:, 0]
         t = xs[:, 1] - x1 * x1
         u = 1.0 - x1
-        # a float's ** 2 is libm pow, which is not always u * u; numpy's
-        # square and power round differently, so square the floats alone
+        # (1 - x1)^2 is squared as Python floats, through libm pow, which
+        # the published traces and goldens were recorded with; numpy's
+        # square, power and u * u do not always round the same way
         f = 100.0 * t * t + np.array([r**2 for r in u.tolist()])
         g = np.empty_like(xs)
         g[:, 0] = -400.0 * x1 * t - 2.0 * u
         g[:, 1] = 200.0 * t
         return f, g
 
-    return Objective("rosenbrock2", 2, eval_, x0=np.array([-1.2, 1.0]),
-                     eval_rows=eval_rows)
+    return Objective("rosenbrock2", 2, first_row_eval(eval_rows),
+                     x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,8 @@ class SolverConfig:
     the max of the last M+1 objective values); beta the sufficient
     decrease coefficient; eta the safeguard band edge (steplengths outside
     (eta, 1/eta) reset to delta); sigma the backtracking shrink factor;
-    epsilon/stop_rule/target define termination; alpha0 = None means the
+    epsilon/stop_rule/target define termination, and only the point_dist
+    rule takes a target, which must be finite; alpha0 = None means the
     probe rule of initial_steplength.
     """
 
@@ -147,10 +155,15 @@ class SolverConfig:
             raise InvalidParameterError(
                 f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}"
             )
-        if self.stop_rule == STOP_POINT_DIST:
-            if self.target is None:
-                raise InvalidParameterError("stop rule 'point_dist' needs a target point")
+        if self.stop_rule != STOP_POINT_DIST:
+            if self.target is not None:
+                raise InvalidParameterError(f"stop rule {self.stop_rule!r} takes no target")
+        elif self.target is None:
+            raise InvalidParameterError("stop rule 'point_dist' needs a target point")
+        else:
             t = np.array(self.target, dtype=float, copy=True).reshape(-1)
+            if not np.all(np.isfinite(t)):
+                raise InvalidParameterError(f"target must be finite, got {self.target!r}")
             t.setflags(write=False)
             object.__setattr__(self, "target", t)
         if int(self.backtrack_cap) < 1:

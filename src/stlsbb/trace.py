@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,25 +36,13 @@ class TraceRow:
     fevals: int = 0
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "f": self.f,
-            "grad_norm": self.grad_norm,
-            "alpha": self.alpha,
-            "backtracks": self.backtracks,
-            "fevals": self.fevals,
-        }
+        """Every field, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            k=int(d["k"]),
-            f=float(d["f"]),
-            grad_norm=float(d["grad_norm"]),
-            alpha=float(d["alpha"]),
-            backtracks=int(d["backtracks"]),
-            fevals=int(d["fevals"]),
-        )
+        """Inverse of to_dict, casting each value to its field's type."""
+        return cls(**{f.name: f.type(d[f.name]) for f in fields(cls)})
 
 
 @dataclass

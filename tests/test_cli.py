@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from stlsbb.cli import main
 from stlsbb.harness import fmt17
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestSteps:
@@ -36,6 +41,20 @@ class TestSteps:
                    "--verify"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[1].startswith("oracle ")
+
+    def test_verify_ends_on_a_large_scale_pair(self):
+        # the oracle's tolerance is below the spacing of its bracket's
+        # floats here; a subprocess with a timeout fails rather than hangs
+        # if the search stops ending again
+        cmd = [sys.executable, "-m", "stlsbb.cli", "steps", "--s", "1,1",
+               "--y", "1e4,2e4", "--policy", "bb1", "--verify"]
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.strip().split("\n")
+        assert float(lines[0]) == 2.0 / 3e4  # ss / sy
         assert lines[1].startswith("oracle ")
 
     def test_verify_catches_disagreement(self, capsys):

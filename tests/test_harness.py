@@ -158,13 +158,13 @@ class TestSweep:
         if sweep_rows is not None:
             monkeypatch.setattr(harness, "_SWEEP_ROWS", sweep_rows)
         calls = []
-        original = quadratic.solve_bb_block
+        original = kernels.raw_bb_loop
 
-        def recorded(insts, policies, x0, alpha0, epsilon, max_iter, history=True):
-            calls.append([(inst.setting_id, inst.kappa, eps) for inst, eps in zip(insts, epsilon)])
-            return original(insts, policies, x0, alpha0, epsilon, max_iter, history)
+        def recorded(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
+            calls.append([(inst.setting_id, inst.kappa, eps) for inst, eps in zip(insts, eps_rel)])
+            return original(insts, policies, x0, alpha0, eps_rel, max_iter, history)
 
-        monkeypatch.setattr(quadratic, "solve_bb_block", recorded)
+        monkeypatch.setattr(kernels, "raw_bb_loop", recorded)
         seen = []
         cells = run_quadratic_sweep(grid, progress=seen.append)
         assert seen == cells

