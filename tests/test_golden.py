@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from stlsbb import harness, quadratic, solver
+from stlsbb import harness, kernels, quadratic, solver
 from stlsbb.steps import parse_policy
 
 POLICIES = ("bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:1", "tau:0.5", "atc:3")
@@ -50,6 +50,15 @@ def golden_outputs():
                                   seeds=(0, 1), policies=("bb1", "gamma:20"))
     out.update({f"sweep-errors-{k}": v
                 for k, v in _sweep_outputs(grid, profile=False).items()})
+    # 5-row blocks at n = 30 whose rows end as ok, cap and nonfinite
+    # (kappa = 1e300), between error markers (setting 2 at kappa = 100)
+    grid = harness.ExperimentGrid(n=30, setting_ids=(1, 2), kappas=(100.0, 1e4, 1e300),
+                                  epsilons=(1e-6, 1e-3), seeds=(0, 1),
+                                  policies=("bb1", "atc:3", "gamma:20"), max_iter=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_DOUBLES", 5 * 30)
+        out.update({f"sweep-width5-{k}": v
+                    for k, v in _sweep_outputs(grid, profile=False).items()})
 
     inst = quadratic.generate_instance(100, quadratic.SpectrumSetting(3, 1e4), 5)
     for pol in POLICIES:
@@ -109,6 +118,8 @@ GOLDEN = {
     "rosenbrock-tau:0.5": "c2ead4bc8cc3ce24c145bce307f2bbcfea726240d386d7ae2f5bf2797425633e",
     "sweep-errors-averages": "52b12f7a7014b79066f91d653ddce1b2db49677acd7c7baabc13447ee452350f",
     "sweep-errors-cells": "9e078f415203dd58e1a06022ea23571679377cfe8041d0deccd475452049c5ca",
+    "sweep-width5-averages": "7bb5815d9d1cbba79582c001bc05c2cabd4cfd4fbbe948708578f856d855b766",
+    "sweep-width5-cells": "d496183e8142c4b1dc4185b08dc065072b76eb507c94dab07e06e07901fb49cc",
     "sweep2000-averages": "539861e9bb617f0956890255d619a81f9e23a94a89410d8b36e21a2e56960292",
     "sweep2000-cells": "b1dab1b8a0303d07e76fffb42f3ef5f9b563e7c4b384dd60037443e38f259cdb",
     "sweep2000-profile": "235b36cfc858e44637742f51dd1113d0dd1c6d9c216ccd057241640db926192a",
