@@ -57,8 +57,17 @@ class ExperimentGrid:
         for e in self.epsilons:
             if not (0.0 < e < 1.0):
                 raise InvalidParameterError(f"epsilon must lie in (0, 1), got {e!r}")
-        for p in self.policies:
-            parse_policy(p)  # fail early on typos
+        # typos fail early; a repeated value would count one run twice, so
+        # policies compare as parsed (gamma:20 and gamma:20.0 are one)
+        parsed = [parse_policy(p) for p in self.policies]
+        for name, values in (("setting_ids", self.setting_ids), ("kappas", self.kappas),
+                             ("epsilons", self.epsilons), ("seeds", self.seeds),
+                             ("policies", parsed)):
+            seen = set()
+            for raw, value in zip(getattr(self, name), values):
+                if value in seen:
+                    raise InvalidParameterError(f"grid axis {name} repeats {raw!r}")
+                seen.add(value)
 
     def cell_count(self):
         return (
@@ -97,12 +106,15 @@ def _error(exc):
     return None, False, f"error:{type(exc).__name__}"
 
 
-# A sweep's lock-step calls hold at most this many rows, which is the
-# tighter cap below n = 342.  Longer calls take fewer block steps but hold
-# more memory.  On the benchmark's n = 100, 280-cell sweep (2-vCPU Xeon,
-# BLAS threads 1), history-free calls of 40 / 96 / 140 / 280 rows took
-# 9-13 / 24-25 / 27-28 / 31-32 % less time per iteration than 40-row calls
-# with histories, at -2 / +1 / +5 / +14 % peak RSS.
+# A sweep's lock-step block holds at most this many rows, which is the
+# tighter cap below n = 342.  The block stays full while the grid has rows
+# left, so a wider one takes fewer steps but holds more memory.  On the
+# benchmark's n = 100, 280-cell sweep (2-vCPU Xeon, BLAS threads 1), blocks
+# of 40 / 96 / 140 / 280 rows took 0.46-0.50 / 0.39-0.41 / 0.41 /
+# 0.42-0.45 s (min of 7 CPU times, two rounds) at 36.2 / 37.5 / 38.4 /
+# 41.8 MB peak RSS.  The 96-row block averages 75 live rows per step
+# (1 499 steps for 112 992 iterations); 96-row calls that each ran until
+# their slowest row finished averaged 42 (2 682 steps).
 _SWEEP_ROWS = 96
 
 
@@ -123,62 +135,62 @@ def run_quadratic_sweep(grid, progress=None):
     """Run every grid cell; returns SweepCells in deterministic grid order
     (setting, kappa, epsilon, seed, policy, outermost first).
 
-    The cells run, in grid order, as consecutive history-free lock-step
-    calls of kernels.raw_bb_loop; the grid has already checked epsilon,
-    max_iter and the policies.  A call holds at most 96 rows and at most
-    2^15 doubles per (rows x n) array, and may span several (setting,
-    kappa, epsilon) groups.  Every cell counts exactly what a solve_bb
-    call on it counts.  Each (setting, kappa, seed) instance is generated
-    once and freed when no waiting cell needs it.  A cell that hits the
+    The whole grid goes, in grid order, through one history-free
+    kernels.raw_bb_loop whose block holds at most 96 rows and at most
+    2^15 doubles per (rows x n) array; a row that finishes hands its slot
+    to the next cell, whatever its (setting, kappa, epsilon) group.  The
+    grid has already checked epsilon, max_iter and the policies.  Every
+    cell counts exactly what a solve_bb call on it counts.  Each (setting,
+    kappa, seed) instance is generated once, when its first cell takes a
+    slot, and freed once its last row has left.  A cell that hits the
     iteration cap is recorded at the cap with solved=False; a cell whose
     gradient turns nan or inf is recorded as nonfinite, and a cell whose
     instance fails to build as an error marker that takes no row, both
     without an iteration count; neither aborts the sweep.  progress, when
-    given, is called with each finished cell in grid order; the cells
-    waiting since the last call, error markers included, are passed on
-    when the next call ends.
+    given, is called with each cell in grid order as soon as it and every
+    cell before it have finished.
     """
     policies = {p: parse_policy(p) for p in grid.policies}
-    rows = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
-    cells = []
-    waiting = []  # (cell key, start) of every cell since the last call
-    block = []  # (instance, policy, x0, alpha0, epsilon) of each waiting row
+    width = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
+    cells = []  # a SweepCell, or the key of a cell still running
+    rows = []  # the cell of each row, by its place in the loop's rows
+    passed = 0  # cells handed to progress
 
-    def pass_on():
-        ends = iter(kernels.raw_bb_loop(*zip(*block), grid.max_iter, history=False)
-                    if block else ())
-        for (sid, kappa, eps, seed, pol), start in waiting:
-            if start[0] is None:  # the instance failed to build: start is the outcome
-                iterations, solved, status = start
-            else:
-                termination, iterations, _ = next(ends)
-                iterations, solved, status = _outcome(termination, iterations)
-            cell = SweepCell(
-                setting_id=sid, kappa=kappa, epsilon=eps, seed=seed, n=grid.n,
-                policy=pol, max_iter=grid.max_iter, iterations=iterations,
-                solved=solved, status=status,
-            )
-            cells.append(cell)
+    def finish(i, iterations, solved, status):
+        nonlocal passed
+        sid, kappa, eps, seed, pol = cells[i]
+        cells[i] = SweepCell(
+            setting_id=sid, kappa=kappa, epsilon=eps, seed=seed, n=grid.n,
+            policy=pol, max_iter=grid.max_iter, iterations=iterations,
+            solved=solved, status=status,
+        )
+        while passed < len(cells) and isinstance(cells[passed], SweepCell):
             if progress is not None:
-                progress(cell)
-        waiting.clear()
-        block.clear()
+                progress(cells[passed])
+            passed += 1
 
-    for sid, kappa in product(grid.setting_ids, grid.kappas):
-        starts = {}  # the last group's instances live on only in waiting cells
-        for eps, seed, pol in product(grid.epsilons, grid.seeds, grid.policies):
-            if seed not in starts:
-                try:
-                    starts[seed] = _bb_start(grid.n, sid, kappa, seed)
-                except StlsbbError as exc:
-                    starts[seed] = _error(exc)
-            inst, x0, alpha0 = start = starts[seed]
-            waiting.append(((sid, kappa, eps, seed, pol), start))
-            if inst is not None:
-                block.append((inst, policies[pol], x0, alpha0, eps))
-                if len(block) == rows:
-                    pass_on()
-    pass_on()
+    def row_ended(j, end):
+        termination, iterations, _ = end
+        finish(rows[j], *_outcome(termination, iterations))
+
+    def grid_rows():
+        for sid, kappa in product(grid.setting_ids, grid.kappas):
+            starts = {}  # the last group's instances live on only in the block
+            for eps, seed, pol in product(grid.epsilons, grid.seeds, grid.policies):
+                if seed not in starts:
+                    try:
+                        starts[seed] = _bb_start(grid.n, sid, kappa, seed)
+                    except StlsbbError as exc:
+                        starts[seed] = _error(exc)
+                cells.append((sid, kappa, eps, seed, pol))
+                inst, x0, alpha0 = start = starts[seed]
+                if inst is None:  # the instance failed to build: start is the outcome
+                    finish(len(cells) - 1, *start)
+                else:
+                    rows.append(len(cells) - 1)
+                    yield inst, policies[pol], x0, alpha0, eps, grid.max_iter
+
+    kernels.raw_bb_loop(grid_rows(), width, history=False, on_end=row_ended)
     return cells
 
 

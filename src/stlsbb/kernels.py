@@ -5,10 +5,11 @@ the raw (no line search) BB iteration for factored quadratics, in plain
 numpy.  policy_step is the one dispatch from a policy to its steplength
 formula and the only place that holds each rule's arithmetic; the family
 rules call family_step / family_prime_step and ATC calls atc_step.
-raw_bb_loop advances a block of runs in lock step: one Hessian product per
-step for the whole block, row dots through np.vecdot (which rounds like
-the 1-D dot), and a scalar policy_step call per row, so every row
-reproduces its run alone bit for bit.
+raw_bb_loop advances a block of runs in lock step, taking the next run
+into each slot a finished one frees: one Hessian product per step for the
+whole block, row dots through np.vecdot (which rounds like the 1-D dot),
+and a scalar policy_step call per row, so every row reproduces its run
+alone bit for bit.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -16,6 +17,7 @@ and harness.ExperimentGrid for the sweep, check what reaches raw_bb_loop.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -148,14 +150,18 @@ def hessian_apply(w1, w2, w3, v, x):
     return _householder_product(_row_dots, w1, w2, w3, v, x)
 
 
-# A block of rows, in raw_bb_loop's lock-step calls and in the line-search
-# solver's trial rounds, holds at most this many doubles (256 KiB) per
-# (rows x n) array, so a step works in cache.  On a 2 MiB L2 host, full
-# 20-row raw blocks at n = 1e4 ran 1.8x the time of one run per row, and
-# rows of 2^15 doubles matched it; at n <= 1e3 the whole block fits and
-# runs 2-5x faster.  A quadratic sweep also caps its calls at 96 rows
-# (harness), which is the tighter cap below n = 342.
+# A block of rows, in raw_bb_loop and in the line-search solver's trial
+# rounds, holds at most this many doubles (256 KiB) per (rows x n) array,
+# so a step works in cache.  On a 2 MiB L2 host, full 20-row raw blocks at
+# n = 1e4 ran 1.8x the time of one run per row, and rows of 2^15 doubles
+# matched it; at n <= 1e3 the whole block fits and runs 2-5x faster.  A
+# quadratic sweep also caps its block at 96 rows (harness), which is the
+# tighter cap below n = 342.
 _BLOCK_DOUBLES = 1 << 15
+
+# Overflow, inf - inf and a zero divisor end their row as nonfinite; numpy
+# warns of none of them inside the loop
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _block(arrays):
@@ -163,92 +169,136 @@ def _block(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def raw_bb_loop(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
-    """Raw BB gradient iteration on a block of QuadraticInstances, advanced
-    in lock step with one Hessian product per step for the whole block.
+def _termination(gn, tol):
+    return (NONFINITE if not math.isfinite(gn) else
+            GRADIENT_TOLERANCE if gn <= tol else ITERATION_CAP)
 
-    Row i runs policies[i] on insts[i] from x0[i] with the opening
-    steplength alpha0[i] and the relative tolerance eps_rel[i] (a scalar
-    eps_rel applies to every row); max_iter is shared.  Each row carries
-    its gradient by the recurrence g <- g - alpha * A g, and the secant
-    scalars for its next steplength are formed from g and A g: the pair is
-    (s, y) = (-alpha g, -alpha A g), and the shared alpha^2 factor cancels
-    in every steplength formula, so (g'g, g'Ag, Ag'Ag) are passed to a
-    scalar policy_step call per row.  A row stops when its
-    ||g|| is not finite, when ||g|| <= eps_rel[i] * ||g0||, or at the
-    iteration cap, and leaves the block.  Row dots are np.vecdot, which
-    rounds like the 1-D dot, so every row computes bit for bit what it
-    computes as a block of one, whatever the other rows' tolerances.
-    Overflow raises no warning: it ends its row as nonfinite.  x0 is not
-    modified.
 
-    Returns a list with, per row, (termination, f_hist, gnorm_hist,
-    alpha_hist, x): the histories are lists of floats whose entry k
-    describes iterate k, and alpha_hist[k] is the steplength taken from it
-    (nan on the terminal entry).  With history=False nothing is recorded
-    per step, f is never evaluated, and each row is (termination,
-    iterations, x) instead.
+def _policy_steps(policies, gg, agag, gag, alphas, ks):
+    # Python floats run the rules in about half the time of numpy scalars,
+    # but a zero divisor raises where float64 gives inf or nan: such a
+    # step is taken again on the float64 values, which round alike
+    try:
+        return [policy_step(p, ss, yy, sy, prev, k) for p, ss, yy, sy, prev, k
+                in zip(policies, gg.tolist(), agag.tolist(), gag.tolist(), alphas, ks)]
+    except ZeroDivisionError:
+        return [float(policy_step(p, ss, yy, sy, prev, k)) for p, ss, yy, sy, prev, k
+                in zip(policies, gg, agag, gag, alphas, ks)]
+
+
+def raw_bb_loop(rows, width, history=True, on_end=None):
+    """Raw BB gradient iteration on QuadraticInstances, at most width runs
+    at a time in lock step, with one Hessian product per step for all of
+    them.
+
+    rows is an iterable of (inst, policy, x0, alpha0, eps_rel, max_iter):
+    the run of policy on inst from x0 with the opening steplength alpha0,
+    stopping when ||g|| is not finite (nonfinite), when ||g|| <= eps_rel
+    ||g0||, or after max_iter >= 1 steps.  Rows are taken from it only when
+    a slot is free, so a lazy iterable is consumed as runs finish: when a
+    row leaves, the next one that takes a step fills its slot, and the
+    block shrinks only once the iterable runs dry.  Each row counts its own steps,
+    which are its ATC index and what its cap bounds.  A row starts from its
+    own 1-D product g0 = A x0 - b and carries its gradient by the
+    recurrence g <- g - alpha A g; the secant pair (s, y) = (-alpha g,
+    -alpha A g) has a common alpha^2 that cancels in every steplength
+    formula, so (g'g, Ag'Ag, g'Ag) go to one scalar policy_step call per
+    row.  Row dots are np.vecdot, which rounds like the 1-D dot, so every
+    row computes bit for bit what it computes alone, whatever its slot
+    and neighbours.  Overflow or a zero divisor raises no warning: it ends
+    its row as nonfinite.  x0 is not modified.
+
+    A row's result is (termination, f_hist, gnorm_hist, alpha_hist, x):
+    the histories are lists of floats whose entry k describes iterate k,
+    and alpha_hist[k] is the steplength taken from it (nan on the terminal
+    entry).  With history=False nothing is recorded per step, f is never
+    evaluated, and the result is (termination, iterations, x) instead.
+    With on_end, on_end(j, result) is called as row j (counted from 0 in
+    rows) leaves, outside the loop's np.errstate, and nothing is returned;
+    without it the results are returned as a list in the order of rows.
     """
-    w1, w2, w3, v, b = (
-        _block([getattr(inst, name) for inst in insts])
-        for name in ("w1", "w2", "w3", "eigenvalues", "linear")
-    )
-    x = np.array(x0, dtype=float)
-    alpha = np.array(alpha0, dtype=float)
-    live = list(range(len(insts)))  # the input row of each block row
-    policies = list(policies)
-    ends = [None] * len(live)  # (termination, iterations, x) per input row
-    if history:
-        hists = [([], [], []) for _ in live]  # (f, ||g||, alpha) lists per input row
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = hessian_apply(w1, w2, w3, v, x) - b
-        tol = np.array(eps_rel, dtype=float) * np.sqrt(np.vecdot(g, g))
+    source = enumerate(rows)
+    ends = {}
+    report = ends.__setitem__ if on_end is None else on_end
+
+    def leave(j, termination, k, x, hist):
+        if history:
+            hist[2][-1] = math.nan  # no step leaves it
+            report(j, (termination, *hist, x))
+        else:
+            report(j, (termination, k, x))
+
+    def take():
+        # the next row that takes a step, as its slot's values; rows that
+        # stop where they start leave here
+        for j, (inst, policy, x0, alpha0, eps_rel, cap) in source:
+            x0 = np.array(x0, dtype=float)
+            with np.errstate(**_QUIET):
+                g0 = hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x0) - inst.linear
+                gg0 = np.dot(g0, g0)
+                gn0 = float(np.sqrt(gg0))
+                tol = float(eps_rel * gn0)
+                f0 = float(0.5 * np.dot(x0, g0 - inst.linear)) if history else None
+            alpha0 = float(alpha0)
+            hist = ([f0], [gn0], [alpha0]) if history else None
+            if tol < gn0 < math.inf:
+                return j, policy, inst, x0, g0, gg0, alpha0, tol, cap, hist
+            leave(j, _termination(gn0, tol), 0, x0, hist)
+        return None
+
+    inf = math.inf
+    while slots := list(islice(iter(take, None), width)):
+        ids, policies, insts, xs, gs, ggs, alphas, tol, caps, hists = map(list, zip(*slots))
+        w1, w2, w3, v, b = (_block([getattr(inst, name) for inst in insts])
+                            for name in ("w1", "w2", "w3", "eigenvalues", "linear"))
+        x, g, gg = _block(xs), _block(gs), np.array(ggs)
+        ks = [0] * len(ids)
+        del slots, insts, xs, gs, ggs  # the block holds what it needs
         while True:
-            gg = np.vecdot(g, g)
-            gn = np.sqrt(gg)
-            if history:
-                f = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
-                for i, *entry in zip(live, f.tolist(), gn.tolist(), alpha.tolist()):
-                    for h, value in zip(hists[i], entry):
-                        h.append(value)
-            # a row goes on while eps_rel ||g0|| < ||g|| < inf (a nan ||g||
-            # fails both); Python floats test a few rows faster than ufuncs
-            go = [k < max_iter and t < r < math.inf
-                  for t, r in zip(tol.tolist(), gn.tolist())]
-            stopping = not all(go)
-            if stopping:
-                go = np.array(go)
-            if stopping:
-                done = np.flatnonzero(~go)
-                last = len(done) == len(live)
-                # rows leaving a block that goes on take copies of their x
-                for r, xr in zip(done, x if last else x[done]):
-                    termination = (NONFINITE if not math.isfinite(gn[r]) else
-                                   GRADIENT_TOLERANCE if gn[r] <= tol[r] else ITERATION_CAP)
-                    ends[live[r]] = termination, k, xr
+            with np.errstate(**_QUIET):
+                while True:
+                    ag = hessian_apply(w1, w2, w3, v, g)
+                    gag = np.vecdot(g, ag)
+                    agag = np.vecdot(ag, ag)
+                    step = np.array(alphas)[:, None]
+                    x -= step * g
+                    g -= step * ag
+                    # the policy's index counts its row's policy calls;
+                    # alpha0 comes from outside and is not one of them
+                    alphas = _policy_steps(policies, gg, agag, gag, alphas, ks)
+                    ks = [k + 1 for k in ks]
+                    gg = np.vecdot(g, g)
+                    gn = np.sqrt(gg).tolist()
                     if history:
-                        hists[live[r]][2][-1] = math.nan  # no step leaves it
-                if last:
-                    break
-                live = [i for i, on in zip(live, go) if on]
-                policies = [p for p, on in zip(policies, go) if on]
-                w1, w2, w3, v, b, x, g, gg, alpha, tol = (
-                    a[go] for a in (w1, w2, w3, v, b, x, g, gg, alpha, tol)
-                )
-            ag = hessian_apply(w1, w2, w3, v, g)
-            gag = np.vecdot(g, ag)
-            agag = np.vecdot(ag, ag)
-            step = alpha[:, None]
-            x -= step * g
-            g -= step * ag
-            # the policy's iteration index counts policy calls; alpha0 is
-            # supplied externally and is never produced by the policy
-            alpha = np.array([
-                policy_step(policy, ss, yy, sy, prev, k)
-                for policy, ss, yy, sy, prev in zip(policies, gg, agag, gag, alpha)
-            ])
-            k += 1
-    if not history:
-        return ends
-    return [(termination, *h, xr) for (termination, _, xr), h in zip(ends, hists)]
+                        f = 0.5 * np.vecdot(x, g - b)  # f = x'(Ax - 2b)/2, g = Ax - b
+                        for h, *entry in zip(hists, f.tolist(), gn, alphas):
+                            for column, value in zip(h, entry):
+                                column.append(value)
+                    # a row goes on while eps_rel ||g0|| < ||g|| < inf (a nan
+                    # ||g|| fails both); Python floats test a few rows faster
+                    # than ufuncs
+                    go = [k < cap and t < r < inf for k, cap, t, r in zip(ks, caps, tol, gn)]
+                    if not all(go):
+                        break
+            done = [r for r, on in enumerate(go) if not on]
+            whole = len(done) == len(go)
+            # rows leaving a block that goes on take copies of their x
+            for r, xr in zip(done, x if whole else x[done]):
+                leave(ids[r], _termination(gn[r], tol[r]), ks[r], xr, hists[r])
+            if whole:
+                break  # a block of one is a view of its instance: start anew
+            for r, slot in zip(done, iter(take, None)):
+                j, policy, inst, x0, g0, gg0, alpha0, t, cap, hist = slot
+                w1[r], w2[r], w3[r] = inst.w1, inst.w2, inst.w3
+                v[r], b[r], x[r], g[r], gg[r] = inst.eigenvalues, inst.linear, x0, g0, gg0
+                ids[r], policies[r], alphas[r], tol[r], caps[r], ks[r], hists[r] = (
+                    j, policy, alpha0, t, cap, 0, hist)
+                go[r] = True
+            slot = inst = None  # hold no instance past its rows
+            if not all(go):
+                keep = [r for r, on in enumerate(go) if on]
+                w1, w2, w3, v, b, x, g, gg = (a[keep] for a in (w1, w2, w3, v, b, x, g, gg))
+                ids, policies, alphas, tol, caps, ks, hists = (
+                    [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))
+    if on_end is None:
+        return [ends[j] for j in range(len(ends))]

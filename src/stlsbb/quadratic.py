@@ -305,7 +305,7 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     if cap < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
     ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
-        [inst], [policy], [x0], [a0], eps, cap
+        [(inst, policy, x0, a0, eps, cap)], 1
     )
     rows = [
         trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)

@@ -4,6 +4,7 @@ that goes through a local name instead of the module, would read as a
 crash or a silent zero in a traced benchmark run; this checks that every
 wrapped layer still records spans, nested where the benchmark expects."""
 
+import heapq
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -67,7 +68,7 @@ def test_trace_targets_reach_every_layer(perfbench):
 
 
 def test_traced_sweep_reaches_the_kernels(perfbench, monkeypatch):
-    # the sweep runs history-free calls; a path that bypassed the module
+    # the sweep runs one history-free loop; a path that bypassed the module
     # attributes would read as zeros in a traced sweep-small-n run
     spans, workloads = perfbench
     monkeypatch.setattr(harness, "_SWEEP_ROWS", 5)
@@ -83,17 +84,19 @@ def test_traced_sweep_reaches_the_kernels(perfbench, monkeypatch):
     def under(parent):
         return Counter(name for name, _, _, p in rows if p >= 0 and rows[p][0] == parent)
 
-    # four (setting, seed) instances, each with one Hessian product for its
-    # opening steplength; 16 rows in calls of 5, each taking one Hessian
-    # product per block step and one policy step per row step
+    # one loop on a 5-row block pulls the grid's 16 rows: four (setting,
+    # seed) instances, each with one Hessian product for its opening
+    # steplength, then one product per row for its g0 and one per block
+    # step, and one policy step per row step.  A row takes the first slot
+    # to free up, so the block steps until the last slot is done
     its = [c.iterations for c in cells]
-    assert under("harness.run_quadratic_sweep") == {
-        "quadratic.generate_instance": 4,
-        "kernels.hessian_apply": 4,
-        "kernels.raw_bb_loop": 4,
-    }
+    free = [0] * 5  # the step at which each slot frees up
+    for n in its:
+        heapq.heappush(free, heapq.heappop(free) + n)
+    assert under("harness.run_quadratic_sweep") == {"kernels.raw_bb_loop": 1}
     assert under("kernels.raw_bb_loop") == {
-        "kernels.hessian_apply": sum(max(its[i:i + 5]) + 1 for i in range(0, 16, 5)),
+        "quadratic.generate_instance": 4,
+        "kernels.hessian_apply": 4 + 16 + max(free),
         "kernels.policy_step": sum(its),
     }
 

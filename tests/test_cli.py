@@ -145,6 +145,24 @@ class TestQuad:
         assert "termination=nonfinite" in out
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("policy", ["bb1", "bb2", "gamma:1", "gammaPrime:1", "tau:0.5",
+                                        "atc:3"])
+    def test_underflowing_curvature_prints_no_warning(self, tmp_path, capsys, policy):
+        # A = 1e-310 I: ||Ag||^2 underflows to 0 and the first steplength
+        # divides by it
+        e1 = [1.0, 0.0, 0.0]
+        inst = QuadraticInstance(3, e1, e1, e1, [1e-310] * 3, [1.0, 2.0, 3.0])
+        path = tmp_path / "inst.json"
+        path.write_text(inst.to_json())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["quad", "--instance", str(path), "--policy", policy])
+        assert rc == 2
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert "iterations=2 termination=nonfinite" in out
+        assert err == ""
+
 
 class TestRosenbrock:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -197,6 +215,12 @@ class TestBench:
         _, path2 = self.run_bench(dir_b)
         capsys.readouterr()
         assert path1.read_text() == path2.read_text()
+
+    def test_repeated_grid_value_is_exit_2(self, tmp_path, capsys):
+        rc, path = self.run_bench(tmp_path, ["--seeds", "0,0", "--policies", "bb1,bb1,bb2"])
+        assert rc == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_empty_dimension_or_cap_is_exit_2(self, capsys):
         for flag in ("--n", "--max-iter"):

@@ -74,6 +74,23 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             ExperimentGrid(n=20, policies=("bb3",))
 
+    @pytest.mark.parametrize("axis", [
+        {"setting_ids": (1, 2, 1)},
+        {"kappas": (1e3, 1000)},
+        {"epsilons": (1e-4, 1e-6, 0.0001)},
+        {"seeds": (0, 0)},
+        {"policies": ("bb1", "BB1")},
+        {"policies": ("gamma:20", "bb2", "gamma:20.0")},
+    ])
+    def test_repeated_axis_value_rejected(self, axis):
+        with pytest.raises(InvalidParameterError, match="repeats"):
+            ExperimentGrid(n=20, **axis)
+
+    def test_close_policies_are_distinct(self):
+        # describe() rounds gamma to 6 digits; the runs still differ
+        grid = ExperimentGrid(n=20, policies=("gamma:1.0000001", "gamma:1.0000002"))
+        assert grid.cell_count() == 20
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -128,10 +145,10 @@ class TestSweep:
         return [(c.setting_id, c.kappa, c.epsilon, c.seed, c.policy, c.iterations, c.status)
                 for c in cells]
 
-    @pytest.mark.parametrize("block_doubles", [None, 150])
+    @pytest.mark.parametrize("block_doubles", [None, 30, 60, 150])
     def test_blocks_equal_cell_by_cell_solve_bb(self, monkeypatch, block_doubles):
-        # the grid's rows run as consecutive lock-step calls, with 150
-        # doubles as 5-row calls that straddle (setting, kappa) groups;
+        # the grid's rows run in one lock-step block, with 30 / 60 / 150
+        # doubles of 1 / 2 / 5 rows that straddle (setting, kappa) groups;
         # kappa=100 is invalid for setting 2, so those cells take no row
         # and every one is an error marker
         if block_doubles is not None:
@@ -146,40 +163,84 @@ class TestSweep:
         assert self.outcomes(cells) == self.cells_alone(grid)
         assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
 
-    # 72 rows: 48 on setting 1 and 24 on (2, 1e4); None leaves the
-    # 2^15-double cap (1092 rows at n = 30), so one call runs them all
-    @pytest.mark.parametrize("sweep_rows", [1, 5, 7, None])
+    @staticmethod
+    def watch_loop(monkeypatch, on_take=None, on_leave=None):
+        # wraps kernels.raw_bb_loop to record its widths, and to call
+        # on_take(j, row) as row j is taken and on_leave(j) as row j
+        # leaves, before its outcome is passed on
+        calls = []
+        original = kernels.raw_bb_loop
+
+        def watched(rows, width, history=True, on_end=None):
+            calls.append(width)
+            taken = {}  # the rows in the block: hold none that has left
+
+            def lazy():
+                for j, row in enumerate(rows):
+                    taken[j] = row
+                    if on_take is not None:
+                        on_take(j, row)
+                    yield row
+
+            def ended(j, result):
+                del taken[j]
+                if on_leave is not None:
+                    on_leave(j)
+                on_end(j, result)
+
+            return original(lazy(), width, history, ended)
+
+        monkeypatch.setattr(kernels, "raw_bb_loop", watched)
+        return calls
+
+    # 72 rows: 48 on setting 1 and 24 on (2, 1e4), in one block of at most
+    # sweep_rows rows; None keeps the 96-row cap, so the block starts with
+    # all 72
+    @pytest.mark.parametrize("sweep_rows", [1, 2, 5, 7, None])
     def test_calls_across_groups_equal_cell_by_cell_solve_bb(self, monkeypatch, sweep_rows):
         grid = ExperimentGrid(
             n=30, setting_ids=(1, 2), kappas=(100.0, 1e4), epsilons=(1e-6, 1e-3),
             seeds=(0, 1, 2), policies=("bb1", "bb2", "gamma:20", "atc:3"), max_iter=120,
         )
         want = self.cells_alone(grid)
-        if sweep_rows is not None:
-            monkeypatch.setattr(harness, "_SWEEP_ROWS", sweep_rows)
-        calls = []
-        original = kernels.raw_bb_loop
+        width = sweep_rows or harness._SWEEP_ROWS
+        monkeypatch.setattr(harness, "_SWEEP_ROWS", width)
+        live = {}  # the rows in the block, by their place in the loop's rows
+        shared = []  # the (setting, kappa, epsilon) of the rows in the block at each take
 
-        def recorded(insts, policies, x0, alpha0, eps_rel, max_iter, history=True):
-            calls.append([(inst.setting_id, inst.kappa, eps) for inst, eps in zip(insts, eps_rel)])
-            return original(insts, policies, x0, alpha0, eps_rel, max_iter, history)
+        def on_take(j, row):
+            live[j] = row
+            shared.append({(inst.setting_id, inst.kappa, eps)
+                           for inst, _, _, _, eps, _ in live.values()})
 
-        monkeypatch.setattr(kernels, "raw_bb_loop", recorded)
+        def on_leave(j):
+            del live[j]
+
+        calls = self.watch_loop(monkeypatch, on_take, on_leave)
+        steps = []
+        original = kernels.hessian_apply
+
+        def counted(w1, w2, w3, v, x):
+            if x.ndim == 2:
+                steps.append(len(x))
+            return original(w1, w2, w3, v, x)
+
+        monkeypatch.setattr(kernels, "hessian_apply", counted)
         seen = []
         cells = run_quadratic_sweep(grid, progress=seen.append)
+        assert calls == [width]
         assert seen == cells
         assert self.outcomes(cells) == want
         assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
-        sizes = [len(call) for call in calls]
-        assert sum(sizes) == 72
-        assert set(sizes[:-1]) <= {sweep_rows or 72}
-        if sweep_rows in (5, 7, None):
-            # some call mixes epsilons, and some mixes (setting, kappa) groups
-            assert any(len({eps for _, _, eps in call}) > 1 for call in calls)
-            assert any(len({(sid, kappa) for sid, kappa, _ in call}) > 1 for call in calls)
+        assert len(shared) == 72 and not live
+        assert max(steps, default=1) == min(width, 72)
+        if width > 1:
+            # the block mixes epsilons, and (setting, kappa) groups
+            assert any(len({eps for _, _, eps in keys}) > 1 for keys in shared)
+            assert any(len({key[:2] for key in keys}) > 1 for keys in shared)
 
     def test_instances_are_built_once_and_freed(self, monkeypatch):
-        monkeypatch.setattr(harness, "_SWEEP_ROWS", 4)
+        monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", 4 * 20)
         built = Counter()
         refs = {}
         original = quadratic.generate_instance
@@ -190,25 +251,71 @@ class TestSweep:
             refs[setting.setting_id, setting.kappa, seed] = weakref.ref(inst)
             return inst
 
+        def key(inst):
+            return inst.setting_id, inst.kappa, inst.seed
+
+        live = {}  # the keys of the rows in the block
+        checks = []  # (alive keys, keys of live rows, group of the last row taken)
+
+        def on_take(j, row):
+            live[j] = key(row[0])
+            last[:] = [live[j][:2]]
+
+        def on_leave(j):
+            del live[j]
+            alive = {k for k, ref in refs.items() if ref() is not None}
+            checks.append((alive, set(live.values()), last[0]))
+
+        last = []
         monkeypatch.setattr(quadratic, "generate_instance", counted)
+        self.watch_loop(monkeypatch, on_take, on_leave)
         grid = ExperimentGrid(
             n=20, setting_ids=(1, 2), kappas=(100.0, 1e4), epsilons=(1e-6, 1e-3),
             seeds=(0, 1, 2), policies=("bb1", "gamma:20"), max_iter=200,
         )
-        alive = []  # instances alive when the first (2, 1e4) cell is passed on
-
-        def progress(cell):
-            if not alive and (cell.setting_id, cell.kappa) == (2, 1e4):
-                alive.extend(key for key, ref in refs.items() if ref() is not None)
-
-        cells = run_quadratic_sweep(grid, progress=progress)
+        cells = run_quadratic_sweep(grid)
         assert len(cells) == grid.cell_count()
         keys = [(s, k, seed) for s in (1, 2) for k in (100.0, 1e4) for seed in (0, 1, 2)]
         assert built == Counter(keys)
-        # (2, 100) never builds; once (2, 1e4)'s first call has ended,
-        # setting 1's instances are gone
-        assert len(refs) == 9
-        assert alive and all(key[:2] == (2, 1e4) for key in alive)
+        assert len(refs) == 9  # (2, 100) never builds
+        # an instance outlives its last row only while the grid is still
+        # in its (setting, kappa) group
+        for alive, rows, group in checks:
+            assert all(k in rows or k[:2] == group for k in alive), (alive, rows, group)
+        assert any(k[:2] != group for alive, rows, group in checks for k in alive)
+        assert all(ref() is None for ref in refs.values())
+
+    def test_progress_follows_the_finished_prefix(self, monkeypatch):
+        # 5-row block, no error cells: row j is cell j
+        monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", 5 * 20)
+        grid = ExperimentGrid(n=20, setting_ids=(1, 3), kappas=(1e3,), epsilons=(1e-6, 1e-3),
+                              seeds=(0, 1), policies=("bb1", "atc:3", "gamma:20"),
+                              max_iter=300)
+        outside = np.geterr()
+        ended = []  # cells in the order their rows left
+        self.watch_loop(monkeypatch, on_leave=ended.append)
+        states = []
+        original = quadratic.generate_instance
+
+        def built(*args):
+            states.append(np.geterr())
+            return original(*args)
+
+        monkeypatch.setattr(quadratic, "generate_instance", built)
+        passed = []  # (cell, rows ended so far)
+
+        def progress(cell):
+            states.append(np.geterr())
+            passed.append((cell, len(ended)))
+
+        cells = run_quadratic_sweep(grid, progress=progress)
+        assert [cell for cell, _ in passed] == cells
+        assert states and all(state == outside for state in states)
+        # cell i is passed on as soon as cells 0..i have all left the block
+        left = {j: t for t, j in enumerate(ended, 1)}
+        want = [max(left[k] for k in range(i + 1)) for i in range(len(cells))]
+        assert [t for _, t in passed] == want
+        assert want[0] < len(cells)  # the first cell is passed on mid-sweep
 
     def test_csv_roundtrip(self, tiny):
         cells = run_quadratic_sweep(tiny)

@@ -16,6 +16,7 @@ from stlsbb import (
     alpha_family_prime,
     kernels,
     parse_policy,
+    quadratic,
 )
 from stlsbb.trace import NONFINITE
 
@@ -191,11 +192,18 @@ class TestRowDots:
             assert np.array_equal(np.vecdot(xs, ys), want)
 
 
+def raw_rows(insts, policies, x0, alpha0, eps, max_iter):
+    # one raw_bb_loop row per instance; a scalar eps or max_iter is every row's
+    eps = eps if np.ndim(eps) else [eps] * len(insts)
+    caps = max_iter if np.ndim(max_iter) else [max_iter] * len(insts)
+    return list(zip(insts, policies, x0, alpha0, eps, caps))
+
+
 class TestRawLoop:
     def run_tiny(self, rng, max_iter=500):
         inst = tiny_instance(rng)
-        (out,) = kernels.raw_bb_loop([inst], [SteplengthPolicy.long()], [np.ones(12)],
-                                     [0.01], 1e-10, max_iter)
+        (out,) = kernels.raw_bb_loop(
+            [(inst, SteplengthPolicy.long(), np.ones(12), 0.01, 1e-10, max_iter)], 1)
         return inst, out
 
     def test_histories_align(self, rng):
@@ -216,8 +224,8 @@ class TestRawLoop:
     def test_x0_is_not_modified(self, rng):
         insts = [tiny_instance(rng), tiny_instance(rng)]
         x0 = np.ones((2, 12))
-        kernels.raw_bb_loop(insts, [SteplengthPolicy.long()] * 2, x0, [0.01, 0.02],
-                            1e-10, 50)
+        kernels.raw_bb_loop(
+            raw_rows(insts, [SteplengthPolicy.long()] * 2, x0, [0.01, 0.02], 1e-10, 50), 2)
         assert np.all(x0 == 1.0)
 
     def test_identity_spectrum_finishes_in_two_steps(self):
@@ -229,7 +237,7 @@ class TestRawLoop:
         b = np.linspace(-1.0, 2.5, n)
         inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
         ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
-            [inst], [SteplengthPolicy.long()], [np.zeros(n)], [0.3], 1e-12, 50
+            [(inst, SteplengthPolicy.long(), np.zeros(n), 0.3, 1e-12, 50)], 1
         )
         assert termination == GRADIENT_TOLERANCE
         assert len(g_hist) == 3
@@ -269,14 +277,15 @@ class TestLockStep:
         # rows leave the block at different steps and must not disturb the
         # rows that go on
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        block = kernels.raw_bb_loop(insts, policies, x0, alpha0, 1e-8, 400)
+        block = kernels.raw_bb_loop(raw_rows(insts, policies, x0, alpha0, 1e-8, 400),
+                                    len(insts))
         terminations = [row[0] for row in block]
         assert terminations[:7] == [GRADIENT_TOLERANCE] * 7
         assert terminations[7:] == [ITERATION_CAP, NONFINITE]
         assert len({len(row[1]) for row in block}) > 5  # rows leave at many steps
         for i, row in enumerate(block):
-            (alone,) = kernels.raw_bb_loop([insts[i]], [policies[i]], x0[i:i + 1],
-                                           alpha0[i:i + 1], 1e-8, 400)
+            (alone,) = kernels.raw_bb_loop(
+                [(insts[i], policies[i], x0[i], alpha0[i], 1e-8, 400)], 1)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -286,20 +295,21 @@ class TestLockStep:
 
     def test_per_row_eps_equals_scalar_eps_alone(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        block = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400)
+        block = kernels.raw_bb_loop(
+            raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400), len(insts))
         assert {row[0] for row in block} == {GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE}
         for i, (row, eps) in enumerate(zip(block, self.EPSILONS)):
-            (alone,) = kernels.raw_bb_loop([insts[i]], [policies[i]], x0[i:i + 1],
-                                           alpha0[i:i + 1], eps, 400)
+            (alone,) = kernels.raw_bb_loop(
+                [(insts[i], policies[i], x0[i], alpha0[i], eps, 400)], 1)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_history_free_rows_equal_recorded_rows(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        recorded = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400)
-        bare = kernels.raw_bb_loop(insts, policies, x0, alpha0, self.EPSILONS, 400,
-                                   history=False)
+        rows = raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400)
+        recorded = kernels.raw_bb_loop(rows, len(rows))
+        bare = kernels.raw_bb_loop(rows, len(rows), history=False)
         assert [row[0] for row in bare][7:] == [ITERATION_CAP, NONFINITE]
         assert len({row[1] for row in bare}) > 5  # rows leave at many steps
         for (termination, f_hist, _, _, x), got in zip(recorded, bare):
@@ -312,6 +322,91 @@ class TestLockStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ((termination, *_),) = kernels.raw_bb_loop(
-                [inst], [SteplengthPolicy.long()], [np.full(30, 1e10)], [1.0], 1e-8, 50
+                [(inst, SteplengthPolicy.long(), np.full(30, 1e10), 1.0, 1e-8, 50)], 1
             )
         assert termination == NONFINITE
+
+
+class TestRefill:
+    """Rows taken from the iterable as slots free up: each must run as it
+    runs alone, whichever slot it lands in and whoever held it before."""
+
+    def rows(self, rng):
+        n = 30
+        # (instance, policy, eps, max_iter); row 0 overflows on its first
+        # step, row 1 caps at 5, row 9 overflows before its first step
+        spec = [
+            (tiny_instance(rng, n, 1e300), "gamma:1", 1e-8, 400),
+            (tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n)), "bb2", 1e-8, 5),
+            (tiny_instance(rng, n, 100), "bb1", 1e-12, 400),
+            (tiny_instance(rng, n, 300), "gamma:20", 1e-12, 400),
+            (tiny_instance(rng, n, 50), "tau:0.3", 1e-10, 400),
+            (tiny_instance(rng, n, 200), "atc:3", 1e-12, 400),
+            (tiny_instance(rng, n, 500), "gammaPrime:0.5", 1e-12, 7),
+            (tiny_instance(rng, n, 30), "atc:4", 1e-6, 400),
+            (tiny_instance(rng, n, 10), "bb2", 1e-4, 400),
+            (tiny_instance(rng, n, 1e300), "bb1", 1e-8, 400),
+            (tiny_instance(rng, n, 100), "gamma:1", 1e-8, 400),
+        ]
+        x0 = rng.uniform(-1.0, 1.0, (len(spec), n))
+        alpha0 = rng.uniform(1e-3, 1e-2, len(spec))
+        x0[0], alpha0[0] = 1e-160, 1.0
+        x0[9], alpha0[9] = 1e10, 1.0
+        return [(inst, parse_policy(pol), x, a, eps, cap)
+                for (inst, pol, eps, cap), x, a in zip(spec, x0, alpha0)]
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_every_row_runs_as_it_runs_alone(self, rng, width):
+        rows = self.rows(rng)
+        outside = np.geterr()
+        ended = []  # rows that have left, in order
+        taken = []  # (rows ended, errstate) as each row is taken
+        got = {}
+
+        def lazy():
+            for row in rows:
+                taken.append((set(ended), np.geterr()))
+                yield row
+
+        def on_end(j, result):
+            assert np.geterr() == outside
+            ended.append(j)
+            got[j] = result
+
+        assert kernels.raw_bb_loop(lazy(), width, on_end=on_end) is None
+        assert sorted(ended) == list(range(len(rows)))
+        assert all(errstate == outside for _, errstate in taken)
+        # the slots left by the nonfinite row, then by the capped row, are
+        # the first to be taken again
+        assert [before for before, _ in taken[:width]] == [set()] * width
+        assert taken[width][0] == {0} and taken[width + 1][0] == {0, 1}
+        if width > 1:
+            # row 5 (atc:3) joins rows already some steps in
+            before = taken[5][0]
+            assert before and not set(range(5)) <= before
+        for j, (inst, policy, x0, alpha0, eps, cap) in enumerate(rows):
+            termination, f_hist, g_hist, a_hist, x = got[j]
+            alone = quadratic.solve_bb(inst, policy, eps, cap, x0=x0, alpha0=alpha0)
+            assert termination == alone.termination
+            for hist, column in zip((f_hist, g_hist, a_hist), ("f", "grad_norm", "alpha")):
+                want = [getattr(r, column) for r in alone.rows]
+                assert np.array(hist).tobytes() == np.array(want).tobytes()
+            assert x.tobytes() == alone.final_x.tobytes()
+        terminations = [got[j][0] for j in range(len(rows))]
+        assert terminations[:2] == [NONFINITE, ITERATION_CAP]
+        assert terminations[6] == ITERATION_CAP and len(got[6][1]) == 8  # its own cap
+        assert terminations[9] == NONFINITE and len(got[9][1]) == 1
+        assert terminations.count(GRADIENT_TOLERANCE) == 7
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_history_free_rows_count_what_recorded_rows_count(self, rng, width):
+        rows = self.rows(rng)
+        recorded = kernels.raw_bb_loop(rows, width)
+        bare = kernels.raw_bb_loop(iter(rows), width, history=False)
+        for (termination, f_hist, _, _, x), got in zip(recorded, bare):
+            assert got[0] == termination
+            assert got[1] == len(f_hist) - 1
+            assert got[2].tobytes() == x.tobytes()
+
+    def test_empty_rows(self):
+        assert kernels.raw_bb_loop([], 3) == []

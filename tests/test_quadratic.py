@@ -1,6 +1,8 @@
 """Generated quadratic instances: spectra, factored Hessian products, and
 the raw BB solver on them."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -363,10 +365,31 @@ class TestSolveBB:
                 inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=100, alpha0=-1.0
             )
 
+    def test_underflowing_curvature_ends_nonfinite_without_warning(self, capsys):
+        # A = 1e-310 I: g'Ag is subnormal and ||Ag||^2 underflows to 0, so
+        # the first steplength divides by zero or overflows
+        e1 = np.array([1.0, 0.0, 0.0])
+        inst = QuadraticInstance(3, e1, e1, e1, [1e-310] * 3, [1.0, 2.0, 3.0])
+        policies = [parse_policy(d) for d in
+                    ("bb1", "bb2", "gamma:1", "gammaPrime:1", "tau:0.5", "atc:3")]
+        x0, a0 = bb_start(inst)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = [solve_bb(inst, policy, 1e-6, 100) for policy in policies]
+            block = kernels.raw_bb_loop(
+                [(inst, policy, x0, a0, 1e-6, 100) for policy in policies], len(policies))
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        for tr, (termination, f_hist, g_hist, a_hist, x) in zip(alone, block):
+            assert (tr.termination, tr.iterations) == (NONFINITE, 2)
+            assert termination == NONFINITE and len(g_hist) == 3
+            assert np.array(g_hist).tobytes() == tr.grad_norms().tobytes()
+            assert x.tobytes() == tr.final_x.tobytes()
+
     def test_block_checks_each_epsilon(self, inst):
         x0, a0 = bb_start(inst)
-        rows = ([inst] * 3, [SteplengthPolicy.long()] * 3, [x0] * 3, [a0] * 3)
-        runs = kernels.raw_bb_loop(*rows, [1e-6, 1e-2, 1e-4], 500, history=False)
+        rows = [(inst, SteplengthPolicy.long(), x0, a0, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
+        runs = kernels.raw_bb_loop(rows, 3, history=False)
         counts = [solve_bb(inst, SteplengthPolicy.long(), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
         assert [its for _, its, _ in runs] == counts
