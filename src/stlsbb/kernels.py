@@ -9,7 +9,8 @@ raw_bb_loop advances a block of runs in lock step, taking the next run
 into each slot a finished one frees: one Hessian product per step for the
 whole block, row dots through np.vecdot (which rounds like the 1-D dot),
 and a scalar policy_step call per row, so every row reproduces its run
-alone bit for bit.
+alone bit for bit.  The kernels never modify their inputs, and the arrays
+they return are fresh ones.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -119,13 +120,18 @@ def _row_dots(w, u):
 
 
 def _householder_product(dot, w1, w2, w3, v, x):
-    u = x - (2.0 * dot(w3, x)) * w3
-    u -= (2.0 * dot(w2, u)) * w2
-    u -= (2.0 * dot(w1, u)) * w1
+    # the result and one scratch block are all a call allocates: each
+    # reflection u - (2 w'u) w writes (2 w'u) w into the scratch and
+    # subtracts it in place, which rounds as the expression does
+    t = np.multiply(2.0 * dot(w3, x), w3)
+    u = np.subtract(x, t)
+    for w in (w2, w1):
+        np.multiply(2.0 * dot(w, u), w, t)
+        u -= t
     u *= v
-    u -= (2.0 * dot(w1, u)) * w1
-    u -= (2.0 * dot(w2, u)) * w2
-    u -= (2.0 * dot(w3, u)) * w3
+    for w in (w1, w2, w3):
+        np.multiply(2.0 * dot(w, u), w, t)
+        u -= t
     return u
 
 
@@ -138,7 +144,9 @@ def hessian_apply(w1, w2, w3, v, x):
     block of rows, each reflected by the same row of w1, w2, w3 and scaled
     by the same row of v, or by the same 1-D w1, w2, w3, v for every row;
     np.vecdot rounds each row dot exactly like the 1-D dot, so a row's
-    product equals the row's 1-D product bit for bit.
+    product equals the row's 1-D product bit for bit.  x is only read; the
+    result is a fresh array, and with one scratch block of its shape it
+    is all a call allocates.
     """
     if x.ndim == 1:
         return _householder_product(np.dot, w1, w2, w3, v, x)
@@ -147,7 +155,22 @@ def hessian_apply(w1, w2, w3, v, x):
         if w1.ndim == 2:
             w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
         return _householder_product(np.dot, w1, w2, w3, v, x[0])[None]
-    return _householder_product(_row_dots, w1, w2, w3, v, x)
+    if x.shape[1] < _WIDE_ROW:
+        return _householder_product(_row_dots, w1, w2, w3, v, x)
+    with np.errstate():  # which restores numpy's buffer size on exit
+        np.setbufsize(_WIDE_ROW)
+        return _householder_product(_row_dots, w1, w2, w3, v, x)
+
+
+# numpy's ufuncs copy broadcast operands, such as the (rows, 1) column of
+# row dots times a shared (n,) vector, through buffers of 8192 elements to
+# lengthen their inner loops.  On rows of a few hundred doubles or more
+# that copying costs more than the arithmetic: one (29, 1000) block
+# product took 600 us with it and 340 us without it on a 2-vCPU Xeon.
+# Buffers no longer than a row are never filled, so blocks of rows at
+# least this long run with buffers of this size.  The buffer size changes
+# how numpy schedules its loops, never a value.
+_WIDE_ROW = 256
 
 
 # A block of rows, in raw_bb_loop and in the line-search solver's trial
@@ -252,17 +275,26 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
         w1, w2, w3, v, b = (_block([getattr(inst, name) for inst in insts])
                             for name in ("w1", "w2", "w3", "eigenvalues", "linear"))
         x, g, gg = _block(xs), _block(gs), np.array(ggs)
+        spare = np.empty_like(x)
         ks = [0] * len(ids)
         del slots, insts, xs, gs, ggs  # the block holds what it needs
         while True:
             with np.errstate(**_QUIET):
+                if x.shape[1] >= _WIDE_ROW:
+                    np.setbufsize(_WIDE_ROW)  # until the errstate ends
                 while True:
                     ag = hessian_apply(w1, w2, w3, v, g)
                     gag = np.vecdot(g, ag)
                     agag = np.vecdot(ag, ag)
                     step = np.array(alphas)[:, None]
-                    x -= step * g
-                    g -= step * ag
+                    # x and g step in place, with the last step's product,
+                    # which nothing reads any more, holding step * g; it is
+                    # let go only once this step's product exists
+                    np.multiply(step, g, spare)
+                    x -= spare
+                    ag *= step
+                    g -= ag
+                    spare = ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them
                     alphas = _policy_steps(policies, gg, agag, gag, alphas, ks)
@@ -298,6 +330,7 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
             if not all(go):
                 keep = [r for r, on in enumerate(go) if on]
                 w1, w2, w3, v, b, x, g, gg = (a[keep] for a in (w1, w2, w3, v, b, x, g, gg))
+                spare = spare[:len(keep)]
                 ids, policies, alphas, tol, caps, ks, hists = (
                     [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))
     if on_end is None:

@@ -251,6 +251,8 @@ def as_objective(inst, name=None):
     Its eval_rows takes one block Hessian product for all rows, and row
     dots through np.vecdot, which rounds like the 1-D dot, so each row
     computes what it computes alone; eval is row 0 of the one-row block.
+    The gradient block is the product's own fresh array, with b taken
+    out in place once f has read it.
     """
 
     def eval_rows(xs):
@@ -260,7 +262,8 @@ def as_objective(inst, name=None):
             )
         ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
         f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
-        return f, ax - inst.linear
+        ax -= inst.linear
+        return f, ax
 
     label = name or f"quadratic-n{inst.dim}"
     return Objective(label, inst.dim, first_row_eval(eval_rows), x0=np.ones(inst.dim),

@@ -22,7 +22,7 @@ from .errors import (
     NonpositiveCurvatureError,
     ZeroGradientError,
 )
-from .steps import StepPair, next_steplength
+from .steps import SecantProducts, next_steplength
 from .trace import (
     GRADIENT_TOLERANCE,
     ITERATION_CAP,
@@ -221,8 +221,10 @@ def nonmonotone_accept(f_trial, f_max, beta, alpha, grad_sq):
     """Acceptance test: f_trial <= f_max - beta * alpha * grad_sq, where
     f_max is the nonmonotone window's max().
 
-    The same expression decides acceptance in run() and in audit_trace(),
-    so a replayed trace reproduces the decision bit for bit.
+    The same expression decides acceptance in run(), on the arrays of a
+    round's trial values and steplengths, and in audit_trace(), on one
+    trial's floats; numpy rounds each element as the scalar expression
+    does, so a replayed trace reproduces the decision bit for bit.
     """
     return f_trial <= f_max - beta * alpha * grad_sq
 
@@ -255,21 +257,46 @@ def initial_steplength(objective, x0):
     return a if f_probe < f0 else 0.25 * a
 
 
+def _norm(x):
+    # np.linalg.norm of a 1-D array is sqrt(x.dot(x)); this is the same
+    # bits without its dispatch
+    return math.sqrt(float(x.dot(x)))
+
+
 def _stopped(config, x, gn, gn0):
     if config.stop_rule == STOP_GRAD_ABS:
         return gn < config.epsilon
     if config.stop_rule == STOP_GRAD_REL:
         return gn <= config.epsilon * gn0
-    return float(np.linalg.norm(x - config.target)) <= config.epsilon
+    return _norm(x - config.target) <= config.epsilon
 
 
 def _rounds_of_one(objective):
     # eval_rows for an objective without one: each round is one eval call
     def eval_rows(xs):
         f, g = objective.eval(xs[0])
-        return [f], [g]
+        return np.array([float(f)]), [g]
 
     return eval_rows
+
+
+def _trial_rows(x, g, steps):
+    # the trial points x - a g of a scalar a or a column of them, in one
+    # buffer
+    xs = steps * g
+    np.subtract(x, xs, xs)
+    return xs
+
+
+def _passing(f_rows, f_max, beta, steps, grad_sq):
+    # nonmonotone_accept on a round's rows.  The threshold of the round's
+    # first (largest) step bounds every other one, so when it is finite no
+    # element overflows; otherwise numpy is kept from warning where the
+    # scalar expression quietly gives inf or nan
+    if f_max - beta * float(steps[0]) * grad_sq > -math.inf:
+        return nonmonotone_accept(f_rows, f_max, beta, steps, grad_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return nonmonotone_accept(f_rows, f_max, beta, steps, grad_sq)
 
 
 def run(objective, x0, config, policy):
@@ -316,7 +343,7 @@ def run(objective, x0, config, policy):
     f, g = objective.eval(x)
     f = float(f)
     g = np.asarray(g, dtype=float).reshape(-1)
-    gn0 = float(np.linalg.norm(g))
+    gn0 = _norm(g)
     if config.alpha0 is not None:
         alpha = config.alpha0
     elif gn0 == 0.0 or not math.isfinite(gn0):
@@ -331,8 +358,10 @@ def run(objective, x0, config, policy):
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     needed = 1  # trials the previous iteration needed
+    beta, sigma = config.beta, config.sigma
+    wide = objective.dim >= kernels._WIDE_ROW
+    gn = gn0
     while True:
-        gn = float(np.linalg.norm(g))
         if not (math.isfinite(f) and math.isfinite(gn)):
             termination = NONFINITE
             break
@@ -354,32 +383,38 @@ def run(objective, x0, config, policy):
             steps = []
             for _ in range(size):
                 steps.append(a_eff)
-                a_eff = backtrack(a_eff, config.sigma)
-            if size == 1:  # the outer product costs more than this for one row
-                xs = (x - steps[0] * g)[None]
+                a_eff = sigma * a_eff  # backtrack(a_eff, sigma)
+            steps = np.array(steps)
+            if size == 1:  # the broadcast costs more than this for one row
+                xs = _trial_rows(x, g, steps[0])[None]
+            elif wide:
+                with np.errstate():  # which restores numpy's buffer size on exit
+                    np.setbufsize(kernels._WIDE_ROW)
+                    xs = _trial_rows(x, g, steps[:, None])
             else:
-                xs = x - np.multiply.outer(steps, g)
+                xs = _trial_rows(x, g, steps[:, None])
             f_rows, g_rows = eval_rows(xs)
+            f_rows = np.asarray(f_rows, dtype=float)
+            passed = _passing(f_rows, f_max, beta, steps, grad_sq)
             # the first row that passes is taken; rows after it are discarded
-            for hit, a_trial in enumerate(steps):
-                f_trial = float(f_rows[hit])
-                if nonmonotone_accept(f_trial, f_max, config.beta, a_trial, grad_sq):
-                    break
-                finite_trial = finite_trial or f_trial < math.inf  # false for nan
-            else:  # no row of the round passed
-                first_round = tried == 0
-                tried += size
-                if tried <= config.backtrack_cap:
-                    # most iterations need only a trial or two more than the
-                    # last one, so the next round holds one trial, then doubles
-                    size = 1 if first_round else 2 * size
-                    continue
-                if finite_trial:
-                    raise LineSearchStallError(
-                        f"no acceptable step after {config.backtrack_cap} backtracks "
-                        f"at iterate {k}"
-                    )
-                termination = NONFINITE  # f was nan or +inf at every trial
+            hit = int(passed.argmax())
+            if passed[hit]:
+                break
+            # no row of the round passed
+            finite_trial = finite_trial or bool((f_rows < math.inf).any())  # false for nan
+            first_round = tried == 0
+            tried += size
+            if tried <= config.backtrack_cap:
+                # most iterations need only a trial or two more than the
+                # last one, so the next round holds one trial, then doubles
+                size = 1 if first_round else 2 * size
+                continue
+            if finite_trial:
+                raise LineSearchStallError(
+                    f"no acceptable step after {config.backtrack_cap} backtracks "
+                    f"at iterate {k}"
+                )
+            termination = NONFINITE  # f was nan or +inf at every trial
             break
         if termination == NONFINITE:
             break
@@ -391,13 +426,15 @@ def run(objective, x0, config, policy):
         )
         x_trial = xs[hit]
         g_trial = np.asarray(g_rows[hit], dtype=float).reshape(-1)
-        pair = StepPair(x_trial - x, g_trial - g)
+        s, y = x_trial - x, g_trial - g
         x = x_trial
-        f = f_trial
+        f = float(f_rows[hit])
         g = g_trial
+        gn = _norm(g)
         window.push(f)
         try:
-            alpha = prev = next_steplength(policy, pair, k, prev)
+            alpha = prev = next_steplength(
+                policy, SecantProducts(float(s @ s), float(y @ y), float(s @ y)), k, prev)
         except NonpositiveCurvatureError:
             # out of band on purpose: the next safeguard resets it to delta
             alpha, prev = math.inf, config.delta

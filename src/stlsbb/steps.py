@@ -16,6 +16,7 @@ alpha_family_prime and alpha_tls are that one call on the named rule.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,17 @@ class StepPair:
         object.__setattr__(self, "ss", float(s @ s))
         object.__setattr__(self, "yy", float(y @ y))
         object.__setattr__(self, "sy", float(s @ y))
+
+
+class SecantProducts(NamedTuple):
+    """The inner products ss = ||s||^2, yy = ||y||^2 and sy = s'y of a
+    secant pair, which is all next_steplength reads of a StepPair.  A loop
+    that has s and y at hand passes these rather than copy them into one.
+    """
+
+    ss: float
+    yy: float
+    sy: float
 
 
 def _as_float(value, name):
@@ -194,14 +206,21 @@ class SteplengthPolicy:
     def describe(self):
         """Stable textual form; parse_policy inverts it."""
         if self.kind == "gamma":
-            return f"gamma:{self.gamma:g}"
+            return f"gamma:{_number(self.gamma)}"
         if self.kind == "gamma_prime":
-            return f"gammaPrime:{self.gamma:g}"
+            return f"gammaPrime:{_number(self.gamma)}"
         if self.kind == "tau":
-            return f"tau:{self.tau:g}"
+            return f"tau:{_number(self.tau)}"
         if self.kind == "atc":
             return f"atc:{self.cycle}"
         return self.kind
+
+
+def _number(value):
+    # the short :g form where it reads back as the same float, and the
+    # shortest form that does (repr) where six digits would round it
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def parse_policy(text):
@@ -237,6 +256,7 @@ def parse_policy(text):
 def next_steplength(policy, pair, index=0, prev_alpha=None):
     """Steplength a policy gives on a secant pair, as a float.
 
+    pair is a StepPair or SecantProducts; only its ss, yy and sy are read.
     index and prev_alpha are ATC's state, carried by the calling loop:
     index counts the run's policy evaluations from 0 (the opening
     steplength is never the policy's), and prev_alpha is the last one.

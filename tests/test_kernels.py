@@ -170,6 +170,119 @@ class TestHouseholder:
             assert np.array_equal(got, kernels.hessian_apply(ws[0], ws[1], ws[2], v, x))
 
 
+def reference_product(w1, w2, w3, v, x):
+    # Q diag(v) Q' x written out: one vector at a time, a fresh array for
+    # every temporary.  The first dot reads x in its own layout, as the
+    # kernel does: a strided dot may round unlike one on a contiguous copy
+    u = x
+    for w in (w3, w2, w1):
+        u = u - (2.0 * np.dot(w, u)) * w
+    u = u * v
+    for w in (w1, w2, w3):
+        u = u - (2.0 * np.dot(w, u)) * w
+    return u
+
+
+def unit_rows(rng, shape):
+    u = rng.standard_normal(shape)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+class TestHessianApplyReference:
+    """hessian_apply against reference_product, bit for bit; it reads its
+    inputs only and returns a fresh array."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_vector(self, rng, n):
+        w1, w2, w3 = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        for x in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+            keep = x.copy()
+            got = kernels.hessian_apply(w1, w2, w3, v, x)
+            assert np.array_equal(got, reference_product(w1, w2, w3, v, x))
+            assert np.array_equal(x, keep)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("rows", [1, 3, 29])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
+    def test_block(self, rng, rows, shared, n):
+        # rows of 300 doubles run with kernels._WIDE_ROW ufunc buffers
+        if shared:
+            ws = unit_rows(rng, (3, n))
+            v = rng.uniform(1.0, 1e4, n)
+            row_args = [(*ws, v)] * rows
+        else:
+            ws = unit_rows(rng, (3, rows, n))
+            v = rng.uniform(1.0, 1e4, (rows, n))
+            row_args = list(zip(*ws, v))
+        xs = rng.standard_normal((rows, n))
+        keep = xs.copy()
+        got = kernels.hessian_apply(*ws, v, xs)
+        want = [reference_product(*args, x) for args, x in zip(row_args, xs)]
+        assert got.shape == (rows, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(xs, keep)
+
+    def test_read_only_and_strided_inputs(self, rng):
+        n = 25
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        big = rng.standard_normal((6, 2 * n))
+        big.setflags(write=False)
+        for x in (big[0, :n], big[0, ::2], big[:, ::2], big[::2, 1::2],
+                  np.asfortranarray(big[:, :n])):
+            got = kernels.hessian_apply(*ws, v, x)
+            want = (reference_product(*ws, v, x) if x.ndim == 1 else
+                    [reference_product(*ws, v, row) for row in x])
+            assert np.array_equal(got, want)
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_results_are_fresh_arrays(self, rng):
+        n = 30
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        for x in (rng.standard_normal(n), rng.standard_normal((1, n)),
+                  rng.standard_normal((4, n))):
+            first = kernels.hessian_apply(*ws, v, x)
+            keep = first.copy()
+            second = kernels.hessian_apply(*ws, v, 2.0 * x)
+            assert np.array_equal(first, keep)
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, x)
+
+    def test_wide_blocks_leave_numpy_settings_alone(self, rng):
+        # the buffer size of a wide block's product is scoped to the call;
+        # the caller's buffer size and error handling hold before and after
+        n = 2 * kernels._WIDE_ROW
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        xs = rng.standard_normal((4, n))
+        with np.errstate(over="ignore", divide="raise"):
+            np.setbufsize(4096)
+            before = np.geterr()
+            got = kernels.hessian_apply(*ws, v, xs)
+            assert (np.getbufsize(), np.geterr()) == (4096, before)
+        assert np.array_equal(got, [reference_product(*ws, v, x) for x in xs])
+
+    def test_eval_rows_gradients_are_fresh_arrays(self, rng):
+        inst = tiny_instance(rng, n=30)
+        eval_rows = quadratic.as_objective(inst).eval_rows
+        xs = rng.standard_normal((4, 30))
+        keep = xs.copy()
+        f1, g1 = eval_rows(xs)
+        g1_keep = g1.copy()
+        f2, g2 = eval_rows(xs)
+        assert np.array_equal(xs, keep)
+        assert np.array_equal(g1, g1_keep) and np.array_equal(g2, g1_keep)
+        assert np.array_equal(f1, f2)
+        for a, b in ((g1, xs), (g2, xs), (g1, g2), (g1, inst.linear)):
+            assert not np.shares_memory(a, b)
+        for x, f, g in zip(xs, f1, g1):
+            ax = reference_product(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
+            assert np.array_equal(g, ax - inst.linear)
+            assert f == 0.5 * np.dot(x, ax) - np.dot(x, inst.linear)
+
+
 def tiny_instance(rng, n=12, kappa=100.0, v=None):
     ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
     v = np.sort(rng.uniform(1.0, kappa, n)) if v is None else v

@@ -108,6 +108,29 @@ class TestNonmonotoneWindow:
         assert nonmonotone_accept(4.9, w.max(), 0.1, 0.5, 2.0)
         assert not nonmonotone_accept(4.900001, w.max(), 0.1, 0.5, 2.0)
 
+    @pytest.mark.parametrize("grad_sq", [3.7, 1e307, 1e308, math.inf])
+    @pytest.mark.parametrize("f_max", [2.5, -1.5e308])
+    def test_accept_on_arrays_equals_scalar_calls(self, rng, grad_sq, f_max):
+        # run() decides a round on arrays, audit_trace() one trial on
+        # floats; the two must agree element by element, also where the
+        # threshold overflows (1e307 with -1.5e308, and 1e308)
+        beta = 0.1
+        steps = [70.0]
+        for _ in range(23):
+            steps.append(backtrack(steps[-1], 0.8))
+        ties = [f_max - beta * a * grad_sq for a in steps]
+        f = [t + d for t in ties for d in (0.0, rng.standard_normal())]
+        f += [math.nextafter(t, math.inf) for t in ties[:4]]
+        f += [math.nextafter(t, -math.inf) for t in ties[4:8]]
+        f += [math.nan, math.inf, -math.inf] * 4
+        alphas = (steps * 4)[:len(f)]
+        want = [nonmonotone_accept(fi, f_max, beta, a, grad_sq) for fi, a in zip(f, alphas)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nonmonotone_accept(np.array(f), f_max, beta, np.array(alphas), grad_sq)
+        assert got.dtype == bool
+        assert got.tolist() == want
+        assert any(want) and not all(want)
+
 
 class TestSolverConfig:
     def test_defaults_match_documented_values(self):
@@ -666,3 +689,84 @@ class TestRounds:
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, max_iter=300), SteplengthPolicy.short())
         assert any(r.backtracks for r in tr.rows)
         assert len(calls) == 3 + sum(r.fevals for r in tr.rows)
+
+    @staticmethod
+    def spiky(bad, rounds):
+        # f = (x1^2 + 30 x2^2) / 2, but bad at every point whose first
+        # coordinate's bit pattern is 1 mod 5, which scatters bad rows over
+        # the rounds; rounds records which rows of each block were bad
+        v = np.array([1.0, 30.0])
+
+        def f_at(x):
+            if int(np.float64(x[0]).view(np.uint64)) % 5 == 1:
+                return bad
+            return 0.5 * float(x @ (v * x))
+
+        def eval_(x):
+            return f_at(x), v * x
+
+        def eval_rows(xs):
+            f = [f_at(x) for x in xs]
+            rounds.append([i for i, fi in enumerate(f) if not math.isfinite(fi)])
+            return np.array(f), v * xs
+
+        return Objective("spiky", 2, eval_, x0=[1.0, 1.0], eval_rows=eval_rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rows_inside_rounds(self, bad):
+        # trial rows whose f is nan or +inf fail the test and the search
+        # goes on past them; a -inf row passes and the run ends nonfinite at
+        # it.  Rounds decide on arrays exactly as trials one by one do
+        rounds = []
+        obj = self.spiky(bad, rounds)
+        cfg = SolverConfig(epsilon=1e-8, alpha0=50.0, max_iter=300)
+        got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        assert got.to_json() == want.to_json()
+        assert audit_trace(got) == []
+        # some round holds a bad row after its first row
+        assert any(i > 0 for bad_rows in rounds for i in bad_rows)
+        if bad == -math.inf:
+            assert got.termination == NONFINITE and got.rows[-1].f == -math.inf
+        else:
+            assert got.solved and any(r.backtracks > 1 for r in got.rows)
+
+    def test_overflowing_threshold_decides_quietly(self):
+        # g = 1e154 makes ||g||^2 = 1e308, so beta alpha ||g||^2 overflows
+        # at the opening alpha = 100; the scalar test gives -inf there
+        # without a word, and so must the round.  f = c x is nan past
+        # x = -1.5 c, so the trials at 100 and 10 fail and 1 passes
+        c = 1e154
+
+        def f_at(x):  # Python floats, which overflow without a warning
+            return c * x if x >= -1.5 * c else math.nan
+
+        def eval_(x):
+            return f_at(float(x[0])), np.array([c])
+
+        def eval_rows(xs):
+            return np.array([f_at(x) for x in xs[:, 0].tolist()]), np.full((len(xs), 1), c)
+
+        obj = Objective("steep-line", 1, eval_, x0=[0.0], eval_rows=eval_rows)
+        cfg = SolverConfig(alpha0=100.0, eta=1e-10, delta=1.0, sigma=0.1, max_iter=1)
+        assert math.isinf(cfg.beta * cfg.alpha0 * c * c)
+        got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        assert got.to_json() == want.to_json()
+        assert got.rows[0].backtracks == 2 and got.final_x[0] == -c
+
+    def test_wide_rounds_leave_numpy_settings_alone(self):
+        # rounds on rows of kernels._WIDE_ROW doubles or more are built with
+        # small ufunc buffers, scoped to the round; they decide as rounds of
+        # one do, and the caller's buffer size and error handling hold
+        inst = generate_instance(kernels._WIDE_ROW, SpectrumSetting(1, 1e4), seed=1)
+        obj = as_objective(inst)
+        cfg = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=60)
+        with np.errstate(divide="raise"):
+            np.setbufsize(4096)
+            before = np.geterr()
+            got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
+            assert (np.getbufsize(), np.geterr()) == (4096, before)
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        assert got.to_json() == want.to_json()
+        assert any(r.backtracks > 1 for r in got.rows)

@@ -228,6 +228,27 @@ class TestPolicy:
             assert again.tau == pol.tau
             assert again.cycle == pol.cycle
 
+    def test_describe_parses_back_to_the_same_float(self, rng):
+        # six significant digits would name a different gamma or tau, so
+        # such values take their shortest round-trip form
+        assert SteplengthPolicy.family(1.0000001).describe() == "gamma:1.0000001"
+        assert parse_policy("gamma:1.0000001").describe() == "gamma:1.0000001"
+        gammas = np.concatenate([10.0 ** rng.uniform(-300, 300, 200),
+                                 rng.uniform(0.0, 30.0, 200),
+                                 [1.0, 1.5, 20.0, 0.5, 5e-324, 1.7976931348623157e308]])
+        taus = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 0.3, 1.0, 1.0 - 2.0**-53]])
+        policies = ([SteplengthPolicy.family(g) for g in gammas]
+                    + [SteplengthPolicy.family_prime(g) for g in gammas]
+                    + [SteplengthPolicy.convex(t) for t in taus])
+        for pol in policies:
+            assert parse_policy(pol.describe()) == pol, pol.describe()
+
+    def test_short_descriptors_keep_their_form(self):
+        # the forms the golden sweeps and traces were recorded with
+        for text in ("bb1", "bb2", "gamma:1", "gamma:1.5", "gamma:20", "gammaPrime:0.5",
+                     "tau:0.3", "atc:3", "atc:10"):
+            assert parse_policy(text).describe() == text
+
     def test_parse_case_insensitive(self):
         assert parse_policy("BB1").kind == "bb1"
         assert parse_policy("Gamma:2").gamma == 2.0
