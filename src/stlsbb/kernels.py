@@ -120,18 +120,13 @@ def _row_dots(w, u):
 
 
 def _householder_product(dot, w1, w2, w3, v, x):
-    # the result and one scratch block are all a call allocates: each
-    # reflection u - (2 w'u) w writes (2 w'u) w into the scratch and
-    # subtracts it in place, which rounds as the expression does
-    t = np.multiply(2.0 * dot(w3, x), w3)
-    u = np.subtract(x, t)
-    for w in (w2, w1):
-        np.multiply(2.0 * dot(w, u), w, t)
-        u -= t
+    u = x - (2.0 * dot(w3, x)) * w3
+    u -= (2.0 * dot(w2, u)) * w2
+    u -= (2.0 * dot(w1, u)) * w1
     u *= v
-    for w in (w1, w2, w3):
-        np.multiply(2.0 * dot(w, u), w, t)
-        u -= t
+    u -= (2.0 * dot(w1, u)) * w1
+    u -= (2.0 * dot(w2, u)) * w2
+    u -= (2.0 * dot(w3, u)) * w3
     return u
 
 
@@ -144,9 +139,8 @@ def hessian_apply(w1, w2, w3, v, x):
     block of rows, each reflected by the same row of w1, w2, w3 and scaled
     by the same row of v, or by the same 1-D w1, w2, w3, v for every row;
     np.vecdot rounds each row dot exactly like the 1-D dot, so a row's
-    product equals the row's 1-D product bit for bit.  x is only read; the
-    result is a fresh array, and with one scratch block of its shape it
-    is all a call allocates.
+    product equals the row's 1-D product bit for bit.  x is only read, and
+    the result is a fresh array.
     """
     if x.ndim == 1:
         return _householder_product(np.dot, w1, w2, w3, v, x)
@@ -155,21 +149,48 @@ def hessian_apply(w1, w2, w3, v, x):
         if w1.ndim == 2:
             w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
         return _householder_product(np.dot, w1, w2, w3, v, x[0])[None]
-    if x.shape[1] < _WIDE_ROW:
-        return _householder_product(_row_dots, w1, w2, w3, v, x)
+    return _with_row_buffers(x.shape[1], _householder_product, _row_dots, w1, w2, w3, v, x)
+
+
+def _step_rows(x, g, a):
+    # x - a g in one buffer, for a scalar a or a column of them
+    xs = a * g
+    np.subtract(x, xs, xs)
+    return xs
+
+
+def trial_rows(x, g, steps):
+    """The block of trial points x - a g, one row for each steplength a in
+    the 1-D array steps; each row rounds as x - a * g does alone.
+    """
+    if len(steps) == 1:  # a scalar step costs less than the broadcast
+        return _step_rows(x, g, steps[0])[None]
+    return _with_row_buffers(len(x), _step_rows, x, g, steps[:, None])
+
+
+def _with_row_buffers(n, f, *args):
+    # f(*args) on a block of rows of n doubles.  numpy's ufuncs copy
+    # broadcast operands, such as a (rows, 1) column of row dots or
+    # steplengths against an (n,) or (rows, n) block, through buffers of
+    # 8192 elements to lengthen their inner loops; on rows of a few hundred
+    # doubles that copying costs more than the arithmetic, and rows at
+    # least _WIDE_ROW long run with buffers of that size instead.  Measured
+    # on a 2-vCPU Xeon (numpy 2.4, medians of 11 to 15 alternating runs,
+    # the cost of setting the size included): a block product with per-row
+    # w took 0.76x the time at (rows, n) = (96, 160), 0.73x at (96, 256)
+    # and 0.84x at (32, 1000), but 1.21x at (96, 100), the quadratic
+    # sweep's blocks, and 1.20x at (96, 128); with shared w, 0.6x at
+    # (29, 1000), the line search's blocks; blocks of four rows lost up to
+    # 1.16x below n = 256.  With the small buffers on every block the n =
+    # 100 sweep benchmark ran 1.08x slower end to end.  The buffer size
+    # changes how these elementwise loops run, never a value.
+    if n < _WIDE_ROW:
+        return f(*args)
     with np.errstate():  # which restores numpy's buffer size on exit
         np.setbufsize(_WIDE_ROW)
-        return _householder_product(_row_dots, w1, w2, w3, v, x)
+        return f(*args)
 
 
-# numpy's ufuncs copy broadcast operands, such as the (rows, 1) column of
-# row dots times a shared (n,) vector, through buffers of 8192 elements to
-# lengthen their inner loops.  On rows of a few hundred doubles or more
-# that copying costs more than the arithmetic: one (29, 1000) block
-# product took 600 us with it and 340 us without it on a 2-vCPU Xeon.
-# Buffers no longer than a row are never filled, so blocks of rows at
-# least this long run with buffers of this size.  The buffer size changes
-# how numpy schedules its loops, never a value.
 _WIDE_ROW = 256
 
 
@@ -275,26 +296,17 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
         w1, w2, w3, v, b = (_block([getattr(inst, name) for inst in insts])
                             for name in ("w1", "w2", "w3", "eigenvalues", "linear"))
         x, g, gg = _block(xs), _block(gs), np.array(ggs)
-        spare = np.empty_like(x)
         ks = [0] * len(ids)
         del slots, insts, xs, gs, ggs  # the block holds what it needs
         while True:
             with np.errstate(**_QUIET):
-                if x.shape[1] >= _WIDE_ROW:
-                    np.setbufsize(_WIDE_ROW)  # until the errstate ends
                 while True:
                     ag = hessian_apply(w1, w2, w3, v, g)
                     gag = np.vecdot(g, ag)
                     agag = np.vecdot(ag, ag)
                     step = np.array(alphas)[:, None]
-                    # x and g step in place, with the last step's product,
-                    # which nothing reads any more, holding step * g; it is
-                    # let go only once this step's product exists
-                    np.multiply(step, g, spare)
-                    x -= spare
-                    ag *= step
-                    g -= ag
-                    spare = ag
+                    x -= step * g
+                    g -= step * ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them
                     alphas = _policy_steps(policies, gg, agag, gag, alphas, ks)
@@ -330,7 +342,6 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
             if not all(go):
                 keep = [r for r, on in enumerate(go) if on]
                 w1, w2, w3, v, b, x, g, gg = (a[keep] for a in (w1, w2, w3, v, b, x, g, gg))
-                spare = spare[:len(keep)]
                 ids, policies, alphas, tol, caps, ks, hists = (
                     [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))
     if on_end is None:

@@ -280,14 +280,6 @@ def _rounds_of_one(objective):
     return eval_rows
 
 
-def _trial_rows(x, g, steps):
-    # the trial points x - a g of a scalar a or a column of them, in one
-    # buffer
-    xs = steps * g
-    np.subtract(x, xs, xs)
-    return xs
-
-
 def _passing(f_rows, f_max, beta, steps, grad_sq):
     # nonmonotone_accept on a round's rows.  The threshold of the round's
     # first (largest) step bounds every other one, so when it is finite no
@@ -343,6 +335,8 @@ def run(objective, x0, config, policy):
     f, g = objective.eval(x)
     f = float(f)
     g = np.asarray(g, dtype=float).reshape(-1)
+    if g.size != objective.dim:
+        raise DimensionMismatchError(f"gradient has length {g.size}, expected {objective.dim}")
     gn0 = _norm(g)
     if config.alpha0 is not None:
         alpha = config.alpha0
@@ -359,7 +353,6 @@ def run(objective, x0, config, policy):
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     needed = 1  # trials the previous iteration needed
     beta, sigma = config.beta, config.sigma
-    wide = objective.dim >= kernels._WIDE_ROW
     gn = gn0
     while True:
         if not (math.isfinite(f) and math.isfinite(gn)):
@@ -383,16 +376,9 @@ def run(objective, x0, config, policy):
             steps = []
             for _ in range(size):
                 steps.append(a_eff)
-                a_eff = sigma * a_eff  # backtrack(a_eff, sigma)
+                a_eff = backtrack(a_eff, sigma)
             steps = np.array(steps)
-            if size == 1:  # the broadcast costs more than this for one row
-                xs = _trial_rows(x, g, steps[0])[None]
-            elif wide:
-                with np.errstate():  # which restores numpy's buffer size on exit
-                    np.setbufsize(kernels._WIDE_ROW)
-                    xs = _trial_rows(x, g, steps[:, None])
-            else:
-                xs = _trial_rows(x, g, steps[:, None])
+            xs = kernels.trial_rows(x, g, steps)
             f_rows, g_rows = eval_rows(xs)
             f_rows = np.asarray(f_rows, dtype=float)
             passed = _passing(f_rows, f_max, beta, steps, grad_sq)

@@ -283,6 +283,28 @@ class TestHessianApplyReference:
             assert f == 0.5 * np.dot(x, ax) - np.dot(x, inst.linear)
 
 
+class TestTrialRows:
+    @pytest.mark.parametrize("n", [2, 100, 2 * kernels._WIDE_ROW])
+    @pytest.mark.parametrize("rows", [1, 2, 29])
+    def test_rows_round_as_each_step_alone(self, rng, rows, n):
+        x, g = rng.standard_normal((2, n))
+        steps = rng.uniform(1e-3, 1e3, rows)
+        keep = x.copy(), g.copy()
+        got = kernels.trial_rows(x, g, steps)
+        assert got.shape == (rows, n)
+        assert np.array_equal(got, [x - a * g for a in steps])
+        assert np.array_equal(x, keep[0]) and np.array_equal(g, keep[1])
+
+    def test_wide_rows_leave_numpy_settings_alone(self, rng):
+        n = 2 * kernels._WIDE_ROW
+        x, g = rng.standard_normal((2, n))
+        with np.errstate(over="ignore", divide="raise"):
+            np.setbufsize(4096)
+            before = np.geterr()
+            kernels.trial_rows(x, g, np.array([1.0, 0.5, 0.25]))
+            assert (np.getbufsize(), np.geterr()) == (4096, before)
+
+
 def tiny_instance(rng, n=12, kappa=100.0, v=None):
     ws = [u / np.linalg.norm(u) for u in rng.standard_normal((3, n))]
     v = np.sort(rng.uniform(1.0, kappa, n)) if v is None else v

@@ -283,6 +283,15 @@ class TestRunLoop:
             with pytest.raises(DimensionMismatchError):
                 run(obj, obj.x0, cfg, SteplengthPolicy.long())
 
+    def test_gradient_of_the_wrong_length(self):
+        # a user objective whose gradient is shorter than its dim is
+        # named at the start point, before any secant pair is formed
+        for g in ([1.0], [1.0, 2.0, 3.0, 4.0]):
+            obj = Objective("short-gradient", 3,
+                            lambda x, g=np.array(g): (float(x @ x), g), x0=np.ones(3))
+            with pytest.raises(DimensionMismatchError, match="gradient has length"):
+                run(obj, obj.x0, SolverConfig(), SteplengthPolicy.long())
+
     def test_fixed_alpha0_recorded(self):
         obj = sphere()
         cfg = SolverConfig(alpha0=0.25)
