@@ -1,7 +1,9 @@
 """Golden outputs: sha256 digests of small sweeps' CSVs and of run traces.
 
 Refactors must keep these bytes: sweep cells, averages and profile CSVs,
-and the JSON of raw BB, gbb-quadratic and Rosenbrock traces.  The digests
+a sweep's JSON, the Rosenbrock table's CSV and text, the profile of a
+cost-matrix CSV, and the JSON of raw BB, gbb-quadratic and Rosenbrock
+traces.  The digests
 were recorded with numpy 2.4.6 on Python 3.11.7 (x86-64); another numpy
 or libm may round some runs differently, so a mismatch on another
 platform is a question to check, not proof of a regression.
@@ -21,7 +23,7 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _sweep_outputs(grid, profile=True):
+def _sweep_outputs(grid, profile=True, json=False):
     cells = harness.run_quadratic_sweep(grid)
     out = {
         "cells": harness.sweep_to_csv(cells),
@@ -29,7 +31,21 @@ def _sweep_outputs(grid, profile=True):
     }
     if profile:
         out["profile"] = harness.profile_from_cells(cells).to_csv()
+    if json:
+        out["json"] = harness.sweep_to_json(cells)
     return out
+
+
+# what `stlsbb profile --costs` reads: a comment, failures spelt every
+# accepted way, and a row whose only finite cost ties two solvers
+COST_MATRIX = """# iterations per problem
+problem,bb1,bb2,gamma:1
+p0,10,12,fail
+p1,inf,30,20
+p2,5,,5
+p3,7,--,NaN
+p4,40,25.5,50
+"""
 
 
 def golden_outputs():
@@ -39,7 +55,7 @@ def golden_outputs():
     grid = harness.ExperimentGrid(n=30, setting_ids=(1, 2), kappas=(1e3, 1e4),
                                   epsilons=(1e-4, 1e-8), seeds=(0, 1, 2),
                                   policies=POLICIES, max_iter=2000)
-    out.update({f"sweep30-{k}": v for k, v in _sweep_outputs(grid).items()})
+    out.update({f"sweep30-{k}": v for k, v in _sweep_outputs(grid, json=True).items()})
     # n = 2000: 16-row calls, the second one starting inside a group
     grid = harness.ExperimentGrid(n=2000, kappas=(1e3,), epsilons=(1e-4, 1e-6),
                                   seeds=(0, 1, 2),
@@ -59,6 +75,11 @@ def golden_outputs():
         mp.setattr(kernels, "_BLOCK_DOUBLES", 5 * 30)
         out.update({f"sweep-width5-{k}": v
                     for k, v in _sweep_outputs(grid, profile=False).items()})
+
+    out["costs-profile"] = harness.profile_from_matrix_csv(COST_MATRIX).to_csv()
+    table = harness.run_rosenbrock_table()
+    out["rosenbrock-table-csv"] = table.to_csv()
+    out["rosenbrock-table-render"] = table.render()
 
     inst = quadratic.generate_instance(100, quadratic.SpectrumSetting(3, 1e4), 5)
     for pol in POLICIES:
@@ -92,6 +113,7 @@ def golden_outputs():
 
 
 GOLDEN = {
+    "costs-profile": "9a3f772dda5af01f0d36f56b223b29e9fbd52533398652e6c604cf2959639b24",
     "gbb-quad-0.001-atc:3": "56fb634cbbad61de60815698a5c16034e0b0b089592952d90a303d39e8509b10",
     "gbb-quad-0.001-bb1": "1e54abb0a56638a63006229bcb8eb32c887b1b66c8b9187caa87f36d5b649a72",
     "gbb-quad-0.001-bb2": "a3175ebf02b7d724ea114fc51b129259c8bad763e86cc3d7a248d19fca25674d",
@@ -115,6 +137,8 @@ GOLDEN = {
     "rosenbrock-gamma:1.5": "b02006a6ec7bafa91768be7466adba4febe6cc06e0f956f56bd0c17bfe4b4439",
     "rosenbrock-plain": "b671631d998c48b9d60cf09289693fffd39548dddc964f6f5e68877e68984877",
     "rosenbrock-probe": "859093e7f3a083b1116f43b722d4195af36ed49d5f759408528f04f2c7fbc6a9",
+    "rosenbrock-table-csv": "c7d772d59fbe243502e54e83e336e2a6b5945a457c6e2fe93579bb99ae785c2d",
+    "rosenbrock-table-render": "4979308bdd9d61126fee0caa665d67704d4cc2d1659defbea5f682b54dc25ed7",
     "rosenbrock-tau:0.5": "c2ead4bc8cc3ce24c145bce307f2bbcfea726240d386d7ae2f5bf2797425633e",
     "sweep-errors-averages": "52b12f7a7014b79066f91d653ddce1b2db49677acd7c7baabc13447ee452350f",
     "sweep-errors-cells": "9e078f415203dd58e1a06022ea23571679377cfe8041d0deccd475452049c5ca",
@@ -125,6 +149,7 @@ GOLDEN = {
     "sweep2000-profile": "235b36cfc858e44637742f51dd1113d0dd1c6d9c216ccd057241640db926192a",
     "sweep30-averages": "298377f2d96d69165b6f27e46f07b39ca32f5f0b6408bd79d0eafd57fe2fc427",
     "sweep30-cells": "e8d68947308424a5b46e332838adeebcfd3390a37a7e8b49522213288c50b320",
+    "sweep30-json": "9026a06dd99eab1bad47e86d1b7036f8be3e91262dad82578756010fd76c5c6f",
     "sweep30-profile": "482832afdb2d38e58557689ec81d2ba6633585e5d7186c3cb36f2a51fa82f1c9",
 }
 
