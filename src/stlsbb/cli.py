@@ -28,25 +28,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _vector(text):
+def _split(text, parse, what):
+    """text's comma-separated values through parse; a bad one is a usage error."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        return [parse(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a comma-separated {what}: {text!r}")
+
+
+def _vector(text):
+    return np.array(_split(text, float, "vector"), dtype=float)
 
 
 def _float_list(text):
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    return _split(text, float, "float list")
 
 
 def _int_list(text):
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    return _split(text, int, "int list")
 
 
 def _parse_seeds(text):
@@ -181,10 +180,10 @@ def _cmd_bench(args):
     if args.out:
         text = harness.sweep_to_json(cells) if args.json else harness.sweep_to_csv(cells)
         _write_text(args.out, text)
-    avg = harness.average_table(cells)
-    print(harness.averages_to_csv(avg), end="")
+    averages = harness.averages_to_csv(harness.average_table(cells))
+    print(averages, end="")
     if args.averages:
-        _write_text(args.averages, harness.averages_to_csv(avg))
+        _write_text(args.averages, averages)
     if args.profile:
         prof = harness.profile_from_cells(cells)
         _write_text(args.profile, prof.to_csv())

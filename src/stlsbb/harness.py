@@ -10,8 +10,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
@@ -25,6 +26,28 @@ CAP_MARK = "--"
 def fmt17(x):
     """Floats at 17 significant digits; round-trips float64 exactly."""
     return format(float(x), ".17g")
+
+
+def _csv_value(v):
+    """A table value as written: floats at 17 digits, None as empty."""
+    if v is None:
+        return ""
+    return fmt17(v) if isinstance(v, float) else v
+
+
+def _csv_text(comment, header, rows):
+    """Deterministic CSV text: a '# comment' line, the header, the rows."""
+    buf = io.StringIO()
+    buf.write(f"# {comment}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_rows(text):
+    """The rows of CSV text, without empty rows and '#' comment lines."""
+    return [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
 
 
 @dataclass(frozen=True)
@@ -81,7 +104,9 @@ class ExperimentGrid:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One solver run on one instance, with enough provenance to replay it."""
+    """One solver run on one instance, with enough provenance to replay it.
+
+    The fields are the sweep's columns, in _SWEEP_HEADER's order."""
 
     setting_id: int
     kappa: float
@@ -91,8 +116,11 @@ class SweepCell:
     policy: str
     max_iter: int
     iterations: int | None
-    solved: bool
     status: str  # "ok", "cap", "nonfinite", or "error:<type>"
+
+    @property
+    def solved(self):
+        return self.status == "ok"
 
     def cost(self):
         """Profile cost: iterations when solved, +inf otherwise."""
@@ -102,8 +130,15 @@ class SweepCell:
         return (self.setting_id, self.kappa, self.epsilon, self.seed)
 
 
+_SWEEP_HEADER = [
+    "setting", "kappa", "epsilon", "seed", "n", "policy",
+    "max_iter", "iterations", "status",
+]
+_sweep_values = attrgetter(*(f.name for f in fields(SweepCell)))
+
+
 def _error(exc):
-    return None, False, f"error:{type(exc).__name__}"
+    return None, f"error:{type(exc).__name__}"
 
 
 # A sweep's lock-step block holds at most this many rows, which is the
@@ -126,9 +161,8 @@ def _bb_start(n, sid, kappa, seed):
 
 def _outcome(termination, iterations):
     if termination == trace.NONFINITE:
-        return None, False, trace.NONFINITE
-    solved = termination == trace.GRADIENT_TOLERANCE
-    return iterations, solved, "ok" if solved else "cap"
+        return None, trace.NONFINITE
+    return iterations, "ok" if termination == trace.GRADIENT_TOLERANCE else "cap"
 
 
 def run_quadratic_sweep(grid, progress=None):
@@ -156,14 +190,11 @@ def run_quadratic_sweep(grid, progress=None):
     rows = []  # the cell of each row, by its place in the loop's rows
     passed = 0  # cells handed to progress
 
-    def finish(i, iterations, solved, status):
+    def finish(i, iterations, status):
         nonlocal passed
         sid, kappa, eps, seed, pol = cells[i]
-        cells[i] = SweepCell(
-            setting_id=sid, kappa=kappa, epsilon=eps, seed=seed, n=grid.n,
-            policy=pol, max_iter=grid.max_iter, iterations=iterations,
-            solved=solved, status=status,
-        )
+        cells[i] = SweepCell(sid, kappa, eps, seed, grid.n, pol, grid.max_iter,
+                             iterations, status)
         while passed < len(cells) and isinstance(cells[passed], SweepCell):
             if progress is not None:
                 progress(cells[passed])
@@ -183,15 +214,21 @@ def run_quadratic_sweep(grid, progress=None):
                     except StlsbbError as exc:
                         starts[seed] = _error(exc)
                 cells.append((sid, kappa, eps, seed, pol))
-                inst, x0, alpha0 = start = starts[seed]
-                if inst is None:  # the instance failed to build: start is the outcome
+                start = starts[seed]
+                if start[0] is None:  # the instance failed to build: start is the outcome
                     finish(len(cells) - 1, *start)
                 else:
                     rows.append(len(cells) - 1)
+                    inst, x0, alpha0 = start
                     yield inst, policies[pol], x0, alpha0, eps, grid.max_iter
 
     kernels.raw_bb_loop(grid_rows(), width, history=False, on_end=row_ended)
     return cells
+
+
+_AVERAGES_HEADER = [
+    "setting", "kappa", "epsilon", "n", "policy", "seeds", "failed", "mean_iterations",
+]
 
 
 def average_table(cells):
@@ -200,90 +237,41 @@ def average_table(cells):
     'failed', error and nonfinite cells are excluded from the mean
     entirely."""
     groups = {}
-    order = []
     for c in cells:
-        key = (c.setting_id, c.kappa, c.epsilon, c.n, c.policy)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(c)
+        groups.setdefault((c.setting_id, c.kappa, c.epsilon, c.n, c.policy), []).append(c)
     rows = []
-    for key in order:
-        members = groups[key]
-        counted = [c for c in members if c.iterations is not None]
-        mean = (
-            sum(c.iterations for c in counted) / len(counted) if counted else math.nan
-        )
-        rows.append(
-            {
-                "setting": key[0],
-                "kappa": key[1],
-                "epsilon": key[2],
-                "n": key[3],
-                "policy": key[4],
-                "seeds": len(members),
-                "failed": sum(1 for c in members if not c.solved),
-                "mean_iterations": mean,
-            }
-        )
+    for key, members in groups.items():
+        counted = [c.iterations for c in members if c.iterations is not None]
+        mean = sum(counted) / len(counted) if counted else math.nan
+        failed = sum(not c.solved for c in members)
+        rows.append(dict(zip(_AVERAGES_HEADER, (*key, len(members), failed, mean))))
     return rows
-
-
-_SWEEP_HEADER = [
-    "setting", "kappa", "epsilon", "seed", "n", "policy",
-    "max_iter", "iterations", "status",
-]
 
 
 def sweep_to_csv(cells):
     """Cells as deterministic CSV text; every row is self-contained."""
-    buf = io.StringIO()
-    buf.write("# stlsbb-sweep-v1 stop_rule=grad_rel alpha0_rule=inf_norm x0=ones\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_SWEEP_HEADER)
-    for c in cells:
-        w.writerow(
-            [
-                c.setting_id, fmt17(c.kappa), fmt17(c.epsilon), c.seed, c.n,
-                c.policy, c.max_iter,
-                "" if c.iterations is None else c.iterations, c.status,
-            ]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        "stlsbb-sweep-v1 stop_rule=grad_rel alpha0_rule=inf_norm x0=ones",
+        _SWEEP_HEADER,
+        ([_csv_value(v) for v in _sweep_values(c)] for c in cells),
+    )
 
 
 def sweep_from_csv(text):
     """Inverse of sweep_to_csv."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
+    rows = _csv_rows(text)
     if not rows or rows[0] != _SWEEP_HEADER:
         raise InvalidParameterError("not a sweep CSV (missing or wrong header row)")
-    cells = []
-    for r in rows[1:]:
-        iterations = None if r[7] == "" else int(r[7])
-        cells.append(
-            SweepCell(
-                setting_id=int(r[0]), kappa=float(r[1]), epsilon=float(r[2]),
-                seed=int(r[3]), n=int(r[4]), policy=r[5], max_iter=int(r[6]),
-                iterations=iterations, solved=r[8] == "ok", status=r[8],
-            )
-        )
-    return cells
+    return [
+        SweepCell(int(sid), float(kappa), float(eps), int(seed), int(n), policy,
+                  int(max_iter), None if iterations == "" else int(iterations), status)
+        for sid, kappa, eps, seed, n, policy, max_iter, iterations, status in rows[1:]
+    ]
 
 
 def averages_to_csv(avg_rows):
-    buf = io.StringIO()
-    buf.write("# stlsbb-averages-v1\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["setting", "kappa", "epsilon", "n", "policy", "seeds", "failed",
-                "mean_iterations"])
-    for r in avg_rows:
-        w.writerow(
-            [
-                r["setting"], fmt17(r["kappa"]), fmt17(r["epsilon"]), r["n"],
-                r["policy"], r["seeds"], r["failed"], fmt17(r["mean_iterations"]),
-            ]
-        )
-    return buf.getvalue()
+    return _csv_text("stlsbb-averages-v1", _AVERAGES_HEADER,
+                     ([_csv_value(r[k]) for k in _AVERAGES_HEADER] for r in avg_rows))
 
 
 def sweep_to_json(cells):
@@ -293,15 +281,7 @@ def sweep_to_json(cells):
             "stop_rule": "grad_rel",
             "alpha0_rule": "inf_norm",
             "x0": "ones",
-            "cells": [
-                {
-                    "setting": c.setting_id, "kappa": c.kappa, "epsilon": c.epsilon,
-                    "seed": c.seed, "n": c.n, "policy": c.policy,
-                    "max_iter": c.max_iter, "iterations": c.iterations,
-                    "status": c.status,
-                }
-                for c in cells
-            ],
+            "cells": [dict(zip(_SWEEP_HEADER, _sweep_values(c))) for c in cells],
         },
         indent=2,
     )
@@ -334,15 +314,13 @@ class RosenbrockTable:
         return "\n".join(lines)
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write("# stlsbb-rosenbrock-v1 x0=-1.2,1 alpha0=1 stop=point_dist\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["epsilon", "policy", "iterations"])
-        for i, eps in enumerate(self.epsilons):
-            for j, pol in enumerate(self.policies):
-                c = self.counts[i][j]
-                w.writerow([fmt17(eps), pol, CAP_MARK if c is None else c])
-        return buf.getvalue()
+        return _csv_text(
+            "stlsbb-rosenbrock-v1 x0=-1.2,1 alpha0=1 stop=point_dist",
+            ["epsilon", "policy", "iterations"],
+            ([fmt17(eps), pol, CAP_MARK if c is None else c]
+             for eps, row in zip(self.epsilons, self.counts)
+             for pol, c in zip(self.policies, row)),
+        )
 
 
 def run_rosenbrock_table(
@@ -420,14 +398,12 @@ class ProfileTable:
         return np.unique(np.concatenate(([1.0], finite)))
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write("# stlsbb-profile-v1\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["theta"] + list(self.solvers))
-        for theta in self.thresholds():
-            w.writerow([fmt17(theta)] + [fmt17(self.rho(j, theta))
-                                         for j in range(len(self.solvers))])
-        return buf.getvalue()
+        return _csv_text(
+            "stlsbb-profile-v1",
+            ["theta", *self.solvers],
+            ([fmt17(theta)] + [fmt17(self.rho(j, theta)) for j in range(len(self.solvers))]
+             for theta in self.thresholds()),
+        )
 
 
 def performance_profile(costs, solvers=None):
@@ -462,25 +438,22 @@ def profile_from_cells(cells):
     """Pivot sweep cells into a profile: problems are (setting, kappa,
     epsilon, seed), solvers are policies, cost is the iteration count with
     cap or error as failure."""
-    problems = []
-    solvers_ = []
+    problems = {}  # key -> row, in first-seen order
+    solvers_ = {}  # policy -> column
     for c in cells:
-        k = c.problem_key()
-        if k not in problems:
-            problems.append(k)
-        if c.policy not in solvers_:
-            solvers_.append(c.policy)
+        problems.setdefault(c.problem_key(), len(problems))
+        solvers_.setdefault(c.policy, len(solvers_))
     costs = np.full((len(problems), len(solvers_)), math.inf)
     for c in cells:
-        costs[problems.index(c.problem_key()), solvers_.index(c.policy)] = c.cost()
-    return performance_profile(costs, solvers_)
+        costs[problems[c.problem_key()], solvers_[c.policy]] = c.cost()
+    return performance_profile(costs, tuple(solvers_))
 
 
 def profile_from_matrix_csv(text):
     """Profile from a generic cost-matrix CSV: a header row naming the
     first column freely and one column per solver, then one row per
     problem.  Empty cells and the tokens nan/inf/fail/-- mean failure."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
+    rows = _csv_rows(text)
     if len(rows) < 2 or len(rows[0]) < 3:
         raise InvalidParameterError(
             "cost matrix CSV needs a header row and at least 1 problem x 2 solvers"

@@ -210,7 +210,8 @@ def generate_instance(n, setting, seed):
 
 
 def _check_vec(inst, x):
-    x = np.asarray(x, dtype=float).reshape(-1)
+    # a strided view's dots round unlike its copy's; contiguous x is not copied
+    x = np.ascontiguousarray(x, dtype=float).reshape(-1)
     if x.size != inst.dim:
         raise DimensionMismatchError(f"x has length {x.size}, expected {inst.dim}")
     return x

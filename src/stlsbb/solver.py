@@ -75,10 +75,11 @@ class Objective:
 
 def first_row_eval(eval_rows):
     """eval(x) of an objective written as eval_rows: row 0 of eval_rows
-    on the one-row block x[None], with f as a float."""
+    on the one-row block x[None], with f as a float.  A strided x is made
+    contiguous first, so a view gives its copy's bits."""
 
     def eval_(x):
-        f, g = eval_rows(np.asarray(x, dtype=float)[None])
+        f, g = eval_rows(np.ascontiguousarray(x, dtype=float)[None])
         return float(f[0]), g[0]
 
     return eval_

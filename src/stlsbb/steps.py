@@ -32,6 +32,8 @@ from .errors import (
 DEGENERACY_RTOL = 1e-14
 
 POLICY_KINDS = ("bb1", "bb2", "gamma", "gamma_prime", "tau", "atc")
+# the one parameter field a kind takes; bb1 and bb2 take none
+_KIND_PARAMETER = {"gamma": "gamma", "gamma_prime": "gamma", "tau": "tau", "atc": "cycle"}
 
 @dataclass(frozen=True)
 class StepPair:
@@ -160,6 +162,9 @@ class SteplengthPolicy:
             raise InvalidParameterError(
                 f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}"
             )
+        for name in ("gamma", "tau", "cycle"):
+            if getattr(self, name) is not None and name != _KIND_PARAMETER.get(self.kind):
+                raise InvalidParameterError(f"policy {self.kind!r} takes no {name}")
         if self.kind in ("gamma", "gamma_prime"):
             if self.gamma is None:
                 raise InvalidParameterError(f"policy {self.kind!r} needs gamma")

@@ -73,6 +73,17 @@ class TestSteps:
             main(["steps", "--s", "1,oops", "--y", "1,2"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["steps", "--s", "1,oops", "--y", "1,2"], "vector"),
+        (["rosenbrock", "--epsilons", "0.1,x"], "float list"),
+        (["bench", "--settings", "1,x"], "int list"),
+    ])
+    def test_list_errors_name_the_list(self, capsys, argv, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"not a comma-separated {kind}: " in capsys.readouterr().err
+
     def test_nonpositive_curvature_reported(self, capsys):
         # the = form keeps argparse from reading the leading minus as a flag
         assert main(["steps", "--s", "1,0", "--y=-1,0"]) == 2

@@ -45,12 +45,11 @@ class TestFmt17:
         assert fmt17(2.0) == "2"
 
 
-def make_cell(seed=0, policy="bb1", iterations=100, solved=True, status="ok",
+def make_cell(seed=0, policy="bb1", iterations=100, status="ok",
               setting=1, kappa=1e3, epsilon=1e-6):
     return SweepCell(
         setting_id=setting, kappa=kappa, epsilon=epsilon, seed=seed, n=20,
-        policy=policy, max_iter=500, iterations=iterations, solved=solved,
-        status=status,
+        policy=policy, max_iter=500, iterations=iterations, status=status,
     )
 
 
@@ -325,6 +324,12 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             sweep_from_csv("a,b,c\n1,2,3\n")
 
+    def test_csv_rows_hold_the_nine_columns(self, tiny):
+        lines = sweep_to_csv(run_quadratic_sweep(tiny)).splitlines()
+        for bad in (lines[2] + ",extra", lines[2].rpartition(",")[0]):
+            with pytest.raises(ValueError):
+                sweep_from_csv("\n".join(lines[:2] + [bad]))
+
     def test_overflowing_instance_is_nonfinite(self):
         grid = ExperimentGrid(n=20, kappas=(1e300,), seeds=(0,), policies=("bb1",))
         with np.errstate(all="ignore"):
@@ -344,6 +349,16 @@ class TestSweep:
         assert len(doc["cells"]) == len(cells)
         assert doc["cells"][0]["policy"] == "bb1"
 
+    def test_json_cells_carry_the_csv_columns(self, tiny):
+        cells = run_quadratic_sweep(tiny)
+        header = sweep_to_csv(cells).splitlines()[1].split(",")
+        doc = json.loads(sweep_to_json(cells))
+        assert all(list(cell) == header for cell in doc["cells"])
+
+    def test_solved_is_derived_from_status(self):
+        statuses = ("ok", "cap", "nonfinite", "error:X")
+        assert [make_cell(status=s).solved for s in statuses] == [True, False, False, False]
+
 
 class TestAverages:
     def test_hand_mean(self):
@@ -359,7 +374,7 @@ class TestAverages:
     def test_cap_counts_in_mean_and_failed(self):
         cells = [
             make_cell(seed=0, iterations=10),
-            make_cell(seed=1, iterations=500, solved=False, status="cap"),
+            make_cell(seed=1, iterations=500, status="cap"),
         ]
         rows = average_table(cells)
         assert rows[0]["mean_iterations"] == 255.0
@@ -368,7 +383,7 @@ class TestAverages:
     def test_error_cells_excluded_from_mean(self):
         cells = [
             make_cell(seed=0, iterations=10),
-            make_cell(seed=1, iterations=None, solved=False, status="error:X"),
+            make_cell(seed=1, iterations=None, status="error:X"),
         ]
         rows = average_table(cells)
         assert rows[0]["mean_iterations"] == 10.0
@@ -504,8 +519,7 @@ class TestProfileFromCells:
     def test_cap_and_error_become_failures(self):
         cells = [
             make_cell(seed=0, policy="bb1", iterations=10),
-            make_cell(seed=0, policy="bb2", iterations=500, solved=False,
-                      status="cap"),
+            make_cell(seed=0, policy="bb2", iterations=500, status="cap"),
         ]
         table = profile_from_cells(cells)
         assert math.isinf(table.ratios[0, 1])

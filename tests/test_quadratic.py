@@ -233,6 +233,17 @@ class TestHessianProducts:
             fd = (objective(inst, xp) - objective(inst, xm)) / (2.0 * h)
             assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
+    def test_strided_view_equals_its_copy(self, inst, rng):
+        # BLAS rounds a strided dot unlike a contiguous one, so a view
+        # must give its copy's bits
+        x = rng.standard_normal((2, 2 * inst.dim))[0, ::2]
+        xc = x.copy()
+        assert apply_hessian(inst, x).tobytes() == apply_hessian(inst, xc).tobytes()
+        assert gradient(inst, x).tobytes() == gradient(inst, xc).tobytes()
+        assert objective(inst, x) == objective(inst, xc)
+        (f, g), (fc, gc) = (as_objective(inst).eval(v) for v in (x, xc))
+        assert f == fc and g.tobytes() == gc.tobytes()
+
     def test_dimension_check(self, inst):
         with pytest.raises(DimensionMismatchError):
             apply_hessian(inst, np.ones(inst.dim + 1))

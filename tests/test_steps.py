@@ -275,6 +275,16 @@ class TestPolicy:
             with pytest.raises(InvalidParameterError):
                 SteplengthPolicy("atc", cycle=cycle)
         assert SteplengthPolicy("atc", cycle=4.0).cycle == 4
+        # a parameter the kind does not take would make an unequal policy
+        # that describes itself as the plain one
+        takes = {"gamma": "gamma", "gamma_prime": "gamma", "tau": "tau", "atc": "cycle"}
+        ok = {"gamma": 2.0, "tau": 0.5, "cycle": 3}
+        for kind in ("bb1", "bb2", "gamma", "gamma_prime", "tau", "atc"):
+            own = {takes[kind]: ok[takes[kind]]} if kind in takes else {}
+            for name, value in ok.items():
+                if name not in own:
+                    with pytest.raises(InvalidParameterError, match=name):
+                        SteplengthPolicy(kind, **own, **{name: value})
         assert SteplengthPolicy("atc", cycle=np.int64(3)).describe() == "atc:3"
         # the index is the caller's, so the call checks it
         with pytest.raises(InvalidParameterError):
