@@ -60,11 +60,9 @@ from .quadratic import (
     solve_bb,
 )
 from .solver import (
-    NonmonotoneWindow,
     Objective,
     SolverConfig,
     audit_trace,
-    backtrack,
     initial_steplength,
     nonmonotone_accept,
     rosenbrock2,

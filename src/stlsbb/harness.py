@@ -422,6 +422,9 @@ def performance_profile(costs, solvers=None):
         solvers = tuple(f"s{j}" for j in range(c.shape[1]))
     elif len(solvers) != c.shape[1]:
         raise InvalidParameterError("solver names do not match the matrix width")
+    repeated = next((s for j, s in enumerate(solvers) if s in solvers[:j]), None)
+    if repeated is not None:
+        raise InvalidParameterError(f"solver {repeated!r} is named more than once")
     c[~np.isfinite(c)] = math.inf
     if np.any(c <= 0.0):
         raise InvalidParameterError("costs must be positive")
@@ -452,7 +455,8 @@ def profile_from_cells(cells):
 def profile_from_matrix_csv(text):
     """Profile from a generic cost-matrix CSV: a header row naming the
     first column freely and one column per solver, then one row per
-    problem.  Empty cells and the tokens nan/inf/fail/-- mean failure."""
+    problem, as wide as the header.  Empty cells and the tokens
+    nan/inf/fail/-- mean failure."""
     rows = _csv_rows(text)
     if len(rows) < 2 or len(rows[0]) < 3:
         raise InvalidParameterError(
@@ -460,7 +464,11 @@ def profile_from_matrix_csv(text):
         )
     solvers_ = tuple(h.strip() for h in rows[0][1:])
     costs = []
-    for r in rows[1:]:
+    for i, r in enumerate(rows[1:], 1):
+        if len(r) != len(rows[0]):
+            raise ValueError(
+                f"problem row {i} ({r[0]!r}) has {len(r)} fields; the header has {len(rows[0])}"
+            )
         vals = []
         for cell in r[1:]:
             token = cell.strip().lower()

@@ -29,7 +29,6 @@ from .trace import (
     NONFINITE,
     RunTrace,
     TraceRow,
-    terminal_row,
 )
 
 STOP_GRAD_ABS = "grad_abs"
@@ -198,29 +197,9 @@ _META_FIELDS = tuple(
 )
 
 
-class NonmonotoneWindow:
-    """Ring buffer over the most recent memory+1 objective values."""
-
-    def __init__(self, memory):
-        if int(memory) < 0:
-            raise InvalidParameterError(f"memory must be >= 0, got {memory!r}")
-        self._values = deque(maxlen=int(memory) + 1)
-
-    def push(self, f):
-        self._values.append(float(f))
-
-    def max(self):
-        if not self._values:
-            raise InvalidParameterError("the window is empty")
-        return max(self._values)
-
-    def __len__(self):
-        return len(self._values)
-
-
 def nonmonotone_accept(f_trial, f_max, beta, alpha, grad_sq):
     """Acceptance test: f_trial <= f_max - beta * alpha * grad_sq, where
-    f_max is the nonmonotone window's max().
+    f_max is the largest of the last memory+1 objective values.
 
     The same expression decides acceptance in run(), on the arrays of a
     round's trial values and steplengths, and in audit_trace(), on one
@@ -235,11 +214,6 @@ def safeguard(alpha, eta, delta):
     if not math.isfinite(alpha) or alpha <= eta or alpha >= 1.0 / eta:
         return delta
     return alpha
-
-
-def backtrack(alpha, sigma):
-    """One backtracking shrink."""
-    return sigma * alpha
 
 
 def initial_steplength(objective, x0):
@@ -346,8 +320,7 @@ def run(objective, x0, config, policy):
     else:
         alpha = initial_steplength(objective, x)
     alpha0_used = float(alpha)
-    window = NonmonotoneWindow(config.memory)
-    window.push(f)
+    window = deque([f], maxlen=config.memory + 1)
     rows = []
     termination = ITERATION_CAP
     k = 0
@@ -367,7 +340,7 @@ def run(objective, x0, config, policy):
             break
         alpha = safeguard(alpha, config.eta, config.delta)
         grad_sq = gn * gn
-        f_max = window.max()
+        f_max = max(window)
         a_eff = alpha
         tried = 0  # trials evaluated in this iteration's earlier rounds
         size = needed
@@ -377,7 +350,7 @@ def run(objective, x0, config, policy):
             steps = []
             for _ in range(size):
                 steps.append(a_eff)
-                a_eff = backtrack(a_eff, sigma)
+                a_eff *= sigma
             steps = np.array(steps)
             xs = kernels.trial_rows(x, g, steps)
             f_rows, g_rows = eval_rows(xs)
@@ -418,7 +391,7 @@ def run(objective, x0, config, policy):
         f = float(f_rows[hit])
         g = g_trial
         gn = _norm(g)
-        window.push(f)
+        window.append(f)
         try:
             alpha = prev = next_steplength(
                 policy, SecantProducts(float(s @ s), float(y @ y), float(s @ y)), k, prev)
@@ -426,7 +399,7 @@ def run(objective, x0, config, policy):
             # out of band on purpose: the next safeguard resets it to delta
             alpha, prev = math.inf, config.delta
         k += 1
-    rows.append(terminal_row(k, f, gn))
+    rows.append(TraceRow(k=k, f=f, grad_norm=gn, alpha=math.nan))
     meta = config.to_meta()
     meta.update(
         {
@@ -458,8 +431,7 @@ def audit_trace(run_trace, config=None):
     cfg = config if config is not None else SolverConfig.from_meta(run_trace.meta)
     violations = []
     rows = run_trace.rows
-    window = NonmonotoneWindow(cfg.memory)
-    window.push(rows[0].f)
+    window = deque([rows[0].f], maxlen=cfg.memory + 1)
     for i, row in enumerate(rows[:-1]):
         a = row.alpha
         if not (a == cfg.delta or (cfg.eta < a < 1.0 / cfg.eta)):
@@ -468,12 +440,12 @@ def audit_trace(run_trace, config=None):
             )
         a_eff = a
         for _ in range(row.backtracks):
-            a_eff = backtrack(a_eff, cfg.sigma)
+            a_eff *= cfg.sigma
         f_next = rows[i + 1].f
         grad_sq = row.grad_norm * row.grad_norm
-        if not nonmonotone_accept(f_next, window.max(), cfg.beta, a_eff, grad_sq):
+        if not nonmonotone_accept(f_next, max(window), cfg.beta, a_eff, grad_sq):
             violations.append(
                 f"row {row.k}: accepted step fails the nonmonotone test on replay"
             )
-        window.push(f_next)
+        window.append(f_next)
     return violations

@@ -96,33 +96,33 @@ def _gamma_value(gamma):
 
 def bb1(pair):
     """Long BB steplength ||s||^2 / s'y."""
-    return next_steplength(SteplengthPolicy.long(), pair)
+    return next_steplength(SteplengthPolicy("bb1"), pair)
 
 
 def bb2(pair):
     """Short BB steplength s'y / ||y||^2."""
-    return next_steplength(SteplengthPolicy.short(), pair)
+    return next_steplength(SteplengthPolicy("bb2"), pair)
 
 
 def alpha_convex(pair, tau):
     """Convex combination tau*bb1 + (1-tau)*bb2."""
-    return next_steplength(SteplengthPolicy.convex(tau), pair)
+    return next_steplength(SteplengthPolicy("tau", tau=tau), pair)
 
 
 def alpha_family(pair, gamma):
     """Scaled-TLS family steplength; increasing in gamma from bb2 to bb1."""
-    return next_steplength(SteplengthPolicy.family(gamma), pair)
+    return next_steplength(SteplengthPolicy("gamma", gamma=gamma), pair)
 
 
 def alpha_family_prime(pair, gamma):
     """Inverse-fit family steplength; decreasing in gamma from bb1 to bb2."""
-    return next_steplength(SteplengthPolicy.family_prime(gamma), pair)
+    return next_steplength(SteplengthPolicy("gamma_prime", gamma=gamma), pair)
 
 
 def alpha_tls(pair):
     """Plain TLS steplength: the gamma = 1 member, where the two family
     parameterizations coincide."""
-    return next_steplength(SteplengthPolicy.family(1.0), pair)
+    return next_steplength(SteplengthPolicy("gamma", gamma=1.0), pair)
 
 
 def tau_from_gamma(pair, gamma):
@@ -134,7 +134,7 @@ def tau_from_gamma(pair, gamma):
     parallel) every weight gives the same steplength and 1/2 is returned
     by convention.
     """
-    policy = SteplengthPolicy.family(gamma)
+    policy = SteplengthPolicy("gamma", gamma=gamma)
     b1, b2 = bb1(pair), bb2(pair)
     if b1 - b2 <= DEGENERACY_RTOL * max(1.0, abs(b1)):
         return 0.5
@@ -184,30 +184,6 @@ class SteplengthPolicy:
                 raise InvalidParameterError(f"cycle must be an integer >= 1, got {self.cycle!r}")
             object.__setattr__(self, "cycle", int(c))
 
-    @classmethod
-    def long(cls):
-        return cls("bb1")
-
-    @classmethod
-    def short(cls):
-        return cls("bb2")
-
-    @classmethod
-    def family(cls, gamma):
-        return cls("gamma", gamma=gamma)
-
-    @classmethod
-    def family_prime(cls, gamma):
-        return cls("gamma_prime", gamma=gamma)
-
-    @classmethod
-    def convex(cls, tau):
-        return cls("tau", tau=tau)
-
-    @classmethod
-    def adaptive_cyclic(cls, cycle):
-        return cls("atc", cycle=cycle)
-
     def describe(self):
         """Stable textual form; parse_policy inverts it."""
         if self.kind == "gamma":
@@ -246,13 +222,13 @@ def parse_policy(text):
                 raise InvalidParameterError(f"policy {key!r} takes no argument")
             return SteplengthPolicy(key)
         if key == "gamma":
-            return SteplengthPolicy.family(float(arg))
+            return SteplengthPolicy("gamma", gamma=float(arg))
         if key == "gammaprime":
-            return SteplengthPolicy.family_prime(float(arg))
+            return SteplengthPolicy("gamma_prime", gamma=float(arg))
         if key == "tau":
-            return SteplengthPolicy.convex(float(arg))
+            return SteplengthPolicy("tau", tau=float(arg))
         if key == "atc":
-            return SteplengthPolicy.adaptive_cyclic(int(arg))
+            return SteplengthPolicy("atc", cycle=int(arg))
     except ValueError as exc:
         raise InvalidParameterError(f"bad policy argument in {text!r}") from exc
     raise InvalidParameterError(f"unknown policy descriptor {text!r}")

@@ -1,7 +1,6 @@
 """Per-iteration run records shared by the raw and line-search solvers."""
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -103,8 +102,3 @@ class RunTrace:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
-
-
-def terminal_row(k, f, grad_norm):
-    """Row closing a trace: no step leaves it."""
-    return TraceRow(k=k, f=f, grad_norm=grad_norm, alpha=math.nan)

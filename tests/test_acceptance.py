@@ -301,7 +301,7 @@ def test_criterion_09_adaptive_cyclic_branches_exact(report):
     b1, b2 = bb1(pair), bb2(pair)
 
     # the calling loop carries ATC's state: (index, prev_alpha) per call
-    atc = SteplengthPolicy.adaptive_cyclic(4)
+    atc = SteplengthPolicy("atc", cycle=4)
     reset_ok = next_steplength(atc, pair, 8, 0.123) == b1
 
     clamp_ok = next_steplength(atc, pair, 1, b2 / 2.0) == b2

@@ -323,6 +323,9 @@ INPUT_FILES = {
         ["quad", "--instance"], _instance_doc(eigenvalues=["one"] * 5), 1
     ),
     "costs-text-cell": (["profile", "--costs"], "problem,a,b\np1,10,twenty\n", 1),
+    "costs-wider-rows": (["profile", "--costs"], "problem,a,b\np1,1,2,3\n", 1),
+    "costs-ragged-rows": (["profile", "--costs"], "problem,a,b\np1,1,2\np2,1\n", 1),
+    "costs-narrower-rows": (["profile", "--costs"], "problem,a,b\np1,1\n", 1),
     "cells-text-kappa": (
         ["profile", "--cells"], _SWEEP_HEAD + "1,big,1e-4,0,20,bb1,100,5,ok\n", 1
     ),
@@ -331,6 +334,7 @@ INPUT_FILES = {
         ["quad", "--instance"], _instance_doc(eigenvalues=[1.0, 2.0, 3.0, 4.0, math.inf]), 2
     ),
     "instance-json-list": (["quad", "--instance"], "[1, 2]", 2),
+    "costs-repeated-solver": (["profile", "--costs"], "problem,a,a\np1,10,20\n", 2),
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import weakref
 from collections import Counter
 
@@ -467,6 +468,12 @@ class TestPerformanceProfile:
         with pytest.raises(InvalidParameterError):
             table.rho(0, 0.5)
 
+    def test_repeated_solver_rejected(self):
+        # rho and solve_fraction look a name up, so a second column of the
+        # same name could never be read
+        with pytest.raises(InvalidParameterError, match="'a'"):
+            performance_profile([[1, 2]], ("a", "a"))
+
     def test_input_array_is_copied(self):
         costs = np.array([[1.0, 2.0], [2.0, 4.0]])
         table = performance_profile(costs)
@@ -542,3 +549,13 @@ class TestProfileFromMatrixCsv:
             profile_from_matrix_csv("problem,a\np1,10\n")
         with pytest.raises(InvalidParameterError):
             profile_from_matrix_csv("problem,a,b\n")
+
+    @pytest.mark.parametrize("rows, bad, width", [
+        ("p1,1,2,3\n", "1 ('p1')", 4),
+        ("p1,1,2\np2,1\n", "2 ('p2')", 2),
+        ("p1,1\n", "1 ('p1')", 2),
+    ], ids=["wider", "ragged", "narrower"])
+    def test_rows_must_match_the_header(self, rows, bad, width):
+        with pytest.raises(ValueError,
+                           match=rf"row {re.escape(bad)} has {width} fields; the header has 3"):
+            profile_from_matrix_csv("problem,a,b\n" + rows)

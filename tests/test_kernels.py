@@ -35,14 +35,14 @@ class TestScalarKernels:
     def test_bb_steps_are_the_ratios(self, rng):
         for _ in range(50):
             ss, yy, sy = scalars(random_pair(rng))
-            assert policy_step(SteplengthPolicy.long(), ss, yy, sy) == ss / sy
-            assert policy_step(SteplengthPolicy.short(), ss, yy, sy) == sy / yy
+            assert policy_step(SteplengthPolicy("bb1"), ss, yy, sy) == ss / sy
+            assert policy_step(SteplengthPolicy("bb2"), ss, yy, sy) == sy / yy
 
     def test_convex_step(self, rng):
         ss, yy, sy = scalars(random_pair(rng))
         for tau in (0.0, 0.25, 1.0):
             want = tau * (ss / sy) + (1.0 - tau) * (sy / yy)
-            assert policy_step(SteplengthPolicy.convex(tau), ss, yy, sy) == want
+            assert policy_step(SteplengthPolicy("tau", tau=tau), ss, yy, sy) == want
 
     def test_family_matches_naive_formula(self, rng):
         # the textbook expression cancels badly when d < 0, so evaluate it
@@ -129,14 +129,14 @@ class TestPolicyDispatch:
         def step(policy, prev=0.5, index=0):
             return policy_step(policy, ss, yy, sy, prev, index)
 
-        assert step(SteplengthPolicy.long()) == ss / sy
-        assert step(SteplengthPolicy.short()) == sy / yy
-        assert step(SteplengthPolicy.family(2.0)) == kernels.family_step(ss, yy, sy, 2.0)
-        assert step(SteplengthPolicy.family_prime(2.0)) == kernels.family_prime_step(
+        assert step(SteplengthPolicy("bb1")) == ss / sy
+        assert step(SteplengthPolicy("bb2")) == sy / yy
+        assert step(SteplengthPolicy("gamma", gamma=2.0)) == kernels.family_step(ss, yy, sy, 2.0)
+        assert step(SteplengthPolicy("gamma_prime", gamma=2.0)) == kernels.family_prime_step(
             ss, yy, sy, 2.0
         )
-        assert step(SteplengthPolicy.convex(0.4)) == 0.4 * (ss / sy) + (1.0 - 0.4) * (sy / yy)
-        assert step(SteplengthPolicy.adaptive_cyclic(3), index=2) == kernels.atc_step(
+        assert step(SteplengthPolicy("tau", tau=0.4)) == 0.4 * (ss / sy) + (1.0 - 0.4) * (sy / yy)
+        assert step(SteplengthPolicy("atc", cycle=3), index=2) == kernels.atc_step(
             ss, yy, sy, 0.5, 2, 3
         )
 
@@ -338,7 +338,7 @@ class TestRawLoop:
     def run_tiny(self, rng, max_iter=500):
         inst = tiny_instance(rng)
         (out,) = kernels.raw_bb_loop(
-            [(inst, SteplengthPolicy.long(), np.ones(12), 0.01, 1e-10, max_iter)], 1)
+            [(inst, SteplengthPolicy("bb1"), np.ones(12), 0.01, 1e-10, max_iter)], 1)
         return inst, out
 
     def test_histories_align(self, rng):
@@ -360,7 +360,7 @@ class TestRawLoop:
         insts = [tiny_instance(rng), tiny_instance(rng)]
         x0 = np.ones((2, 12))
         kernels.raw_bb_loop(
-            raw_rows(insts, [SteplengthPolicy.long()] * 2, x0, [0.01, 0.02], 1e-10, 50), 2)
+            raw_rows(insts, [SteplengthPolicy("bb1")] * 2, x0, [0.01, 0.02], 1e-10, 50), 2)
         assert np.all(x0 == 1.0)
 
     def test_identity_spectrum_finishes_in_two_steps(self):
@@ -372,7 +372,7 @@ class TestRawLoop:
         b = np.linspace(-1.0, 2.5, n)
         inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
         ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
-            [(inst, SteplengthPolicy.long(), np.zeros(n), 0.3, 1e-12, 50)], 1
+            [(inst, SteplengthPolicy("bb1"), np.zeros(n), 0.3, 1e-12, 50)], 1
         )
         assert termination == GRADIENT_TOLERANCE
         assert len(g_hist) == 3
@@ -457,7 +457,7 @@ class TestLockStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ((termination, *_),) = kernels.raw_bb_loop(
-                [(inst, SteplengthPolicy.long(), np.full(30, 1e10), 1.0, 1e-8, 50)], 1
+                [(inst, SteplengthPolicy("bb1"), np.full(30, 1e10), 1.0, 1e-8, 50)], 1
             )
         assert termination == NONFINITE
 

@@ -210,11 +210,11 @@ class TestOracleDispatch:
     def test_simple_kinds(self, rng):
         pair = random_pair(rng)
         cases = [
-            (SteplengthPolicy.long(), bb1(pair)),
-            (SteplengthPolicy.short(), bb2(pair)),
-            (SteplengthPolicy.family(3.0), alpha_family(pair, 3.0)),
-            (SteplengthPolicy.family_prime(0.2), alpha_family_prime(pair, 0.2)),
-            (SteplengthPolicy.convex(0.3), alpha_convex(pair, 0.3)),
+            (SteplengthPolicy("bb1"), bb1(pair)),
+            (SteplengthPolicy("bb2"), bb2(pair)),
+            (SteplengthPolicy("gamma", gamma=3.0), alpha_family(pair, 3.0)),
+            (SteplengthPolicy("gamma_prime", gamma=0.2), alpha_family_prime(pair, 0.2)),
+            (SteplengthPolicy("tau", tau=0.3), alpha_convex(pair, 0.3)),
         ]
         for pol, want in cases:
             assert oracle_steplength(pol, pair) == pytest.approx(
@@ -223,7 +223,7 @@ class TestOracleDispatch:
 
     def test_atc_branches(self, rng):
         pair = random_pair(rng)
-        atc = SteplengthPolicy.adaptive_cyclic(4)
+        atc = SteplengthPolicy("atc", cycle=4)
         assert oracle_steplength(atc, pair) == pytest.approx(
             next_steplength(atc, pair), rel=1e-6, abs=1e-8
         )

@@ -268,7 +268,7 @@ class TestSolveBB:
         return generate_instance(30, SpectrumSetting(1, 1e3), seed=2)
 
     def test_converges_and_final_x_is_consistent(self, inst):
-        tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-8, max_iter=5000)
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-8, max_iter=5000)
         assert tr.solved and tr.termination == GRADIENT_TOLERANCE
         g = gradient(inst, tr.final_x)
         g0 = gradient(inst, np.ones(inst.dim))
@@ -278,7 +278,7 @@ class TestSolveBB:
         )
 
     def test_deterministic(self, inst):
-        pol = SteplengthPolicy.family(5.0)
+        pol = SteplengthPolicy("gamma", gamma=5.0)
         t1 = solve_bb(inst, pol, epsilon=1e-6, max_iter=5000)
         t2 = solve_bb(inst, pol, epsilon=1e-6, max_iter=5000)
         assert t1.iterations == t2.iterations
@@ -297,19 +297,19 @@ class TestSolveBB:
             eigenvalues=np.ones(n),
             linear=np.linspace(-3.0, 4.0, n),
         )
-        tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-10, max_iter=50)
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-10, max_iter=50)
         assert tr.solved and tr.iterations <= 2
         assert tr.final_x == pytest.approx(inst.linear, abs=1e-14)
 
     def test_iteration_cap_reported(self, inst):
-        tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-10, max_iter=3)
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-10, max_iter=3)
         assert not tr.solved and tr.termination == ITERATION_CAP
         assert tr.iterations == 3
 
     def test_overflowing_start_ends_nonfinite(self, inst):
         # ||g0|| is inf, and inf <= eps * inf must not read as converged
         with np.errstate(all="ignore"):
-            tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=100,
+            tr = solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-6, max_iter=100,
                           x0=np.full(inst.dim, 1e300))
         assert tr.termination == NONFINITE and not tr.solved
         assert tr.iterations == 0
@@ -332,7 +332,7 @@ class TestSolveBB:
             g -= row.alpha * ag
 
     def test_trace_row_semantics(self, inst):
-        tr = solve_bb(inst, SteplengthPolicy.short(), epsilon=1e-4, max_iter=5000)
+        tr = solve_bb(inst, SteplengthPolicy("bb2"), epsilon=1e-4, max_iter=5000)
         ks = [r.k for r in tr.rows]
         assert ks == list(range(len(tr.rows)))
         assert all(r.backtracks == 0 and r.fevals == 0 for r in tr.rows)
@@ -342,7 +342,7 @@ class TestSolveBB:
         assert tr.meta["alpha0_rule"] == "inf_norm"
 
     def test_first_alpha_is_inf_norm_rule(self, inst):
-        tr = solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-4, max_iter=5000)
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-4, max_iter=5000)
         g0 = gradient(inst, np.ones(inst.dim))
         assert tr.rows[0].alpha == pytest.approx(
             1.0 / np.max(np.abs(g0)), rel=1e-14
@@ -353,7 +353,7 @@ class TestSolveBB:
         # replay the recorded steplengths from x0 and confirm every secant
         # pair the policy saw had positive curvature, as the structure
         # guarantees
-        tr = solve_bb(inst, SteplengthPolicy.family(2.0), epsilon=1e-6, max_iter=5000)
+        tr = solve_bb(inst, SteplengthPolicy("gamma", gamma=2.0), epsilon=1e-6, max_iter=5000)
         x = np.ones(inst.dim)
         g = gradient(inst, x)
         for row in tr.rows[:-1]:
@@ -368,12 +368,12 @@ class TestSolveBB:
         with pytest.raises(InvalidParameterError):
             solve_bb(inst, "bb1", epsilon=1e-6, max_iter=100)
         with pytest.raises(InvalidParameterError):
-            solve_bb(inst, SteplengthPolicy.long(), epsilon=2.0, max_iter=100)
+            solve_bb(inst, SteplengthPolicy("bb1"), epsilon=2.0, max_iter=100)
         with pytest.raises(InvalidParameterError):
-            solve_bb(inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=0)
+            solve_bb(inst, SteplengthPolicy("bb1"), epsilon=1e-6, max_iter=0)
         with pytest.raises(InvalidParameterError):
             solve_bb(
-                inst, SteplengthPolicy.long(), epsilon=1e-6, max_iter=100, alpha0=-1.0
+                inst, SteplengthPolicy("bb1"), epsilon=1e-6, max_iter=100, alpha0=-1.0
             )
 
     def test_underflowing_curvature_ends_nonfinite_without_warning(self, capsys):
@@ -399,9 +399,9 @@ class TestSolveBB:
 
     def test_block_checks_each_epsilon(self, inst):
         x0, a0 = bb_start(inst)
-        rows = [(inst, SteplengthPolicy.long(), x0, a0, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
+        rows = [(inst, SteplengthPolicy("bb1"), x0, a0, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
         runs = kernels.raw_bb_loop(rows, 3, history=False)
-        counts = [solve_bb(inst, SteplengthPolicy.long(), eps, 500).iterations
+        counts = [solve_bb(inst, SteplengthPolicy("bb1"), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
         assert [its for _, its, _ in runs] == counts
 

@@ -34,8 +34,6 @@ from stlsbb.solver import (
     STOP_GRAD_ABS,
     STOP_GRAD_REL,
     STOP_POINT_DIST,
-    NonmonotoneWindow,
-    backtrack,
 )
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
@@ -68,45 +66,13 @@ class TestSafeguard:
         assert safeguard(math.inf, 0.001, 0.1) == 0.1
         assert safeguard(math.nan, 0.001, 0.1) == 0.1
 
-    def test_backtrack_is_geometric(self):
-        assert backtrack(1.0, 0.8) == 0.8
-        assert backtrack(0.8, 0.8) == pytest.approx(0.64)
 
-
-class TestNonmonotoneWindow:
-    def test_max_over_recent_values(self):
-        w = NonmonotoneWindow(2)
-        for f in (5.0, 3.0, 4.0):
-            w.push(f)
-        assert w.max() == 5.0
-
-    def test_eviction(self):
-        w = NonmonotoneWindow(2)
-        for f in (9.0, 1.0, 2.0, 3.0):
-            w.push(f)
-        # 9.0 fell out of the memory+1 = 3 slot window
-        assert w.max() == 3.0
-        assert len(w) == 3
-
-    def test_zero_memory_is_monotone(self):
-        w = NonmonotoneWindow(0)
-        w.push(7.0)
-        w.push(2.0)
-        assert w.max() == 2.0
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            NonmonotoneWindow(1).max()
-        with pytest.raises(InvalidParameterError):
-            NonmonotoneWindow(-1)
-
+class TestNonmonotoneAccept:
     def test_accept_rule_hand_case(self):
-        w = NonmonotoneWindow(5)
-        for f in (5.0, 3.0, 4.0):
-            w.push(f)
+        f_max = max((5.0, 3.0, 4.0))
         # threshold is 5 - 0.1 * 0.5 * 2 = 4.9
-        assert nonmonotone_accept(4.9, w.max(), 0.1, 0.5, 2.0)
-        assert not nonmonotone_accept(4.900001, w.max(), 0.1, 0.5, 2.0)
+        assert nonmonotone_accept(4.9, f_max, 0.1, 0.5, 2.0)
+        assert not nonmonotone_accept(4.900001, f_max, 0.1, 0.5, 2.0)
 
     @pytest.mark.parametrize("grad_sq", [3.7, 1e307, 1e308, math.inf])
     @pytest.mark.parametrize("f_max", [2.5, -1.5e308])
@@ -117,7 +83,7 @@ class TestNonmonotoneWindow:
         beta = 0.1
         steps = [70.0]
         for _ in range(23):
-            steps.append(backtrack(steps[-1], 0.8))
+            steps.append(steps[-1] * 0.8)
         ties = [f_max - beta * a * grad_sq for a in steps]
         f = [t + d for t in ties for d in (0.0, rng.standard_normal())]
         f += [math.nextafter(t, math.inf) for t in ties[:4]]
@@ -261,27 +227,27 @@ class TestRunLoop:
         # the first BB1 pair on a sphere has steplength exactly 1, which
         # jumps straight to the minimizer
         obj = sphere()
-        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-10), SteplengthPolicy.long())
+        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-10), SteplengthPolicy("bb1"))
         assert tr.solved
         assert tr.iterations <= 3
         assert tr.final_x == pytest.approx(np.zeros(3), abs=1e-10)
 
     def test_zero_gradient_start(self):
         obj = sphere()
-        tr = run(obj, np.zeros(3), SolverConfig(), SteplengthPolicy.long())
+        tr = run(obj, np.zeros(3), SolverConfig(), SteplengthPolicy("bb1"))
         assert tr.solved and tr.iterations == 0
         assert len(tr.rows) == 1
 
     def test_dimension_mismatch(self):
         obj = sphere()
         with pytest.raises(DimensionMismatchError):
-            run(obj, np.zeros(4), SolverConfig(), SteplengthPolicy.long())
+            run(obj, np.zeros(4), SolverConfig(), SteplengthPolicy("bb1"))
         # a point_dist target must not broadcast against the iterate
         obj = rosenbrock2()
         for target in ([1.0], [1.0, 1.0, 1.0]):
             cfg = SolverConfig(stop_rule=STOP_POINT_DIST, target=target)
             with pytest.raises(DimensionMismatchError):
-                run(obj, obj.x0, cfg, SteplengthPolicy.long())
+                run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
 
     def test_gradient_of_the_wrong_length(self):
         # a user objective whose gradient is shorter than its dim is
@@ -290,21 +256,21 @@ class TestRunLoop:
             obj = Objective("short-gradient", 3,
                             lambda x, g=np.array(g): (float(x @ x), g), x0=np.ones(3))
             with pytest.raises(DimensionMismatchError, match="gradient has length"):
-                run(obj, obj.x0, SolverConfig(), SteplengthPolicy.long())
+                run(obj, obj.x0, SolverConfig(), SteplengthPolicy("bb1"))
 
     def test_fixed_alpha0_recorded(self):
         obj = sphere()
         cfg = SolverConfig(alpha0=0.25)
-        tr = run(obj, obj.x0, cfg, SteplengthPolicy.long())
+        tr = run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
         assert tr.rows[0].alpha == 0.25
         assert tr.meta["alpha0_rule"] == "fixed"
-        tr2 = run(obj, obj.x0, SolverConfig(), SteplengthPolicy.long())
+        tr2 = run(obj, obj.x0, SolverConfig(), SteplengthPolicy("bb1"))
         assert tr2.meta["alpha0_rule"] == "probe"
 
     def test_iteration_cap(self):
         obj = rosenbrock2()
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-12, max_iter=5),
-                 SteplengthPolicy.short())
+                 SteplengthPolicy("bb2"))
         assert tr.termination == ITERATION_CAP
         assert tr.iterations == 5
 
@@ -317,14 +283,14 @@ class TestRunLoop:
             stop_rule=STOP_POINT_DIST,
             target=[1.0, 1.0],
         )
-        tr = run(obj, obj.x0, cfg, SteplengthPolicy.family(1.0))
+        tr = run(obj, obj.x0, cfg, SteplengthPolicy("gamma", gamma=1.0))
         assert tr.solved
         assert np.linalg.norm(tr.final_x - 1.0) <= 1e-6
 
     def test_grad_rel_stop(self):
         obj = sphere(5)
         cfg = SolverConfig(epsilon=1e-3, stop_rule=STOP_GRAD_REL)
-        tr = run(obj, np.full(5, 3.0), cfg, SteplengthPolicy.long())
+        tr = run(obj, np.full(5, 3.0), cfg, SteplengthPolicy("bb1"))
         gn0 = tr.rows[0].grad_norm
         assert tr.solved
         assert tr.rows[-1].grad_norm <= 1e-3 * gn0
@@ -338,7 +304,7 @@ class TestRunLoop:
             return t**4 - t**2, np.array([4.0 * t**3 - 2.0 * t])
 
         obj = Objective("quartic-well", 1, eval_)
-        tr = run(obj, [0.1], SolverConfig(epsilon=1e-10), SteplengthPolicy.long())
+        tr = run(obj, [0.1], SolverConfig(epsilon=1e-10), SteplengthPolicy("bb1"))
         assert tr.solved
         assert abs(abs(tr.final_x[0]) - 1.0 / math.sqrt(2.0)) < 1e-6
 
@@ -394,7 +360,7 @@ class TestRunLoop:
 
         obj = Objective("cliff", 1, eval_)
         with pytest.raises(LineSearchStallError):
-            run(obj, [0.0], SolverConfig(backtrack_cap=5), SteplengthPolicy.long())
+            run(obj, [0.0], SolverConfig(backtrack_cap=5), SteplengthPolicy("bb1"))
 
     def test_nan_gradient_ends_nonfinite(self):
         # the gradient is nan everywhere but at the start, so the first
@@ -407,7 +373,7 @@ class TestRunLoop:
             return 0.5 * float(x @ x), g
 
         obj = Objective("nan-gradient", 2, eval_)
-        tr = run(obj, x0, SolverConfig(alpha0=0.5), SteplengthPolicy.long())
+        tr = run(obj, x0, SolverConfig(alpha0=0.5), SteplengthPolicy("bb1"))
         assert tr.termination == NONFINITE
         assert not tr.solved
         assert tr.iterations == 1
@@ -421,7 +387,7 @@ class TestRunLoop:
             return 0.5 * float(x @ x), np.full(2, np.nan)
 
         obj = Objective("nan-start", 2, nan_everywhere)
-        tr = run(obj, x0, SolverConfig(), SteplengthPolicy.long())
+        tr = run(obj, x0, SolverConfig(), SteplengthPolicy("bb1"))
         assert tr.termination == NONFINITE and tr.iterations == 0
         assert len(seen) == 1
 
@@ -438,7 +404,7 @@ class TestRunLoop:
             return f, x.copy()
 
         obj = Objective("nan-trials", 2, eval_)
-        tr = run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=7), SteplengthPolicy.long())
+        tr = run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=7), SteplengthPolicy("bb1"))
         assert tr.termination == NONFINITE and not tr.solved
         assert tr.iterations == 0
         assert len(seen) == 1 + 8  # x0, then the first trial and 7 backtracks
@@ -458,21 +424,31 @@ class TestRunLoop:
 
         obj = Objective("mostly-nan", 1, eval_)
         with pytest.raises(LineSearchStallError):
-            run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=5), SteplengthPolicy.long())
+            run(obj, x0, SolverConfig(alpha0=0.5, backtrack_cap=5), SteplengthPolicy("bb1"))
 
     def test_backtracks_and_fevals_recorded(self):
         obj = rosenbrock2()
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, alpha0=1.0, max_iter=2000),
-                 SteplengthPolicy.long())
+                 SteplengthPolicy("bb1"))
         assert any(r.backtracks > 0 for r in tr.rows[:-1])
         for r in tr.rows[:-1]:
             assert r.fevals == 1 + r.backtracks
         assert tr.rows[-1].fevals == 0
 
+    def test_zero_memory_accepts_only_decreasing_f(self):
+        # the window holds memory + 1 values of f, so at memory 0 the test
+        # compares against the current f alone and the run is monotone
+        obj = rosenbrock2()
+        f = {m: run(obj, obj.x0, SolverConfig(memory=m, max_iter=2000),
+                    SteplengthPolicy("bb1")).f_values()
+             for m in (0, 10)}
+        assert np.all(np.diff(f[0]) < 0.0)
+        assert np.any(np.diff(f[10]) > 0.0)
+
     def test_trace_json_roundtrip(self):
         obj = rosenbrock2()
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-4, max_iter=800),
-                 SteplengthPolicy.family(1.5))
+                 SteplengthPolicy("gamma", gamma=1.5))
         back = RunTrace.from_json(tr.to_json())
         assert back.termination == tr.termination
         assert back.meta == tr.meta
@@ -501,7 +477,7 @@ class TestAudit:
     def make_trace(self):
         obj = rosenbrock2()
         return run(obj, obj.x0, SolverConfig(epsilon=1e-5, max_iter=2000),
-                   SteplengthPolicy.family(1.0))
+                   SteplengthPolicy("gamma", gamma=1.0))
 
     def test_clean_run_passes(self):
         tr = self.make_trace()
@@ -525,9 +501,21 @@ class TestAudit:
 
     def test_raw_trace_needs_a_config(self):
         inst = generate_instance(20, SpectrumSetting(1, 1e2), seed=0)
-        tr = solve_bb(inst, SteplengthPolicy.long(), 1e-6, 500)
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), 1e-6, 500)
         with pytest.raises(InvalidParameterError, match="raw_bb"):
             audit_trace(tr)
+
+    def test_window_holds_the_last_memory_plus_one_values(self):
+        # the last step's f = 8 passes only against f = 9, which is four
+        # values back: a window of memory + 1 = 3 no longer holds it
+        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1)
+                for k, f in enumerate((9.0, 1.0, 2.0, 3.0))]
+        rows.append(TraceRow(k=4, f=8.0, grad_norm=1.0, alpha=math.nan))
+        tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+        assert audit_trace(tr, config=SolverConfig(memory=2)) == [
+            "row 3: accepted step fails the nonmonotone test on replay"
+        ]
+        assert audit_trace(tr, config=SolverConfig(memory=3)) == []
 
     def test_explicit_config_overrides_meta(self):
         tr = self.make_trace()
@@ -624,7 +612,7 @@ class TestRounds:
             return eval_rows(xs)
 
         tr = run(dataclasses.replace(obj, eval_rows=counted), obj.x0, cfg,
-                 SteplengthPolicy.long())
+                 SteplengthPolicy("bb1"))
         fevals = sum(r.fevals for r in tr.rows)
         assert any(r.backtracks > 1 for r in tr.rows)
         assert sum(rows) <= 1.05 * fevals
@@ -665,9 +653,9 @@ class TestRounds:
         sizes = []
         obj = self.notch(1.0, sizes)
         with pytest.raises(LineSearchStallError) as got:
-            run(obj, obj.x0, self.CAP, SteplengthPolicy.long())
+            run(obj, obj.x0, self.CAP, SteplengthPolicy("bb1"))
         with pytest.raises(LineSearchStallError) as want:
-            run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy.long())
+            run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy("bb1"))
         assert str(got.value) == str(want.value)
         assert sizes == want_sizes
 
@@ -677,8 +665,8 @@ class TestRounds:
             monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
         sizes = []
         obj = self.notch(math.nan, sizes)
-        got = run(obj, obj.x0, self.CAP, SteplengthPolicy.long())
-        want = run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy.long())
+        got = run(obj, obj.x0, self.CAP, SteplengthPolicy("bb1"))
+        want = run(without_rows(obj), obj.x0, self.CAP, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert got.termination == NONFINITE and got.iterations == 1
         assert (got.rows[0].backtracks, got.rows[1].f) == (2, -1.0)
@@ -695,7 +683,7 @@ class TestRounds:
             return ros.eval(x)
 
         obj = Objective(ros.name, ros.dim, counted, ros.x0)
-        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, max_iter=300), SteplengthPolicy.short())
+        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, max_iter=300), SteplengthPolicy("bb2"))
         assert any(r.backtracks for r in tr.rows)
         assert len(calls) == 3 + sum(r.fevals for r in tr.rows)
 
@@ -729,8 +717,8 @@ class TestRounds:
         rounds = []
         obj = self.spiky(bad, rounds)
         cfg = SolverConfig(epsilon=1e-8, alpha0=50.0, max_iter=300)
-        got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
-        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        got = run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert audit_trace(got) == []
         # some round holds a bad row after its first row
@@ -759,8 +747,8 @@ class TestRounds:
         obj = Objective("steep-line", 1, eval_, x0=[0.0], eval_rows=eval_rows)
         cfg = SolverConfig(alpha0=100.0, eta=1e-10, delta=1.0, sigma=0.1, max_iter=1)
         assert math.isinf(cfg.beta * cfg.alpha0 * c * c)
-        got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
-        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        got = run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert got.rows[0].backtracks == 2 and got.final_x[0] == -c
 
@@ -774,8 +762,8 @@ class TestRounds:
         with np.errstate(divide="raise"):
             np.setbufsize(4096)
             before = np.geterr()
-            got = run(obj, obj.x0, cfg, SteplengthPolicy.long())
+            got = run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
             assert (np.getbufsize(), np.geterr()) == (4096, before)
-        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy.long())
+        want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert any(r.backtracks > 1 for r in got.rows)

@@ -92,27 +92,27 @@ class TestPairValidation:
             alpha_convex(pair, 0.5)
         # solver.run turns this error into its delta reset, for every kind
         for pol in (
-            SteplengthPolicy.long(),
-            SteplengthPolicy.short(),
-            SteplengthPolicy.family(2.0),
-            SteplengthPolicy.family_prime(2.0),
-            SteplengthPolicy.convex(0.5),
-            SteplengthPolicy.adaptive_cyclic(3),
+            SteplengthPolicy("bb1"),
+            SteplengthPolicy("bb2"),
+            SteplengthPolicy("gamma", gamma=2.0),
+            SteplengthPolicy("gamma_prime", gamma=2.0),
+            SteplengthPolicy("tau", tau=0.5),
+            SteplengthPolicy("atc", cycle=3),
         ):
             with pytest.raises(NonpositiveCurvatureError):
                 next_steplength(pol, pair)
         with pytest.raises(NonpositiveCurvatureError):
-            next_steplength(SteplengthPolicy.adaptive_cyclic(3), pair, 1, 0.5)
+            next_steplength(SteplengthPolicy("atc", cycle=3), pair, 1, 0.5)
 
     def test_parameter_validation(self, canonical_pair):
         for gamma in (0.0, -3.0, float("inf"), float("nan"), 10**400, "not a number"):
             with pytest.raises(InvalidParameterError):
-                SteplengthPolicy.family(gamma)
+                SteplengthPolicy("gamma", gamma=gamma)
             with pytest.raises(InvalidParameterError):
                 alpha_family(canonical_pair, gamma)
         for tau in (1.5, -0.1, float("nan"), "x"):
             with pytest.raises(InvalidParameterError):
-                SteplengthPolicy.convex(tau)
+                SteplengthPolicy("tau", tau=tau)
             with pytest.raises(InvalidParameterError):
                 alpha_convex(canonical_pair, tau)
 
@@ -214,12 +214,12 @@ class TestFamilyProperties:
 class TestPolicy:
     def test_describe_parse_roundtrip(self):
         policies = [
-            SteplengthPolicy.long(),
-            SteplengthPolicy.short(),
-            SteplengthPolicy.family(2.5),
-            SteplengthPolicy.family_prime(0.125),
-            SteplengthPolicy.convex(0.75),
-            SteplengthPolicy.adaptive_cyclic(4),
+            SteplengthPolicy("bb1"),
+            SteplengthPolicy("bb2"),
+            SteplengthPolicy("gamma", gamma=2.5),
+            SteplengthPolicy("gamma_prime", gamma=0.125),
+            SteplengthPolicy("tau", tau=0.75),
+            SteplengthPolicy("atc", cycle=4),
         ]
         for pol in policies:
             again = parse_policy(pol.describe())
@@ -231,15 +231,15 @@ class TestPolicy:
     def test_describe_parses_back_to_the_same_float(self, rng):
         # six significant digits would name a different gamma or tau, so
         # such values take their shortest round-trip form
-        assert SteplengthPolicy.family(1.0000001).describe() == "gamma:1.0000001"
+        assert SteplengthPolicy("gamma", gamma=1.0000001).describe() == "gamma:1.0000001"
         assert parse_policy("gamma:1.0000001").describe() == "gamma:1.0000001"
         gammas = np.concatenate([10.0 ** rng.uniform(-300, 300, 200),
                                  rng.uniform(0.0, 30.0, 200),
                                  [1.0, 1.5, 20.0, 0.5, 5e-324, 1.7976931348623157e308]])
         taus = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 0.3, 1.0, 1.0 - 2.0**-53]])
-        policies = ([SteplengthPolicy.family(g) for g in gammas]
-                    + [SteplengthPolicy.family_prime(g) for g in gammas]
-                    + [SteplengthPolicy.convex(t) for t in taus])
+        policies = ([SteplengthPolicy("gamma", gamma=g) for g in gammas]
+                    + [SteplengthPolicy("gamma_prime", gamma=g) for g in gammas]
+                    + [SteplengthPolicy("tau", tau=t) for t in taus])
         for pol in policies:
             assert parse_policy(pol.describe()) == pol, pol.describe()
 
@@ -288,10 +288,10 @@ class TestPolicy:
         assert SteplengthPolicy("atc", cycle=np.int64(3)).describe() == "atc:3"
         # the index is the caller's, so the call checks it
         with pytest.raises(InvalidParameterError):
-            next_steplength(SteplengthPolicy.long(), canonical_pair, -1)
+            next_steplength(SteplengthPolicy("bb1"), canonical_pair, -1)
 
     def test_next_steplength_returns_a_float(self, canonical_pair):
-        pol = SteplengthPolicy.family(1.0)
+        pol = SteplengthPolicy("gamma", gamma=1.0)
         a = next_steplength(pol, canonical_pair)
         assert type(a) is float
         assert a == pytest.approx(GOLDEN, rel=1e-14)
@@ -302,47 +302,47 @@ class TestPolicy:
         # both sides evaluate the same kernel, so the match is exact
         b1, b2 = bb1(canonical_pair), bb2(canonical_pair)
         cases = [
-            (SteplengthPolicy.long(), b1),
-            (SteplengthPolicy.short(), b2),
-            (SteplengthPolicy.family(3.0), alpha_family(canonical_pair, 3.0)),
-            (SteplengthPolicy.family_prime(3.0), alpha_family_prime(canonical_pair, 3.0)),
-            (SteplengthPolicy.convex(0.25), alpha_convex(canonical_pair, 0.25)),
-            (SteplengthPolicy.adaptive_cyclic(3), b1),
+            (SteplengthPolicy("bb1"), b1),
+            (SteplengthPolicy("bb2"), b2),
+            (SteplengthPolicy("gamma", gamma=3.0), alpha_family(canonical_pair, 3.0)),
+            (SteplengthPolicy("gamma_prime", gamma=3.0), alpha_family_prime(canonical_pair, 3.0)),
+            (SteplengthPolicy("tau", tau=0.25), alpha_convex(canonical_pair, 0.25)),
+            (SteplengthPolicy("atc", cycle=3), b1),
         ]
         for pol, want in cases:
             assert next_steplength(pol, canonical_pair) == want
-        atc = SteplengthPolicy.adaptive_cyclic(3)
+        atc = SteplengthPolicy("atc", cycle=3)
         for index, prev, want in [(3, 9.0, b1), (1, 0.01, b2), (2, 50.0, b1), (1, 0.62, 0.62)]:
             assert next_steplength(atc, canonical_pair, index, prev) == want
 
 
 class TestAdaptiveCyclic:
     def test_restart_uses_bb1(self, canonical_pair):
-        pol = SteplengthPolicy.adaptive_cyclic(3)
+        pol = SteplengthPolicy("atc", cycle=3)
         assert next_steplength(pol, canonical_pair) == pytest.approx(
             bb1(canonical_pair), rel=1e-15
         )
 
     def test_lower_clamp(self, canonical_pair):
-        pol = SteplengthPolicy.adaptive_cyclic(3)
+        pol = SteplengthPolicy("atc", cycle=3)
         assert next_steplength(pol, canonical_pair, 1, 0.01) == pytest.approx(
             bb2(canonical_pair), rel=1e-15
         )
 
     def test_upper_clamp(self, canonical_pair):
-        pol = SteplengthPolicy.adaptive_cyclic(3)
+        pol = SteplengthPolicy("atc", cycle=3)
         assert next_steplength(pol, canonical_pair, 2, 50.0) == pytest.approx(
             bb1(canonical_pair), rel=1e-15
         )
 
     def test_interior_pass_through(self, canonical_pair):
         inside = 0.62  # strictly between bb2 = 0.6 and bb1 = 2/3
-        pol = SteplengthPolicy.adaptive_cyclic(3)
+        pol = SteplengthPolicy("atc", cycle=3)
         assert next_steplength(pol, canonical_pair, 1, inside) == inside
 
     def test_cycle_sequence(self, rng):
         """Indices 0, cycle, 2*cycle restart; the rest carry state."""
-        pol = SteplengthPolicy.adaptive_cyclic(2)
+        pol = SteplengthPolicy("atc", cycle=2)
         a = None
         for k in range(6):
             pair = random_pair(rng)
@@ -354,7 +354,7 @@ class TestAdaptiveCyclic:
                 assert lo - 1e-15 <= a <= hi + 1e-15
 
     def test_missing_state(self, canonical_pair):
-        pol = SteplengthPolicy.adaptive_cyclic(3)
+        pol = SteplengthPolicy("atc", cycle=3)
         with pytest.raises(MissingStateError):
             next_steplength(pol, canonical_pair, 1)
 
@@ -365,7 +365,7 @@ def test_version_string():
 
 def test_all_is_the_public_namespace():
     names = stlsbb.__all__
-    assert len(names) == len(set(names)) == 66
+    assert len(names) == len(set(names)) == 64
     # every name resolves, and no submodule or private name leaks
     for name in names:
         assert not isinstance(getattr(stlsbb, name), types.ModuleType), name
