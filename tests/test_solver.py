@@ -517,6 +517,18 @@ class TestAudit:
         ]
         assert audit_trace(tr, config=SolverConfig(memory=3)) == []
 
+    def test_window_takes_the_max_over_recent_values(self):
+        # the last step's f = 4.9 is above the latest value 4 and passes
+        # only against f = 5, the largest of the memory + 1 = 3 values
+        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1)
+                for k, f in enumerate((5.0, 3.0, 4.0))]
+        rows.append(TraceRow(k=3, f=4.9, grad_norm=1.0, alpha=math.nan))
+        tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+        assert audit_trace(tr, config=SolverConfig(memory=2)) == []
+        assert audit_trace(tr, config=SolverConfig(memory=1)) == [
+            "row 2: accepted step fails the nonmonotone test on replay"
+        ]
+
     def test_explicit_config_overrides_meta(self):
         tr = self.make_trace()
         strict = SolverConfig.from_meta(tr.meta, beta=0.999)
