@@ -10,7 +10,10 @@ into each slot a finished one frees: one Hessian product per step for the
 whole block, row dots through np.vecdot (which rounds like the 1-D dot),
 and a scalar policy_step call per row, so every row reproduces its run
 alone bit for bit.  The kernels never modify their inputs, and the arrays
-they return are fresh ones.
+they return are fresh ones.  A block product on rows of at least _WIDE_ROW
+doubles, within _BLOCK_DOUBLES, writes its temporaries into a work array
+that each thread holds once and never hands out, so such a product
+allocates only its result.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -18,6 +21,7 @@ and harness.ExperimentGrid for the sweep, check what reaches raw_bb_loop.
 """
 
 import math
+import threading
 from itertools import islice
 
 import numpy as np
@@ -130,6 +134,36 @@ def _householder_product(dot, w1, w2, w3, v, x):
     return u
 
 
+def _wide_product(w1, w2, w3, v, x):
+    # _householder_product on a block, in the same order, with each c w
+    # term written into the thread's work array, so the product allocates
+    # only its result.  Kept apart because the np.multiply(..., out=None)
+    # form on the other paths read 1.9 % slower on the n = 100 sweep
+    # benchmark and raised the n = 1e5 raw runs' peak RSS by 0.7 MB
+    cw = _work_array(x.shape)
+    u = x - np.multiply(2.0 * _row_dots(w3, x), w3, out=cw)
+    for w in (w2, w1):
+        u -= np.multiply(2.0 * _row_dots(w, u), w, out=cw)
+    u *= v
+    for w in (w1, w2, w3):
+        u -= np.multiply(2.0 * _row_dots(w, u), w, out=cw)
+    return u
+
+
+def _work_array(shape):
+    # a view of this thread's _BLOCK_DOUBLES work doubles, made again if
+    # _BLOCK_DOUBLES has grown; never returned to a caller, and each thread
+    # has its own, so concurrent products never share one
+    size = math.prod(shape)
+    buf = getattr(_work, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _work.buf = np.empty(_BLOCK_DOUBLES)
+    return buf[:size].reshape(shape)
+
+
+_work = threading.local()
+
+
 def hessian_apply(w1, w2, w3, v, x):
     """Apply Q diag(v) Q' to x, where Q is the product of the Householder
     reflections (I - 2 w3 w3')(I - 2 w2 w2')(I - 2 w1 w1').
@@ -149,7 +183,12 @@ def hessian_apply(w1, w2, w3, v, x):
         if w1.ndim == 2:
             w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
         return _householder_product(np.dot, w1, w2, w3, v, x[0])[None]
-    return _with_row_buffers(x.shape[1], _householder_product, _row_dots, w1, w2, w3, v, x)
+    n = x.shape[1]
+    # wide blocks within _BLOCK_DOUBLES, as the line search's rounds are,
+    # take the work array; narrower blocks keep their fresh temporaries
+    if n >= _WIDE_ROW and x.size <= _BLOCK_DOUBLES:
+        return _with_row_buffers(n, _wide_product, w1, w2, w3, v, x)
+    return _with_row_buffers(n, _householder_product, _row_dots, w1, w2, w3, v, x)
 
 
 def _step_rows(x, g, a):
@@ -183,7 +222,9 @@ def _with_row_buffers(n, f, *args):
     # (29, 1000), the line search's blocks; blocks of four rows lost up to
     # 1.16x below n = 256.  With the small buffers on every block the n =
     # 100 sweep benchmark ran 1.08x slower end to end.  The buffer size
-    # changes how these elementwise loops run, never a value.
+    # changes how these elementwise loops run, never a value.  Wide blocks
+    # within _BLOCK_DOUBLES also take their product's temporaries from the
+    # thread's work array (_wide_product).
     if n < _WIDE_ROW:
         return f(*args)
     with np.errstate():  # which restores numpy's buffer size on exit

@@ -84,6 +84,13 @@ def first_row_eval(eval_rows):
     return eval_
 
 
+def _square_or_inf(r):
+    try:
+        return r**2
+    except OverflowError:
+        return math.inf
+
+
 def rosenbrock2():
     """Planar Rosenbrock valley, minimum f = 0 at (1, 1); the conventional
     start is (-1.2, 1)."""
@@ -94,8 +101,14 @@ def rosenbrock2():
         u = 1.0 - x1
         # (1 - x1)^2 is squared as Python floats, through libm pow, which
         # the published traces and goldens were recorded with; numpy's
-        # square, power and u * u do not always round the same way
-        f = 100.0 * t * t + np.array([r**2 for r in u.tolist()])
+        # square, power and u * u do not always round the same way.  Where
+        # a square overflows, pow raises: that block is squared again
+        # with +inf for it, as float64 gives
+        try:
+            sq = [r**2 for r in u.tolist()]
+        except OverflowError:
+            sq = [_square_or_inf(r) for r in u.tolist()]
+        f = 100.0 * t * t + np.array(sq)
         g = np.empty_like(xs)
         g[:, 0] = -400.0 * x1 * t - 2.0 * u
         g[:, 1] = 200.0 * t
@@ -201,10 +214,10 @@ def nonmonotone_accept(f_trial, f_max, beta, alpha, grad_sq):
     """Acceptance test: f_trial <= f_max - beta * alpha * grad_sq, where
     f_max is the largest of the last memory+1 objective values.
 
-    The same expression decides acceptance in run(), on the arrays of a
-    round's trial values and steplengths, and in audit_trace(), on one
-    trial's floats; numpy rounds each element as the scalar expression
-    does, so a replayed trace reproduces the decision bit for bit.
+    run() and audit_trace() both decide with it on one trial's Python
+    floats, which overflow to inf quietly, so a replayed trace reproduces
+    each decision bit for bit.  On numpy arrays it rounds each element as
+    on floats.
     """
     return f_trial <= f_max - beta * alpha * grad_sq
 
@@ -255,17 +268,6 @@ def _rounds_of_one(objective):
     return eval_rows
 
 
-def _passing(f_rows, f_max, beta, steps, grad_sq):
-    # nonmonotone_accept on a round's rows.  The threshold of the round's
-    # first (largest) step bounds every other one, so when it is finite no
-    # element overflows; otherwise numpy is kept from warning where the
-    # scalar expression quietly gives inf or nan
-    if f_max - beta * float(steps[0]) * grad_sq > -math.inf:
-        return nonmonotone_accept(f_rows, f_max, beta, steps, grad_sq)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return nonmonotone_accept(f_rows, f_max, beta, steps, grad_sq)
-
-
 def run(objective, x0, config, policy):
     """Minimize a smooth objective with safeguarded nonmonotone BB steps.
 
@@ -285,12 +287,16 @@ def run(objective, x0, config, policy):
     steplengths a, sigma*a, sigma^2*a, ... as the rows of one
     objective.eval_rows call and keeps the first row that passes; rows
     after it are discarded.  An iteration's first round holds as many
-    trials as the previous iteration needed; if it fails, the next round
-    holds one trial and each later round twice as many as the one before.
-    An iteration never evaluates more than backtrack_cap + 1 trials, and a
-    round never more rows than fit kernels._BLOCK_DOUBLES.  An objective
-    without eval_rows takes rounds of one through eval.  Every decision is
-    the one trial-by-trial backtracking makes.
+    trials as the larger of the last two iterations needed; if it fails,
+    the next round holds one trial and each later round twice as many as
+    the one before.  An iteration never evaluates more than
+    backtrack_cap + 1 trials, and a round never more rows than fit
+    kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
+    of one through eval.  Every decision is the one trial-by-trial
+    backtracking makes, on the same floats as audit_trace.  run copies the
+    opening gradient and each accepted point and gradient out of what the
+    objective returned, so an objective may reuse its output arrays and no
+    round's block outlives its round.
 
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
@@ -309,7 +315,7 @@ def run(objective, x0, config, policy):
         eval_rows, block_rows = _rounds_of_one(objective), 1
     f, g = objective.eval(x)
     f = float(f)
-    g = np.asarray(g, dtype=float).reshape(-1)
+    g = np.array(g, dtype=float).reshape(-1)
     if g.size != objective.dim:
         raise DimensionMismatchError(f"gradient has length {g.size}, expected {objective.dim}")
     gn0 = _norm(g)
@@ -325,7 +331,7 @@ def run(objective, x0, config, policy):
     termination = ITERATION_CAP
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
-    needed = 1  # trials the previous iteration needed
+    needed = before = 1  # trials the last and the one before needed
     beta, sigma = config.beta, config.sigma
     gn = gn0
     while True:
@@ -343,7 +349,7 @@ def run(objective, x0, config, policy):
         f_max = max(window)
         a_eff = alpha
         tried = 0  # trials evaluated in this iteration's earlier rounds
-        size = needed
+        size = max(needed, before)
         finite_trial = False
         while True:
             size = min(size, config.backtrack_cap + 1 - tried, block_rows)
@@ -351,17 +357,19 @@ def run(objective, x0, config, policy):
             for _ in range(size):
                 steps.append(a_eff)
                 a_eff *= sigma
-            steps = np.array(steps)
-            xs = kernels.trial_rows(x, g, steps)
+            xs = kernels.trial_rows(x, g, np.array(steps))
             f_rows, g_rows = eval_rows(xs)
-            f_rows = np.asarray(f_rows, dtype=float)
-            passed = _passing(f_rows, f_max, beta, steps, grad_sq)
+            f_rows = np.asarray(f_rows, dtype=float).tolist()
             # the first row that passes is taken; rows after it are discarded
-            hit = int(passed.argmax())
-            if passed[hit]:
+            for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
+                if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
+                    break
+            else:
+                hit = None
+            if hit is not None:
                 break
             # no row of the round passed
-            finite_trial = finite_trial or bool((f_rows < math.inf).any())  # false for nan
+            finite_trial = finite_trial or any(ft < math.inf for ft in f_rows)  # false for nan
             first_round = tried == 0
             tried += size
             if tried <= config.backtrack_cap:
@@ -379,16 +387,18 @@ def run(objective, x0, config, policy):
         if termination == NONFINITE:
             break
         backtracks = tried + hit
-        needed = 1 + backtracks
+        before, needed = needed, 1 + backtracks
         rows.append(
             TraceRow(k=k, f=f, grad_norm=gn, alpha=alpha,
                      backtracks=backtracks, fevals=needed)
         )
-        x_trial = xs[hit]
-        g_trial = np.asarray(g_rows[hit], dtype=float).reshape(-1)
+        # copies, so no round's block outlives its round and an objective
+        # may reuse its output arrays
+        x_trial = xs[hit].copy()
+        g_trial = np.array(g_rows[hit], dtype=float).reshape(-1)
         s, y = x_trial - x, g_trial - g
         x = x_trial
-        f = float(f_rows[hit])
+        f = f_rows[hit]
         g = g_trial
         gn = _norm(g)
         window.append(f)
@@ -409,8 +419,7 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    # a copy, so the trace does not hold on to the last round's block
-    return RunTrace(rows=rows, termination=termination, final_x=x.copy(), meta=meta)
+    return RunTrace(rows=rows, termination=termination, final_x=x, meta=meta)
 
 
 def audit_trace(run_trace, config=None):

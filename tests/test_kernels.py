@@ -2,6 +2,9 @@
 Hessian product, row dots, and the lock-step raw BB loop."""
 
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,6 +252,80 @@ class TestHessianApplyReference:
             assert np.array_equal(first, keep)
             assert not np.shares_memory(first, second)
             assert not np.shares_memory(first, x)
+
+    @pytest.mark.parametrize("rows, n", [(128, 256), (129, 256), (40, 1000)])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
+    def test_wide_blocks_on_both_sides_of_the_work_array(self, rng, rows, n, shared):
+        # (128, 256) fills kernels._BLOCK_DOUBLES exactly and takes the
+        # work array; the larger blocks run without it, to the same bits
+        ws = unit_rows(rng, (3, n) if shared else (3, rows, n))
+        v = rng.uniform(1.0, 1e4, n if shared else (rows, n))
+        xs = rng.standard_normal((rows, n))
+        got = kernels.hessian_apply(*ws, v, xs)
+        if shared:
+            want = [reference_product(*ws, v, x) for x in xs]
+        else:
+            want = [reference_product(*args, x) for *args, x in zip(*ws, v, xs)]
+        assert np.array_equal(got, want)
+
+    def test_wide_results_never_share_the_work_array(self, rng):
+        n = 2 * kernels._WIDE_ROW
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        big = rng.standard_normal((8, 2 * n))
+        first = kernels.hessian_apply(*ws, v, big[:4, :n])
+        keep = first.copy()
+        second = kernels.hessian_apply(*ws, v, big[:, ::2])
+        assert np.array_equal(first, keep)
+        for got in (first, second):
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert not np.shares_memory(got, kernels._work.buf)
+        assert not np.shares_memory(first, second)
+
+    def test_warm_wide_block_allocates_only_its_result(self, rng):
+        # the line search's (29, 1000) rounds with shared w: each c w term
+        # goes to the work array, so the product's peak is its result
+        n = 1000
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        xs = rng.standard_normal((29, n))
+        kernels.hessian_apply(*ws, v, xs)  # the thread's work array exists
+        tracemalloc.start()
+        try:
+            got = kernels.hessian_apply(*ws, v, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * got.nbytes
+
+    def test_threads_running_wide_products(self, rng):
+        # each thread has its own work array: four threads interleaving
+        # products of different blocks get the serial results bit for bit
+        n = 600
+        jobs = [(unit_rows(rng, (3, n)), rng.uniform(1.0, 1e4, n),
+                 rng.standard_normal((rows, n))) for rows in (29, 7, 16, 3)]
+        want = [kernels.hessian_apply(*ws, v, xs) for ws, v, xs in jobs]
+        results = [[] for _ in jobs]
+
+        def repeat(i):
+            ws, v, xs = jobs[i]
+            for _ in range(100):
+                results[i].append(kernels.hessian_apply(*ws, v, xs))
+
+        threads = [threading.Thread(target=repeat, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, w in zip(results, want):
+            assert len(got) == 100
+            assert all(np.array_equal(r, w) for r in got)
 
     def test_wide_blocks_leave_numpy_settings_alone(self, rng):
         # the buffer size of a wide block's product is scoped to the call;

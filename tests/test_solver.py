@@ -77,8 +77,8 @@ class TestNonmonotoneAccept:
     @pytest.mark.parametrize("grad_sq", [3.7, 1e307, 1e308, math.inf])
     @pytest.mark.parametrize("f_max", [2.5, -1.5e308])
     def test_accept_on_arrays_equals_scalar_calls(self, rng, grad_sq, f_max):
-        # run() decides a round on arrays, audit_trace() one trial on
-        # floats; the two must agree element by element, also where the
+        # on arrays the test rounds each element as on one trial's floats,
+        # which run() and audit_trace() decide with, also where the
         # threshold overflows (1e307 with -1.5e308, and 1e308)
         beta = 0.1
         steps = [70.0]
@@ -220,6 +220,22 @@ class TestRosenbrock:
                 xm[i] -= h
                 fd = (obj.eval(xp)[0] - obj.eval(xm)[0]) / (2.0 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-4)
+
+    def test_overflowing_square_gives_inf(self):
+        # at a far point (1 - x1)^2 overflows, which pow raises on; f is
+        # +inf there, the block's finite rows keep their bits, and a run
+        # whose every trial lands that far ends nonfinite at iterate 0.
+        # numpy's own x1 * x1 warns of the overflow, so warnings are off
+        obj = rosenbrock2()
+        near = np.array([0.5, 0.3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = obj.eval_rows(np.array([[1e200, 0.0], near]))
+            assert f[0] == math.inf
+            assert f[1] == obj.eval(near)[0]
+            assert np.array_equal(g[1], obj.eval(near)[1])
+            tr = run(obj, obj.x0, SolverConfig(alpha0=1e160, eta=1e-300),
+                     SteplengthPolicy("bb1"))
+        assert tr.termination == NONFINITE and tr.iterations == 0
 
 
 class TestRunLoop:
@@ -628,6 +644,9 @@ class TestRounds:
         fevals = sum(r.fevals for r in tr.rows)
         assert any(r.backtracks > 1 for r in tr.rows)
         assert sum(rows) <= 1.05 * fevals
+        # a first round sized for the larger of the last two needs makes
+        # most iterations one eval_rows call
+        assert len(rows) <= 1.15 * tr.iterations
 
     @staticmethod
     def notch(miss, sizes):
@@ -725,7 +744,7 @@ class TestRounds:
     def test_nonfinite_rows_inside_rounds(self, bad):
         # trial rows whose f is nan or +inf fail the test and the search
         # goes on past them; a -inf row passes and the run ends nonfinite at
-        # it.  Rounds decide on arrays exactly as trials one by one do
+        # it.  Rounds decide exactly as trials one by one do
         rounds = []
         obj = self.spiky(bad, rounds)
         cfg = SolverConfig(epsilon=1e-8, alpha0=50.0, max_iter=300)
@@ -763,6 +782,37 @@ class TestRounds:
         want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert got.rows[0].backtracks == 2 and got.final_x[0] == -c
+
+    @pytest.mark.parametrize("reused", ["eval_rows", "eval"])
+    def test_objective_may_reuse_its_outputs(self, reused):
+        # run() copies every vector it keeps, so an objective that writes
+        # each result into the same arrays gives the run of fresh ones
+        ros = rosenbrock2()
+        if reused == "eval_rows":
+            blocks = {}  # one (f, G) pair of arrays per round size
+
+            def eval_rows(xs):
+                f, g = ros.eval_rows(xs)
+                out_f, out_g = blocks.setdefault(len(xs), (np.empty(len(xs)), np.empty_like(xs)))
+                out_f[:], out_g[:] = f, g
+                return out_f, out_g
+
+            obj = dataclasses.replace(ros, eval_rows=eval_rows)
+        else:
+            out = np.empty(2)
+
+            def eval_(x):
+                f, out[:] = ros.eval(x)
+                return f, out
+
+            obj = Objective(ros.name, ros.dim, eval_, ros.x0)
+        cfg = SolverConfig(epsilon=1e-4, alpha0=1.0, stop_rule=STOP_POINT_DIST,
+                           target=np.array([1.0, 1.0]))
+        policy = parse_policy("gamma:1")
+        got = run(obj, obj.x0, cfg, policy)
+        want = run(ros, ros.x0, cfg, policy)
+        assert got.rows == want.rows and got.solved
+        assert np.array_equal(got.final_x, want.final_x)
 
     def test_wide_rounds_leave_numpy_settings_alone(self):
         # rounds on rows of kernels._WIDE_ROW doubles or more are built with
