@@ -12,8 +12,12 @@ and a scalar policy_step call per row, so every row reproduces its run
 alone bit for bit.  The kernels never modify their inputs, and the arrays
 they return are fresh ones.  A block product on rows of at least _WIDE_ROW
 doubles, within _BLOCK_DOUBLES, writes its temporaries into a work array
-that each thread holds once and never hands out, so such a product
-allocates only its result.
+of _BLOCK_DOUBLES doubles that each thread holds once and never hands
+out, so such a product allocates only its result.  A row longer than the
+work array (the package runs such rows only as blocks of one) runs every
+elementwise pass of its product and of raw_bb_loop's step in slices of
+_BLOCK_DOUBLES doubles through that array; its dots still read the whole
+row, so no bit changes.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -134,31 +138,56 @@ def _householder_product(dot, w1, w2, w3, v, x):
     return u
 
 
-def _wide_product(w1, w2, w3, v, x):
-    # _householder_product on a block, in the same order, with each c w
-    # term written into the thread's work array, so the product allocates
-    # only its result.  Kept apart because the np.multiply(..., out=None)
-    # form on the other paths read 1.9 % slower on the n = 100 sweep
-    # benchmark and raised the n = 1e5 raw runs' peak RSS by 0.7 MB
-    cw = _work_array(x.shape)
-    u = x - np.multiply(2.0 * _row_dots(w3, x), w3, out=cw)
-    for w in (w2, w1):
-        u -= np.multiply(2.0 * _row_dots(w, u), w, out=cw)
-    u *= v
+def _wide_product(dot, w1, w2, w3, v, x):
+    # _householder_product in the same order, every elementwise pass run
+    # by _subtract_scaled through the thread's work array: the first pass
+    # writes straight into the result and v scales each slice of the third
+    # as it leaves it.  So the product allocates only its result, and a
+    # row longer than the work array runs its passes in cache-sized slices
+    # instead of through n-long temporaries; each dot still reads a whole
+    # row, so no value changes.  Kept apart because the
+    # np.multiply(..., out=None) form on the other paths read 1.9 % slower
+    # on the n = 100 sweep benchmark and raised the n = 1e5 raw runs' peak
+    # RSS by 0.7 MB
+    u = np.empty(x.shape)
+    _subtract_scaled(u, x, 2.0 * dot(w3, x), w3)
+    _subtract_scaled(u, u, 2.0 * dot(w2, u), w2)
+    _subtract_scaled(u, u, 2.0 * dot(w1, u), w1, v)
     for w in (w1, w2, w3):
-        u -= np.multiply(2.0 * _row_dots(w, u), w, out=cw)
+        _subtract_scaled(u, u, 2.0 * dot(w, u), w)
     return u
 
 
-def _work_array(shape):
-    # a view of this thread's _BLOCK_DOUBLES work doubles, made again if
-    # _BLOCK_DOUBLES has grown; never returned to a caller, and each thread
-    # has its own, so concurrent products never share one
-    size = math.prod(shape)
+def _subtract_scaled(out, u, c, w, scale=None):
+    # out = u - c w, then out *= scale, with the c w term written into the
+    # thread's work array, in slices along the last axis of as many
+    # doubles as fill it (one slice for a block it holds), last slice
+    # first: the whole-row dot before a pass ends on the rows' tails, which
+    # are then still in L2, and the pass ends on the heads the next dot
+    # starts from.  c is a scalar or a column, w and scale a row or a
+    # block; out may be u
+    if out.size == 0:
+        return
+    work = _work_array()
+    n = out.shape[-1]
+    length = work.size // (out.size // n)
+    for i in reversed(range(0, n, length)):
+        cut = np.s_[..., i:i + length]
+        part = out[cut]
+        np.subtract(u[cut], np.multiply(c, w[cut], out=work[:part.size].reshape(part.shape)),
+                    out=part)
+        if scale is not None:
+            part *= scale[cut]
+
+
+def _work_array():
+    # this thread's _BLOCK_DOUBLES work doubles, made again if
+    # _BLOCK_DOUBLES has changed; never returned to a caller, and each
+    # thread has its own, so concurrent products never share one
     buf = getattr(_work, "buf", None)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size != _BLOCK_DOUBLES:
         buf = _work.buf = np.empty(_BLOCK_DOUBLES)
-    return buf[:size].reshape(shape)
+    return buf
 
 
 _work = threading.local()
@@ -173,21 +202,27 @@ def hessian_apply(w1, w2, w3, v, x):
     block of rows, each reflected by the same row of w1, w2, w3 and scaled
     by the same row of v, or by the same 1-D w1, w2, w3, v for every row;
     np.vecdot rounds each row dot exactly like the 1-D dot, so a row's
-    product equals the row's 1-D product bit for bit.  x is only read, and
-    the result is a fresh array.
+    product equals the row's 1-D product bit for bit.  A row longer than
+    kernels._BLOCK_DOUBLES, alone or as a block of one, runs each
+    elementwise pass in slices of that many doubles through the thread's
+    work array, with whole-row dots, to the same bits.  x is only read,
+    and the result is a fresh array.
     """
-    if x.ndim == 1:
-        return _householder_product(np.dot, w1, w2, w3, v, x)
-    if len(x) == 1:
+    one = x.ndim == 2 and len(x) == 1
+    if one:
         # a block of one takes the 1-D path, whose scalar dots cost less
         if w1.ndim == 2:
             w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
-        return _householder_product(np.dot, w1, w2, w3, v, x[0])[None]
+        x = x[0]
+    if x.ndim == 1:
+        product = _wide_product if len(x) > _BLOCK_DOUBLES else _householder_product
+        u = product(np.dot, w1, w2, w3, v, x)
+        return u[None] if one else u
     n = x.shape[1]
     # wide blocks within _BLOCK_DOUBLES, as the line search's rounds are,
     # take the work array; narrower blocks keep their fresh temporaries
     if n >= _WIDE_ROW and x.size <= _BLOCK_DOUBLES:
-        return _with_row_buffers(n, _wide_product, w1, w2, w3, v, x)
+        return _with_row_buffers(n, _wide_product, _row_dots, w1, w2, w3, v, x)
     return _with_row_buffers(n, _householder_product, _row_dots, w1, w2, w3, v, x)
 
 
@@ -241,7 +276,14 @@ _WIDE_ROW = 256
 # n = 1e4 ran 1.8x the time of one run per row, and rows of 2^15 doubles
 # matched it; at n <= 1e3 the whole block fits and runs 2-5x faster.  A
 # quadratic sweep also caps its block at 96 rows (harness), which is the
-# tighter cap below n = 342.
+# tighter cap below n = 342.  It is also the size of each thread's work
+# array, and so the slice length of a longer row's elementwise passes.  An
+# n = 1e5 product on that host (thread CPU, medians of 7 alternating
+# processes) took 0.87x the time of n-long temporaries in slices of 2^15,
+# 0.92x in slices of 2^14 and 0.96x in slices of 2^16; 1.05x in slices of
+# 2^13 and 1.32x in slices of 2^12, where the per-slice ufunc calls
+# dominate; and 0.99x with one n-long work array, whose c w term does not
+# stay in L2 beside the rows it is read with.
 _BLOCK_DOUBLES = 1 << 15
 
 # Overflow, inf - inf and a zero divisor end their row as nonfinite; numpy
@@ -338,6 +380,12 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
                             for name in ("w1", "w2", "w3", "eigenvalues", "linear"))
         x, g, gg = _block(xs), _block(gs), np.array(ggs)
         ks = [0] * len(ids)
+        # rows longer than the work array step in slices through it, with
+        # no n-long temporaries (the n = 1e5 raw benchmark read 3.2 %
+        # faster than with the operator form, in 17 of 20 alternating
+        # pairs); blocks of shorter rows keep the operator form, as the
+        # helper made the n = 100 sweep benchmark 4.2 % slower (10 of 10)
+        long_rows = x.shape[1] > _BLOCK_DOUBLES
         del slots, insts, xs, gs, ggs  # the block holds what it needs
         while True:
             with np.errstate(**_QUIET):
@@ -346,8 +394,12 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
                     gag = np.vecdot(g, ag)
                     agag = np.vecdot(ag, ag)
                     step = np.array(alphas)[:, None]
-                    x -= step * g
-                    g -= step * ag
+                    if long_rows:
+                        _subtract_scaled(x, x, step, g)
+                        _subtract_scaled(g, g, step, ag)
+                    else:
+                        x -= step * g
+                        g -= step * ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them
                     alphas = _policy_steps(policies, gg, agag, gag, alphas, ks)

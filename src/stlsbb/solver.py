@@ -404,7 +404,7 @@ def run(objective, x0, config, policy):
         window.append(f)
         try:
             alpha = prev = next_steplength(
-                policy, SecantProducts(float(s @ s), float(y @ y), float(s @ y)), k, prev)
+                policy, SecantProducts(float(s.dot(s)), float(y.dot(y)), float(s.dot(y))), k, prev)
         except NonpositiveCurvatureError:
             # out of band on purpose: the next safeguard resets it to delta
             alpha, prev = math.inf, config.delta

@@ -14,6 +14,7 @@ from stlsbb import (
     GRADIENT_TOLERANCE,
     ITERATION_CAP,
     QuadraticInstance,
+    SolverConfig,
     StepPair,
     SteplengthPolicy,
     alpha_family_prime,
@@ -21,6 +22,8 @@ from stlsbb import (
     parse_policy,
     quadratic,
 )
+from stlsbb import run as solver_run
+from stlsbb.solver import STOP_GRAD_REL
 from stlsbb.trace import NONFINITE
 
 from conftest import random_pair
@@ -282,6 +285,15 @@ class TestHessianApplyReference:
             assert not np.shares_memory(got, kernels._work.buf)
         assert not np.shares_memory(first, second)
 
+    @pytest.mark.parametrize("n", [300, 2 * kernels._BLOCK_DOUBLES + 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
+    def test_empty_wide_block(self, rng, n, shared):
+        # a block of no rows, as eval_rows may be given, comes back empty
+        ws = unit_rows(rng, (3, n) if shared else (3, 0, n))
+        v = rng.uniform(1.0, 1e4, n if shared else (0, n))
+        got = kernels.hessian_apply(*ws, v, np.empty((0, n)))
+        assert got.shape == (0, n)
+
     def test_warm_wide_block_allocates_only_its_result(self, rng):
         # the line search's (29, 1000) rounds with shared w: each c w term
         # goes to the work array, so the product's peak is its result
@@ -299,11 +311,18 @@ class TestHessianApplyReference:
         assert peak <= 1.1 * got.nbytes
 
     def test_threads_running_wide_products(self, rng):
-        # each thread has its own work array: four threads interleaving
-        # products of different blocks get the serial results bit for bit
+        # each thread has its own work array: six threads interleaving
+        # products of different blocks, two of them rows longer than the
+        # work array that run through it in slices, get the serial results
+        # bit for bit
         n = 600
         jobs = [(unit_rows(rng, (3, n)), rng.uniform(1.0, 1e4, n),
                  rng.standard_normal((rows, n))) for rows in (29, 7, 16, 3)]
+        long = 2 * kernels._BLOCK_DOUBLES + 3
+        jobs += [(unit_rows(rng, (3, long)), rng.uniform(1.0, 1e4, long),
+                  rng.standard_normal(long)),
+                 (unit_rows(rng, (3, 1, long)), rng.uniform(1.0, 1e4, (1, long)),
+                  rng.standard_normal((1, long)))]
         want = [kernels.hessian_apply(*ws, v, xs) for ws, v, xs in jobs]
         results = [[] for _ in jobs]
 
@@ -326,6 +345,47 @@ class TestHessianApplyReference:
         for got, w in zip(results, want):
             assert len(got) == 100
             assert all(np.array_equal(r, w) for r in got)
+
+    @pytest.mark.parametrize("x_lead, w_lead", [((), ()), ((1,), ()), ((1,), (1,))],
+                             ids=["vector", "block-of-one-shared-w", "block-of-one-per-row-w"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 131])
+    def test_long_rows_equal_the_unsliced_product(self, rng, monkeypatch, x_lead, w_lead, n):
+        # with a 64-double work array, rows of 63 and 64 run whole and rows
+        # of 65, 128 and 131 run in slices of 64 (the last one short); every
+        # dot still reads the whole row, so the bits are the unsliced ones
+        monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", 64)
+        ws = unit_rows(rng, (3, *w_lead, n))
+        v = rng.uniform(1.0, 1e4, (*w_lead, n))
+        x = rng.standard_normal((*x_lead, n))
+        keep = x.copy()
+        got = kernels.hessian_apply(*ws, v, x)
+        work = getattr(kernels._work, "buf", None)
+        assert n <= 64 or work.size == 64
+        assert work is None or not np.shares_memory(got, work)
+        args = [a.reshape(-1) for a in (*ws, v)]
+        want = reference_product(*args, x.reshape(-1)).reshape(x.shape)
+        assert got.tobytes() == want.tobytes() and got.shape == x.shape
+        monkeypatch.undo()
+        assert got.tobytes() == kernels.hessian_apply(*ws, v, x).tobytes()
+        assert np.array_equal(x, keep)
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    @pytest.mark.parametrize("lead", [(), (1,)], ids=["vector", "block-of-one"])
+    def test_warm_long_product_allocates_only_its_result(self, rng, lead):
+        # a row longer than the work array runs in slices through it: the
+        # product's peak is its result and a few array headers
+        n = 2 * kernels._BLOCK_DOUBLES + 3
+        ws = unit_rows(rng, (3, n))
+        v = rng.uniform(1.0, 1e4, n)
+        x = rng.standard_normal((*lead, n))
+        kernels.hessian_apply(*ws, v, x)  # the thread's work array exists
+        tracemalloc.start()
+        try:
+            got = kernels.hessian_apply(*ws, v, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 4096
 
     def test_wide_blocks_leave_numpy_settings_alone(self, rng):
         # the buffer size of a wide block's product is scoped to the call;
@@ -622,3 +682,81 @@ class TestRefill:
 
     def test_empty_rows(self):
         assert kernels.raw_bb_loop([], 3) == []
+
+
+class TestLongRowRuns:
+    """Whole runs with kernels._BLOCK_DOUBLES patched to 64, so rows of 131
+    doubles take every Hessian product and raw step in slices of the work
+    array: each run gives the bits it gives with the default work array,
+    which holds the row whole, and none prints a RuntimeWarning."""
+
+    N = 131
+    POLICIES = ("bb1", "bb2", "gamma:1", "gammaPrime:0.5", "tau:0.3", "atc:3")
+
+    def rows(self, rng):
+        # (instance, policy, x0, alpha0, eps, max_iter) rows for the raw
+        # loop: row 0 overflows on its first step and ends nonfinite,
+        # row 1 runs into its cap
+        n = self.N
+        insts = [tiny_instance(rng, n, 1e300), tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n))]
+        insts += [tiny_instance(rng, n, kappa) for kappa in (100, 1e4, 50, 300)]
+        x0 = rng.uniform(-1.0, 1.0, (len(insts), n))
+        alpha0 = rng.uniform(1e-3, 1e-2, len(insts))
+        x0[0], alpha0[0] = 1e-160, 1.0
+        caps = [400, 5, 400, 400, 400, 400]
+        return [(inst, parse_policy(pol), x, a, 1e-10, cap)
+                for inst, pol, x, a, cap in zip(insts, self.POLICIES, x0, alpha0, caps)]
+
+    def both(self, monkeypatch, run):
+        # run() with the default work array, then with one of 64 doubles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = run()
+            monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", 64)
+            sliced = run()
+        monkeypatch.undo()
+        return whole, sliced
+
+    def test_solve_bb(self, rng, monkeypatch):
+        rows = self.rows(rng)
+
+        def run():
+            return [quadratic.solve_bb(inst, policy, eps, cap, x0=x0, alpha0=alpha0)
+                    for inst, policy, x0, alpha0, eps, cap in rows]
+
+        whole, sliced = self.both(monkeypatch, run)
+        assert [tr.termination for tr in whole[:2]] == [NONFINITE, ITERATION_CAP]
+        assert whole[0].iterations >= 1  # it overflows in a step, sliced when patched
+        assert {tr.termination for tr in whole[2:]} == {GRADIENT_TOLERANCE}
+        for want, got in zip(whole, sliced):
+            assert got.to_json() == want.to_json()
+            assert got.final_x.tobytes() == want.final_x.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_raw_loop_without_history(self, rng, monkeypatch, width):
+        # at width 2 each block holds two long rows, and the raw step runs
+        # in slices of 32 doubles
+        rows = self.rows(rng)
+        whole, sliced = self.both(
+            monkeypatch, lambda: kernels.raw_bb_loop(rows, width, history=False))
+        assert [r[0] for r in whole[:2]] == [NONFINITE, ITERATION_CAP]
+        for (termination, k, x), got in zip(whole, sliced):
+            assert got[:2] == (termination, k)
+            assert got[2].tobytes() == x.tobytes()
+
+    def test_line_search_solver(self, rng, monkeypatch):
+        # the patched work array also cuts the solver's rounds to one trial
+        # each; every decision and every bit stays the same
+        inst = tiny_instance(rng, self.N, 1e4)
+        obj = quadratic.as_objective(inst)
+        cfg = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=300, eta=1e-10)
+
+        def run():
+            return [solver_run(obj, obj.x0, cfg, parse_policy(p)) for p in self.POLICIES]
+
+        whole, sliced = self.both(monkeypatch, run)
+        assert {tr.termination for tr in whole} == {GRADIENT_TOLERANCE}
+        assert any(r.backtracks > 0 for tr in whole for r in tr.rows)
+        for want, got in zip(whole, sliced):
+            assert got.to_json() == want.to_json()
+            assert got.final_x.tobytes() == want.final_x.tobytes()
