@@ -313,7 +313,7 @@ def _policy_steps(policies, gg, agag, gag, alphas, ks):
                 in zip(policies, gg, agag, gag, alphas, ks)]
 
 
-def raw_bb_loop(rows, width, history=True, on_end=None):
+def raw_bb_loop(rows, width, on_end, history=True):
     """Raw BB gradient iteration on QuadraticInstances, at most width runs
     at a time in lock step, with one Hessian product per step for all of
     them.
@@ -340,20 +340,19 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
     and alpha_hist[k] is the steplength taken from it (nan on the terminal
     entry).  With history=False nothing is recorded per step, f is never
     evaluated, and the result is (termination, iterations, x) instead.
-    With on_end, on_end(j, result) is called as row j (counted from 0 in
-    rows) leaves, outside the loop's np.errstate, and nothing is returned;
-    without it the results are returned as a list in the order of rows.
+    Results come out only through on_end, which is required:
+    on_end(j, result) is called as row j (counted from 0 in rows) leaves,
+    outside the loop's np.errstate, so rows end in the order they finish,
+    not in the order of rows.  Nothing is returned.
     """
     source = enumerate(rows)
-    ends = {}
-    report = ends.__setitem__ if on_end is None else on_end
 
     def leave(j, termination, k, x, hist):
         if history:
             hist[2][-1] = math.nan  # no step leaves it
-            report(j, (termination, *hist, x))
+            on_end(j, (termination, *hist, x))
         else:
-            report(j, (termination, k, x))
+            on_end(j, (termination, k, x))
 
     def take():
         # the next row that takes a step, as its slot's values; rows that
@@ -437,5 +436,3 @@ def raw_bb_loop(rows, width, history=True, on_end=None):
                 w1, w2, w3, v, b, x, g, gg = (a[keep] for a in (w1, w2, w3, v, b, x, g, gg))
                 ids, policies, alphas, tol, caps, ks, hists = (
                     [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))
-    if on_end is None:
-        return [ends[j] for j in range(len(ends))]

@@ -308,9 +308,9 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     cap = int(max_iter)
     if cap < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
-        [(inst, policy, x0, a0, eps, cap)], 1
-    )
+    ends = []
+    kernels.raw_bb_loop([(inst, policy, x0, a0, eps, cap)], 1, lambda j, end: ends.append(end))
+    ((termination, f_hist, g_hist, a_hist, x),) = ends
     rows = [
         trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)
         for k, (f, gn, a) in enumerate(zip(f_hist, g_hist, a_hist))

@@ -96,23 +96,20 @@ def rosenbrock2():
     start is (-1.2, 1)."""
 
     def eval_rows(xs):
-        x1 = xs[:, 0]
-        t = xs[:, 1] - x1 * x1
-        u = 1.0 - x1
-        # (1 - x1)^2 is squared as Python floats, through libm pow, which
-        # the published traces and goldens were recorded with; numpy's
-        # square, power and u * u do not always round the same way.  Where
-        # a square overflows, pow raises: that block is squared again
-        # with +inf for it, as float64 gives
-        try:
-            sq = [r**2 for r in u.tolist()]
-        except OverflowError:
-            sq = [_square_or_inf(r) for r in u.tolist()]
-        f = 100.0 * t * t + np.array(sq)
-        g = np.empty_like(xs)
-        g[:, 0] = -400.0 * x1 * t - 2.0 * u
-        g[:, 1] = 200.0 * t
-        return f, g
+        # one pass on Python floats, which round each operation as float64
+        # does and overflow to inf, and give nan, without a warning.
+        # (1 - x1)^2 is squared through libm pow, which the published
+        # traces and goldens were recorded with; numpy's square, power and
+        # u * u do not always round the same way
+        f, g = [], []
+        it = iter(xs.ravel().tolist())
+        for x1, x2 in zip(it, it):
+            t = x2 - x1 * x1
+            u = 1.0 - x1
+            f.append(100.0 * t * t + _square_or_inf(u))
+            g.append(-400.0 * x1 * t - 2.0 * u)
+            g.append(200.0 * t)
+        return np.array(f), np.array(g).reshape(-1, 2)
 
     return Objective("rosenbrock2", 2, first_row_eval(eval_rows),
                      x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
@@ -351,7 +348,7 @@ def run(objective, x0, config, policy):
         tried = 0  # trials evaluated in this iteration's earlier rounds
         size = max(needed, before)
         finite_trial = False
-        while True:
+        while tried <= config.backtrack_cap:
             size = min(size, config.backtrack_cap + 1 - tried, block_rows)
             steps = []
             for _ in range(size):
@@ -360,31 +357,26 @@ def run(objective, x0, config, policy):
             xs = kernels.trial_rows(x, g, np.array(steps))
             f_rows, g_rows = eval_rows(xs)
             f_rows = np.asarray(f_rows, dtype=float).tolist()
-            # the first row that passes is taken; rows after it are discarded
+            # the first row that passes is taken, and ends the line search;
+            # rows after it are discarded
             for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
                 if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
                     break
             else:
-                hit = None
-            if hit is not None:
-                break
-            # no row of the round passed
-            finite_trial = finite_trial or any(ft < math.inf for ft in f_rows)  # false for nan
-            first_round = tried == 0
-            tried += size
-            if tried <= config.backtrack_cap:
+                finite_trial = finite_trial or any(ft < math.inf for ft in f_rows)  # false for nan
                 # most iterations need only a trial or two more than the
-                # last one, so the next round holds one trial, then doubles
-                size = 1 if first_round else 2 * size
+                # last one, so the round after the first holds one trial,
+                # and each later round twice as many as the one before
+                size, tried = (1 if tried == 0 else 2 * size), tried + size
                 continue
+            break
+        else:
             if finite_trial:
                 raise LineSearchStallError(
                     f"no acceptable step after {config.backtrack_cap} backtracks "
                     f"at iterate {k}"
                 )
             termination = NONFINITE  # f was nan or +inf at every trial
-            break
-        if termination == NONFINITE:
             break
         backtracks = tried + hit
         before, needed = needed, 1 + backtracks

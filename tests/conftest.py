@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stlsbb import StepPair
+from stlsbb import StepPair, kernels
 
 
 def random_pair(rng, n=5, scale=1.0):
@@ -18,6 +18,14 @@ def random_pair(rng, n=5, scale=1.0):
         y = rng.standard_normal(n) * scale
         if float(s @ y) > 1e-12:
             return StepPair(s, y)
+
+
+def raw_results(rows, width, history=True):
+    """kernels.raw_bb_loop's results in the order of rows, collected
+    through its on_end as the rows leave."""
+    ends = {}
+    kernels.raw_bb_loop(rows, width, ends.__setitem__, history)
+    return [ends[j] for j in range(len(ends))]
 
 
 @pytest.fixture

@@ -171,7 +171,7 @@ class TestSweep:
         calls = []
         original = kernels.raw_bb_loop
 
-        def watched(rows, width, history=True, on_end=None):
+        def watched(rows, width, on_end, history=True):
             calls.append(width)
             taken = {}  # the rows in the block: hold none that has left
 
@@ -188,7 +188,7 @@ class TestSweep:
                     on_leave(j)
                 on_end(j, result)
 
-            return original(lazy(), width, history, ended)
+            return original(lazy(), width, ended, history)
 
         monkeypatch.setattr(kernels, "raw_bb_loop", watched)
         return calls

@@ -26,7 +26,7 @@ from stlsbb import run as solver_run
 from stlsbb.solver import STOP_GRAD_REL
 from stlsbb.trace import NONFINITE
 
-from conftest import random_pair
+from conftest import random_pair, raw_results
 
 
 def scalars(pair):
@@ -474,7 +474,7 @@ def raw_rows(insts, policies, x0, alpha0, eps, max_iter):
 class TestRawLoop:
     def run_tiny(self, rng, max_iter=500):
         inst = tiny_instance(rng)
-        (out,) = kernels.raw_bb_loop(
+        (out,) = raw_results(
             [(inst, SteplengthPolicy("bb1"), np.ones(12), 0.01, 1e-10, max_iter)], 1)
         return inst, out
 
@@ -496,7 +496,7 @@ class TestRawLoop:
     def test_x0_is_not_modified(self, rng):
         insts = [tiny_instance(rng), tiny_instance(rng)]
         x0 = np.ones((2, 12))
-        kernels.raw_bb_loop(
+        raw_results(
             raw_rows(insts, [SteplengthPolicy("bb1")] * 2, x0, [0.01, 0.02], 1e-10, 50), 2)
         assert np.all(x0 == 1.0)
 
@@ -508,7 +508,7 @@ class TestRawLoop:
         e1[0] = 1.0
         b = np.linspace(-1.0, 2.5, n)
         inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
-        ((termination, f_hist, g_hist, a_hist, x),) = kernels.raw_bb_loop(
+        ((termination, f_hist, g_hist, a_hist, x),) = raw_results(
             [(inst, SteplengthPolicy("bb1"), np.zeros(n), 0.3, 1e-12, 50)], 1
         )
         assert termination == GRADIENT_TOLERANCE
@@ -549,14 +549,13 @@ class TestLockStep:
         # rows leave the block at different steps and must not disturb the
         # rows that go on
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        block = kernels.raw_bb_loop(raw_rows(insts, policies, x0, alpha0, 1e-8, 400),
-                                    len(insts))
+        block = raw_results(raw_rows(insts, policies, x0, alpha0, 1e-8, 400), len(insts))
         terminations = [row[0] for row in block]
         assert terminations[:7] == [GRADIENT_TOLERANCE] * 7
         assert terminations[7:] == [ITERATION_CAP, NONFINITE]
         assert len({len(row[1]) for row in block}) > 5  # rows leave at many steps
         for i, row in enumerate(block):
-            (alone,) = kernels.raw_bb_loop(
+            (alone,) = raw_results(
                 [(insts[i], policies[i], x0[i], alpha0[i], 1e-8, 400)], 1)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
@@ -567,11 +566,11 @@ class TestLockStep:
 
     def test_per_row_eps_equals_scalar_eps_alone(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        block = kernels.raw_bb_loop(
+        block = raw_results(
             raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400), len(insts))
         assert {row[0] for row in block} == {GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE}
         for i, (row, eps) in enumerate(zip(block, self.EPSILONS)):
-            (alone,) = kernels.raw_bb_loop(
+            (alone,) = raw_results(
                 [(insts[i], policies[i], x0[i], alpha0[i], eps, 400)], 1)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
@@ -580,8 +579,8 @@ class TestLockStep:
     def test_history_free_rows_equal_recorded_rows(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
         rows = raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400)
-        recorded = kernels.raw_bb_loop(rows, len(rows))
-        bare = kernels.raw_bb_loop(rows, len(rows), history=False)
+        recorded = raw_results(rows, len(rows))
+        bare = raw_results(rows, len(rows), history=False)
         assert [row[0] for row in bare][7:] == [ITERATION_CAP, NONFINITE]
         assert len({row[1] for row in bare}) > 5  # rows leave at many steps
         for (termination, f_hist, _, _, x), got in zip(recorded, bare):
@@ -593,7 +592,7 @@ class TestLockStep:
         inst = tiny_instance(rng, 30, 1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ((termination, *_),) = kernels.raw_bb_loop(
+            ((termination, *_),) = raw_results(
                 [(inst, SteplengthPolicy("bb1"), np.full(30, 1e10), 1.0, 1e-8, 50)], 1
             )
         assert termination == NONFINITE
@@ -645,7 +644,7 @@ class TestRefill:
             ended.append(j)
             got[j] = result
 
-        assert kernels.raw_bb_loop(lazy(), width, on_end=on_end) is None
+        assert kernels.raw_bb_loop(lazy(), width, on_end) is None
         assert sorted(ended) == list(range(len(rows)))
         assert all(errstate == outside for _, errstate in taken)
         # the slots left by the nonfinite row, then by the capped row, are
@@ -673,15 +672,17 @@ class TestRefill:
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_history_free_rows_count_what_recorded_rows_count(self, rng, width):
         rows = self.rows(rng)
-        recorded = kernels.raw_bb_loop(rows, width)
-        bare = kernels.raw_bb_loop(iter(rows), width, history=False)
+        recorded = raw_results(rows, width)
+        bare = raw_results(iter(rows), width, history=False)
         for (termination, f_hist, _, _, x), got in zip(recorded, bare):
             assert got[0] == termination
             assert got[1] == len(f_hist) - 1
             assert got[2].tobytes() == x.tobytes()
 
     def test_empty_rows(self):
-        assert kernels.raw_bb_loop([], 3) == []
+        ended = []
+        assert kernels.raw_bb_loop([], 3, lambda j, result: ended.append(j)) is None
+        assert ended == []
 
 
 class TestLongRowRuns:
@@ -738,7 +739,7 @@ class TestLongRowRuns:
         # in slices of 32 doubles
         rows = self.rows(rng)
         whole, sliced = self.both(
-            monkeypatch, lambda: kernels.raw_bb_loop(rows, width, history=False))
+            monkeypatch, lambda: raw_results(rows, width, history=False))
         assert [r[0] for r in whole[:2]] == [NONFINITE, ITERATION_CAP]
         for (termination, k, x), got in zip(whole, sliced):
             assert got[:2] == (termination, k)

@@ -15,7 +15,6 @@ from stlsbb import (
     dense_hessian,
     generate_instance,
     gradient,
-    kernels,
     next_steplength,
     objective,
     parse_policy,
@@ -29,6 +28,8 @@ from stlsbb.errors import (
 )
 from stlsbb.quadratic import as_objective, bb_start, default_alpha0
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
+
+from conftest import raw_results
 
 
 class TestSpectrumSetting:
@@ -387,7 +388,7 @@ class TestSolveBB:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             alone = [solve_bb(inst, policy, 1e-6, 100) for policy in policies]
-            block = kernels.raw_bb_loop(
+            block = raw_results(
                 [(inst, policy, x0, a0, 1e-6, 100) for policy in policies], len(policies))
         assert caught == []
         assert capsys.readouterr().err == ""
@@ -400,7 +401,7 @@ class TestSolveBB:
     def test_block_checks_each_epsilon(self, inst):
         x0, a0 = bb_start(inst)
         rows = [(inst, SteplengthPolicy("bb1"), x0, a0, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
-        runs = kernels.raw_bb_loop(rows, 3, history=False)
+        runs = raw_results(rows, 3, history=False)
         counts = [solve_bb(inst, SteplengthPolicy("bb1"), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
         assert [its for _, its, _ in runs] == counts

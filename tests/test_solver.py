@@ -3,6 +3,7 @@ loop, and trace auditing."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stlsbb import (
     parse_policy,
     rosenbrock2,
     run,
+    run_rosenbrock_table,
     safeguard,
     solve_bb,
     solver,
@@ -224,18 +226,68 @@ class TestRosenbrock:
     def test_overflowing_square_gives_inf(self):
         # at a far point (1 - x1)^2 overflows, which pow raises on; f is
         # +inf there, the block's finite rows keep their bits, and a run
-        # whose every trial lands that far ends nonfinite at iterate 0.
-        # numpy's own x1 * x1 warns of the overflow, so warnings are off
+        # whose every trial lands that far ends nonfinite at iterate 0,
+        # all without a RuntimeWarning
         obj = rosenbrock2()
         near = np.array([0.5, 0.3])
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, g = obj.eval_rows(np.array([[1e200, 0.0], near]))
-            assert f[0] == math.inf
-            assert f[1] == obj.eval(near)[0]
-            assert np.array_equal(g[1], obj.eval(near)[1])
+        f, g = obj.eval_rows(np.array([[1e200, 0.0], near]))
+        assert f[0] == math.inf
+        assert f[1] == obj.eval(near)[0]
+        assert np.array_equal(g[1], obj.eval(near)[1])
+        tr = run(obj, obj.x0, SolverConfig(alpha0=1e160, eta=1e-300),
+                 SteplengthPolicy("bb1"))
+        assert tr.termination == NONFINITE and tr.iterations == 0
+
+    def test_far_trials_end_nonfinite_without_any_warning(self):
+        obj = rosenbrock2()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             tr = run(obj, obj.x0, SolverConfig(alpha0=1e160, eta=1e-300),
                      SteplengthPolicy("bb1"))
         assert tr.termination == NONFINITE and tr.iterations == 0
+
+    @staticmethod
+    def numpy_rows(xs):
+        # the block evaluated by numpy with its warnings off, squaring
+        # 1 - x1 through libm pow as eval_rows does
+        def pow_or_inf(r):
+            try:
+                return math.pow(r, 2.0)
+            except OverflowError:
+                return math.inf
+
+        with np.errstate(all="ignore"):
+            x1 = xs[:, 0]
+            t = xs[:, 1] - x1 * x1
+            u = 1.0 - x1
+            f = 100.0 * t * t + np.array([pow_or_inf(r) for r in u.tolist()])
+            g = np.stack([-400.0 * x1 * t - 2.0 * u, 200.0 * t], axis=1)
+        return f, g
+
+    def test_rows_equal_numpy_bytes_at_far_and_nonfinite_points(self, rng):
+        # blocks of 1 to 5 rows drawn from near points, magnitudes up to
+        # 1e300 whose squares overflow, and infinities and nans
+        special = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e154, -1e160])
+        obj = rosenbrock2()
+        for _ in range(2000):
+            rows = int(rng.integers(1, 6))
+            xs = rng.uniform(-3.0, 3.0, (rows, 2))
+            far = rng.random((rows, 2)) < 0.4
+            xs[far] = rng.choice([-1.0, 1.0], far.sum()) * 10.0 ** rng.uniform(0, 300, far.sum())
+            odd = rng.random((rows, 2)) < 0.15
+            xs[odd] = rng.choice(special, odd.sum())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f, g = obj.eval_rows(xs)
+            want_f, want_g = self.numpy_rows(xs)
+            assert f.dtype == g.dtype == np.float64
+            assert (f.shape, g.shape) == (want_f.shape, want_g.shape)
+            assert f.tobytes() == want_f.tobytes()
+            assert g.tobytes() == want_g.tobytes()
+
+    def test_empty_block(self):
+        f, g = rosenbrock2().eval_rows(np.empty((0, 2)))
+        assert (f.shape, g.shape) == ((0,), (0, 2))
 
 
 class TestRunLoop:
@@ -647,6 +699,27 @@ class TestRounds:
         # a first round sized for the larger of the last two needs makes
         # most iterations one eval_rows call
         assert len(rows) <= 1.15 * tr.iterations
+
+    def test_rosenbrock_table_call_pattern(self, monkeypatch):
+        # the published table's rounds, call by call: a change to the round
+        # sizing that stays within test_rounds_waste_few_rows' bounds
+        # changes these counts
+        sizes = []
+        original = solver.rosenbrock2
+
+        def counted():
+            obj = original()
+            eval_rows = obj.eval_rows
+
+            def recorded(xs):
+                sizes.append(len(xs))
+                return eval_rows(xs)
+
+            return dataclasses.replace(obj, eval_rows=recorded)
+
+        monkeypatch.setattr(solver, "rosenbrock2", counted)
+        run_rosenbrock_table()
+        assert (len(sizes), sum(sizes)) == (26_453, 439_859)
 
     @staticmethod
     def notch(miss, sizes):
