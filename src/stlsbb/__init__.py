@@ -24,7 +24,6 @@ from .errors import (
     MissingStateError,
     NonpositiveCurvatureError,
     StlsbbError,
-    ZeroGradientError,
 )
 from .steps import (
     StepPair,
@@ -63,7 +62,6 @@ from .solver import (
     Objective,
     SolverConfig,
     audit_trace,
-    initial_steplength,
     nonmonotone_accept,
     rosenbrock2,
     run,

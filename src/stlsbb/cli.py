@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness, oracle, quadratic, solver
+from . import __version__, harness, oracle, quadratic
 from .errors import InvalidParameterError, StlsbbError
 from .harness import fmt17
 from .steps import StepPair, next_steplength, parse_policy

@@ -37,10 +37,6 @@ class DegenerateInputError(StlsbbError):
     """Input is degenerate for the requested computation (e.g. y = 0)."""
 
 
-class ZeroGradientError(StlsbbError):
-    """The starting point is already stationary."""
-
-
 class LineSearchStallError(StlsbbError):
     """Backtracking hit its cap; objective and gradient likely disagree."""
 

@@ -153,12 +153,6 @@ def _error(exc):
 _SWEEP_ROWS = 96
 
 
-def _bb_start(n, sid, kappa, seed):
-    # (instance, x0, alpha0) of every run on one (setting, kappa, seed)
-    inst = quadratic.generate_instance(n, quadratic.SpectrumSetting(sid, kappa), seed)
-    return (inst, *quadratic.bb_start(inst))
-
-
 def _outcome(termination, iterations):
     if termination == trace.NONFINITE:
         return None, trace.NONFINITE
@@ -205,22 +199,23 @@ def run_quadratic_sweep(grid, progress=None):
         finish(rows[j], *_outcome(termination, iterations))
 
     def grid_rows():
+        x0 = np.ones(grid.n)
         for sid, kappa in product(grid.setting_ids, grid.kappas):
-            starts = {}  # the last group's instances live on only in the block
+            insts = {}  # the last group's instances live on only in the block
             for eps, seed, pol in product(grid.epsilons, grid.seeds, grid.policies):
-                if seed not in starts:
+                if seed not in insts:
                     try:
-                        starts[seed] = _bb_start(grid.n, sid, kappa, seed)
+                        insts[seed] = quadratic.generate_instance(
+                            grid.n, quadratic.SpectrumSetting(sid, kappa), seed)
                     except StlsbbError as exc:
-                        starts[seed] = _error(exc)
+                        insts[seed] = _error(exc)
                 cells.append((sid, kappa, eps, seed, pol))
-                start = starts[seed]
-                if start[0] is None:  # the instance failed to build: start is the outcome
-                    finish(len(cells) - 1, *start)
+                inst = insts[seed]
+                if isinstance(inst, tuple):  # the instance failed to build: its outcome
+                    finish(len(cells) - 1, *inst)
                 else:
                     rows.append(len(cells) - 1)
-                    inst, x0, alpha0 = start
-                    yield inst, policies[pol], x0, alpha0, eps, grid.max_iter
+                    yield inst, policies[pol], x0, None, eps, grid.max_iter
 
     kernels.raw_bb_loop(grid_rows(), width, history=False, on_end=row_ended)
     return cells

@@ -320,39 +320,38 @@ def raw_bb_loop(rows, width, on_end, history=True):
 
     rows is an iterable of (inst, policy, x0, alpha0, eps_rel, max_iter):
     the run of policy on inst from x0 with the opening steplength alpha0,
-    stopping when ||g|| is not finite (nonfinite), when ||g|| <= eps_rel
-    ||g0||, or after max_iter >= 1 steps.  Rows are taken from it only when
-    a slot is free, so a lazy iterable is consumed as runs finish: when a
-    row leaves, the next one that takes a step fills its slot, and the
-    block shrinks only once the iterable runs dry.  Each row counts its own steps,
-    which are its ATC index and what its cap bounds.  A row starts from its
-    own 1-D product g0 = A x0 - b and carries its gradient by the
-    recurrence g <- g - alpha A g; the secant pair (s, y) = (-alpha g,
-    -alpha A g) has a common alpha^2 that cancels in every steplength
-    formula, so (g'g, Ag'Ag, g'Ag) go to one scalar policy_step call per
-    row.  Row dots are np.vecdot, which rounds like the 1-D dot, so every
-    row computes bit for bit what it computes alone, whatever its slot
-    and neighbours.  Overflow or a zero divisor raises no warning: it ends
-    its row as nonfinite.  x0 is not modified.
+    or where alpha0 is None 1 / ||g0||_inf from the row's own g0 (1 where
+    that max is 0 or nan), stopping when ||g|| is not finite (nonfinite),
+    when ||g|| <= eps_rel ||g0||, or after max_iter >= 1 steps.  Rows are
+    taken from it only when a slot is free, so a lazy iterable is consumed
+    as runs finish: when a row leaves, the next one that takes a step
+    fills its slot, and the block shrinks only once the iterable runs dry.
+    Each row counts its own steps, which are its ATC index and what its
+    cap bounds.  A row starts from its own 1-D product g0 = A x0 - b and
+    carries its gradient by the recurrence g <- g - alpha A g; the secant
+    pair (s, y) = (-alpha g, -alpha A g) has a common alpha^2 that cancels
+    in every steplength formula, so (g'g, Ag'Ag, g'Ag) go to one scalar
+    policy_step call per row.  Row dots are np.vecdot, which rounds like
+    the 1-D dot, so every row computes bit for bit what it computes alone,
+    whatever its slot and neighbours.  Overflow or a zero divisor raises
+    no warning: it ends its row as nonfinite.  x0 is not modified.
 
     A row's result is (termination, f_hist, gnorm_hist, alpha_hist, x):
     the histories are lists of floats whose entry k describes iterate k,
-    and alpha_hist[k] is the steplength taken from it (nan on the terminal
-    entry).  With history=False nothing is recorded per step, f is never
-    evaluated, and the result is (termination, iterations, x) instead.
-    Results come out only through on_end, which is required:
-    on_end(j, result) is called as row j (counted from 0 in rows) leaves,
-    outside the loop's np.errstate, so rows end in the order they finish,
-    not in the order of rows.  Nothing is returned.
+    and alpha_hist[k] is the steplength the row proposed there: the one
+    taken from it, or on the last entry the proposal no step takes, which
+    is alpha0 for a row that stops where it starts.  With history=False
+    nothing is recorded per step, f is never evaluated, and the result is
+    (termination, iterations, x) instead.  Results come out only through
+    on_end, which is required: on_end(j, result) is called as row j
+    (counted from 0 in rows) leaves, outside the loop's np.errstate, so
+    rows end in the order they finish, not in the order of rows.  Nothing
+    is returned.
     """
     source = enumerate(rows)
 
     def leave(j, termination, k, x, hist):
-        if history:
-            hist[2][-1] = math.nan  # no step leaves it
-            on_end(j, (termination, *hist, x))
-        else:
-            on_end(j, (termination, k, x))
+        on_end(j, (termination, *hist, x) if history else (termination, k, x))
 
     def take():
         # the next row that takes a step, as its slot's values; rows that
@@ -365,6 +364,9 @@ def raw_bb_loop(rows, width, on_end, history=True):
                 gn0 = float(np.sqrt(gg0))
                 tol = float(eps_rel * gn0)
                 f0 = float(0.5 * np.dot(x0, g0 - inst.linear)) if history else None
+                if alpha0 is None:
+                    gi = float(np.max(np.abs(g0)))
+                    alpha0 = 1.0 / gi if gi > 0.0 else 1.0  # nan > 0 is false
             alpha0 = float(alpha0)
             hist = ([f0], [gn0], [alpha0]) if history else None
             if tol < gn0 < math.inf:

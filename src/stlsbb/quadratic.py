@@ -271,35 +271,23 @@ def as_objective(inst, name=None):
                      eval_rows=eval_rows)
 
 
-def default_alpha0(inst, x0):
-    """Opening steplength 1 / ||g0||_inf (1.0 when already stationary)."""
-    g0 = gradient(inst, x0)
-    gi = float(np.max(np.abs(g0)))
-    return 1.0 / gi if gi > 0.0 else 1.0
-
-
-def bb_start(inst, x0=None, alpha0=None):
-    """Checked start (x0, alpha0) of a raw BB run on an instance: x0
-    defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf."""
-    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
-    a0 = default_alpha0(inst, x0) if alpha0 is None else float(alpha0)
-    if not (math.isfinite(a0) and a0 > 0.0):
-        raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
-    return x0, a0
-
-
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     """Raw BB iteration (no line search) on an instance: a block of one.
 
     Stops when ||g_k|| is not finite (termination nonfinite), when
     ||g_k|| <= epsilon * ||g_0||, or after max_iter steps; x0
-    defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf.
+    defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf, which
+    the loop takes from the g0 it computes (1 at a stationary start).
     Curvature s'y = s'As is structurally positive here, so the policy
     needs no fallback.  Returns a RunTrace whose rows carry f, ||g|| and
-    the steplength taken from each iterate (backtracks and fevals are
-    zero: the raw method never evaluates f to decide anything).
+    the steplength taken from each iterate, nan on the last (backtracks
+    and fevals are zero: the raw method never evaluates f to decide
+    anything); meta["alpha0"] is the opening steplength.
     """
-    x0, a0 = bb_start(inst, x0, alpha0)
+    x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
+    a0 = None if alpha0 is None else float(alpha0)
+    if a0 is not None and not (math.isfinite(a0) and a0 > 0.0):
+        raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
     if not isinstance(policy, SteplengthPolicy):
         raise InvalidParameterError("policy must be a SteplengthPolicy")
     eps = float(epsilon)
@@ -311,9 +299,10 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     ends = []
     kernels.raw_bb_loop([(inst, policy, x0, a0, eps, cap)], 1, lambda j, end: ends.append(end))
     ((termination, f_hist, g_hist, a_hist, x),) = ends
+    # no step leaves the last iterate, so its row records nan
     rows = [
         trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)
-        for k, (f, gn, a) in enumerate(zip(f_hist, g_hist, a_hist))
+        for k, (f, gn, a) in enumerate(zip(f_hist, g_hist, a_hist[:-1] + [math.nan]))
     ]
     meta = {
         "solver": "raw_bb",
@@ -321,7 +310,7 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
         "stop_rule": "grad_rel",
         "epsilon": eps,
         "max_iter": cap,
-        "alpha0": a0,
+        "alpha0": a_hist[0],
         "alpha0_rule": "inf_norm" if alpha0 is None else "fixed",
         "n": inst.dim,
         "setting_id": inst.setting_id,

@@ -20,7 +20,6 @@ from .errors import (
     InvalidParameterError,
     LineSearchStallError,
     NonpositiveCurvatureError,
-    ZeroGradientError,
 )
 from .steps import SecantProducts, next_steplength
 from .trace import (
@@ -124,8 +123,8 @@ class SolverConfig:
     decrease coefficient; eta the safeguard band edge (steplengths outside
     (eta, 1/eta) reset to delta); sigma the backtracking shrink factor;
     epsilon/stop_rule/target define termination, and only the point_dist
-    rule takes a target, which must be finite; alpha0 = None means the
-    probe rule of initial_steplength.
+    rule takes a target, which must be finite; alpha0 = None means run's
+    opening probe.
     """
 
     epsilon: float = 1e-8
@@ -226,22 +225,6 @@ def safeguard(alpha, eta, delta):
     return alpha
 
 
-def initial_steplength(objective, x0):
-    """Opening steplength probe.
-
-    With a = 1 / ||g0||_inf, return a when f(x0 - a*g0) < f(x0) and a/4
-    otherwise.  Raises ZeroGradientError at a stationary start.
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    f0, g0 = objective.eval(x0)
-    gi = float(np.max(np.abs(np.asarray(g0))))
-    if gi == 0.0:
-        raise ZeroGradientError("gradient at x0 is zero; no steplength scale exists")
-    a = 1.0 / gi
-    f_probe, _ = objective.eval(x0 - a * np.asarray(g0))
-    return a if f_probe < f0 else 0.25 * a
-
-
 def _norm(x):
     # np.linalg.norm of a 1-D array is sqrt(x.dot(x)); this is the same
     # bits without its dispatch
@@ -265,9 +248,13 @@ def _rounds_of_one(objective):
     return eval_rows
 
 
+@np.errstate(**kernels._QUIET)
 def run(objective, x0, config, policy):
     """Minimize a smooth objective with safeguarded nonmonotone BB steps.
 
+    The opening steplength is config.alpha0, or else the probe from the
+    start's own f0 and g0: a = 1 / ||g0||_inf, kept when
+    f(x0 - a g0) < f0 and quartered otherwise, so x0 is evaluated once.
     Each iteration safeguards the proposed steplength into (eta, 1/eta)
     (resetting to delta otherwise), backtracks by sigma until the trial
     point passes the nonmonotone test, then steps and asks the policy for
@@ -295,6 +282,11 @@ def run(objective, x0, config, policy):
     objective returned, so an objective may reuse its output arrays and no
     round's block outlives its round.
 
+    The whole run, the objective's evaluations included, runs under
+    np.errstate(**kernels._QUIET), as the raw loop's products do: an
+    overflow, inf - inf or zero divisor warns of nothing and ends the run
+    as nonfinite or takes a safeguard reset.
+
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
     alpha * sigma**backtracks.
@@ -321,7 +313,8 @@ def run(objective, x0, config, policy):
     elif gn0 == 0.0 or not math.isfinite(gn0):
         alpha = config.delta  # never used: the loop stops before stepping
     else:
-        alpha = initial_steplength(objective, x)
+        a = 1.0 / float(np.max(np.abs(g)))
+        alpha = a if objective.eval(x - a * g)[0] < f else 0.25 * a
     alpha0_used = float(alpha)
     window = deque([f], maxlen=config.memory + 1)
     rows = []

@@ -85,9 +85,9 @@ def test_traced_sweep_reaches_the_kernels(perfbench, monkeypatch):
         return Counter(name for name, _, _, p in rows if p >= 0 and rows[p][0] == parent)
 
     # one loop on a 5-row block pulls the grid's 16 rows: four (setting,
-    # seed) instances, each with one Hessian product for its opening
-    # steplength, then one product per row for its g0 and one per block
-    # step, and one policy step per row step.  A row takes the first slot
+    # seed) instances, one Hessian product per row for its g0, from which
+    # it also takes its opening steplength, one per block step, and one
+    # policy step per row step.  A row takes the first slot
     # to free up, so the block steps until the last slot is done
     its = [c.iterations for c in cells]
     free = [0] * 5  # the step at which each slot frees up
@@ -96,7 +96,7 @@ def test_traced_sweep_reaches_the_kernels(perfbench, monkeypatch):
     assert under("harness.run_quadratic_sweep") == {"kernels.raw_bb_loop": 1}
     assert under("kernels.raw_bb_loop") == {
         "quadratic.generate_instance": 4,
-        "kernels.hessian_apply": 4 + 16 + max(free),
+        "kernels.hessian_apply": 16 + max(free),
         "kernels.policy_step": sum(its),
     }
 
@@ -115,6 +115,7 @@ def test_traced_gbb_objective_rebuild_runs(perfbench):
     tr = solver.run(traced, traced.x0, cfg, policy)
     assert np.array_equal(traced.x0, obj.x0)
     assert tr.to_json() == solver.run(obj, obj.x0, cfg, policy).to_json()
-    # without eval_rows every trial is one traced eval call
+    # without eval_rows the start, its probe and every trial are one traced
+    # eval call each
     calls = spans.self_times(tracer.rows())["quadratic.objective_eval"][0]
-    assert calls == 3 + sum(r.fevals for r in tr.rows)
+    assert calls == 2 + sum(r.fevals for r in tr.rows)

@@ -26,7 +26,7 @@ from stlsbb.errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from stlsbb.quadratic import as_objective, bb_start, default_alpha0
+from stlsbb.quadratic import as_objective
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 from conftest import raw_results
@@ -316,6 +316,34 @@ class TestSolveBB:
         assert tr.iterations == 0
         assert tr.rows[-1].grad_norm == np.inf
 
+    def test_far_start_ends_nonfinite_without_warning(self):
+        # A x0 overflows, and the loop's own g0 is inf and nan; its opening
+        # steplength is taken inside the loop's errstate
+        inst = generate_instance(20, SpectrumSetting(1, 1e3), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = solve_bb(inst, SteplengthPolicy("bb1"), 1e-6, 10, x0=np.full(20, 1e307))
+        assert (tr.termination, tr.iterations) == (NONFINITE, 0)
+
+    def test_stationary_start_records_its_opening_steplength(self):
+        # g0 = 0: the inf-norm rule falls back to 1, and a given alpha0 is
+        # recorded as given, though no step takes either
+        e1 = np.eye(4)[0]
+        inst = QuadraticInstance(4, e1, e1, e1, np.ones(4), np.ones(4))
+        for alpha0, want in ((None, 1.0), (0.5, 0.5)):
+            tr = solve_bb(inst, SteplengthPolicy("bb1"), 1e-6, 10, alpha0=alpha0)
+            assert (tr.termination, tr.iterations) == (GRADIENT_TOLERANCE, 0)
+            assert tr.meta["alpha0"] == want
+            assert np.isnan(tr.rows[0].alpha)
+
+    def test_overflowing_gradient_norm_records_its_opening_steplength(self):
+        # g0 = (1, 2, 3) 1e200 is finite but g0'g0 overflows
+        e1 = np.eye(3)[0]
+        inst = QuadraticInstance(3, e1, e1, e1, [1.0, 2.0, 3.0], np.zeros(3))
+        tr = solve_bb(inst, SteplengthPolicy("bb1"), 1e-6, 10, x0=np.full(3, 1e200))
+        assert (tr.termination, tr.iterations) == (NONFINITE, 0)
+        assert tr.meta["alpha0"] == 3.3333333333333335e-201
+
     @pytest.mark.parametrize(
         "desc", ["bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.5", "tau:0.3", "atc:4"]
     )
@@ -348,7 +376,8 @@ class TestSolveBB:
         assert tr.rows[0].alpha == pytest.approx(
             1.0 / np.max(np.abs(g0)), rel=1e-14
         )
-        assert default_alpha0(inst, np.ones(inst.dim)) == tr.rows[0].alpha
+        # the loop's own g0 has the bits of gradient(inst, x0)
+        assert tr.meta["alpha0"] == tr.rows[0].alpha == 1.0 / float(np.max(np.abs(g0)))
 
     def test_secant_curvature_replay(self, inst):
         # replay the recorded steplengths from x0 and confirm every secant
@@ -384,12 +413,12 @@ class TestSolveBB:
         inst = QuadraticInstance(3, e1, e1, e1, [1e-310] * 3, [1.0, 2.0, 3.0])
         policies = [parse_policy(d) for d in
                     ("bb1", "bb2", "gamma:1", "gammaPrime:1", "tau:0.5", "atc:3")]
-        x0, a0 = bb_start(inst)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             alone = [solve_bb(inst, policy, 1e-6, 100) for policy in policies]
             block = raw_results(
-                [(inst, policy, x0, a0, 1e-6, 100) for policy in policies], len(policies))
+                [(inst, policy, np.ones(3), None, 1e-6, 100) for policy in policies],
+                len(policies))
         assert caught == []
         assert capsys.readouterr().err == ""
         for tr, (termination, f_hist, g_hist, a_hist, x) in zip(alone, block):
@@ -399,8 +428,8 @@ class TestSolveBB:
             assert x.tobytes() == tr.final_x.tobytes()
 
     def test_block_checks_each_epsilon(self, inst):
-        x0, a0 = bb_start(inst)
-        rows = [(inst, SteplengthPolicy("bb1"), x0, a0, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
+        x0 = np.ones(inst.dim)
+        rows = [(inst, SteplengthPolicy("bb1"), x0, None, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
         runs = raw_results(rows, 3, history=False)
         counts = [solve_bb(inst, SteplengthPolicy("bb1"), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]

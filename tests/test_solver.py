@@ -16,10 +16,8 @@ from stlsbb import (
     SteplengthPolicy,
     SpectrumSetting,
     TraceRow,
-    ZeroGradientError,
     audit_trace,
     generate_instance,
-    initial_steplength,
     kernels,
     nonmonotone_accept,
     parse_policy,
@@ -173,20 +171,19 @@ class TestSolverConfig:
 
 
 class TestInitialSteplength:
+    # run's opening probe, read back from the trace meta
+    @staticmethod
+    def probe(x0):
+        obj = Objective("square", 1, lambda x: (float(x[0]) ** 2, 2.0 * x))
+        return run(obj, x0, SolverConfig(max_iter=1), SteplengthPolicy("bb1")).meta["alpha0"]
+
     def test_probe_accepted(self):
         # f = x^2 at x0 = 2: a = 1/4 and the probe point improves
-        obj = Objective("square", 1, lambda x: (float(x[0]) ** 2, 2.0 * x))
-        assert initial_steplength(obj, [2.0]) == 0.25
+        assert self.probe([2.0]) == 0.25
 
     def test_probe_rejected_quarters(self):
         # f = x^2 at x0 = 0.1: a = 5 overshoots, so a/4 comes back
-        obj = Objective("square", 1, lambda x: (float(x[0]) ** 2, 2.0 * x))
-        assert initial_steplength(obj, [0.1]) == 1.25
-
-    def test_zero_gradient(self):
-        obj = Objective("square", 1, lambda x: (float(x[0]) ** 2, 2.0 * x))
-        with pytest.raises(ZeroGradientError):
-            initial_steplength(obj, [0.0])
+        assert self.probe([0.1]) == 1.25
 
 
 class TestRosenbrock:
@@ -305,6 +302,19 @@ class TestRunLoop:
         tr = run(obj, np.zeros(3), SolverConfig(), SteplengthPolicy("bb1"))
         assert tr.solved and tr.iterations == 0
         assert len(tr.rows) == 1
+        # no probe runs at a stationary start; meta records delta
+        assert tr.meta["alpha0"] == SolverConfig().delta
+
+    def test_overflowing_secant_dots_end_nonfinite_without_warning(self):
+        # the one step reaches f = -inf, and its pair's s's overflows
+        # before the run ends nonfinite
+        obj = Objective("steep-line", 1, lambda x: (1e154 * float(x[0]), np.array([1e154])),
+                        x0=[0.0])
+        cfg = SolverConfig(alpha0=100.0, eta=1e-10, delta=1.0, max_iter=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(obj, obj.x0, cfg, SteplengthPolicy("bb1"))
+        assert tr.termination == NONFINITE
 
     def test_dimension_mismatch(self):
         obj = sphere()
@@ -379,9 +389,9 @@ class TestRunLoop:
     @staticmethod
     def quartic_iterates(x0, config, policy):
         # run f = sum(x^4 - x^2) and return the trace, the accepted iterates
-        # and the gradient; evals are the start, the start again and its
-        # probe, then 1 + backtracks trials per row, the last of which is
-        # the next iterate
+        # and the gradient; evals are the start and its probe, then
+        # 1 + backtracks trials per row, the last of which is the next
+        # iterate
         evals = []
 
         def grad(x):
@@ -393,7 +403,7 @@ class TestRunLoop:
             return float(np.sum(x**4 - x**2)), grad(x)
 
         tr = run(Objective("quartic-well", len(x0), eval_), x0, config, policy)
-        ends = 2 + np.cumsum([r.fevals for r in tr.rows[:-1]])
+        ends = 1 + np.cumsum([r.fevals for r in tr.rows[:-1]])
         return tr, [evals[0]] + [evals[e] for e in ends], grad
 
     def test_atc_carries_delta_through_curvature_failures(self):
@@ -777,8 +787,8 @@ class TestRounds:
         assert sizes == want_sizes
 
     def test_eval_is_called_only_for_needed_trials(self):
-        # without eval_rows, eval runs at the start, the opening probe's two
-        # points and every trial up to each accepted one, and nowhere else
+        # without eval_rows, eval runs at the start, at its opening probe
+        # and at every trial up to each accepted one, and nowhere else
         calls = []
         ros = rosenbrock2()
 
@@ -789,7 +799,7 @@ class TestRounds:
         obj = Objective(ros.name, ros.dim, counted, ros.x0)
         tr = run(obj, obj.x0, SolverConfig(epsilon=1e-6, max_iter=300), SteplengthPolicy("bb2"))
         assert any(r.backtracks for r in tr.rows)
-        assert len(calls) == 3 + sum(r.fevals for r in tr.rows)
+        assert len(calls) == 2 + sum(r.fevals for r in tr.rows)
 
     @staticmethod
     def spiky(bad, rounds):

@@ -365,7 +365,7 @@ def test_version_string():
 
 def test_all_is_the_public_namespace():
     names = stlsbb.__all__
-    assert len(names) == len(set(names)) == 64
+    assert len(names) == len(set(names)) == 62
     # every name resolves, and no submodule or private name leaks
     for name in names:
         assert not isinstance(getattr(stlsbb, name), types.ModuleType), name
