@@ -163,20 +163,22 @@ def run_quadratic_sweep(grid, progress=None):
     """Run every grid cell; returns SweepCells in deterministic grid order
     (setting, kappa, epsilon, seed, policy, outermost first).
 
-    The whole grid goes, in grid order, through one history-free
-    kernels.raw_bb_loop whose block holds at most 96 rows and at most
-    2^15 doubles per (rows x n) array; a row that finishes hands its slot
-    to the next cell, whatever its (setting, kappa, epsilon) group.  The
-    grid has already checked epsilon, max_iter and the policies.  Every
-    cell counts exactly what a solve_bb call on it counts.  Each (setting,
-    kappa, seed) instance is generated once, when its first cell takes a
-    slot, and freed once its last row has left.  A cell that hits the
-    iteration cap is recorded at the cap with solved=False; a cell whose
-    gradient turns nan or inf is recorded as nonfinite, and a cell whose
-    instance fails to build as an error marker that takes no row, both
-    without an iteration count; neither aborts the sweep.  progress, when
-    given, is called with each cell in grid order as soon as it and every
-    cell before it have finished.
+    The whole grid goes, in grid order, through one count-only
+    (history=False) kernels.raw_bb_loop whose block holds at most 96 rows
+    and at most 2^15 doubles per (rows x n) array; a row that finishes
+    hands its slot to the next cell, whatever its (setting, kappa,
+    epsilon) group.  Each row gives back only its termination and its
+    iteration count: its block steps the gradient alone and holds no x and
+    no b.  The grid has already checked epsilon, max_iter and the
+    policies.  Every cell counts exactly what a solve_bb call on it
+    counts.  Each (setting, kappa, seed) instance is generated once, when
+    its first cell takes a slot, and freed once its last row has left.  A
+    cell that hits the iteration cap is recorded at the cap with
+    solved=False; a cell whose gradient turns nan or inf is recorded as
+    nonfinite, and a cell whose instance fails to build as an error marker
+    that takes no row, both without an iteration count; neither aborts the
+    sweep.  progress, when given, is called with each cell in grid order
+    as soon as it and every cell before it have finished.
     """
     policies = {p: parse_policy(p) for p in grid.policies}
     width = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
@@ -195,8 +197,7 @@ def run_quadratic_sweep(grid, progress=None):
             passed += 1
 
     def row_ended(j, end):
-        termination, iterations, _ = end
-        finish(rows[j], *_outcome(termination, iterations))
+        finish(rows[j], *_outcome(*end))
 
     def grid_rows():
         x0 = np.ones(grid.n)

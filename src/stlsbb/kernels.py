@@ -9,15 +9,20 @@ raw_bb_loop advances a block of runs in lock step, taking the next run
 into each slot a finished one frees: one Hessian product per step for the
 whole block, row dots through np.vecdot (which rounds like the 1-D dot),
 and a scalar policy_step call per row, so every row reproduces its run
-alone bit for bit.  The kernels never modify their inputs, and the arrays
-they return are fresh ones.  A block product on rows of at least _WIDE_ROW
-doubles, within _BLOCK_DOUBLES, writes its temporaries into a work array
-of _BLOCK_DOUBLES doubles that each thread holds once and never hands
-out, so such a product allocates only its result.  A row longer than the
-work array (the package runs such rows only as blocks of one) runs every
-elementwise pass of its product and of raw_bb_loop's step in slices of
-_BLOCK_DOUBLES doubles through that array; its dots still read the whole
-row, so no bit changes.
+alone bit for bit.  A count-only row (history=False), as the quadratic
+sweep runs, steps only its gradient, since its stop test and count never
+read the iterate.  The kernels never modify their inputs, and the arrays
+they return are fresh ones.  A block product with its own w per row, on
+rows shorter than _WIDE_ROW doubles, copies each pass's column of row
+dots across one block buffer and scales it by w in place, rather than
+broadcast the column against the rows.  A block product on rows of at
+least _WIDE_ROW doubles, within _BLOCK_DOUBLES, writes its temporaries
+into a work array of _BLOCK_DOUBLES doubles that each thread holds once
+and never hands out, so such a product allocates only its result.  A row
+longer than the work array (the package runs such rows only as blocks of
+one) runs every elementwise pass of its product and of raw_bb_loop's step
+in slices of _BLOCK_DOUBLES doubles through that array; its dots still
+read the whole row, so no bit changes.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -128,13 +133,37 @@ def _row_dots(w, u):
 
 
 def _householder_product(dot, w1, w2, w3, v, x):
-    u = x - (2.0 * dot(w3, x)) * w3
-    u -= (2.0 * dot(w2, u)) * w2
-    u -= (2.0 * dot(w1, u)) * w1
+    # each pass subtracts c w for its c = 2 w'u, a scalar on a vector and
+    # a column on a block.  On a block with its own w per row, rows
+    # shorter than _WIDE_ROW, the column is first copied across one
+    # (rows, n) buffer that w then scales in place: c * w broadcasts the
+    # column against the rows of w, which costs more than the copy.
+    # Product times, against c * w (2-vCPU Xeon, numpy 2.4, thread CPU,
+    # medians of 15-25 interleaved runs): 0.77-0.91x at (96, 100), the
+    # quadratic sweep's blocks, 0.82-0.96x at (75, 100), 0.87x at
+    # (50, 100), 0.79-0.96x at (96, 200), and 1.02x at (20, 100).  A
+    # broadcast multiply into a kept buffer, without the copy, read
+    # 0.89-1.05x at (96, 100) and 0.96-1.15x at (75, 100).  The copy
+    # lost where w is one row for every row (1.07-1.21x below 40 rows,
+    # as the line search's rounds are) and on wide blocks beyond the
+    # work array (1.16-1.39x), which keep c * w.  The operands and their
+    # order are those of c * w, so every bit, nan payloads included, is
+    # the same
+    if w1.ndim == 1 or x.shape[-1] >= _WIDE_ROW:
+        scaled = np.multiply
+    else:
+        cw = np.empty(x.shape)
+
+        def scaled(c, w):
+            np.copyto(cw, c)
+            return np.multiply(cw, w, out=cw)
+    u = x - scaled(2.0 * dot(w3, x), w3)
+    u -= scaled(2.0 * dot(w2, u), w2)
+    u -= scaled(2.0 * dot(w1, u), w1)
     u *= v
-    u -= (2.0 * dot(w1, u)) * w1
-    u -= (2.0 * dot(w2, u)) * w2
-    u -= (2.0 * dot(w3, u)) * w3
+    u -= scaled(2.0 * dot(w1, u), w1)
+    u -= scaled(2.0 * dot(w2, u), w2)
+    u -= scaled(2.0 * dot(w3, u), w3)
     return u
 
 
@@ -259,7 +288,13 @@ def _with_row_buffers(n, f, *args):
     # 100 sweep benchmark ran 1.08x slower end to end.  The buffer size
     # changes how these elementwise loops run, never a value.  Wide blocks
     # within _BLOCK_DOUBLES also take their product's temporaries from the
-    # thread's work array (_wide_product).
+    # thread's work array (_wide_product).  Narrower blocks keep numpy's
+    # buffers; with their own w per row, as the sweep's are, their product
+    # avoids the broadcast instead by copying each column of row dots
+    # across a block buffer that w then scales in place
+    # (_householder_product): 0.77-0.91x the product time at (96, 100),
+    # where a broadcast multiply into a kept buffer, without the copy,
+    # read 0.89-1.05x.
     if n < _WIDE_ROW:
         return f(*args)
     with np.errstate():  # which restores numpy's buffer size on exit
@@ -340,18 +375,20 @@ def raw_bb_loop(rows, width, on_end, history=True):
     the histories are lists of floats whose entry k describes iterate k,
     and alpha_hist[k] is the steplength the row proposed there: the one
     taken from it, or on the last entry the proposal no step takes, which
-    is alpha0 for a row that stops where it starts.  With history=False
-    nothing is recorded per step, f is never evaluated, and the result is
-    (termination, iterations, x) instead.  Results come out only through
-    on_end, which is required: on_end(j, result) is called as row j
-    (counted from 0 in rows) leaves, outside the loop's np.errstate, so
-    rows end in the order they finish, not in the order of rows.  Nothing
-    is returned.
+    is alpha0 for a row that stops where it starts.  With history=False a
+    row only counts: nothing is recorded per step, and its result is
+    (termination, iterations).  Neither the stop test nor the count reads
+    the iterate, so such a row steps only its gradient: its block carries
+    w1, w2, w3, v and g, and no x or b, which only a recorded row's f
+    reads.  Results come out only through on_end, which is required:
+    on_end(j, result) is called as row j (counted from 0 in rows) leaves,
+    outside the loop's np.errstate, so rows end in the order they finish,
+    not in the order of rows.  Nothing is returned.
     """
     source = enumerate(rows)
 
     def leave(j, termination, k, x, hist):
-        on_end(j, (termination, *hist, x) if history else (termination, k, x))
+        on_end(j, (termination, *hist, x) if history else (termination, k))
 
     def take():
         # the next row that takes a step, as its slot's values; rows that
@@ -370,36 +407,45 @@ def raw_bb_loop(rows, width, on_end, history=True):
             alpha0 = float(alpha0)
             hist = ([f0], [gn0], [alpha0]) if history else None
             if tol < gn0 < math.inf:
-                return j, policy, inst, x0, g0, gg0, alpha0, tol, cap, hist
+                # the row of each array its block carries: w1, w2, w3, v
+                # and g, then x and b, which only a recorded row's f reads
+                carried = (inst.w1, inst.w2, inst.w3, inst.eigenvalues, g0)
+                if history:
+                    carried += (x0, inst.linear)
+                return j, policy, carried, gg0, alpha0, tol, cap, hist
             leave(j, _termination(gn0, tol), 0, x0, hist)
         return None
 
     inf = math.inf
     while slots := list(islice(iter(take, None), width)):
-        ids, policies, insts, xs, gs, ggs, alphas, tol, caps, hists = map(list, zip(*slots))
-        w1, w2, w3, v, b = (_block([getattr(inst, name) for inst in insts])
-                            for name in ("w1", "w2", "w3", "eigenvalues", "linear"))
-        x, g, gg = _block(xs), _block(gs), np.array(ggs)
+        ids, policies, carried, ggs, alphas, tol, caps, hists = map(list, zip(*slots))
+        block = [_block(column) for column in zip(*carried)]
+        gg = np.array(ggs)
         ks = [0] * len(ids)
         # rows longer than the work array step in slices through it, with
         # no n-long temporaries (the n = 1e5 raw benchmark read 3.2 %
         # faster than with the operator form, in 17 of 20 alternating
         # pairs); blocks of shorter rows keep the operator form, as the
         # helper made the n = 100 sweep benchmark 4.2 % slower (10 of 10)
-        long_rows = x.shape[1] > _BLOCK_DOUBLES
-        del slots, insts, xs, gs, ggs  # the block holds what it needs
+        long_rows = block[0].shape[1] > _BLOCK_DOUBLES
+        del slots, carried, ggs  # the block holds what it needs
         while True:
+            w1, w2, w3, v, g, *xb = block
+            x, b = xb if history else (None, None)
             with np.errstate(**_QUIET):
                 while True:
                     ag = hessian_apply(w1, w2, w3, v, g)
                     gag = np.vecdot(g, ag)
                     agag = np.vecdot(ag, ag)
                     step = np.array(alphas)[:, None]
+                    if history:  # x steps from the g before this step's
+                        if long_rows:
+                            _subtract_scaled(x, x, step, g)
+                        else:
+                            x -= step * g
                     if long_rows:
-                        _subtract_scaled(x, x, step, g)
                         _subtract_scaled(g, g, step, ag)
                     else:
-                        x -= step * g
                         g -= step * ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them
@@ -420,21 +466,24 @@ def raw_bb_loop(rows, width, on_end, history=True):
                         break
             done = [r for r, on in enumerate(go) if not on]
             whole = len(done) == len(go)
-            # rows leaving a block that goes on take copies of their x
-            for r, xr in zip(done, x if whole else x[done]):
+            # recorded rows leaving a block that goes on take copies of
+            # their x; count-only rows have none
+            xs = (x if whole else x[done]) if history else [None] * len(done)
+            for r, xr in zip(done, xs):
                 leave(ids[r], _termination(gn[r], tol[r]), ks[r], xr, hists[r])
             if whole:
                 break  # a block of one is a view of its instance: start anew
             for r, slot in zip(done, iter(take, None)):
-                j, policy, inst, x0, g0, gg0, alpha0, t, cap, hist = slot
-                w1[r], w2[r], w3[r] = inst.w1, inst.w2, inst.w3
-                v[r], b[r], x[r], g[r], gg[r] = inst.eigenvalues, inst.linear, x0, g0, gg0
+                j, policy, carried, gg0, alpha0, t, cap, hist = slot
+                for a, row in zip(block, carried):
+                    a[r] = row
+                gg[r] = gg0
                 ids[r], policies[r], alphas[r], tol[r], caps[r], ks[r], hists[r] = (
                     j, policy, alpha0, t, cap, 0, hist)
                 go[r] = True
-            slot = inst = None  # hold no instance past its rows
+            slot = carried = row = None  # hold no instance past its rows
             if not all(go):
                 keep = [r for r, on in enumerate(go) if on]
-                w1, w2, w3, v, b, x, g, gg = (a[keep] for a in (w1, w2, w3, v, b, x, g, gg))
+                block, gg = [a[keep] for a in block], gg[keep]
                 ids, policies, alphas, tol, caps, ks, hists = (
                     [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))

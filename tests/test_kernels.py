@@ -229,6 +229,30 @@ class TestHessianApplyReference:
         assert np.array_equal(got, want)
         assert np.array_equal(xs, keep)
 
+    @pytest.mark.parametrize("n", [30, 100, 200])
+    @pytest.mark.parametrize("rows", [2, 29, 96])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
+    def test_narrow_block_bytes_equal_its_rows_alone(self, rng, rows, shared, n):
+        # rows shorter than kernels._WIDE_ROW: with per-row w each pass
+        # scales a (rows, n) buffer holding its column of 2 w'u by w in
+        # place, and with shared w it broadcasts the column.  Either way
+        # the bytes are each row's 1-D product's, nan payloads and signed
+        # zeros included, with no warning under the raw loop's errstate
+        ws = unit_rows(rng, (3, n) if shared else (3, rows, n))
+        v = rng.uniform(1.0, 1e4, n if shared else (rows, n))
+        row_args = [(*ws, v)] * rows if shared else list(zip(*ws, v))
+        nan = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(float)[0]
+        specials = {"nan": [nan], "inf": [np.inf, -np.inf], "negative-zero": [-0.0] * n,
+                    "zero": [0.0] * n, "huge": [1e300, -1e300]}
+        for name, entries in specials.items():
+            xs = rng.standard_normal((rows, n))
+            xs[rows // 2, :len(entries)] = entries
+            with warnings.catch_warnings(), np.errstate(**kernels._QUIET):
+                warnings.simplefilter("error")
+                got = kernels.hessian_apply(*ws, v, xs)
+                want = np.stack([kernels.hessian_apply(*args, x) for args, x in zip(row_args, xs)])
+            assert got.tobytes() == want.tobytes(), name
+
     def test_read_only_and_strided_inputs(self, rng):
         n = 25
         ws = unit_rows(rng, (3, n))
@@ -584,10 +608,31 @@ class TestLockStep:
         bare = raw_results(rows, len(rows), history=False)
         assert [row[0] for row in bare][7:] == [ITERATION_CAP, NONFINITE]
         assert len({row[1] for row in bare}) > 5  # rows leave at many steps
-        for (termination, f_hist, _, _, x), got in zip(recorded, bare):
-            assert got[0] == termination
-            assert got[1] == len(f_hist) - 1
-            assert got[2].tobytes() == x.tobytes()
+        for (termination, f_hist, *_), got in zip(recorded, bare):
+            assert got == (termination, len(f_hist) - 1)
+
+    def test_warm_count_only_block_holds_no_x_or_b(self, rng):
+        # a count-only block carries no x and no b, so a warm call's peak
+        # is at least two (rows, n) arrays below the recording call's
+        n, width = 200, 8
+        insts = [tiny_instance(rng, n, kappa) for kappa in np.geomspace(10.0, 1e3, width)]
+        rows = raw_rows(insts, [parse_policy("bb1")] * width, rng.uniform(-1.0, 1.0, (width, n)),
+                        [None] * width, 1e-12, 3)
+
+        def peak(history):
+            raw_results(rows, width, history)
+            tracemalloc.start()
+            try:
+                results = raw_results(rows, width, history)
+                return tracemalloc.get_traced_memory()[1], results
+            finally:
+                tracemalloc.stop()
+
+        bare, counts = peak(False)
+        recorded, results = peak(True)
+        assert counts == [(ITERATION_CAP, 3)] * width
+        assert [r[0] for r in results] == [ITERATION_CAP] * width
+        assert bare <= recorded - 2 * width * n * 8
 
     def test_overflow_raises_no_warning(self, rng):
         inst = tiny_instance(rng, 30, 1e300)
@@ -677,10 +722,10 @@ class TestRefill:
         rows = self.rows(rng)
         recorded = raw_results(rows, width)
         bare = raw_results(iter(rows), width, history=False)
-        for (termination, f_hist, _, _, x), got in zip(recorded, bare):
-            assert got[0] == termination
-            assert got[1] == len(f_hist) - 1
-            assert got[2].tobytes() == x.tobytes()
+        assert len(bare) == len(rows)
+        for (termination, f_hist, *_), got in zip(recorded, bare):
+            # a count-only row carries no x, so its result has none
+            assert got == (termination, len(f_hist) - 1)
 
     def test_empty_rows(self):
         ended = []
@@ -744,9 +789,10 @@ class TestLongRowRuns:
         whole, sliced = self.both(
             monkeypatch, lambda: raw_results(rows, width, history=False))
         assert [r[0] for r in whole[:2]] == [NONFINITE, ITERATION_CAP]
-        for (termination, k, x), got in zip(whole, sliced):
-            assert got[:2] == (termination, k)
-            assert got[2].tobytes() == x.tobytes()
+        assert sliced == whole
+        recorded = raw_results(rows, width)
+        assert whole == [(termination, len(f_hist) - 1)
+                         for termination, f_hist, *_ in recorded]
 
     def test_line_search_solver(self, rng, monkeypatch):
         # the patched work array also cuts the solver's rounds to one trial

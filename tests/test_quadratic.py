@@ -433,7 +433,7 @@ class TestSolveBB:
         runs = raw_results(rows, 3, history=False)
         counts = [solve_bb(inst, SteplengthPolicy("bb1"), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
-        assert [its for _, its, _ in runs] == counts
+        assert [its for _, its in runs] == counts
 
     def test_as_objective_wraps_instance(self, inst, rng):
         obj = as_objective(inst)
