@@ -367,10 +367,6 @@ class ProfileTable:
         object.__setattr__(self, "ratios", r)
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
-    @property
-    def problems(self):
-        return self.ratios.shape[0]
-
     def _col(self, s):
         if isinstance(s, str):
             s = self.solvers.index(s)

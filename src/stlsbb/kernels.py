@@ -4,7 +4,8 @@ Steplength formulas on secant scalars, Householder Hessian products, and
 the raw (no line search) BB iteration for factored quadratics, in plain
 numpy.  policy_step is the one dispatch from a policy to its steplength
 formula and the only place that holds each rule's arithmetic; the family
-rules call family_step / family_prime_step and ATC calls atc_step.
+rules call family_step / family_prime_step, one scaled-TLS fit read with
+the roles of s and y exchanged, and ATC calls atc_step.
 raw_bb_loop advances a block of runs in lock step, taking the next run
 into each slot a finished one frees: one Hessian product per step for the
 whole block, row dots through np.vecdot (which rounds like the 1-D dot),
@@ -38,53 +39,47 @@ import numpy as np
 from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 
+def _scaled_tls_fit(a, b, sy, gamma):
+    # d + sqrt(d^2 + e) with d = a - b/gamma^2 and e = 4 (s'y)^2/gamma^2:
+    # the family's numerator for (a, b) = (ss, yy), and its denominator
+    # for (yy, ss).  For d <= 0 it is e / (sqrt(d^2 + e) - d), identical
+    # but free of cancellation.  hypot keeps the discriminant from
+    # overflowing, and None means that e or r - d overflowed (gamma below
+    # ~1e-150 for unit-scale pairs).
+    ti = 1.0 / gamma
+    t = ti * ti
+    d = a - b * t
+    e = 4.0 * sy * sy * t
+    r = math.hypot(d, 2.0 * sy * math.sqrt(t))
+    if d > 0.0:
+        return d + r
+    rd = r - d
+    if e == math.inf or rd == math.inf:
+        return None
+    return e / rd
+
+
 def family_step(ss, yy, sy, gamma):
     """Scaled-TLS family steplength from the secant scalars.
 
     ss = ||s||^2, yy = ||y||^2, sy = s'y > 0, gamma > 0.  The closed form
     is (d + sqrt(d^2 + e)) / (2 s'y) with d = ss - yy/gamma^2 and
-    e = 4 (s'y)^2 / gamma^2; for d <= 0 the numerator is evaluated as
-    e / (sqrt(d^2 + e) - d), which is algebraically identical but free of
-    cancellation.  hypot keeps the discriminant from overflowing, and once
-    e or r - d does overflow (gamma below ~1e-150 for unit-scale pairs)
-    the value is the short-step limit sy/yy.
+    e = 4 (s'y)^2 / gamma^2, evaluated free of cancellation; once the
+    fit overflows, the value is the short-step limit sy/yy.
     """
-    ti = 1.0 / gamma
-    t = ti * ti
-    d = ss - yy * t
-    e = 4.0 * sy * sy * t
-    r = math.hypot(d, 2.0 * sy * math.sqrt(t))
-    if d > 0.0:
-        num = d + r
-    else:
-        rd = r - d
-        if e == math.inf or rd == math.inf:
-            return sy / yy
-        num = e / rd
-    return num / (2.0 * sy)
+    num = _scaled_tls_fit(ss, yy, sy, gamma)
+    return sy / yy if num is None else num / (2.0 * sy)
 
 
 def family_prime_step(ss, yy, sy, gamma):
     """Inverse-fit variant of the scaled-TLS family (decreasing in gamma).
 
-    2 s'y / (d + sqrt(d^2 + e)) with d = yy - ss/gamma^2 and
-    e = 4 (s'y)^2 / gamma^2, with the same cancellation-safe branch and
-    overflow handling as family_step (the overflow limit here is the long
-    step ss/sy).
+    2 s'y over the same fit with the roles of s and y exchanged, so
+    gammaPrime:g equals gamma:1/g up to rounding; once the fit overflows,
+    the value is the long-step limit ss/sy.
     """
-    ti = 1.0 / gamma
-    t = ti * ti
-    d = yy - ss * t
-    e = 4.0 * sy * sy * t
-    r = math.hypot(d, 2.0 * sy * math.sqrt(t))
-    if d > 0.0:
-        den = d + r
-    else:
-        rd = r - d
-        if e == math.inf or rd == math.inf:
-            return ss / sy
-        den = e / rd
-    return 2.0 * sy / den
+    den = _scaled_tls_fit(yy, ss, sy, gamma)
+    return ss / sy if den is None else 2.0 * sy / den
 
 
 def atc_step(ss, yy, sy, prev_alpha, index, cycle):

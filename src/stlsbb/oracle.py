@@ -182,38 +182,31 @@ def family_prime_argmin(pair, gamma, tol=1e-12):
     return 1.0 / beta
 
 
-def bb1_argmin(pair, tol=1e-12):
-    """Brute-force long BB steplength: 1 over the least-squares minimizer
-    of ||beta*s - y||^2.
-
-    The search evaluates the fit minus its constant term,
-    beta * (||s||^2 beta - 2 s'y), which keeps the well resolvable when
-    the residual at the minimum dwarfs its depth.
-    """
+def _least_squares_argmin(pair, a, b, tol):
+    # golden-section minimizer over t > 0 of ||t u - v||^2 for ||u||^2 = a
+    # and ||v||^2 = b, searched as t (a t - 2 s'y), the fit minus its
+    # constant term, which keeps the well resolvable when the residual at
+    # the minimum dwarfs its depth
     if not pair.sy > 0.0:
         raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
-    hi = math.sqrt(pair.yy / pair.ss) + 1.0
+    hi = math.sqrt(b / a) + 1.0
 
-    def obj(beta):
-        return beta * (pair.ss * beta - 2.0 * pair.sy)
+    def obj(t):
+        return t * (a * t - 2.0 * pair.sy)
 
-    prob = ScalarMinProblem(obj, (0.0, hi), tol)
-    return 1.0 / minimize_scalar(prob)[0]
+    return minimize_scalar(ScalarMinProblem(obj, (0.0, hi), tol))[0]
+
+
+def bb1_argmin(pair, tol=1e-12):
+    """Brute-force long BB steplength: 1 over the least-squares minimizer
+    of ||beta*s - y||^2."""
+    return 1.0 / _least_squares_argmin(pair, pair.ss, pair.yy, tol)
 
 
 def bb2_argmin(pair, tol=1e-12):
     """Brute-force short BB steplength: least-squares minimizer of
-    ||alpha*y - s||^2, searched without its constant term as in
-    bb1_argmin."""
-    if not pair.sy > 0.0:
-        raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
-    hi = math.sqrt(pair.ss / pair.yy) + 1.0
-
-    def obj(alpha):
-        return alpha * (pair.yy * alpha - 2.0 * pair.sy)
-
-    prob = ScalarMinProblem(obj, (0.0, hi), tol)
-    return minimize_scalar(prob)[0]
+    ||alpha*y - s||^2, the bb1 fit with s and y exchanged."""
+    return _least_squares_argmin(pair, pair.yy, pair.ss, tol)
 
 
 _GRID_CACHE = {}

@@ -42,10 +42,11 @@ class Objective:
 
     x0 is the conventional starting point, when the problem has one.
     eval_rows, when given, evaluates a block at once: eval_rows(X) for a
-    (rows, dim) array returns (f_rows, G_rows), and row i must equal
-    eval(X[i]) bit for bit, because run() uses it to evaluate a round of
-    trial points whose first acceptable row it keeps.  Without it, run()
-    calls eval once per trial point and never at a point it does not need.
+    (rows, dim) array returns (f_rows, G_rows), with f_rows a list of
+    floats or a 1-D float array, and row i must equal eval(X[i]) bit for
+    bit, because run() uses it to evaluate a round of trial points whose
+    first acceptable row it keeps.  Without it, run() calls eval once per
+    trial point and never at a point it does not need.
     The built-in objectives (rosenbrock2, quadratic.as_objective) write
     only eval_rows and take eval from it through first_row_eval, so the
     two agree by construction.
@@ -108,7 +109,7 @@ def rosenbrock2():
             f.append(100.0 * t * t + _square_or_inf(u))
             g.append(-400.0 * x1 * t - 2.0 * u)
             g.append(200.0 * t)
-        return np.array(f), np.array(g).reshape(-1, 2)
+        return f, np.array(g).reshape(-1, 2)
 
     return Objective("rosenbrock2", 2, first_row_eval(eval_rows),
                      x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
@@ -243,7 +244,7 @@ def _rounds_of_one(objective):
     # eval_rows for an objective without one: each round is one eval call
     def eval_rows(xs):
         f, g = objective.eval(xs[0])
-        return np.array([float(f)]), [g]
+        return [float(f)], [g]
 
     return eval_rows
 
@@ -349,7 +350,8 @@ def run(objective, x0, config, policy):
                 a_eff *= sigma
             xs = kernels.trial_rows(x, g, np.array(steps))
             f_rows, g_rows = eval_rows(xs)
-            f_rows = np.asarray(f_rows, dtype=float).tolist()
+            if not isinstance(f_rows, list):
+                f_rows = np.asarray(f_rows, dtype=float).tolist()
             # the first row that passes is taken, and ends the line search;
             # rows after it are discarded
             for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):

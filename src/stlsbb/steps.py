@@ -8,10 +8,11 @@ the equivalent convex-combination form, the adaptive truncated cyclic
 no run state: ATC's iteration index and previous steplength belong to the
 loop that evaluates it, which passes them to next_steplength.
 
-SteplengthPolicy checks a rule's parameter and next_steplength checks the
-pair and the ATC state; the arithmetic of every rule is in
-kernels.policy_step.  bb1, bb2, alpha_convex, alpha_family,
-alpha_family_prime and alpha_tls are that one call on the named rule.
+One table declares each policy kind with its descriptor name and its one
+parameter field; next_steplength checks the pair and the ATC state, and
+the arithmetic of every rule is in kernels.policy_step.  bb1, bb2,
+alpha_convex, alpha_family, alpha_family_prime and alpha_tls are that
+one call on the named rule.
 """
 
 import math
@@ -30,10 +31,6 @@ from .errors import (
 
 # the interval [bb2, bb1] is treated as collapsed below this relative width
 DEGENERACY_RTOL = 1e-14
-
-POLICY_KINDS = ("bb1", "bb2", "gamma", "gamma_prime", "tau", "atc")
-# the one parameter field a kind takes; bb1 and bb2 take none
-_KIND_PARAMETER = {"gamma": "gamma", "gamma_prime": "gamma", "tau": "tau", "atc": "cycle"}
 
 @dataclass(frozen=True)
 class StepPair:
@@ -92,6 +89,39 @@ def _gamma_value(gamma):
     if not (math.isfinite(g) and g > 0.0):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
     return g
+
+
+def _tau_value(tau):
+    # the weight on bb1 of the convex combination: in [0, 1]
+    t = _as_float(tau, "tau")
+    if not 0.0 <= t <= 1.0:  # false for nan
+        raise InvalidParameterError(f"tau must lie in [0, 1], got {tau!r}")
+    return t
+
+
+def _cycle_value(cycle):
+    # ATC's cycle length: an integer >= 1, kept as an int
+    c = _as_float(cycle, "cycle")
+    if not (c >= 1.0 and c.is_integer()):  # false for inf and nan
+        raise InvalidParameterError(f"cycle must be an integer >= 1, got {cycle!r}")
+    return int(c)
+
+
+# each parameter field: how parse_policy reads it, and the check that
+# gives the value a policy keeps
+_FIELDS = {"gamma": (float, _gamma_value), "tau": (float, _tau_value),
+           "cycle": (int, _cycle_value)}
+# each kind: its descriptor name and its one parameter field (None for
+# bb1 and bb2); kernels.policy_step and oracle_steplength hold its rule
+_KINDS = {
+    "bb1": ("bb1", None),
+    "bb2": ("bb2", None),
+    "gamma": ("gamma", "gamma"),
+    "gamma_prime": ("gammaPrime", "gamma"),
+    "tau": ("tau", "tau"),
+    "atc": ("atc", "cycle"),
+}
+POLICY_KINDS = tuple(_KINDS)
 
 
 def bb1(pair):
@@ -162,76 +192,52 @@ class SteplengthPolicy:
             raise InvalidParameterError(
                 f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}"
             )
-        for name in ("gamma", "tau", "cycle"):
-            if getattr(self, name) is not None and name != _KIND_PARAMETER.get(self.kind):
+        own = _KINDS[self.kind][1]
+        for name in _FIELDS:
+            if getattr(self, name) is not None and name != own:
                 raise InvalidParameterError(f"policy {self.kind!r} takes no {name}")
-        if self.kind in ("gamma", "gamma_prime"):
-            if self.gamma is None:
-                raise InvalidParameterError(f"policy {self.kind!r} needs gamma")
-            object.__setattr__(self, "gamma", _gamma_value(self.gamma))
-        if self.kind == "tau":
-            if self.tau is None:
-                raise InvalidParameterError("policy 'tau' needs a weight")
-            t = _as_float(self.tau, "tau")
-            if not 0.0 <= t <= 1.0:  # false for nan
-                raise InvalidParameterError(f"tau must lie in [0, 1], got {self.tau!r}")
-            object.__setattr__(self, "tau", t)
-        if self.kind == "atc":
-            if self.cycle is None:
-                raise InvalidParameterError("policy 'atc' needs a cycle length")
-            c = _as_float(self.cycle, "cycle")
-            if not (c >= 1.0 and c.is_integer()):  # false for inf and nan
-                raise InvalidParameterError(f"cycle must be an integer >= 1, got {self.cycle!r}")
-            object.__setattr__(self, "cycle", int(c))
+        if own is not None:
+            value = getattr(self, own)
+            if value is None:
+                raise InvalidParameterError(f"policy {self.kind!r} needs {own}")
+            object.__setattr__(self, own, _FIELDS[own][1](value))
 
     def describe(self):
         """Stable textual form; parse_policy inverts it."""
-        if self.kind == "gamma":
-            return f"gamma:{_number(self.gamma)}"
-        if self.kind == "gamma_prime":
-            return f"gammaPrime:{_number(self.gamma)}"
-        if self.kind == "tau":
-            return f"tau:{_number(self.tau)}"
-        if self.kind == "atc":
-            return f"atc:{self.cycle}"
-        return self.kind
+        name, own = _KINDS[self.kind]
+        return name if own is None else f"{name}:{_number(getattr(self, own))}"
 
 
 def _number(value):
-    # the short :g form where it reads back as the same float, and the
-    # shortest form that does (repr) where six digits would round it
+    # a float in the short :g form where that reads back as the same
+    # float, and otherwise in its shortest form that does (repr); an int
+    # (a cycle, which parse_policy reads with int) always as its digits
     text = f"{value:g}"
-    return text if float(text) == value else repr(value)
+    return text if type(value) is float and float(text) == value else repr(value)
 
 
 def parse_policy(text):
-    """Parse a policy descriptor string.
-
-    Accepted forms: 'bb1', 'bb2', 'gamma:G', 'gammaPrime:G', 'tau:T',
-    'atc:C' (names case-insensitive).  Inverse of
-    SteplengthPolicy.describe.
+    """Parse a policy descriptor string: a kind's descriptor name from
+    the table of kinds (case-insensitive), then ':' and its parameter if
+    it takes one, as in 'bb1', 'bb2', 'gamma:G', 'gammaPrime:G', 'tau:T'
+    and 'atc:C'.  Inverse of SteplengthPolicy.describe.
     """
     if not isinstance(text, str):
         raise InvalidParameterError(f"policy descriptor must be a string, got {text!r}")
     name, sep, arg = text.strip().partition(":")
     key = name.strip().lower()
-    arg = arg.strip()
+    for kind, (descriptor, own) in _KINDS.items():
+        if key == descriptor.lower():
+            break
+    else:
+        raise InvalidParameterError(f"unknown policy descriptor {text!r}")
+    if own is None and sep:
+        raise InvalidParameterError(f"policy {key!r} takes no argument")
     try:
-        if key in ("bb1", "bb2"):
-            if sep:
-                raise InvalidParameterError(f"policy {key!r} takes no argument")
-            return SteplengthPolicy(key)
-        if key == "gamma":
-            return SteplengthPolicy("gamma", gamma=float(arg))
-        if key == "gammaprime":
-            return SteplengthPolicy("gamma_prime", gamma=float(arg))
-        if key == "tau":
-            return SteplengthPolicy("tau", tau=float(arg))
-        if key == "atc":
-            return SteplengthPolicy("atc", cycle=int(arg))
+        given = {} if own is None else {own: _FIELDS[own][0](arg.strip())}
     except ValueError as exc:
         raise InvalidParameterError(f"bad policy argument in {text!r}") from exc
-    raise InvalidParameterError(f"unknown policy descriptor {text!r}")
+    return SteplengthPolicy(kind, **given)
 
 
 def next_steplength(policy, pair, index=0, prev_alpha=None):

@@ -128,6 +128,63 @@ class TestScalarKernels:
         assert kernels.atc_step(ss, yy, sy, 0.62, 3, 4) == 0.62
 
 
+def written_out_family_step(ss, yy, sy, gamma):
+    # family_step with the scaled-TLS fit written out: the reference whose
+    # bits the shared fit must give
+    ti = 1.0 / gamma
+    t = ti * ti
+    d = ss - yy * t
+    e = 4.0 * sy * sy * t
+    r = math.hypot(d, 2.0 * sy * math.sqrt(t))
+    if d > 0.0:
+        num = d + r
+    else:
+        rd = r - d
+        if e == math.inf or rd == math.inf:
+            return sy / yy
+        num = e / rd
+    return num / (2.0 * sy)
+
+
+def written_out_family_prime_step(ss, yy, sy, gamma):
+    # family_prime_step with the scaled-TLS fit written out: the reference
+    # whose bits the shared fit must give
+    ti = 1.0 / gamma
+    t = ti * ti
+    d = yy - ss * t
+    e = 4.0 * sy * sy * t
+    r = math.hypot(d, 2.0 * sy * math.sqrt(t))
+    if d > 0.0:
+        den = d + r
+    else:
+        rd = r - d
+        if e == math.inf or rd == math.inf:
+            return ss / sy
+        den = e / rd
+    return 2.0 * sy / den
+
+
+class TestSharedFamilyFit:
+    def test_family_kernels_keep_their_bits(self):
+        # the two family kernels share one scaled-TLS fit; over ss and yy
+        # across 1e+-150, s'y = c sqrt(ss yy) with c in [1e-6, 1] and gamma
+        # across 1e+-300 (both overflow branches included) they give the
+        # written-out formulas' bits
+        rng = np.random.default_rng(20261020)
+        draws = 100_000
+        ss = 10.0 ** rng.uniform(-150, 150, draws)
+        yy = 10.0 ** rng.uniform(-150, 150, draws)
+        sy = rng.uniform(1e-6, 1.0, draws) * np.sqrt(ss * yy)
+        gamma = 10.0 ** rng.uniform(-300, 300, draws)
+        gamma[:4] = (5e-324, 1e-160, 1e160, 1.7976931348623157e308)
+        rows = list(zip(ss.tolist(), yy.tolist(), sy.tolist(), gamma.tolist()))
+        for kernel, written in ((kernels.family_step, written_out_family_step),
+                                (kernels.family_prime_step, written_out_family_prime_step)):
+            got = np.array([kernel(*row) for row in rows])
+            want = np.array([written(*row) for row in rows])
+            assert got.tobytes() == want.tobytes(), kernel.__name__
+
+
 class TestPolicyDispatch:
     def test_dispatch_equals_direct_kernels(self, rng):
         ss, yy, sy = scalars(random_pair(rng))

@@ -1,5 +1,6 @@
 """Brute-force verifiers: golden-section search and the steplength oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -169,6 +170,18 @@ class TestOracleAgreement:
             pair = random_pair(rng)
             assert bb1_argmin(pair) == pytest.approx(bb1(pair), rel=1e-6)
             assert bb2_argmin(pair) == pytest.approx(bb2(pair), abs=1e-6)
+
+    def test_bb_fits_keep_their_bits(self):
+        # bb1_argmin and bb2_argmin are one least-squares search with s and
+        # y exchanged; the digest is of the values the two separate
+        # searches gave, so a change to the shared search's arithmetic,
+        # bracket or order shows here
+        rng = np.random.default_rng(20261019)
+        pairs = [random_pair(rng, n=int(rng.integers(2, 9)), scale=10.0 ** rng.uniform(-3, 3))
+                 for _ in range(200)]
+        got = np.array([[bb1_argmin(p), bb2_argmin(p)] for p in pairs])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "e543122f8d02e3f229c0cbd9e395e4d1b246a8bab3b03e89ebdbe1284c32f25a")
 
     def test_bb_fits_need_curvature(self):
         pair = StepPair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))

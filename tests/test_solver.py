@@ -276,6 +276,9 @@ class TestRosenbrock:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 f, g = obj.eval_rows(xs)
+            # f comes as a list of floats, which run reads as it is
+            assert type(f) is list
+            f = np.asarray(f)
             want_f, want_g = self.numpy_rows(xs)
             assert f.dtype == g.dtype == np.float64
             assert (f.shape, g.shape) == (want_f.shape, want_g.shape)
@@ -284,7 +287,7 @@ class TestRosenbrock:
 
     def test_empty_block(self):
         f, g = rosenbrock2().eval_rows(np.empty((0, 2)))
-        assert (f.shape, g.shape) == ((0,), (0, 2))
+        assert (np.asarray(f).shape, g.shape) == ((0,), (0, 2))
 
 
 class TestRunLoop:

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is read."""
+"""Source hygiene: every module-level import in the package is read, and
+so is every module-level private name."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,54 @@ def test_unused_imports_are_found():
     "path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_every_import_is_read(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each module-level private name (a _name
+    def, class or assignment) that no module of the package reads.
+
+    sources maps module names to their text.  A module reads a name of
+    its own by using it, and another module's by importing it by name or
+    through an attribute such as kernels._QUIET.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    shared = set()  # names read across modules
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and name not in own and name not in shared]
+    return sorted(found)
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a.py": "_USED = 1\n_TABLE = {}\n_x, _y = 1, 2\ndef _helper():\n    return _USED + _x\n"
+                "class _Orphan:\n    pass\n__all__ = []\n",
+        "b.py": "from .a import _helper\nfrom . import c\nprint(_helper(), c._LIMIT)\n",
+        "c.py": "_LIMIT = 3\n_seen: set = set()\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_TABLE"), ("a.py", 3, "_y"), ("a.py", 6, "_Orphan"), ("c.py", 2, "_seen"),
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []

@@ -24,7 +24,10 @@ from stlsbb import (
     parse_policy,
     tau_from_gamma,
 )
+from stlsbb import kernels, steps
 from stlsbb.errors import DimensionMismatchError
+from stlsbb.oracle import oracle_steplength
+from stlsbb.steps import POLICY_KINDS
 
 from conftest import random_pair
 
@@ -289,6 +292,31 @@ class TestPolicy:
         # the index is the caller's, so the call checks it
         with pytest.raises(InvalidParameterError):
             next_steplength(SteplengthPolicy("bb1"), canonical_pair, -1)
+
+    # a value for each parameter field; a kind with a field not named here
+    # fails the table test below until it is given one
+    FIELD_VALUES = {"gamma": 2.5, "tau": 0.3, "cycle": 3}
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_every_kind_in_the_table(self, kind, rng):
+        # each kind the table declares builds, round-trips through its
+        # descriptor, has a rule in kernels.policy_step that lands in
+        # [bb2, bb1], and has an oracle that agrees with it to criterion
+        # 1's 1e-6.  A kind without its own policy_step arm falls into the
+        # ATC arm and fails there.
+        name, own = steps._KINDS[kind]
+        policy = SteplengthPolicy(kind, **({} if own is None else {own: self.FIELD_VALUES[own]}))
+        assert policy.describe().partition(":")[0] == name
+        assert parse_policy(policy.describe()) == policy
+        for _ in range(40):
+            pair = random_pair(rng)
+            b1, b2 = bb1(pair), bb2(pair)
+            prev = b2 + rng.uniform(-0.5, 1.5) * (b1 - b2)  # ATC's last step, maybe outside
+            for index in (0, 1):
+                alpha = kernels.policy_step(policy, pair.ss, pair.yy, pair.sy, prev, index)
+                slack = 1e-12 * max(1.0, b1)
+                assert b2 - slack <= alpha <= b1 + slack, (kind, index)
+                assert abs(oracle_steplength(policy, pair, index, prev) - alpha) <= 1e-6
 
     def test_next_steplength_returns_a_float(self, canonical_pair):
         pol = SteplengthPolicy("gamma", gamma=1.0)
