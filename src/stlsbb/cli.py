@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, harness, oracle, quadratic
 from .errors import InvalidParameterError, StlsbbError
 from .harness import fmt17
-from .steps import StepPair, next_steplength, parse_policy
+from .steps import _KINDS, StepPair, next_steplength, parse_policy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,8 +215,8 @@ def build_parser():
     ps = sub.add_parser("steps", parents=[], help="evaluate a steplength policy on a secant pair")
     ps.add_argument("--s", type=_vector, required=True, help="iterate difference, comma-separated")
     ps.add_argument("--y", type=_vector, required=True, help="gradient difference, comma-separated")
-    ps.add_argument("--policy", default="gamma:1",
-                    help="bb1 | bb2 | gamma:G | gammaPrime:G | tau:T | atc:C")
+    ps.add_argument("--policy", default="gamma:1", help=" | ".join(
+        name if own is None else f"{name}:{own[0].upper()}" for name, own in _KINDS.values()))
     ps.add_argument("--verify", action="store_true",
                     help="cross-check against the brute-force oracle")
     ps.add_argument("--tol", type=float, default=1e-6, help="verify tolerance (relative)")

@@ -5,7 +5,8 @@ the raw (no line search) BB iteration for factored quadratics, in plain
 numpy.  policy_step is the one dispatch from a policy to its steplength
 formula and the only place that holds each rule's arithmetic; the family
 rules call family_step / family_prime_step, one scaled-TLS fit read with
-the roles of s and y exchanged, and ATC calls atc_step.
+the roles of s and y exchanged, and ATC calls atc_step.  A rule gives
+float64's value, so a zero divisor gives inf or nan, never an exception.
 raw_bb_loop advances a block of runs in lock step, taking the next run
 into each slot a finished one frees: one Hessian product per step for the
 whole block, row dots through np.vecdot (which rounds like the 1-D dot),
@@ -104,22 +105,30 @@ def policy_step(policy, ss, yy, sy, prev_alpha, index):
 
     Only the rule and its parameter (gamma, tau or cycle) are read from
     policy; prev_alpha and index are the ATC state, ignored by the other
-    rules.
+    rules; a zero divisor gives float64's inf or nan, and no warning.
     """
     kind = policy.kind
-    if kind == "bb1":
-        return ss / sy
-    elif kind == "bb2":
-        return sy / yy
-    elif kind == "gamma":
-        return family_step(ss, yy, sy, policy.gamma)
-    elif kind == "gamma_prime":
-        return family_prime_step(ss, yy, sy, policy.gamma)
-    elif kind == "tau":
-        tau = policy.tau
-        return tau * (ss / sy) + (1.0 - tau) * (sy / yy)
-    else:
-        return atc_step(ss, yy, sy, prev_alpha, index, policy.cycle)
+    try:
+        if kind == "bb1":
+            return ss / sy
+        elif kind == "bb2":
+            return sy / yy
+        elif kind == "gamma":
+            return family_step(ss, yy, sy, policy.gamma)
+        elif kind == "gamma_prime":
+            return family_prime_step(ss, yy, sy, policy.gamma)
+        elif kind == "tau":
+            tau = policy.tau
+            return tau * (ss / sy) + (1.0 - tau) * (sy / yy)
+        else:
+            return atc_step(ss, yy, sy, prev_alpha, index, policy.cycle)
+    except ZeroDivisionError:
+        # Python floats run the rules in about half the time of numpy
+        # scalars but raise where float64 gives inf or nan; on float64,
+        # which rounds alike, no divisor can raise
+        f = np.float64
+        with np.errstate(**_QUIET):
+            return float(policy_step(policy, f(ss), f(yy), f(sy), prev_alpha, index))
 
 
 def _row_dots(w, u):
@@ -317,7 +326,7 @@ _WIDE_ROW = 256
 _BLOCK_DOUBLES = 1 << 15
 
 # Overflow, inf - inf and a zero divisor end their row as nonfinite; numpy
-# warns of none of them inside the loop
+# warns of none of them inside the loop or a rule's float64 retry
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
@@ -329,18 +338,6 @@ def _block(arrays):
 def _termination(gn, tol):
     return (NONFINITE if not math.isfinite(gn) else
             GRADIENT_TOLERANCE if gn <= tol else ITERATION_CAP)
-
-
-def _policy_steps(policies, gg, agag, gag, alphas, ks):
-    # Python floats run the rules in about half the time of numpy scalars,
-    # but a zero divisor raises where float64 gives inf or nan: such a
-    # step is taken again on the float64 values, which round alike
-    try:
-        return [policy_step(p, ss, yy, sy, prev, k) for p, ss, yy, sy, prev, k
-                in zip(policies, gg.tolist(), agag.tolist(), gag.tolist(), alphas, ks)]
-    except ZeroDivisionError:
-        return [float(policy_step(p, ss, yy, sy, prev, k)) for p, ss, yy, sy, prev, k
-                in zip(policies, gg, agag, gag, alphas, ks)]
 
 
 def raw_bb_loop(rows, width, on_end, history=True):
@@ -444,7 +441,8 @@ def raw_bb_loop(rows, width, on_end, history=True):
                         g -= step * ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them
-                    alphas = _policy_steps(policies, gg, agag, gag, alphas, ks)
+                    alphas = [policy_step(p, ss, yy, sy, prev, k) for p, ss, yy, sy, prev, k
+                              in zip(policies, gg.tolist(), agag.tolist(), gag.tolist(), alphas, ks)]
                     ks = [k + 1 for k in ks]
                     gg = np.vecdot(g, g)
                     gn = np.sqrt(gg).tolist()

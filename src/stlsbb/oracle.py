@@ -113,7 +113,7 @@ def _centered_coeffs(ss, yy, sy, t, center):
     return yy - k, ss - k * t
 
 
-def family_bracket(pair, margin_frac=0.1, margin_abs=1e-8):
+def family_bracket(pair):
     """Search bracket [bb2 - m, bb1 + m] containing every family member.
 
     The endpoints use only the elementary BB quotients, not the family
@@ -122,19 +122,23 @@ def family_bracket(pair, margin_frac=0.1, margin_abs=1e-8):
     scaled-TLS ratio has a second critical point at negative alpha, and a
     bracket reaching past it would no longer be unimodal.
     """
-    b1 = bb1(pair)
-    b2 = bb2(pair)
-    m = margin_frac * (b1 - b2) + margin_abs
-    return (max(b2 - m, 0.0), b1 + m)
+    return _widened(bb2(pair), bb1(pair))
 
 
-def _search_centered(ss, yy, sy, t, lo, hi, tol):
+def _widened(lo, hi):
+    m = 0.1 * (hi - lo) + 1e-8
+    return (max(lo - m, 0.0), hi + m)
+
+
+def _search_centered(ss, yy, sy, gamma, lo, hi, tol):
     # golden section on ratio(a) - ratio(x) for a center x, then once
     # more recentered at the first argmin.  The difference is evaluated
     # with its numerator expanded about x (constant, slope, curvature
     # computed once), so no large terms cancel during the search and the
     # well stays resolvable at full relative precision even when it is
     # orders of magnitude shallower than the surrounding plateau.
+    g = _gamma_value(gamma)
+    t = 1.0 / (g * g)
     x = 0.5 * (lo + hi)
     for _ in range(2):
         a2, a0 = _centered_coeffs(ss, yy, sy, t, x)
@@ -154,10 +158,7 @@ def family_argmin(pair, gamma, tol=1e-10):
     """Brute-force family steplength: golden-section minimizer of the
     scaled-TLS ratio on the BB bracket (searched through its centered
     form, which shares the minimizer exactly)."""
-    g = _gamma_value(gamma)
-    t = 1.0 / (g * g)
-    lo, hi = family_bracket(pair)
-    return _search_centered(pair.ss, pair.yy, pair.sy, t, lo, hi, tol)
+    return _search_centered(pair.ss, pair.yy, pair.sy, gamma, *family_bracket(pair), tol)
 
 
 def family_prime_argmin(pair, gamma, tol=1e-12):
@@ -169,17 +170,8 @@ def family_prime_argmin(pair, gamma, tol=1e-12):
     with the roles of s and y swapped, so the same centered search
     applies with swapped scalars.
     """
-    g = _gamma_value(gamma)
-    t = 1.0 / (g * g)
-    b1 = bb1(pair)
-    b2 = bb2(pair)
-    lo = 1.0 / b1
-    hi = 1.0 / b2
-    m = 0.1 * (hi - lo) + 1e-8
-    beta = _search_centered(
-        pair.yy, pair.ss, pair.sy, t, max(lo - m, 0.0), hi + m, tol
-    )
-    return 1.0 / beta
+    lo, hi = _widened(1.0 / bb1(pair), 1.0 / bb2(pair))
+    return 1.0 / _search_centered(pair.yy, pair.ss, pair.sy, gamma, lo, hi, tol)
 
 
 def _least_squares_argmin(pair, a, b, tol):
@@ -189,6 +181,8 @@ def _least_squares_argmin(pair, a, b, tol):
     # the minimum dwarfs its depth
     if not pair.sy > 0.0:
         raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
+    if a == 0.0 or b == 0.0:  # with s'y > 0, only by underflow
+        raise DegenerateInputError("||s||^2 or ||y||^2 underflows to 0; the fit is undefined")
     hi = math.sqrt(b / a) + 1.0
 
     def obj(t):

@@ -274,15 +274,15 @@ def as_objective(inst, name=None):
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     """Raw BB iteration (no line search) on an instance: a block of one.
 
-    Stops when ||g_k|| is not finite (termination nonfinite), when
-    ||g_k|| <= epsilon * ||g_0||, or after max_iter steps; x0
-    defaults to the all-ones vector and alpha0 to 1 / ||g0||_inf, which
-    the loop takes from the g0 it computes (1 at a stationary start).
-    Curvature s'y = s'As is structurally positive here, so the policy
-    needs no fallback.  Returns a RunTrace whose rows carry f, ||g|| and
-    the steplength taken from each iterate, nan on the last (backtracks
-    and fevals are zero: the raw method never evaluates f to decide
-    anything); meta["alpha0"] is the opening steplength.
+    Stops when ||g_k|| is not finite (termination nonfinite), when ||g_k||
+    <= epsilon * ||g_0||, or after max_iter steps; x0 defaults to the
+    all-ones vector and alpha0 to 1 / ||g0||_inf, which the loop takes from
+    the g0 it computes (1 at a stationary start).  s'y = s'As > 0 in exact
+    arithmetic; a secant scalar that under- or overflows gives the policy
+    inf or nan, and the run ends nonfinite.  Returns a RunTrace whose rows
+    carry f, ||g|| and the steplength taken from each iterate, nan on the
+    last (backtracks and fevals are zero: the raw method never evaluates f
+    to decide anything); meta["alpha0"] is the opening steplength.
     """
     x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
     a0 = None if alpha0 is None else float(alpha0)

@@ -10,9 +10,9 @@ loop that evaluates it, which passes them to next_steplength.
 
 One table declares each policy kind with its descriptor name and its one
 parameter field; next_steplength checks the pair and the ATC state, and
-the arithmetic of every rule is in kernels.policy_step.  bb1, bb2,
-alpha_convex, alpha_family, alpha_family_prime and alpha_tls are that
-one call on the named rule.
+the arithmetic of every rule is in kernels.policy_step: float64's, so a
+vanishing divisor gives inf or nan.  bb1, bb2, alpha_convex, alpha_family,
+alpha_family_prime and alpha_tls are that one call on the named rule.
 """
 
 import math
@@ -251,6 +251,7 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
     NonpositiveCurvatureError when s'y <= 0 (callers such as the
     line-search solver turn that into a safeguard reset), and
     MissingStateError for ATC between cycle restarts without prev_alpha.
+    An ss or yy underflowed to 0 gives float64's inf or nan, not an error.
     """
     if index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index!r}")

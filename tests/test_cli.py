@@ -26,6 +26,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+# --s 1e150,0 --y 1e-170,0: y'y underflows to 0 while s'y = 1e-20 > 0
+UNDERFLOWED = ["--s", "1e150,0", "--y", "1e-170,0"]
+
+
 class TestSteps:
     def test_default_policy_value(self, capsys):
         assert main(["steps", "--s", "1,1", "--y", "1,2"]) == 0
@@ -84,6 +88,24 @@ class TestSteps:
         assert exc.value.code == 1
         assert f"not a comma-separated {kind}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["bb2", "gammaPrime:1", "tau:0.5"])
+    def test_underflowed_divisor_prints_inf(self, capsys, policy):
+        # y'y underflows to 0 while s'y = 1e-20 > 0; each rule divides by it
+        assert main(["steps", *UNDERFLOWED, "--policy", policy]) == 0
+        assert capsys.readouterr().out == "inf\n"
+
+    def test_oracle_names_an_underflowed_fit(self, capsys):
+        assert main(["steps", *UNDERFLOWED, "--policy", "bb2", "--verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "inf\n"
+        assert err.startswith("stlsbb: ") and "Traceback" not in err
+
+    def test_policy_help_names_every_kind(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # so argparse does not wrap it
+        with pytest.raises(SystemExit):
+            main(["steps", "--help"])
+        assert "bb1 | bb2 | gamma:G | gammaPrime:G | tau:T | atc:C\n" in capsys.readouterr().out
+
     def test_nonpositive_curvature_reported(self, capsys):
         # the = form keeps argparse from reading the leading minus as a flag
         assert main(["steps", "--s", "1,0", "--y=-1,0"]) == 2
@@ -134,6 +156,13 @@ class TestQuad:
             main(["quad", "--instance", "/no/such/file.json"])
         assert exc.value.code == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_unwritable_path_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "inst.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["quad", "--n", "20", "--generate-only", "--save-instance", str(path)])
+        assert exc.value.code == 1
+        assert f"stlsbb: cannot write {path}: " in capsys.readouterr().err
 
     def test_invalid_setting_is_exit_2(self, capsys):
         assert main(["quad", "--n", "20", "--setting", "9"]) == 2
@@ -191,6 +220,12 @@ class TestRosenbrock:
             main(["rosenbrock", "--policies", "bb1,whatnot"])
         assert exc.value.code == 1
 
+    def test_empty_policy_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rosenbrock", "--policies", ","])
+        assert exc.value.code == 1
+        assert "empty policy list" in capsys.readouterr().err
+
 
 class TestBench:
     def run_bench(self, tmp_path, extra=()):
@@ -240,6 +275,13 @@ class TestBench:
             err = capsys.readouterr().err
             assert err.startswith("stlsbb: ") and err.count("\n") == 1
             assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("seeds", ["x", "1,x"])
+    def test_bad_seeds_are_a_usage_error(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--seeds", seeds])
+        assert exc.value.code == 1
+        assert f"not a seed count or list: {seeds!r}" in capsys.readouterr().err
 
     def test_json_cells(self, tmp_path, capsys):
         cells_path = tmp_path / "cells.json"

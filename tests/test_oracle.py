@@ -27,6 +27,7 @@ from stlsbb import (
     minimize_scalar,
     next_steplength,
     oracle_steplength,
+    parse_policy,
     stls_ratio,
 )
 from stlsbb.oracle import bb1_argmin, bb2_argmin, family_bracket
@@ -182,6 +183,38 @@ class TestOracleAgreement:
         got = np.array([[bb1_argmin(p), bb2_argmin(p)] for p in pairs])
         assert hashlib.sha256(got.tobytes()).hexdigest() == (
             "e543122f8d02e3f229c0cbd9e395e4d1b246a8bab3b03e89ebdbe1284c32f25a")
+
+    def test_family_searches_keep_their_bits(self):
+        # family_argmin and family_prime_argmin are one bracketed centered
+        # search with s and y exchanged; the digest is of the values the two
+        # separate searches and family_bracket's 0.1 and 1e-8 margins gave,
+        # so a change to the shared search, its brackets or the margin
+        # shows here
+        rng = np.random.default_rng(20261021)
+        pairs = [random_pair(rng, n=int(rng.integers(2, 9)), scale=10.0 ** rng.uniform(-3, 3))
+                 for _ in range(300)]
+        got = np.array([[*family_bracket(p), *(f(p, g) for g in (1e-3, 0.1, 1.0, 10.0, 1e3)
+                                               for f in (family_argmin, family_prime_argmin))]
+                        for p in pairs])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "bf436a182e3445938573574dae87af2db0c18cf1bd537de3a105a2108dcf81c5")
+
+    @pytest.mark.parametrize("s, y", [
+        ([1e150, 0.0], [1e-170, 0.0]),  # y'y underflows to 0, s'y = 1e-20
+        ([1e-170, 0.0], [1e150, 0.0]),  # s's underflows to 0
+    ])
+    def test_underflowed_fit_is_degenerate(self, s, y):
+        # with s'y > 0 a zero ||s||^2 or ||y||^2 comes only from underflow;
+        # the fit is then undefined, and the oracle says so instead of
+        # searching
+        pair = StepPair(s, y)
+        assert pair.sy > 0.0
+        for fit in (bb1_argmin, bb2_argmin):
+            with pytest.raises(DegenerateInputError):
+                fit(pair)
+        for text, index in (("bb1", 0), ("bb2", 0), ("tau:0.5", 0), ("atc:3", 0), ("atc:3", 1)):
+            with pytest.raises(DegenerateInputError):
+                oracle_steplength(parse_policy(text), pair, index, 0.5)
 
     def test_bb_fits_need_curvature(self):
         pair = StepPair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))

@@ -66,6 +66,10 @@ class TestInstanceValidation:
                 linear=np.zeros(n),
             )
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DimensionTooSmallError, match="dim must be >= 1"):
+            QuadraticInstance(dim=0, w1=[], w2=[], w3=[], eigenvalues=[], linear=[])
+
     def test_nonpositive_eigenvalue_rejected(self):
         n = 5
         v = np.ones(n)

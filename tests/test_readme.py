@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 from stlsbb.cli import main
+from stlsbb.steps import _KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # names an input file that README does not provide
@@ -46,3 +47,15 @@ def test_examples_print_what_readme_shows(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if shown:
             assert out.splitlines() == shown, command
+
+
+def test_policy_list_names_every_kind():
+    # README's list of descriptor forms, read against the table of kinds
+    # (as `stlsbb steps --help` is built from it): a kind added to the
+    # table fails here until README names it
+    text = README.read_text()
+    start = text.index("Policies everywhere:")
+    paragraph = " ".join(text[start:text.index("\n\n", start)].split())
+    for name, own in _KINDS.values():
+        form = name if own is None else f"{name}:{own[0].upper()}"
+        assert f"`{form}`" in paragraph, form

@@ -170,6 +170,25 @@ class TestSolverConfig:
         assert back.to_meta() == meta and back.alpha0 == 0.5
 
 
+class TestObjectiveAndTraceChecks:
+    def test_objective_needs_a_dimension(self):
+        with pytest.raises(InvalidParameterError, match="dim must be >= 1"):
+            Objective("empty", 0, lambda x: (0.0, x))
+
+    def test_objective_x0_must_match_its_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="x0 has length 2, expected 3"):
+            Objective("sphere", 3, lambda x: (0.0, x), x0=[1.0, 2.0])
+
+    def test_trace_termination_must_be_known(self):
+        row = TraceRow(k=0, f=1.0, grad_norm=1.0, alpha=math.nan)
+        with pytest.raises(InvalidParameterError, match="termination must be one of"):
+            RunTrace(rows=[row], termination="finished", final_x=[0.0])
+
+    def test_trace_needs_a_row(self):
+        with pytest.raises(InvalidParameterError, match="at least one row"):
+            RunTrace(rows=[], termination=ITERATION_CAP, final_x=[0.0])
+
+
 class TestInitialSteplength:
     # run's opening probe, read back from the trace meta
     @staticmethod
@@ -388,6 +407,20 @@ class TestRunLoop:
         tr = run(obj, [0.1], SolverConfig(epsilon=1e-10), SteplengthPolicy("bb1"))
         assert tr.solved
         assert abs(abs(tr.final_x[0]) - 1.0 / math.sqrt(2.0)) < 1e-6
+
+    def test_underflowed_secant_takes_a_reset(self):
+        # a quadratic and its start scaled by 2^-300: some secant's y'y
+        # underflows to 0 while s'y > 0, and gammaPrime:0.05 divides by it.
+        # The rule gives float64's inf, the next safeguard resets it to
+        # delta, and the run ends by its stop test
+        inst = generate_instance(100, SpectrumSetting(1, 1e4), seed=0)
+        scale = 2.0 ** -300
+        inst = dataclasses.replace(inst, linear=inst.linear * scale)
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, eta=1e-10, alpha0=1e-3,
+                              max_iter=20000)
+        tr = run(as_objective(inst), np.full(100, scale), config, parse_policy("gammaPrime:0.05"))
+        assert tr.termination == GRADIENT_TOLERANCE
+        assert audit_trace(tr) == []
 
     @staticmethod
     def quartic_iterates(x0, config, policy):

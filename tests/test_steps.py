@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from stlsbb import (
 from stlsbb import kernels, steps
 from stlsbb.errors import DimensionMismatchError
 from stlsbb.oracle import oracle_steplength
-from stlsbb.steps import POLICY_KINDS
+from stlsbb.steps import POLICY_KINDS, SecantProducts
 
 from conftest import random_pair
 
@@ -385,6 +386,47 @@ class TestAdaptiveCyclic:
         pol = SteplengthPolicy("atc", cycle=3)
         with pytest.raises(MissingStateError):
             next_steplength(pol, canonical_pair, 1)
+
+
+# s = (1e150, 0), y = (1e-170, 0): y'y underflows to 0 while s'y = 1e-20 > 0
+UNDERFLOWED = StepPair([1e150, 0.0], [1e-170, 0.0])
+
+
+class TestVanishingDivisors:
+    """A divisor that underflows to 0 gives float64's inf or nan on every
+    path to the rules, as the raw loop's rows always did; nothing raises."""
+
+    PAIRS = {
+        "underflowed-yy": UNDERFLOWED,
+        # c (1, 400, 5) at c = 1e-170, products rounded as they come: the
+        # family fits' terms underflow, and gammaPrime:0.05's to a zero divisor
+        "tiny-triple": SecantProducts(1e-170, 1e-170 * 400.0, 1e-170 * 5.0),
+    }
+    # one policy of each kind; atc is read off a cycle restart
+    POLICIES = {"bb1": "bb1", "bb2": "bb2", "gamma": "gamma:20",
+                "gamma_prime": "gammaPrime:0.05", "tau": "tau:0.5", "atc": "atc:3"}
+
+    def test_every_kind_is_covered(self):
+        assert tuple(self.POLICIES) == POLICY_KINDS
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_value_is_the_rule_on_float64(self, name, kind):
+        pair, policy = self.PAIRS[name], parse_policy(self.POLICIES[kind])
+        f = np.float64
+        with np.errstate(all="ignore"):
+            want = kernels.policy_step(policy, f(pair.ss), f(pair.yy), f(pair.sy), 0.5, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = next_steplength(policy, pair, 1, 0.5)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_named_helpers_give_inf(self):
+        pair = UNDERFLOWED
+        for got in (bb1(pair), bb2(pair), alpha_convex(pair, 0.5), alpha_family(pair, 2.0),
+                    alpha_family_prime(pair, 2.0), alpha_tls(pair)):
+            assert got == math.inf
 
 
 def test_version_string():
