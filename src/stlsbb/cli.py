@@ -143,12 +143,14 @@ def _cmd_quad(args):
     return 0 if tr.solved else 2
 
 
+def _given(args, *names):
+    """The options among names given on the command line, by the library
+    parameter each is named after; the rest keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_rosenbrock(args):
-    table = harness.run_rosenbrock_table(
-        epsilons=tuple(args.epsilons),
-        policies=tuple(args.policies),
-        max_iter=args.max_iter,
-    )
+    table = harness.run_rosenbrock_table(**_given(args, "epsilons", "policies", "max_iter"))
     print(table.render())
     if args.out:
         _write_text(args.out, table.to_csv())
@@ -156,15 +158,8 @@ def _cmd_rosenbrock(args):
 
 
 def _cmd_bench(args):
-    grid = harness.ExperimentGrid(
-        n=args.n,
-        setting_ids=tuple(args.settings),
-        kappas=tuple(args.kappas),
-        epsilons=tuple(args.epsilons),
-        seeds=tuple(args.seeds),
-        policies=tuple(args.policies),
-        max_iter=args.max_iter,
-    )
+    grid = harness.ExperimentGrid(n=args.n, **_given(
+        args, "setting_ids", "kappas", "epsilons", "seeds", "policies", "max_iter"))
     progress = None
     if not args.quiet:
         done = [0]
@@ -238,24 +233,26 @@ def build_parser():
     pq.add_argument("--generate-only", action="store_true", help="build/save the instance, no solve")
     pq.set_defaults(func=_cmd_quad)
 
+    # the table's and the grid's options default to the library's: an
+    # option not given is not passed on
+    library = argparse.SUPPRESS
     pr = sub.add_parser("rosenbrock", help="iteration table on the planar Rosenbrock valley")
-    pr.add_argument("--epsilons", type=_float_list, default=[1e-1, 1e-2, 1e-4, 1e-8])
-    pr.add_argument("--policies", type=_policy_list,
-                    default=["bb1", "bb2", "gamma:1", "gamma:1.5"])
-    pr.add_argument("--max-iter", type=int, default=5000)
+    pr.add_argument("--epsilons", type=_float_list, default=library)
+    pr.add_argument("--policies", type=_policy_list, default=library)
+    pr.add_argument("--max-iter", type=int, default=library)
     pr.add_argument("--out", metavar="PATH", help="also write the table as CSV")
     pr.set_defaults(func=_cmd_rosenbrock)
 
     pb = sub.add_parser("bench", help="sweep a grid of quadratic instances")
     pb.add_argument("--n", type=int, default=100)
-    pb.add_argument("--settings", type=_int_list, default=[1], help="spectrum recipes")
-    pb.add_argument("--kappas", type=_float_list, default=[1e4])
-    pb.add_argument("--epsilons", type=_float_list, default=[1e-6])
-    pb.add_argument("--seeds", type=_parse_seeds, default=list(range(10)),
+    pb.add_argument("--settings", type=_int_list, dest="setting_ids", metavar="SETTINGS",
+                    default=library, help="spectrum recipes")
+    pb.add_argument("--kappas", type=_float_list, default=library)
+    pb.add_argument("--epsilons", type=_float_list, default=library)
+    pb.add_argument("--seeds", type=_parse_seeds, default=library,
                     help="a count N (seeds 0..N-1) or an explicit list")
-    pb.add_argument("--policies", type=_policy_list,
-                    default=["bb1", "bb2", "gamma:1", "gamma:20"])
-    pb.add_argument("--max-iter", type=int, default=20000)
+    pb.add_argument("--policies", type=_policy_list, default=library)
+    pb.add_argument("--max-iter", type=int, default=library)
     pb.add_argument("--out", metavar="PATH", help="write per-cell results")
     pb.add_argument("--json", action="store_true", help="write cells as JSON instead of CSV")
     pb.add_argument("--averages", metavar="PATH", help="write the averages table as CSV")

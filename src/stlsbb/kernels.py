@@ -66,7 +66,8 @@ def family_step(ss, yy, sy, gamma):
     ss = ||s||^2, yy = ||y||^2, sy = s'y > 0, gamma > 0.  The closed form
     is (d + sqrt(d^2 + e)) / (2 s'y) with d = ss - yy/gamma^2 and
     e = 4 (s'y)^2 / gamma^2, evaluated free of cancellation; once the
-    fit overflows, the value is the short-step limit sy/yy.
+    fit overflows, the value is the short-step limit sy/yy.  gamma is
+    measured in units of ||y||/||s||, a curvature.
     """
     num = _scaled_tls_fit(ss, yy, sy, gamma)
     return sy / yy if num is None else num / (2.0 * sy)

@@ -1,11 +1,11 @@
 """Brute-force steplength verifiers.
 
-These deliberately avoid the closed forms in `steps`: a golden-section
-scalar minimizer, the scaled-TLS objective it is pointed at, ordinary
-least-squares fits for the classical BB steplengths, and a dense angular
-grid search for the homogenized secant fit.  They exist so the fast
-formulas can be checked against something that only knows the defining
-minimization problems.
+These share only input checks with `steps` and none of its closed forms:
+a golden-section scalar minimizer, the scaled-TLS objective it is pointed
+at, ordinary least-squares fits for the classical BB steplengths, and a
+dense angular grid search for the homogenized secant fit.  They exist so
+the fast formulas can be checked against something that only knows the
+defining minimization problems.
 """
 
 import math
@@ -18,10 +18,9 @@ from .errors import (
     DegenerateInputError,
     InvalidBracketError,
     InvalidParameterError,
-    MissingStateError,
     NonpositiveCurvatureError,
 )
-from .steps import _gamma_value, bb1, bb2
+from .steps import _gamma_value, _run_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,43 +85,35 @@ def stls_ratio(pair, gamma, alpha):
     return float(r @ r) / (1.0 / (g * g) + a * a)
 
 
-def centered_stls_ratio(pair, gamma, alpha, center):
-    """The scaled-TLS ratio minus its value at `center`, as one fraction.
-
-    Writing K = ratio(center), the difference ratio(alpha) - K equals
-
-        ((||y||^2 - K) alpha^2 - 2 s'y alpha + ||s||^2 - K t) / (t + alpha^2)
-
-    with t = 1/gamma^2: an exact rearrangement, so the minimizer is that
-    of stls_ratio itself.  The searches evaluate this form because the
-    ratio's well can be orders of magnitude shallower than its off-well
-    value (weak fits, extreme gamma); subtracting the plateau before the
-    division keeps the well resolvable at full relative precision instead
-    of drowning it in the plateau's rounding.
-    """
-    g = _gamma_value(gamma)
-    t = 1.0 / (g * g)
-    a2, a0 = _centered_coeffs(pair.ss, pair.yy, pair.sy, t, float(center))
-    a = float(alpha)
-    return (a2 * a * a - 2.0 * pair.sy * a + a0) / (t + a * a)
-
-
 def _centered_coeffs(ss, yy, sy, t, center):
-    # quadratic-over-quadratic coefficients of ratio(alpha) - ratio(center)
+    # with K = ratio(center) and t = 1/gamma^2, ratio(alpha) - K is exactly
+    # ((yy - K) alpha^2 - 2 sy alpha + ss - K t) / (t + alpha^2); these are
+    # its two coefficients
     k = (yy * center * center - 2.0 * sy * center + ss) / (t + center * center)
     return yy - k, ss - k * t
+
+
+def _pair_scalars(pair):
+    # (ss, yy, sy) of a pair every fit is defined on
+    if not pair.sy > 0.0:
+        raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
+    if pair.ss == 0.0 or pair.yy == 0.0:  # with s'y > 0, only by underflow
+        raise DegenerateInputError("||s||^2 or ||y||^2 underflows to 0; the fit is undefined")
+    return pair.ss, pair.yy, pair.sy
 
 
 def family_bracket(pair):
     """Search bracket [bb2 - m, bb1 + m] containing every family member.
 
-    The endpoints use only the elementary BB quotients, not the family
-    closed form under test; the margin keeps collapsed intervals (parallel
-    s and y) searchable.  The lower end is floored at zero because the
-    scaled-TLS ratio has a second critical point at negative alpha, and a
-    bracket reaching past it would no longer be unimodal.
+    The endpoints are the elementary BB quotients of the pair's scalars,
+    not the family closed form under test; the margin keeps collapsed
+    intervals (parallel s and y) searchable.  The lower end is floored at
+    zero because the scaled-TLS ratio has a second critical point at
+    negative alpha, and a bracket reaching past it would no longer be
+    unimodal.
     """
-    return _widened(bb2(pair), bb1(pair))
+    ss, yy, sy = _pair_scalars(pair)
+    return _widened(sy / yy, ss / sy)
 
 
 def _widened(lo, hi):
@@ -154,14 +145,15 @@ def _search_centered(ss, yy, sy, gamma, lo, hi, tol):
     return x
 
 
-def family_argmin(pair, gamma, tol=1e-10):
+def family_argmin(pair, gamma):
     """Brute-force family steplength: golden-section minimizer of the
     scaled-TLS ratio on the BB bracket (searched through its centered
     form, which shares the minimizer exactly)."""
-    return _search_centered(pair.ss, pair.yy, pair.sy, gamma, *family_bracket(pair), tol)
+    lo, hi = family_bracket(pair)
+    return _search_centered(pair.ss, pair.yy, pair.sy, gamma, lo, hi, 1e-10)
 
 
-def family_prime_argmin(pair, gamma, tol=1e-12):
+def family_prime_argmin(pair, gamma):
     """Brute-force inverse-fit steplength: 1 over the golden-section
     minimizer of the mirrored ratio, bracketed by the reciprocal BB
     quotients.
@@ -170,37 +162,36 @@ def family_prime_argmin(pair, gamma, tol=1e-12):
     with the roles of s and y swapped, so the same centered search
     applies with swapped scalars.
     """
-    lo, hi = _widened(1.0 / bb1(pair), 1.0 / bb2(pair))
-    return 1.0 / _search_centered(pair.yy, pair.ss, pair.sy, gamma, lo, hi, tol)
+    ss, yy, sy = _pair_scalars(pair)
+    lo, hi = _widened(1.0 / (ss / sy), 1.0 / (sy / yy))
+    return 1.0 / _search_centered(yy, ss, sy, gamma, lo, hi, 1e-12)
 
 
-def _least_squares_argmin(pair, a, b, tol):
-    # golden-section minimizer over t > 0 of ||t u - v||^2 for ||u||^2 = a
-    # and ||v||^2 = b, searched as t (a t - 2 s'y), the fit minus its
-    # constant term, which keeps the well resolvable when the residual at
-    # the minimum dwarfs its depth
-    if not pair.sy > 0.0:
-        raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
-    if a == 0.0 or b == 0.0:  # with s'y > 0, only by underflow
-        raise DegenerateInputError("||s||^2 or ||y||^2 underflows to 0; the fit is undefined")
+def _least_squares_argmin(a, b, sy):
+    # golden-section minimizer over t > 0 of ||t u - v||^2 for ||u||^2 = a,
+    # ||v||^2 = b and u'v = sy, searched as t (a t - 2 sy), the fit minus
+    # its constant term, which keeps the well resolvable when the residual
+    # at the minimum dwarfs its depth
     hi = math.sqrt(b / a) + 1.0
 
     def obj(t):
-        return t * (a * t - 2.0 * pair.sy)
+        return t * (a * t - 2.0 * sy)
 
-    return minimize_scalar(ScalarMinProblem(obj, (0.0, hi), tol))[0]
+    return minimize_scalar(ScalarMinProblem(obj, (0.0, hi), 1e-12))[0]
 
 
-def bb1_argmin(pair, tol=1e-12):
+def bb1_argmin(pair):
     """Brute-force long BB steplength: 1 over the least-squares minimizer
     of ||beta*s - y||^2."""
-    return 1.0 / _least_squares_argmin(pair, pair.ss, pair.yy, tol)
+    ss, yy, sy = _pair_scalars(pair)
+    return 1.0 / _least_squares_argmin(ss, yy, sy)
 
 
-def bb2_argmin(pair, tol=1e-12):
+def bb2_argmin(pair):
     """Brute-force short BB steplength: least-squares minimizer of
     ||alpha*y - s||^2, the bb1 fit with s and y exchanged."""
-    return _least_squares_argmin(pair, pair.yy, pair.ss, tol)
+    ss, yy, sy = _pair_scalars(pair)
+    return _least_squares_argmin(yy, ss, sy)
 
 
 _GRID_CACHE = {}
@@ -216,7 +207,7 @@ def _angle_grid(points):
     return got
 
 
-def homogeneous_residual_min(pair, grid_points=200_000, refine_tol=1e-12):
+def homogeneous_residual_min(pair, grid_points=200_000):
     """Minimize ||a1*s - a2*y|| over the unit circle a1^2 + a2^2 = 1 and
     return the quotient a2/a1 at the minimizer.
 
@@ -250,7 +241,7 @@ def homogeneous_residual_min(pair, grid_points=200_000, refine_tol=1e-12):
     t_hi = min(t[i] + h, 0.5 * math.pi - margin)
     a_lo = math.tan(t_lo)
     a_hi = math.tan(t_hi)
-    tol = max(refine_tol, 4e-16 * (abs(a_lo) + abs(a_hi)))
+    tol = max(1e-12, 4e-16 * (abs(a_lo) + abs(a_hi)))
     return _search_centered(ss, yy, sy, 1.0, a_lo, a_hi, tol)
 
 
@@ -260,12 +251,10 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
 
     Every route goes through golden-section searches on the defining
     least-squares or scaled-TLS objectives; none touches the closed-form
-    family expressions.  Like next_steplength, it raises
-    InvalidParameterError for a negative index and MissingStateError for
-    ATC between cycle restarts without prev_alpha.
+    family expressions.  It checks index and prev_alpha as next_steplength
+    does, with the same errors.
     """
-    if index < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
+    prev = _run_state(policy, index, prev_alpha)
     k = policy.kind
     if k == "bb1":
         return bb1_argmin(pair)
@@ -281,8 +270,6 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
     # atc: restart gives the long steplength, otherwise clamp prev_alpha
     if index % policy.cycle == 0:
         return bb1_argmin(pair)
-    if prev_alpha is None:
-        raise MissingStateError("ATC oracle needs prev_alpha off a cycle restart")
     lo = bb2_argmin(pair)
     hi = bb1_argmin(pair)
-    return min(max(float(prev_alpha), lo), hi)
+    return min(max(prev, lo), hi)

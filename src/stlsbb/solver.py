@@ -319,7 +319,6 @@ def run(objective, x0, config, policy):
     alpha0_used = float(alpha)
     window = deque([f], maxlen=config.memory + 1)
     rows = []
-    termination = ITERATION_CAP
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     needed = before = 1  # trials the last and the one before needed

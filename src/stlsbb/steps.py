@@ -9,9 +9,10 @@ no run state: ATC's iteration index and previous steplength belong to the
 loop that evaluates it, which passes them to next_steplength.
 
 One table declares each policy kind with its descriptor name and its one
-parameter field; next_steplength checks the pair and the ATC state, and
-the arithmetic of every rule is in kernels.policy_step: float64's, so a
-vanishing divisor gives inf or nan.  bb1, bb2, alpha_convex, alpha_family,
+parameter field; next_steplength checks the ATC state (through
+_run_state, which the oracle shares) and the pair, and the arithmetic
+of every rule is in kernels.policy_step: float64's, so a vanishing
+divisor gives inf or nan.  bb1, bb2, alpha_convex, alpha_family,
 alpha_family_prime and alpha_tls are that one call on the named rule.
 """
 
@@ -140,7 +141,12 @@ def alpha_convex(pair, tau):
 
 
 def alpha_family(pair, gamma):
-    """Scaled-TLS family steplength; increasing in gamma from bb2 to bb1."""
+    """Scaled-TLS family steplength; increasing in gamma from bb2 to bb1.
+
+    gamma is measured in units of ||y||/||s||, a curvature: with y scaled
+    by c and gamma by c the steplength is 1/c times the unscaled one, as
+    bb1's and bb2's are, but at a fixed gamma it moves inside [bb2, bb1].
+    """
     return next_steplength(SteplengthPolicy("gamma", gamma=gamma), pair)
 
 
@@ -247,23 +253,27 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
     index and prev_alpha are ATC's state, carried by the calling loop:
     index counts the run's policy evaluations from 0 (the opening
     steplength is never the policy's), and prev_alpha is the last one.
-    Raises InvalidParameterError for a negative index,
+    Raises InvalidParameterError for a negative index, MissingStateError
+    for ATC between cycle restarts without prev_alpha, and
     NonpositiveCurvatureError when s'y <= 0 (callers such as the
-    line-search solver turn that into a safeguard reset), and
-    MissingStateError for ATC between cycle restarts without prev_alpha.
+    line-search solver turn that into a safeguard reset).
     An ss or yy underflowed to 0 gives float64's inf or nan, not an error.
     """
-    if index < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
+    prev = _run_state(policy, index, prev_alpha)
     if not pair.sy > 0.0:
         raise NonpositiveCurvatureError(
             f"s'y = {pair.sy:.6g} is not positive; no BB steplength is defined"
         )
-    prev = math.nan  # read only by ATC off a cycle restart
-    if policy.kind == "atc" and index % policy.cycle != 0:
-        if prev_alpha is None:
-            raise MissingStateError(
-                "ATC needs prev_alpha between cycle restarts; none was given"
-            )
-        prev = float(prev_alpha)
     return float(kernels.policy_step(policy, pair.ss, pair.yy, pair.sy, prev, index))
+
+
+def _run_state(policy, index, prev_alpha):
+    # checks ATC's run state and returns the previous steplength the rule
+    # reads: nan for every call but ATC's off a cycle restart
+    if index < 0:
+        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
+    if policy.kind != "atc" or index % policy.cycle == 0:
+        return math.nan
+    if prev_alpha is None:
+        raise MissingStateError("ATC needs prev_alpha between cycle restarts; none was given")
+    return float(prev_alpha)

@@ -94,11 +94,15 @@ class TestSteps:
         assert main(["steps", *UNDERFLOWED, "--policy", policy]) == 0
         assert capsys.readouterr().out == "inf\n"
 
-    def test_oracle_names_an_underflowed_fit(self, capsys):
-        assert main(["steps", *UNDERFLOWED, "--policy", "bb2", "--verify"]) == 2
+    @pytest.mark.parametrize("pair", [UNDERFLOWED, ["--s", "1e-170,0", "--y", "1e150,0"]])
+    @pytest.mark.parametrize("policy", ["bb2", "gamma:1", "gammaPrime:1"])
+    def test_oracle_names_an_underflowed_fit(self, capsys, pair, policy):
+        # y'y (or s's on the mirrored pair) underflows to 0: every oracle
+        # fit names the pair degenerate instead of searching
+        assert main(["steps", *pair, "--policy", policy, "--verify"]) == 2
         out, err = capsys.readouterr()
-        assert out == "inf\n"
-        assert err.startswith("stlsbb: ") and "Traceback" not in err
+        assert len(out.splitlines()) == 1  # the closed form, and no oracle line
+        assert err.startswith("stlsbb: ") and "underflows" in err and "Traceback" not in err
 
     def test_policy_help_names_every_kind(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # so argparse does not wrap it

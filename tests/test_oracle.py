@@ -118,23 +118,6 @@ class TestStlsRatio:
             for g in (0.01, 1.0, 100.0):
                 assert lo <= alpha_family(pair, g) <= hi
 
-    def test_centered_form_matches_plain_differences(self, rng):
-        """centered_stls_ratio(pair, g, a, c) must equal
-        stls_ratio(a) - stls_ratio(c) up to rounding of the plain form."""
-        from stlsbb.oracle import centered_stls_ratio
-
-        for _ in range(100):
-            pair = random_pair(rng)
-            for g in (0.05, 1.0, 20.0):
-                lo, hi = family_bracket(pair)
-                for frac in (0.1, 0.4, 0.9):
-                    a = lo + frac * (hi - lo)
-                    c = lo + 0.6 * (hi - lo)
-                    plain = stls_ratio(pair, g, a) - stls_ratio(pair, g, c)
-                    scale = abs(stls_ratio(pair, g, a)) + abs(stls_ratio(pair, g, c))
-                    got = centered_stls_ratio(pair, g, a, c)
-                    assert got == pytest.approx(plain, abs=1e-9 * max(scale, 1e-300))
-
 
 class TestOracleAgreement:
     GAMMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -209,10 +192,12 @@ class TestOracleAgreement:
         # searching
         pair = StepPair(s, y)
         assert pair.sy > 0.0
-        for fit in (bb1_argmin, bb2_argmin):
+        for fit in (bb1_argmin, bb2_argmin, family_bracket,
+                    lambda p: family_argmin(p, 1.0), lambda p: family_prime_argmin(p, 1.0)):
             with pytest.raises(DegenerateInputError):
                 fit(pair)
-        for text, index in (("bb1", 0), ("bb2", 0), ("tau:0.5", 0), ("atc:3", 0), ("atc:3", 1)):
+        for text, index in (("bb1", 0), ("bb2", 0), ("gamma:1", 0), ("gammaPrime:1", 0),
+                            ("tau:0.5", 0), ("atc:3", 0), ("atc:3", 1)):
             with pytest.raises(DegenerateInputError):
                 oracle_steplength(parse_policy(text), pair, index, 0.5)
 
@@ -278,9 +263,13 @@ class TestOracleDispatch:
         )
         inside = 0.5 * (bb1(pair) + bb2(pair))
         assert oracle_steplength(atc, pair, 1, inside) == pytest.approx(inside, abs=1e-8)
-        # the oracle rejects the calls next_steplength rejects, with its errors
+        # the oracle rejects the calls next_steplength rejects, with its
+        # errors; the run state is checked before the pair
+        flat = StepPair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         for call in (oracle_steplength, next_steplength):
             with pytest.raises(InvalidParameterError):
                 call(atc, pair, -1, 0.5)
             with pytest.raises(MissingStateError):
                 call(atc, pair, 1)
+            with pytest.raises(MissingStateError):
+                call(atc, flat, 1)

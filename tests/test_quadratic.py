@@ -282,6 +282,25 @@ class TestSolveBB:
             np.linalg.norm(g), rel=1e-6, abs=1e-18
         )
 
+    def test_gamma_is_a_curvature(self):
+        # scaling A and b by 4 scales g by 4 and the default opening by 1/4,
+        # exactly: the BB quotients then give the same steps in x, but a
+        # fixed gamma, measured in units of ||y||/||s||, sits at another
+        # place in [bb2, bb1]
+        inst = generate_instance(100, SpectrumSetting(1, 1e4), seed=0)
+        scaled = QuadraticInstance(inst.dim, inst.w1, inst.w2, inst.w3,
+                                   4.0 * inst.eigenvalues, 4.0 * inst.linear)
+        runs = {text: [solve_bb(q, parse_policy(text), 1e-6, 20000) for q in (inst, scaled)]
+                for text in ("bb1", "bb2", "tau:0.3", "atc:3",
+                             "gamma:1", "gamma:20", "gammaPrime:2")}
+        for text in ("bb1", "bb2", "tau:0.3", "atc:3"):
+            plain, scaled_run = runs[text]
+            assert plain.iterations == scaled_run.iterations
+            assert np.array_equal(plain.final_x, scaled_run.final_x)
+        assert {text: [tr.iterations for tr in runs[text]]
+                for text in ("gamma:1", "gamma:20", "gammaPrime:2")} == {
+            "gamma:1": [166, 211], "gamma:20": [210, 240], "gammaPrime:2": [367, 346]}
+
     def test_deterministic(self, inst):
         pol = SteplengthPolicy("gamma", gamma=5.0)
         t1 = solve_bb(inst, pol, epsilon=1e-6, max_iter=5000)

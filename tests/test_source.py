@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is read, and
-so is every module-level private name."""
+"""Source hygiene: every module-level import in the package is read, so
+is every module-level private name, and the oracle borrows no closed form."""
 
 import ast
 from pathlib import Path
@@ -84,3 +84,38 @@ def test_unread_private_names_are_found():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def package_imports(source):
+    """(module, name) of each name a package module's source imports from
+    a sibling module, with name None for the module itself."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                taken.add((node.module, alias.name) if node.module else (alias.name, None))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stlsbb"):
+            module = node.module.partition(".")[2]
+            for alias in node.names:
+                taken.add((module, alias.name) if module else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            taken.update((alias.name.partition(".")[2], None) for alias in node.names
+                         if alias.name.startswith("stlsbb."))
+    return taken
+
+
+def test_package_imports_are_found():
+    source = ("import math\nimport stlsbb.kernels\nfrom . import steps\n"
+              "from .errors import A, B\nfrom stlsbb.steps import bb1\nfrom stlsbb import solver\n")
+    assert package_imports(source) == {
+        ("kernels", None), ("steps", None), ("errors", "A"), ("errors", "B"),
+        ("steps", "bb1"), ("solver", None),
+    }
+
+
+def test_oracle_shares_only_input_checks():
+    # the oracle checks the closed forms, so it borrows none: nothing from
+    # kernels, and from steps only the checks of a gamma and a run state
+    taken = package_imports((PACKAGE / "oracle.py").read_text())
+    assert {(module, name) for module, name in taken if module in ("kernels", "steps")} <= {
+        ("steps", "_gamma_value"), ("steps", "_run_state")}
