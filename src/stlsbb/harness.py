@@ -65,41 +65,37 @@ class ExperimentGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "setting_ids", tuple(int(s) for s in self.setting_ids))
-        object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "policies", tuple(str(p) for p in self.policies))
+        for name, read, _ in _AXES:
+            object.__setattr__(self, name, tuple(read(v) for v in getattr(self, name)))
         object.__setattr__(self, "max_iter", int(self.max_iter))
         for name in ("n", "max_iter"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name in ("setting_ids", "kappas", "epsilons", "seeds", "policies"):
+        for name, _, _ in _AXES:
             if not getattr(self, name):
                 raise InvalidParameterError(f"grid axis {name} is empty")
         for e in self.epsilons:
             if not (0.0 < e < 1.0):
                 raise InvalidParameterError(f"epsilon must lie in (0, 1), got {e!r}")
-        # typos fail early; a repeated value would count one run twice, so
-        # policies compare as parsed (gamma:20 and gamma:20.0 are one)
-        parsed = [parse_policy(p) for p in self.policies]
-        for name, values in (("setting_ids", self.setting_ids), ("kappas", self.kappas),
-                             ("epsilons", self.epsilons), ("seeds", self.seeds),
-                             ("policies", parsed)):
+        # a repeated value would count one run twice; policy typos fail here
+        for name, _, key in _AXES:
             seen = set()
-            for raw, value in zip(getattr(self, name), values):
+            for raw in getattr(self, name):
+                value = key(raw)
                 if value in seen:
                     raise InvalidParameterError(f"grid axis {name} repeats {raw!r}")
                 seen.add(value)
 
     def cell_count(self):
-        return (
-            len(self.setting_ids)
-            * len(self.kappas)
-            * len(self.epsilons)
-            * len(self.seeds)
-            * len(self.policies)
-        )
+        return math.prod(len(getattr(self, name)) for name, _, _ in _AXES)
+
+
+# ExperimentGrid's axes in grid order, the order run_quadratic_sweep
+# iterates them, each with the reader its values are stored through and
+# the key they compare by: policies compare as parsed, so gamma:20 and
+# gamma:20.0 are one
+_AXES = (("setting_ids", int, int), ("kappas", float, float), ("epsilons", float, float),
+         ("seeds", int, int), ("policies", str, parse_policy))
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,14 @@ the fast formulas can be checked against something that only knows the
 defining minimization problems.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    InvalidBracketError,
-    InvalidParameterError,
-    NonpositiveCurvatureError,
-)
+from .errors import DegenerateInputError, InvalidBracketError, NonpositiveCurvatureError
 from .steps import _gamma_value, _run_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -97,8 +93,10 @@ def _pair_scalars(pair):
     # (ss, yy, sy) of a pair every fit is defined on
     if not pair.sy > 0.0:
         raise NonpositiveCurvatureError("s'y <= 0; the fitted steplength is not positive")
-    if pair.ss == 0.0 or pair.yy == 0.0:  # with s'y > 0, only by underflow
-        raise DegenerateInputError("||s||^2 or ||y||^2 underflows to 0; the fit is undefined")
+    # with s'y > 0 a zero comes only by underflow, an inf only by overflow
+    if pair.ss in (0.0, math.inf) or pair.yy in (0.0, math.inf):
+        raise DegenerateInputError(
+            "||s||^2 or ||y||^2 underflows to 0 or overflows to inf; the fit is undefined")
     return pair.ss, pair.yy, pair.sy
 
 
@@ -194,47 +192,45 @@ def bb2_argmin(pair):
     return _least_squares_argmin(yy, ss, sy)
 
 
-_GRID_CACHE = {}
+@functools.cache
+def _angle_grid():
+    # the scan's angles plus the double-angle cosines and sines it reads
+    t = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 200_000)
+    return t, np.cos(2.0 * t), np.sin(2.0 * t)
 
 
-def _angle_grid(points):
-    # angles plus the double-angle cosines and sines the scan needs
-    got = _GRID_CACHE.get(points)
-    if got is None:
-        t = np.linspace(-0.5 * math.pi, 0.5 * math.pi, points)
-        got = (t, np.cos(2.0 * t), np.sin(2.0 * t))
-        _GRID_CACHE[points] = got
-    return got
-
-
-def homogeneous_residual_min(pair, grid_points=200_000):
+def homogeneous_residual_min(pair):
     """Minimize ||a1*s - a2*y|| over the unit circle a1^2 + a2^2 = 1 and
     return the quotient a2/a1 at the minimizer.
 
     Parameterizing (a1, a2) = (cos t, sin t), the squared residual is
     cos^2 t * ||s||^2 - 2 cos t sin t * s'y + sin^2 t * ||y||^2, which
     equals (||s||^2 + ||y||^2)/2 plus the exact sinusoid
-    (||s||^2 - ||y||^2)/2 * cos 2t - s'y * sin 2t.  A dense grid over
-    t in [-pi/2, pi/2] (antipodal points are equivalent) scans the
-    sinusoid, then golden section refines inside the winning cell in
-    quotient coordinates a = tan t, where the residual minus its
-    asymptote is (||s||^2 - ||y||^2 - 2 s'y a) / (1 + a^2).  Refining in
-    a rather than t avoids losing precision to the tangent's blowup near
-    t = pi/2.  The quotient is the coefficient on y over the coefficient
-    on s, i.e. the steplength alpha for which alpha*y best reproduces s
-    after homogenizing; for pairs with s'y > 0 it equals the gamma = 1
-    family steplength.
+    (||s||^2 - ||y||^2)/2 * cos 2t - s'y * sin 2t.  A grid of 200 000
+    angles over [-pi/2, pi/2] scans the sinusoid, then golden section
+    refines the winning cell in quotient coordinates a = tan t, where the
+    residual minus its asymptote is (||s||^2 - ||y||^2 - 2 s'y a) / (1 + a^2),
+    which avoids losing precision to the tangent's blowup near t = pi/2.
+    The grid's two ends are one antipodal point, so a winning end is
+    refined across it in cot t, the same fit with s and y exchanged.  The
+    quotient is the coefficient on y over the coefficient on s, i.e. the
+    steplength alpha for which alpha*y best reproduces s after
+    homogenizing; for pairs with s'y > 0 it equals the gamma = 1 family
+    steplength.  A zero ||y||^2 or an overflowed ||s||^2 or ||y||^2 leaves
+    it undefined.
     """
-    if int(grid_points) < 100:
-        raise InvalidParameterError("grid_points must be at least 100")
-    if not np.any(pair.y != 0.0):
-        raise DegenerateInputError("y is identically zero; the quotient is undefined")
     ss, yy, sy = pair.ss, pair.yy, pair.sy
+    if yy == 0.0 or not (math.isfinite(ss) and math.isfinite(yy)):
+        raise DegenerateInputError(
+            "||y||^2 is 0, or ||s||^2 or ||y||^2 overflows; the quotient is undefined")
 
-    t, c2, s2 = _angle_grid(int(grid_points))
+    t, c2, s2 = _angle_grid()
     vals = (0.5 * (ss - yy)) * c2 - sy * s2
     i = int(np.argmin(vals))
     h = t[1] - t[0]
+    if i in (0, len(t) - 1):
+        b = math.tan(h)
+        return 1.0 / _search_centered(yy, ss, sy, 1.0, -b, b, 4e-16 * b)
     # clip the winning cell strictly inside (-pi/2, pi/2) before taking tans
     margin = 1e-9
     t_lo = max(t[i] - h, -0.5 * math.pi + margin)

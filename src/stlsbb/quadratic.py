@@ -10,7 +10,7 @@ v[n-1] = kappa.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .steps import SteplengthPolicy
 SETTING_IDS = (1, 2, 3, 4, 5, 6, 7)
 
 _FORMAT = "stlsbb-instance-v1"
+
+# QuadraticInstance's array fields, in declaration order; the first three
+# are the Householder vectors
+_ARRAYS = ("w1", "w2", "w3", "eigenvalues", "linear")
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class QuadraticInstance:
         if n < 1:
             raise DimensionTooSmallError(f"dim must be >= 1, got {self.dim!r}")
         object.__setattr__(self, "dim", n)
-        for name in ("w1", "w2", "w3", "eigenvalues", "linear"):
+        for name in _ARRAYS:
             arr = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
             if arr.size != n:
                 raise DimensionMismatchError(
@@ -81,7 +85,7 @@ class QuadraticInstance:
                 raise InvalidParameterError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name in ("w1", "w2", "w3"):
+        for name in _ARRAYS[:3]:
             nrm = float(np.linalg.norm(getattr(self, name)))
             if abs(nrm - 1.0) > 1e-12:
                 raise InvalidParameterError(f"{name} must be a unit vector (norm {nrm:.3g})")
@@ -89,33 +93,21 @@ class QuadraticInstance:
             raise InvalidParameterError("eigenvalues must all be positive")
 
     def to_dict(self):
-        d = {
-            "format": _FORMAT,
-            "dim": self.dim,
-            "setting_id": self.setting_id,
-            "kappa": self.kappa,
-            "seed": self.seed,
-        }
-        for name in ("w1", "w2", "w3", "eigenvalues", "linear"):
-            d[name] = [float(v) for v in getattr(self, name)]
+        # the scalar fields in declaration order, then the arrays as lists
+        d = {"format": _FORMAT}
+        d.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name not in _ARRAYS)
+        d.update((name, [float(v) for v in getattr(self, name)]) for name in _ARRAYS)
         return d
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict: a missing field without a default raises
+        KeyError, one with a default reads as None."""
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != _FORMAT:
             raise InvalidParameterError(f"not a serialized instance (format {fmt!r})")
-        return cls(
-            dim=int(d["dim"]),
-            w1=d["w1"],
-            w2=d["w2"],
-            w3=d["w3"],
-            eigenvalues=d["eigenvalues"],
-            linear=d["linear"],
-            setting_id=d.get("setting_id"),
-            kappa=d.get("kappa"),
-            seed=d.get("seed"),
-        )
+        return cls(**{f.name: d[f.name] if f.default is MISSING else d.get(f.name)
+                      for f in fields(cls)})
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -223,16 +215,26 @@ def apply_hessian(inst, x):
     return kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
 
 
+def _eval_rows(inst, xs):
+    # f = x'Ax/2 - b'x and g = Ax - b of a 1-D x or of each row of a block:
+    # one block product, row dots through np.vecdot (which rounds like the
+    # 1-D dot), and b taken out of the product's own fresh array once f
+    # has read it
+    ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
+    f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
+    ax -= inst.linear
+    return f, ax
+
+
 def gradient(inst, x):
-    """Gradient A x - b."""
+    """Gradient A x - b: the evaluator's g to the bit, without the f dots
+    that would overflow, and warn, long before A x does."""
     return apply_hessian(inst, x) - inst.linear
 
 
 def objective(inst, x):
     """Objective value x'Ax/2 - b'x."""
-    x = _check_vec(inst, x)
-    ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x)
-    return 0.5 * float(x @ ax) - float(inst.linear @ x)
+    return float(_eval_rows(inst, _check_vec(inst, x))[0])
 
 
 def dense_hessian(inst):
@@ -245,15 +247,14 @@ def dense_hessian(inst):
     return q @ np.diag(inst.eigenvalues) @ q.T
 
 
-def as_objective(inst, name=None):
+def as_objective(inst):
     """Wrap an instance as a generic (f, grad) objective for the
     line-search solver.
 
-    Its eval_rows takes one block Hessian product for all rows, and row
-    dots through np.vecdot, which rounds like the 1-D dot, so each row
-    computes what it computes alone; eval is row 0 of the one-row block.
-    The gradient block is the product's own fresh array, with b taken
-    out in place once f has read it.
+    Its eval_rows is the evaluator objective also runs: one block Hessian
+    product for all rows and row dots that round like the 1-D dot, so each
+    row's f and g equal objective's and gradient's bit for bit; eval is
+    row 0 of the one-row block.
     """
 
     def eval_rows(xs):
@@ -261,14 +262,10 @@ def as_objective(inst, name=None):
             raise DimensionMismatchError(
                 f"rows have shape {xs.shape}, expected (m, {inst.dim})"
             )
-        ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
-        f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
-        ax -= inst.linear
-        return f, ax
+        return _eval_rows(inst, xs)
 
-    label = name or f"quadratic-n{inst.dim}"
-    return Objective(label, inst.dim, first_row_eval(eval_rows), x0=np.ones(inst.dim),
-                     eval_rows=eval_rows)
+    return Objective(f"quadratic-n{inst.dim}", inst.dim, first_row_eval(eval_rows),
+                     x0=np.ones(inst.dim), eval_rows=eval_rows)
 
 
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):

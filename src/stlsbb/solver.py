@@ -194,11 +194,8 @@ class SolverConfig:
         return d
 
     @classmethod
-    def from_meta(cls, meta, **overrides):
-        kw = {name: meta[name] for name in _META_FIELDS}
-        kw["target"] = meta.get("target")
-        kw.update(overrides)
-        return cls(**kw)
+    def from_meta(cls, meta):
+        return cls(**{name: meta[name] for name in _META_FIELDS}, target=meta.get("target"))
 
 
 # alpha0 is stored apart, as the value the run used; target only when set

@@ -61,9 +61,10 @@ class StepPair:
         y.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "ss", float(s @ s))
-        object.__setattr__(self, "yy", float(y @ y))
-        object.__setattr__(self, "sy", float(s @ y))
+        with np.errstate(over="ignore"):  # an overflowed product is inf, as the rules expect
+            object.__setattr__(self, "ss", float(s @ s))
+            object.__setattr__(self, "yy", float(y @ y))
+            object.__setattr__(self, "sy", float(s @ y))
 
 
 class SecantProducts(NamedTuple):

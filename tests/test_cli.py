@@ -94,11 +94,14 @@ class TestSteps:
         assert main(["steps", *UNDERFLOWED, "--policy", policy]) == 0
         assert capsys.readouterr().out == "inf\n"
 
-    @pytest.mark.parametrize("pair", [UNDERFLOWED, ["--s", "1e-170,0", "--y", "1e150,0"]])
-    @pytest.mark.parametrize("policy", ["bb2", "gamma:1", "gammaPrime:1"])
+    @pytest.mark.parametrize("pair", [UNDERFLOWED, ["--s", "1e-170,0", "--y", "1e150,0"],
+                                      ["--s", "1e200,0", "--y", "1e-150,0"],
+                                      ["--s", "1e-150,0", "--y", "1e200,0"]])
+    @pytest.mark.parametrize("policy", ["bb2", "gamma:1", "gammaPrime:1", "bb1"])
     def test_oracle_names_an_underflowed_fit(self, capsys, pair, policy):
-        # y'y (or s's on the mirrored pair) underflows to 0: every oracle
-        # fit names the pair degenerate instead of searching
+        # y'y (or s's on the mirrored pair) underflows to 0, or on the last
+        # two pairs s's (or y'y) overflows to inf: every oracle fit names
+        # the pair degenerate instead of searching
         assert main(["steps", *pair, "--policy", policy, "--verify"]) == 2
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 1  # the closed form, and no oracle line
@@ -364,6 +367,7 @@ _SWEEP_HEAD = "setting,kappa,epsilon,seed,n,policy,max_iter,iterations,status\n"
 
 INPUT_FILES = {
     "instance-missing-key": (["quad", "--instance"], _instance_doc(drop="w1"), 1),
+    "instance-missing-dim": (["quad", "--instance"], _instance_doc(drop="dim"), 1),
     "instance-not-json": (["quad", "--instance"], "{not json", 1),
     "instance-text-eigenvalue": (
         ["quad", "--instance"], _instance_doc(eigenvalues=["one"] * 5), 1

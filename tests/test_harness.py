@@ -62,6 +62,16 @@ class TestGrid:
         )
         assert g.cell_count() == 2 * 2 * 1 * 3 * 2
 
+    def test_axes_are_stored_as_tuples_of_their_type(self):
+        g = ExperimentGrid(n=20.0, setting_ids=[1.0, "2"], kappas=[1000, "1e4"],
+                           epsilons=["1e-4"], seeds=range(2), policies=["bb1"])
+        for name, kind in (("setting_ids", int), ("kappas", float), ("epsilons", float),
+                           ("seeds", int), ("policies", str)):
+            values = getattr(g, name)
+            assert type(values) is tuple
+            assert all(type(v) is kind for v in values), name
+        assert g.setting_ids == (1, 2) and g.kappas == (1e3, 1e4) and g.seeds == (0, 1)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(InvalidParameterError):
             ExperimentGrid(n=20, seeds=())

@@ -185,11 +185,13 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("s, y", [
         ([1e150, 0.0], [1e-170, 0.0]),  # y'y underflows to 0, s'y = 1e-20
         ([1e-170, 0.0], [1e150, 0.0]),  # s's underflows to 0
+        ([1e200, 0.0], [1e-150, 0.0]),  # s's overflows to inf, s'y = 1e50
+        ([1e-150, 0.0], [1e200, 0.0]),  # y'y overflows to inf
     ])
     def test_underflowed_fit_is_degenerate(self, s, y):
-        # with s'y > 0 a zero ||s||^2 or ||y||^2 comes only from underflow;
-        # the fit is then undefined, and the oracle says so instead of
-        # searching
+        # with s'y > 0 a zero ||s||^2 or ||y||^2 comes only from underflow,
+        # an inf one only from overflow, which the pair takes quietly; the
+        # fit is then undefined, and the oracle says so instead of searching
         pair = StepPair(s, y)
         assert pair.sy > 0.0
         for fit in (bb1_argmin, bb2_argmin, family_bracket,
@@ -222,7 +224,7 @@ class TestHomogeneousResidual:
     def test_random_pairs(self, rng):
         for _ in range(60):
             pair = random_pair(rng)
-            got = homogeneous_residual_min(pair, grid_points=50_000)
+            got = homogeneous_residual_min(pair)
             assert got == pytest.approx(alpha_tls(pair), abs=1e-8)
 
     def test_degenerate_y(self):
@@ -230,11 +232,23 @@ class TestHomogeneousResidual:
         with pytest.raises(DegenerateInputError):
             homogeneous_residual_min(pair)
 
-    def test_grid_floor(self, canonical_pair):
-        from stlsbb.errors import InvalidParameterError
+    @pytest.mark.parametrize("c", [10.0**-k for k in range(5, 13)])
+    def test_winning_grid_end_wraps_around(self, c):
+        # the quotient is about 1/c; from c = 1e-6 down the scan's best
+        # angle is its first, t = -pi/2, which is its last, t = pi/2, too
+        pair = StepPair([1.0, 1.0], [c, 1.1 * c])
+        got = homogeneous_residual_min(pair)
+        assert got > 0.0
+        assert got == pytest.approx(alpha_tls(pair), rel=1e-9)
 
-        with pytest.raises(InvalidParameterError):
-            homogeneous_residual_min(canonical_pair, grid_points=10)
+    @pytest.mark.parametrize("s, y", [
+        ([1.0, 1.0], [1e-200, 1e-200]),  # y'y underflows to 0
+        ([1e200, 0.0], [1e-150, 0.0]),  # s's overflows to inf
+        ([1e-150, 0.0], [1e200, 0.0]),  # y'y overflows to inf
+    ])
+    def test_lost_norm_is_degenerate(self, s, y):
+        with pytest.raises(DegenerateInputError):
+            homogeneous_residual_min(StepPair(s, y))
 
 
 class TestOracleDispatch:

@@ -249,6 +249,17 @@ class TestHessianProducts:
         (f, g), (fc, gc) = (as_objective(inst).eval(v) for v in (x, xc))
         assert f == fc and g.tobytes() == gc.tobytes()
 
+    @pytest.mark.parametrize("n", [3, 100, 300, 2000])
+    def test_objective_and_gradient_are_eval_bitwise(self, rng, n):
+        # the solver's objective and the module's functions compute f and g
+        # the same way, on a contiguous x and on a strided view alike
+        inst = generate_instance(n, SpectrumSetting(1, 1e3), seed=n)
+        obj = as_objective(inst)
+        for x in (rng.standard_normal(n), rng.standard_normal((2, 2 * n))[1, ::2]):
+            f, g = obj.eval(x)
+            assert objective(inst, x) == f
+            assert gradient(inst, x).tobytes() == g.tobytes()
+
     def test_dimension_check(self, inst):
         with pytest.raises(DimensionMismatchError):
             apply_hessian(inst, np.ones(inst.dim + 1))
@@ -261,6 +272,17 @@ class TestSerialization:
         for name in ("w1", "w2", "w3", "eigenvalues", "linear"):
             assert np.array_equal(getattr(inst, name), getattr(back, name))
         assert back.setting_id == 4 and back.kappa == 1e4 and back.seed == 9
+        assert list(inst.to_dict()) == ["format", "dim", "setting_id", "kappa", "seed",
+                                        "w1", "w2", "w3", "eigenvalues", "linear"]
+
+    def test_hand_built_document_loads_without_provenance(self):
+        # setting_id, kappa and seed have defaults, so a document may omit them
+        d = generate_instance(6, SpectrumSetting(1, 1e2), seed=0).to_dict()
+        for name in ("setting_id", "kappa", "seed"):
+            del d[name]
+        back = QuadraticInstance.from_dict(d)
+        assert (back.setting_id, back.kappa, back.seed) == (None, None, None)
+        assert np.array_equal(back.linear, d["linear"])
 
     def test_wrong_format_rejected(self):
         with pytest.raises(InvalidParameterError):

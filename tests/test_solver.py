@@ -165,7 +165,7 @@ class TestSolverConfig:
         meta = c.to_meta()
         assert list(meta) == keys + ["target"]
         assert meta["target"] == [1.0, 2.0]
-        back = SolverConfig.from_meta(meta, alpha0=0.5)
+        back = dataclasses.replace(SolverConfig.from_meta(meta), alpha0=0.5)
         assert np.array_equal(back.target, c.target)
         assert back.to_meta() == meta and back.alpha0 == 0.5
 
@@ -645,7 +645,7 @@ class TestAudit:
 
     def test_explicit_config_overrides_meta(self):
         tr = self.make_trace()
-        strict = SolverConfig.from_meta(tr.meta, beta=0.999)
+        strict = dataclasses.replace(SolverConfig.from_meta(tr.meta), beta=0.999)
         # a near-1 sufficient decrease coefficient rejects real steps
         assert audit_trace(tr, config=strict) != []
 
