@@ -130,10 +130,7 @@ def _cmd_quad(args):
               f"kappa={inst.kappa:g} seed={inst.seed}")
         return 0
     policy = parse_policy(args.policy)
-    tr = quadratic.solve_bb(
-        inst, policy, args.epsilon, args.max_iter,
-        x0=None, alpha0=args.alpha0,
-    )
+    tr = quadratic.solve_bb(inst, policy, args.epsilon, args.max_iter, alpha0=args.alpha0)
     print(
         f"policy={args.policy} n={inst.dim} iterations={tr.iterations} "
         f"termination={tr.termination} grad_norm={tr.rows[-1].grad_norm:.6e}"

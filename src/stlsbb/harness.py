@@ -133,10 +133,6 @@ _SWEEP_HEADER = [
 _sweep_values = attrgetter(*(f.name for f in fields(SweepCell)))
 
 
-def _error(exc):
-    return None, f"error:{type(exc).__name__}"
-
-
 # A sweep's lock-step block holds at most this many rows, which is the
 # tighter cap below n = 342.  The block stays full while the grid has rows
 # left, so a wider one takes fewer steps but holds more memory.  On the
@@ -163,37 +159,29 @@ def run_quadratic_sweep(grid, progress=None):
     (history=False) kernels.raw_bb_loop whose block holds at most 96 rows
     and at most 2^15 doubles per (rows x n) array; a row that finishes
     hands its slot to the next cell, whatever its (setting, kappa,
-    epsilon) group.  Each row gives back only its termination and its
-    iteration count: its block steps the gradient alone and holds no x and
-    no b.  The grid has already checked epsilon, max_iter and the
-    policies.  Every cell counts exactly what a solve_bb call on it
-    counts.  Each (setting, kappa, seed) instance is generated once, when
-    its first cell takes a slot, and freed once its last row has left.  A
-    cell that hits the iteration cap is recorded at the cap with
-    solved=False; a cell whose gradient turns nan or inf is recorded as
-    nonfinite, and a cell whose instance fails to build as an error marker
-    that takes no row, both without an iteration count; neither aborts the
-    sweep.  progress, when given, is called with each cell in grid order
-    as soon as it and every cell before it have finished.
+    epsilon) group.  Each row is keyed by its cell's place in the grid
+    and gives back only its termination and its iteration count: its
+    block steps the gradient alone and holds no x and no b.  The grid has
+    already checked epsilon, max_iter and the policies.  Every cell counts
+    exactly what a solve_bb call on it counts.  Each (setting, kappa,
+    seed) instance is generated once, when its first cell takes a slot,
+    and freed once its last row has left.  A cell that hits the iteration
+    cap is recorded at the cap with solved=False; a cell whose gradient
+    turns nan or inf is recorded as nonfinite, and a cell whose instance
+    fails to build as an error marker that takes no row, both without an
+    iteration count; neither aborts the sweep.  progress, when given, is
+    called with each cell as it ends, in the order the cells finish.
     """
     policies = {p: parse_policy(p) for p in grid.policies}
     width = min(max(1, kernels._BLOCK_DOUBLES // grid.n), _SWEEP_ROWS)
-    cells = []  # a SweepCell, or the key of a cell still running
-    rows = []  # the cell of each row, by its place in the loop's rows
-    passed = 0  # cells handed to progress
+    cells = []  # a SweepCell, or the grid values of a cell still running
 
     def finish(i, iterations, status):
-        nonlocal passed
         sid, kappa, eps, seed, pol = cells[i]
         cells[i] = SweepCell(sid, kappa, eps, seed, grid.n, pol, grid.max_iter,
                              iterations, status)
-        while passed < len(cells) and isinstance(cells[passed], SweepCell):
-            if progress is not None:
-                progress(cells[passed])
-            passed += 1
-
-    def row_ended(j, end):
-        finish(rows[j], *_outcome(*end))
+        if progress is not None:
+            progress(cells[i])
 
     def grid_rows():
         x0 = np.ones(grid.n)
@@ -205,16 +193,16 @@ def run_quadratic_sweep(grid, progress=None):
                         insts[seed] = quadratic.generate_instance(
                             grid.n, quadratic.SpectrumSetting(sid, kappa), seed)
                     except StlsbbError as exc:
-                        insts[seed] = _error(exc)
+                        insts[seed] = f"error:{type(exc).__name__}"
                 cells.append((sid, kappa, eps, seed, pol))
                 inst = insts[seed]
-                if isinstance(inst, tuple):  # the instance failed to build: its outcome
-                    finish(len(cells) - 1, *inst)
+                if isinstance(inst, str):  # the instance failed to build: its status
+                    finish(len(cells) - 1, None, inst)
                 else:
-                    rows.append(len(cells) - 1)
-                    yield inst, policies[pol], x0, None, eps, grid.max_iter
+                    yield len(cells) - 1, inst, policies[pol], x0, None, eps
 
-    kernels.raw_bb_loop(grid_rows(), width, history=False, on_end=row_ended)
+    kernels.raw_bb_loop(grid_rows(), width, grid.max_iter,
+                        lambda i, end: finish(i, *_outcome(*end)), history=False)
     return cells
 
 

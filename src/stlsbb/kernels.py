@@ -67,7 +67,8 @@ def family_step(ss, yy, sy, gamma):
     is (d + sqrt(d^2 + e)) / (2 s'y) with d = ss - yy/gamma^2 and
     e = 4 (s'y)^2 / gamma^2, evaluated free of cancellation; once the
     fit overflows, the value is the short-step limit sy/yy.  gamma is
-    measured in units of ||y||/||s||, a curvature.
+    measured in units of ||y||/||s||, a curvature.  Callers reach it
+    through policy_step, which keeps the fit's s'y^2 in range.
     """
     num = _scaled_tls_fit(ss, yy, sy, gamma)
     return sy / yy if num is None else num / (2.0 * sy)
@@ -78,7 +79,8 @@ def family_prime_step(ss, yy, sy, gamma):
 
     2 s'y over the same fit with the roles of s and y exchanged, so
     gammaPrime:g equals gamma:1/g up to rounding; once the fit overflows,
-    the value is the long-step limit ss/sy.
+    the value is the long-step limit ss/sy.  Callers reach it through
+    policy_step, as for family_step.
     """
     den = _scaled_tls_fit(yy, ss, sy, gamma)
     return ss / sy if den is None else 2.0 * sy / den
@@ -107,7 +109,16 @@ def policy_step(policy, ss, yy, sy, prev_alpha, index):
     Only the rule and its parameter (gamma, tau or cycle) are read from
     policy; prev_alpha and index are the ATC state, ignored by the other
     rules; a zero divisor gives float64's inf or nan, and no warning.
+    Every rule is homogeneous of degree 0 in (ss, yy, sy), but the family
+    fit squares s'y: where 0 < s'y < inf lies outside [1e-140, 1e140], the
+    three are first scaled by the exact power of two that brings s'y into
+    [0.5, 1), so 2^j (ss, yy, sy) gives the same bits for every j that
+    keeps the three normal.
     """
+    if not 1e-140 <= sy <= 1e140 and 0.0 < sy < math.inf:
+        # an ss or yy scaled out of range is inf or 0, as its quotients are
+        with np.errstate(over="ignore", under="ignore"):
+            ss, yy, sy = np.ldexp((ss, yy, sy), -math.frexp(sy)[1]).tolist()
     kind = policy.kind
     try:
         if kind == "bb1":
@@ -341,28 +352,29 @@ def _termination(gn, tol):
             GRADIENT_TOLERANCE if gn <= tol else ITERATION_CAP)
 
 
-def raw_bb_loop(rows, width, on_end, history=True):
+def raw_bb_loop(rows, width, max_iter, on_end, history=True):
     """Raw BB gradient iteration on QuadraticInstances, at most width runs
     at a time in lock step, with one Hessian product per step for all of
     them.
 
-    rows is an iterable of (inst, policy, x0, alpha0, eps_rel, max_iter):
-    the run of policy on inst from x0 with the opening steplength alpha0,
-    or where alpha0 is None 1 / ||g0||_inf from the row's own g0 (1 where
+    rows is an iterable of (key, inst, policy, x0, alpha0, eps_rel): the
+    run of policy on inst from x0 with the opening steplength alpha0, or
+    where alpha0 is None 1 / ||g0||_inf from the row's own g0 (1 where
     that max is 0 or nan), stopping when ||g|| is not finite (nonfinite),
     when ||g|| <= eps_rel ||g0||, or after max_iter >= 1 steps.  Rows are
     taken from it only when a slot is free, so a lazy iterable is consumed
     as runs finish: when a row leaves, the next one that takes a step
     fills its slot, and the block shrinks only once the iterable runs dry.
-    Each row counts its own steps, which are its ATC index and what its
-    cap bounds.  A row starts from its own 1-D product g0 = A x0 - b and
-    carries its gradient by the recurrence g <- g - alpha A g; the secant
-    pair (s, y) = (-alpha g, -alpha A g) has a common alpha^2 that cancels
-    in every steplength formula, so (g'g, Ag'Ag, g'Ag) go to one scalar
-    policy_step call per row.  Row dots are np.vecdot, which rounds like
-    the 1-D dot, so every row computes bit for bit what it computes alone,
-    whatever its slot and neighbours.  Overflow or a zero divisor raises
-    no warning: it ends its row as nonfinite.  x0 is not modified.
+    Each row counts its own steps, which are its ATC index and what the
+    call's one max_iter bounds.  A row starts from its own 1-D product
+    g0 = A x0 - b and carries its gradient by the recurrence
+    g <- g - alpha A g; the secant pair (s, y) = (-alpha g, -alpha A g)
+    has a common alpha^2 that cancels in every steplength formula, so
+    (g'g, Ag'Ag, g'Ag) go to one scalar policy_step call per row.  Row
+    dots are np.vecdot, which rounds like the 1-D dot, so every row
+    computes bit for bit what it computes alone, whatever its slot and
+    neighbours.  Overflow or a zero divisor raises no warning: it ends its
+    row as nonfinite.  x0 is not modified.
 
     A row's result is (termination, f_hist, gnorm_hist, alpha_hist, x):
     the histories are lists of floats whose entry k describes iterate k,
@@ -374,19 +386,19 @@ def raw_bb_loop(rows, width, on_end, history=True):
     the iterate, so such a row steps only its gradient: its block carries
     w1, w2, w3, v and g, and no x or b, which only a recorded row's f
     reads.  Results come out only through on_end, which is required:
-    on_end(j, result) is called as row j (counted from 0 in rows) leaves,
-    outside the loop's np.errstate, so rows end in the order they finish,
-    not in the order of rows.  Nothing is returned.
+    on_end(key, result) is called with the row's own key, untouched, as
+    the row leaves, outside the loop's np.errstate, so rows end in the
+    order they finish, not in the order of rows.  Nothing is returned.
     """
-    source = enumerate(rows)
+    source = iter(rows)
 
-    def leave(j, termination, k, x, hist):
-        on_end(j, (termination, *hist, x) if history else (termination, k))
+    def leave(key, termination, k, x, hist):
+        on_end(key, (termination, *hist, x) if history else (termination, k))
 
     def take():
         # the next row that takes a step, as its slot's values; rows that
         # stop where they start leave here
-        for j, (inst, policy, x0, alpha0, eps_rel, cap) in source:
+        for key, inst, policy, x0, alpha0, eps_rel in source:
             x0 = np.array(x0, dtype=float)
             with np.errstate(**_QUIET):
                 g0 = hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x0) - inst.linear
@@ -405,16 +417,16 @@ def raw_bb_loop(rows, width, on_end, history=True):
                 carried = (inst.w1, inst.w2, inst.w3, inst.eigenvalues, g0)
                 if history:
                     carried += (x0, inst.linear)
-                return j, policy, carried, gg0, alpha0, tol, cap, hist
-            leave(j, _termination(gn0, tol), 0, x0, hist)
+                return key, policy, carried, gg0, alpha0, tol, hist
+            leave(key, _termination(gn0, tol), 0, x0, hist)
         return None
 
     inf = math.inf
     while slots := list(islice(iter(take, None), width)):
-        ids, policies, carried, ggs, alphas, tol, caps, hists = map(list, zip(*slots))
+        keys, policies, carried, ggs, alphas, tol, hists = map(list, zip(*slots))
         block = [_block(column) for column in zip(*carried)]
         gg = np.array(ggs)
-        ks = [0] * len(ids)
+        ks = [0] * len(keys)
         # rows longer than the work array step in slices through it, with
         # no n-long temporaries (the n = 1e5 raw benchmark read 3.2 %
         # faster than with the operator form, in 17 of 20 alternating
@@ -455,7 +467,7 @@ def raw_bb_loop(rows, width, on_end, history=True):
                     # a row goes on while eps_rel ||g0|| < ||g|| < inf (a nan
                     # ||g|| fails both); Python floats test a few rows faster
                     # than ufuncs
-                    go = [k < cap and t < r < inf for k, cap, t, r in zip(ks, caps, tol, gn)]
+                    go = [k < max_iter and t < r < inf for k, t, r in zip(ks, tol, gn)]
                     if not all(go):
                         break
             done = [r for r, on in enumerate(go) if not on]
@@ -464,20 +476,20 @@ def raw_bb_loop(rows, width, on_end, history=True):
             # their x; count-only rows have none
             xs = (x if whole else x[done]) if history else [None] * len(done)
             for r, xr in zip(done, xs):
-                leave(ids[r], _termination(gn[r], tol[r]), ks[r], xr, hists[r])
+                leave(keys[r], _termination(gn[r], tol[r]), ks[r], xr, hists[r])
             if whole:
                 break  # a block of one is a view of its instance: start anew
             for r, slot in zip(done, iter(take, None)):
-                j, policy, carried, gg0, alpha0, t, cap, hist = slot
+                key, policy, carried, gg0, alpha0, t, hist = slot
                 for a, row in zip(block, carried):
                     a[r] = row
                 gg[r] = gg0
-                ids[r], policies[r], alphas[r], tol[r], caps[r], ks[r], hists[r] = (
-                    j, policy, alpha0, t, cap, 0, hist)
+                keys[r], policies[r], alphas[r], tol[r], ks[r], hists[r] = (
+                    key, policy, alpha0, t, 0, hist)
                 go[r] = True
             slot = carried = row = None  # hold no instance past its rows
             if not all(go):
                 keep = [r for r, on in enumerate(go) if on]
                 block, gg = [a[keep] for a in block], gg[keep]
-                ids, policies, alphas, tol, caps, ks, hists = (
-                    [c[r] for r in keep] for c in (ids, policies, alphas, tol, caps, ks, hists))
+                keys, policies, alphas, tol, ks, hists = (
+                    [c[r] for r in keep] for c in (keys, policies, alphas, tol, ks, hists))

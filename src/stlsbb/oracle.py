@@ -208,16 +208,17 @@ def homogeneous_residual_min(pair):
     equals (||s||^2 + ||y||^2)/2 plus the exact sinusoid
     (||s||^2 - ||y||^2)/2 * cos 2t - s'y * sin 2t.  A grid of 200 000
     angles over [-pi/2, pi/2] scans the sinusoid, then golden section
-    refines the winning cell in quotient coordinates a = tan t, where the
-    residual minus its asymptote is (||s||^2 - ||y||^2 - 2 s'y a) / (1 + a^2),
-    which avoids losing precision to the tangent's blowup near t = pi/2.
-    The grid's two ends are one antipodal point, so a winning end is
-    refined across it in cot t, the same fit with s and y exchanged.  The
-    quotient is the coefficient on y over the coefficient on s, i.e. the
-    steplength alpha for which alpha*y best reproduces s after
-    homogenizing; for pairs with s'y > 0 it equals the gamma = 1 family
-    steplength.  A zero ||y||^2 or an overflowed ||s||^2 or ||y||^2 leaves
-    it undefined.
+    refines the winning cell to 4e-16 times the sum of its end values.
+    Where |t| <= pi/4 it refines in quotient coordinates a = tan t, where
+    the residual minus its asymptote is (||s||^2 - ||y||^2 - 2 s'y a) /
+    (1 + a^2); elsewhere in cot t, the same fit with s and y exchanged, and
+    returns the reciprocal: cot is finite and monotone across +-pi/2, where
+    the grid's two ends are one antipodal point.  The quotient is the
+    coefficient on y over the coefficient on s, i.e. the steplength alpha
+    for which alpha*y best reproduces s after homogenizing; for pairs with
+    s'y > 0 it equals the gamma = 1 family steplength.  A zero ||y||^2, an
+    overflowed ||s||^2 or ||y||^2, or a best fit with a1 = 0 (a refined
+    cot within its tolerance of 0) leaves it undefined.
     """
     ss, yy, sy = pair.ss, pair.yy, pair.sy
     if yy == 0.0 or not (math.isfinite(ss) and math.isfinite(yy)):
@@ -228,17 +229,18 @@ def homogeneous_residual_min(pair):
     vals = (0.5 * (ss - yy)) * c2 - sy * s2
     i = int(np.argmin(vals))
     h = t[1] - t[0]
-    if i in (0, len(t) - 1):
-        b = math.tan(h)
-        return 1.0 / _search_centered(yy, ss, sy, 1.0, -b, b, 4e-16 * b)
-    # clip the winning cell strictly inside (-pi/2, pi/2) before taking tans
-    margin = 1e-9
-    t_lo = max(t[i] - h, -0.5 * math.pi + margin)
-    t_hi = min(t[i] + h, 0.5 * math.pi - margin)
-    a_lo = math.tan(t_lo)
-    a_hi = math.tan(t_hi)
-    tol = max(1e-12, 4e-16 * (abs(a_lo) + abs(a_hi)))
-    return _search_centered(ss, yy, sy, 1.0, a_lo, a_hi, tol)
+    u = t[i]
+    wrap = abs(u) > 0.25 * math.pi
+    if wrap:  # cot t = tan(+-pi/2 - t), the nearer sign's difference exact
+        ss, yy, u = yy, ss, math.copysign(0.5 * math.pi, u) - u
+    lo, hi = math.tan(u - h), math.tan(u + h)
+    tol = 4e-16 * (abs(lo) + abs(hi))
+    a = _search_centered(ss, yy, sy, 1.0, lo, hi, tol)
+    if not wrap:
+        return a
+    if abs(a) <= tol:
+        raise DegenerateInputError("the best fit has a1 = 0; the quotient is infinite")
+    return 1.0 / a
 
 
 def oracle_steplength(policy, pair, index=0, prev_alpha=None):

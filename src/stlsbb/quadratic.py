@@ -293,9 +293,9 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     cap = int(max_iter)
     if cap < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
-    ends = []
-    kernels.raw_bb_loop([(inst, policy, x0, a0, eps, cap)], 1, lambda j, end: ends.append(end))
-    ((termination, f_hist, g_hist, a_hist, x),) = ends
+    ends = {}
+    kernels.raw_bb_loop([(0, inst, policy, x0, a0, eps)], 1, cap, ends.__setitem__)
+    termination, f_hist, g_hist, a_hist, x = ends[0]
     # no step leaves the last iterate, so its row records nan
     rows = [
         trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)

@@ -20,11 +20,11 @@ def random_pair(rng, n=5, scale=1.0):
             return StepPair(s, y)
 
 
-def raw_results(rows, width, history=True):
-    """kernels.raw_bb_loop's results in the order of rows, collected
-    through its on_end as the rows leave."""
+def raw_results(rows, width, max_iter, history=True):
+    """kernels.raw_bb_loop's results for rows keyed 0, 1, 2, ..., in key
+    order, collected through its on_end as the rows leave."""
     ends = {}
-    kernels.raw_bb_loop(rows, width, ends.__setitem__, history)
+    kernels.raw_bb_loop(rows, width, max_iter, ends.__setitem__, history)
     return [ends[j] for j in range(len(ends))]
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import weakref
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -169,36 +170,36 @@ class TestSweep:
         )
         seen = []
         cells = run_quadratic_sweep(grid, progress=seen.append)
-        assert seen == cells
+        assert Counter(seen) == Counter(cells)
         assert self.outcomes(cells) == self.cells_alone(grid)
         assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
 
     @staticmethod
     def watch_loop(monkeypatch, on_take=None, on_leave=None):
         # wraps kernels.raw_bb_loop to record its widths, and to call
-        # on_take(j, row) as row j is taken and on_leave(j) as row j
-        # leaves, before its outcome is passed on
+        # on_take(key, row) as the row keyed key is taken and on_leave(key)
+        # as it leaves, before its outcome is passed on
         calls = []
         original = kernels.raw_bb_loop
 
-        def watched(rows, width, on_end, history=True):
+        def watched(rows, width, max_iter, on_end, history=True):
             calls.append(width)
             taken = {}  # the rows in the block: hold none that has left
 
             def lazy():
-                for j, row in enumerate(rows):
-                    taken[j] = row
+                for row in rows:
+                    taken[row[0]] = row
                     if on_take is not None:
-                        on_take(j, row)
+                        on_take(row[0], row)
                     yield row
 
-            def ended(j, result):
-                del taken[j]
+            def ended(key, result):
+                del taken[key]
                 if on_leave is not None:
-                    on_leave(j)
-                on_end(j, result)
+                    on_leave(key)
+                on_end(key, result)
 
-            return original(lazy(), width, ended, history)
+            return original(lazy(), width, max_iter, ended, history)
 
         monkeypatch.setattr(kernels, "raw_bb_loop", watched)
         return calls
@@ -215,13 +216,13 @@ class TestSweep:
         want = self.cells_alone(grid)
         width = sweep_rows or harness._SWEEP_ROWS
         monkeypatch.setattr(harness, "_SWEEP_ROWS", width)
-        live = {}  # the rows in the block, by their place in the loop's rows
+        live = {}  # the rows in the block, by their keys
         shared = []  # the (setting, kappa, epsilon) of the rows in the block at each take
 
         def on_take(j, row):
             live[j] = row
             shared.append({(inst.setting_id, inst.kappa, eps)
-                           for inst, _, _, _, eps, _ in live.values()})
+                           for _, inst, _, _, _, eps in live.values()})
 
         def on_leave(j):
             del live[j]
@@ -239,7 +240,7 @@ class TestSweep:
         seen = []
         cells = run_quadratic_sweep(grid, progress=seen.append)
         assert calls == [width]
-        assert seen == cells
+        assert Counter(seen) == Counter(cells)
         assert self.outcomes(cells) == want
         assert {c.status for c in cells} == {"ok", "cap", "error:InvalidSettingError"}
         assert len(shared) == 72 and not live
@@ -268,7 +269,7 @@ class TestSweep:
         checks = []  # (alive keys, keys of live rows, group of the last row taken)
 
         def on_take(j, row):
-            live[j] = key(row[0])
+            live[j] = key(row[1])
             last[:] = [live[j][:2]]
 
         def on_leave(j):
@@ -295,14 +296,14 @@ class TestSweep:
         assert any(k[:2] != group for alive, rows, group in checks for k in alive)
         assert all(ref() is None for ref in refs.values())
 
-    def test_progress_follows_the_finished_prefix(self, monkeypatch):
-        # 5-row block, no error cells: row j is cell j
+    def test_progress_passes_each_cell_as_it_ends(self, monkeypatch):
+        # 5-row block, no error cells: every cell takes a row
         monkeypatch.setattr(kernels, "_BLOCK_DOUBLES", 5 * 20)
         grid = ExperimentGrid(n=20, setting_ids=(1, 3), kappas=(1e3,), epsilons=(1e-6, 1e-3),
                               seeds=(0, 1), policies=("bb1", "atc:3", "gamma:20"),
                               max_iter=300)
         outside = np.geterr()
-        ended = []  # cells in the order their rows left
+        ended = []  # the keys of the rows, in the order they left
         self.watch_loop(monkeypatch, on_leave=ended.append)
         states = []
         original = quadratic.generate_instance
@@ -319,13 +320,16 @@ class TestSweep:
             passed.append((cell, len(ended)))
 
         cells = run_quadratic_sweep(grid, progress=progress)
-        assert [cell for cell, _ in passed] == cells
         assert states and all(state == outside for state in states)
-        # cell i is passed on as soon as cells 0..i have all left the block
-        left = {j: t for t, j in enumerate(ended, 1)}
-        want = [max(left[k] for k in range(i + 1)) for i in range(len(cells))]
-        assert [t for _, t in passed] == want
-        assert want[0] < len(cells)  # the first cell is passed on mid-sweep
+        # each cell is passed on once, as its row leaves, whose key is the
+        # cell's place in the grid
+        assert sorted(ended) == list(range(len(cells)))
+        assert [cell for cell, _ in passed] == [cells[i] for i in ended]
+        assert [t for _, t in passed] == list(range(1, len(cells) + 1))
+        assert ended != sorted(ended)  # rows leave out of grid order
+        # the cells come back in grid order all the same
+        assert [(c.setting_id, c.kappa, c.epsilon, c.seed, c.policy) for c in cells] == list(
+            product(grid.setting_ids, grid.kappas, grid.epsilons, grid.seeds, grid.policies))
 
     def test_csv_roundtrip(self, tiny):
         cells = run_quadratic_sweep(tiny)

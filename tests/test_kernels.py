@@ -1,6 +1,7 @@
 """Kernel-level checks: closed forms, the policy dispatch, the Householder
 Hessian product, row dots, and the lock-step raw BB loop."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -202,6 +203,60 @@ class TestPolicyDispatch:
         assert step(SteplengthPolicy("atc", cycle=3), index=2) == kernels.atc_step(
             ss, yy, sy, 0.5, 2, 3
         )
+
+
+class TestScaleFree:
+    """Every rule is homogeneous of degree 0 in (ss, yy, sy), and so every
+    run is invariant when b and x0 are scaled by 2^k, a fixed alpha0 kept."""
+
+    KINDS = ("bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.05", "tau:0.3", "atc:3")
+
+    def test_rules_give_the_same_bits_at_every_power_of_two(self, rng):
+        # (1, 400, 5): gamma = 20 is ||y||/||s||, so gamma:20 is
+        # sqrt(bb1 bb2) = 0.05; the family fit squares s'y and, unscaled,
+        # gave 0 at 1e-170 (1, 400, 5) and bb2 at 1e155 (1, 400, 5)
+        triples = [(1.0, 400.0, 5.0), (2.0, 5.0, 3.0)]
+        triples += [scalars(random_pair(rng, 4, scale)) for scale in (1e-3, 1.0, 1e3)]
+        for kind in self.KINDS:
+            policy = parse_policy(kind)
+            for index in (0, 1):  # ATC's restart and its clamp
+                for triple in triples:
+                    want = policy_step(policy, *triple, 0.03, index)
+                    # the j in [-1000, 1000] that keep all three normal
+                    low, high = math.frexp(min(triple))[1], math.frexp(max(triple))[1]
+                    for j in range(max(-1000, -1021 - low), min(1000, 1024 - high) + 1):
+                        scaled = [math.ldexp(v, j) for v in triple]
+                        assert policy_step(policy, *scaled, 0.03, index) == want, (kind, j)
+                for c in (1e-250, 1e-170, 1e-160, 1e155, 1e250):
+                    got = policy_step(policy, c, 400.0 * c, 5.0 * c, 0.03, index)
+                    want = policy_step(policy, 1.0, 400.0, 5.0, 0.03, index)
+                    assert got == pytest.approx(want, rel=1e-14), (kind, c)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_runs_scale_with_b_and_x0(self, kind):
+        # both engines from x0 = 2^k 1 on b scaled by 2^k: the secant
+        # scalars carry a factor 2^(2k), 1e+-150 or beyond here, so every k
+        # takes policy_step's scaling; gbb's scalars carry alpha^2 too.
+        # Beyond |k| of about 500 g'g itself under- or overflows
+        n = 100
+        inst = quadratic.generate_instance(n, quadratic.SpectrumSetting(1, 1e4), 0)
+        policy = parse_policy(kind)
+        cfg = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000, eta=1e-10,
+                           alpha0=1e-3)
+
+        def runs(k):
+            scaled = dataclasses.replace(inst, linear=np.ldexp(inst.linear, k))
+            x0 = np.ldexp(np.ones(n), k)
+            raw = quadratic.solve_bb(scaled, policy, 1e-6, 2000, x0=x0, alpha0=1e-3)
+            return raw, solver_run(quadratic.as_objective(scaled), x0, cfg, policy)
+
+        base = runs(0)
+        assert [tr.termination for tr in base] == [GRADIENT_TOLERANCE] * 2
+        for k in (-480, -300, -250, 250, 300, 480):
+            for want, got in zip(base, runs(k)):
+                assert (got.termination, got.iterations) == (want.termination, want.iterations)
+                assert got.final_x.tobytes() == np.ldexp(want.final_x, k).tobytes()
+                assert got.grad_norms().tobytes() == np.ldexp(want.grad_norms(), k).tobytes()
 
 
 class TestHouseholder:
@@ -545,18 +600,18 @@ class TestRowDots:
             assert np.array_equal(np.vecdot(xs, ys), want)
 
 
-def raw_rows(insts, policies, x0, alpha0, eps, max_iter):
-    # one raw_bb_loop row per instance; a scalar eps or max_iter is every row's
+def raw_rows(insts, policies, x0, alpha0, eps):
+    # one raw_bb_loop row per instance, keyed by its place; a scalar eps
+    # is every row's
     eps = eps if np.ndim(eps) else [eps] * len(insts)
-    caps = max_iter if np.ndim(max_iter) else [max_iter] * len(insts)
-    return list(zip(insts, policies, x0, alpha0, eps, caps))
+    return list(zip(range(len(insts)), insts, policies, x0, alpha0, eps))
 
 
 class TestRawLoop:
     def run_tiny(self, rng, max_iter=500):
         inst = tiny_instance(rng)
         (out,) = raw_results(
-            [(inst, SteplengthPolicy("bb1"), np.ones(12), 0.01, 1e-10, max_iter)], 1)
+            [(0, inst, SteplengthPolicy("bb1"), np.ones(12), 0.01, 1e-10)], 1, max_iter)
         return inst, out
 
     def test_histories_align(self, rng):
@@ -579,7 +634,7 @@ class TestRawLoop:
         insts = [tiny_instance(rng), tiny_instance(rng)]
         x0 = np.ones((2, 12))
         raw_results(
-            raw_rows(insts, [SteplengthPolicy("bb1")] * 2, x0, [0.01, 0.02], 1e-10, 50), 2)
+            raw_rows(insts, [SteplengthPolicy("bb1")] * 2, x0, [0.01, 0.02], 1e-10), 2, 50)
         assert np.all(x0 == 1.0)
 
     def test_identity_spectrum_finishes_in_two_steps(self):
@@ -591,7 +646,7 @@ class TestRawLoop:
         b = np.linspace(-1.0, 2.5, n)
         inst = QuadraticInstance(n, e1, e1, e1, np.ones(n), b)
         ((termination, f_hist, g_hist, a_hist, x),) = raw_results(
-            [(inst, SteplengthPolicy("bb1"), np.zeros(n), 0.3, 1e-12, 50)], 1
+            [(0, inst, SteplengthPolicy("bb1"), np.zeros(n), 0.3, 1e-12)], 1, 50
         )
         assert termination == GRADIENT_TOLERANCE
         assert len(g_hist) == 3
@@ -631,14 +686,14 @@ class TestLockStep:
         # rows leave the block at different steps and must not disturb the
         # rows that go on
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        block = raw_results(raw_rows(insts, policies, x0, alpha0, 1e-8, 400), len(insts))
+        block = raw_results(raw_rows(insts, policies, x0, alpha0, 1e-8), len(insts), 400)
         terminations = [row[0] for row in block]
         assert terminations[:7] == [GRADIENT_TOLERANCE] * 7
         assert terminations[7:] == [ITERATION_CAP, NONFINITE]
         assert len({len(row[1]) for row in block}) > 5  # rows leave at many steps
         for i, row in enumerate(block):
             (alone,) = raw_results(
-                [(insts[i], policies[i], x0[i], alpha0[i], 1e-8, 400)], 1)
+                [(0, insts[i], policies[i], x0[i], alpha0[i], 1e-8)], 1, 400)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -649,20 +704,20 @@ class TestLockStep:
     def test_per_row_eps_equals_scalar_eps_alone(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
         block = raw_results(
-            raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400), len(insts))
+            raw_rows(insts, policies, x0, alpha0, self.EPSILONS), len(insts), 400)
         assert {row[0] for row in block} == {GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE}
         for i, (row, eps) in enumerate(zip(block, self.EPSILONS)):
             (alone,) = raw_results(
-                [(insts[i], policies[i], x0[i], alpha0[i], eps, 400)], 1)
+                [(0, insts[i], policies[i], x0[i], alpha0[i], eps)], 1, 400)
             assert row[0] == alone[0]
             for got, want in zip(row[1:], alone[1:]):
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_history_free_rows_equal_recorded_rows(self, rng):
         insts, policies, x0, alpha0 = self.mixed_block(rng)
-        rows = raw_rows(insts, policies, x0, alpha0, self.EPSILONS, 400)
-        recorded = raw_results(rows, len(rows))
-        bare = raw_results(rows, len(rows), history=False)
+        rows = raw_rows(insts, policies, x0, alpha0, self.EPSILONS)
+        recorded = raw_results(rows, len(rows), 400)
+        bare = raw_results(rows, len(rows), 400, history=False)
         assert [row[0] for row in bare][7:] == [ITERATION_CAP, NONFINITE]
         assert len({row[1] for row in bare}) > 5  # rows leave at many steps
         for (termination, f_hist, *_), got in zip(recorded, bare):
@@ -674,13 +729,13 @@ class TestLockStep:
         n, width = 200, 8
         insts = [tiny_instance(rng, n, kappa) for kappa in np.geomspace(10.0, 1e3, width)]
         rows = raw_rows(insts, [parse_policy("bb1")] * width, rng.uniform(-1.0, 1.0, (width, n)),
-                        [None] * width, 1e-12, 3)
+                        [None] * width, 1e-12)
 
         def peak(history):
-            raw_results(rows, width, history)
+            raw_results(rows, width, 3, history)
             tracemalloc.start()
             try:
-                results = raw_results(rows, width, history)
+                results = raw_results(rows, width, 3, history)
                 return tracemalloc.get_traced_memory()[1], results
             finally:
                 tracemalloc.stop()
@@ -696,7 +751,7 @@ class TestLockStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ((termination, *_),) = raw_results(
-                [(inst, SteplengthPolicy("bb1"), np.full(30, 1e10), 1.0, 1e-8, 50)], 1
+                [(0, inst, SteplengthPolicy("bb1"), np.full(30, 1e10), 1.0, 1e-8)], 1, 50
             )
         assert termination == NONFINITE
 
@@ -705,29 +760,37 @@ class TestRefill:
     """Rows taken from the iterable as slots free up: each must run as it
     runs alone, whichever slot it lands in and whoever held it before."""
 
+    # the call's cap, which only row 1 (bb2 on a 1e8 spread) reaches: every
+    # other row stops within 49 steps, so at each width the capped row
+    # leaves while rows are still to be taken
+    CAP = 50
+
     def rows(self, rng):
         n = 30
-        # (instance, policy, eps, max_iter); row 0 overflows on its first
-        # step, row 1 caps at 5, row 9 overflows before its first step
+        # (instance, policy, eps); row 0 overflows on its first step, row 1
+        # runs into the cap, row 9 overflows before its first step
         spec = [
-            (tiny_instance(rng, n, 1e300), "gamma:1", 1e-8, 400),
-            (tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n)), "bb2", 1e-8, 5),
-            (tiny_instance(rng, n, 100), "bb1", 1e-12, 400),
-            (tiny_instance(rng, n, 300), "gamma:20", 1e-12, 400),
-            (tiny_instance(rng, n, 50), "tau:0.3", 1e-10, 400),
-            (tiny_instance(rng, n, 200), "atc:3", 1e-12, 400),
-            (tiny_instance(rng, n, 500), "gammaPrime:0.5", 1e-12, 7),
-            (tiny_instance(rng, n, 30), "atc:4", 1e-6, 400),
-            (tiny_instance(rng, n, 10), "bb2", 1e-4, 400),
-            (tiny_instance(rng, n, 1e300), "bb1", 1e-8, 400),
-            (tiny_instance(rng, n, 100), "gamma:1", 1e-8, 400),
+            (tiny_instance(rng, n, 1e300), "gamma:1", 1e-8),
+            (tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n)), "bb2", 1e-8),
+            (tiny_instance(rng, n, 100), "bb1", 1e-6),
+            (tiny_instance(rng, n, 300), "gamma:20", 1e-6),
+            (tiny_instance(rng, n, 50), "tau:0.3", 1e-4),
+            (tiny_instance(rng, n, 200), "atc:3", 1e-6),
+            (tiny_instance(rng, n, 500), "gammaPrime:0.5", 1e-6),
+            (tiny_instance(rng, n, 30), "atc:4", 1e-6),
+            (tiny_instance(rng, n, 10), "bb2", 1e-6),
+            (tiny_instance(rng, n, 1e300), "bb1", 1e-8),
+            (tiny_instance(rng, n, 100), "gamma:1", 1e-6),
+            (tiny_instance(rng, n, 40), "gamma:5", 1e-6),
+            (tiny_instance(rng, n, 80), "bb1", 1e-6),
+            (tiny_instance(rng, n, 60), "atc:2", 1e-6),
         ]
         x0 = rng.uniform(-1.0, 1.0, (len(spec), n))
         alpha0 = rng.uniform(1e-3, 1e-2, len(spec))
         x0[0], alpha0[0] = 1e-160, 1.0
         x0[9], alpha0[9] = 1e10, 1.0
-        return [(inst, parse_policy(pol), x, a, eps, cap)
-                for (inst, pol, eps, cap), x, a in zip(spec, x0, alpha0)]
+        return [(j, inst, parse_policy(pol), x, a, eps)
+                for j, ((inst, pol, eps), x, a) in enumerate(zip(spec, x0, alpha0))]
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_every_row_runs_as_it_runs_alone(self, rng, width):
@@ -742,25 +805,27 @@ class TestRefill:
                 taken.append((set(ended), np.geterr()))
                 yield row
 
-        def on_end(j, result):
+        def on_end(key, result):
             assert np.geterr() == outside
-            ended.append(j)
-            got[j] = result
+            ended.append(key)
+            got[key] = result
 
-        assert kernels.raw_bb_loop(lazy(), width, on_end) is None
+        assert kernels.raw_bb_loop(lazy(), width, self.CAP, on_end) is None
         assert sorted(ended) == list(range(len(rows)))
         assert all(errstate == outside for _, errstate in taken)
-        # the slots left by the nonfinite row, then by the capped row, are
-        # the first to be taken again
+        # the slot left by the nonfinite row is the first to be taken again
         assert [before for before, _ in taken[:width]] == [set()] * width
-        assert taken[width][0] == {0} and taken[width + 1][0] == {0, 1}
+        assert taken[width][0] == {0}
+        # the capped row leaves mid-block, and the next row takes its slot
+        i = next(i for i, (before, _) in enumerate(taken) if 1 in before)
+        assert taken[i][0] - taken[i - 1][0] == {1}
         if width > 1:
             # row 5 (atc:3) joins rows already some steps in
             before = taken[5][0]
             assert before and not set(range(5)) <= before
-        for j, (inst, policy, x0, alpha0, eps, cap) in enumerate(rows):
+        for j, inst, policy, x0, alpha0, eps in rows:
             termination, f_hist, g_hist, a_hist, x = got[j]
-            alone = quadratic.solve_bb(inst, policy, eps, cap, x0=x0, alpha0=alpha0)
+            alone = quadratic.solve_bb(inst, policy, eps, self.CAP, x0=x0, alpha0=alpha0)
             assert termination == alone.termination
             # the trace writes nan over the proposal no step takes
             a_hist = a_hist[:-1] + [math.nan]
@@ -770,15 +835,15 @@ class TestRefill:
             assert x.tobytes() == alone.final_x.tobytes()
         terminations = [got[j][0] for j in range(len(rows))]
         assert terminations[:2] == [NONFINITE, ITERATION_CAP]
-        assert terminations[6] == ITERATION_CAP and len(got[6][1]) == 8  # its own cap
+        assert len(got[1][1]) == self.CAP + 1
         assert terminations[9] == NONFINITE and len(got[9][1]) == 1
-        assert terminations.count(GRADIENT_TOLERANCE) == 7
+        assert terminations.count(GRADIENT_TOLERANCE) == 11
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_history_free_rows_count_what_recorded_rows_count(self, rng, width):
         rows = self.rows(rng)
-        recorded = raw_results(rows, width)
-        bare = raw_results(iter(rows), width, history=False)
+        recorded = raw_results(rows, width, self.CAP)
+        bare = raw_results(iter(rows), width, self.CAP, history=False)
         assert len(bare) == len(rows)
         for (termination, f_hist, *_), got in zip(recorded, bare):
             # a count-only row carries no x, so its result has none
@@ -786,8 +851,22 @@ class TestRefill:
 
     def test_empty_rows(self):
         ended = []
-        assert kernels.raw_bb_loop([], 3, lambda j, result: ended.append(j)) is None
+        assert kernels.raw_bb_loop([], 3, self.CAP, lambda key, result: ended.append(key)) is None
         assert ended == []
+
+    def test_any_key_comes_back_unchanged(self, rng):
+        rows = self.rows(rng)
+        keys = [f"row {j}" if j % 2 else ("row", j) for j in range(len(rows))]
+        keys[4] = object()
+        got = {}  # by the id of the key on_end was given
+
+        def on_end(key, result):
+            got[id(key)] = key, result
+
+        kernels.raw_bb_loop([(key, *row[1:]) for key, row in zip(keys, rows)], 3, self.CAP,
+                            on_end, history=False)
+        want = raw_results(rows, 3, self.CAP, history=False)
+        assert [got[id(key)] for key in keys] == list(zip(keys, want))
 
 
 class TestLongRowRuns:
@@ -800,18 +879,17 @@ class TestLongRowRuns:
     POLICIES = ("bb1", "bb2", "gamma:1", "gammaPrime:0.5", "tau:0.3", "atc:3")
 
     def rows(self, rng):
-        # (instance, policy, x0, alpha0, eps, max_iter) rows for the raw
-        # loop: row 0 overflows on its first step and ends nonfinite,
-        # row 1 runs into its cap
+        # (key, instance, policy, x0, alpha0, eps) rows for the raw loop,
+        # run to a cap of 400: row 0 overflows on its first step and ends
+        # nonfinite, row 1 runs into the cap
         n = self.N
         insts = [tiny_instance(rng, n, 1e300), tiny_instance(rng, n, v=np.geomspace(1.0, 1e8, n))]
         insts += [tiny_instance(rng, n, kappa) for kappa in (100, 1e4, 50, 300)]
         x0 = rng.uniform(-1.0, 1.0, (len(insts), n))
         alpha0 = rng.uniform(1e-3, 1e-2, len(insts))
         x0[0], alpha0[0] = 1e-160, 1.0
-        caps = [400, 5, 400, 400, 400, 400]
-        return [(inst, parse_policy(pol), x, a, 1e-10, cap)
-                for inst, pol, x, a, cap in zip(insts, self.POLICIES, x0, alpha0, caps)]
+        return [(j, inst, parse_policy(pol), x, a, 1e-10)
+                for j, (inst, pol, x, a) in enumerate(zip(insts, self.POLICIES, x0, alpha0))]
 
     def both(self, monkeypatch, run):
         # run() with the default work array, then with one of 64 doubles
@@ -827,8 +905,8 @@ class TestLongRowRuns:
         rows = self.rows(rng)
 
         def run():
-            return [quadratic.solve_bb(inst, policy, eps, cap, x0=x0, alpha0=alpha0)
-                    for inst, policy, x0, alpha0, eps, cap in rows]
+            return [quadratic.solve_bb(inst, policy, eps, 400, x0=x0, alpha0=alpha0)
+                    for _, inst, policy, x0, alpha0, eps in rows]
 
         whole, sliced = self.both(monkeypatch, run)
         assert [tr.termination for tr in whole[:2]] == [NONFINITE, ITERATION_CAP]
@@ -844,10 +922,10 @@ class TestLongRowRuns:
         # in slices of 32 doubles
         rows = self.rows(rng)
         whole, sliced = self.both(
-            monkeypatch, lambda: raw_results(rows, width, history=False))
+            monkeypatch, lambda: raw_results(rows, width, 400, history=False))
         assert [r[0] for r in whole[:2]] == [NONFINITE, ITERATION_CAP]
         assert sliced == whole
-        recorded = raw_results(rows, width)
+        recorded = raw_results(rows, width, 400)
         assert whole == [(termination, len(f_hist) - 1)
                          for termination, f_hist, *_ in recorded]
 

@@ -241,6 +241,36 @@ class TestHomogeneousResidual:
         assert got > 0.0
         assert got == pytest.approx(alpha_tls(pair), rel=1e-9)
 
+    @pytest.mark.parametrize("c", [10.0**k for k in range(5, 13)])
+    def test_tiny_quotients_keep_their_digits(self, c):
+        # the quotient is about 1/c, refined in tan t near t = 0 to a
+        # tolerance relative to the cell; an absolute floor of 1e-12 gave
+        # 7.05e-13 against 9.50e-13 at c = 1e12
+        pair = StepPair([1.0, 1.0], [c, 1.1 * c])
+        assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-9, abs=0)
+
+    def test_random_pairs_across_scales(self, rng):
+        # ||y|| / ||s|| across 1e+-9; a quotient near 1e+-12 is refined to
+        # about 1e-20 absolute in a coordinate near 1e-12, so 1e-8 relative
+        for _ in range(2000):
+            s, y = rng.standard_normal((2, 3))
+            y *= 10.0 ** rng.uniform(-9.0, 9.0) * np.linalg.norm(s) / np.linalg.norm(y)
+            pair = StepPair(s, y if s @ y > 0.0 else -y)
+            assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-8,
+                                                                   abs=0)
+
+    def test_best_fit_off_s_is_degenerate(self):
+        # s'y = 0 and ||s|| > ||y||: the best fit is a1 = 0, an infinite
+        # quotient, which came out as -2.16e22
+        with pytest.raises(DegenerateInputError):
+            homogeneous_residual_min(StepPair([1.0, 0.0], [0.0, 0.5]))
+
+    def test_zero_s_gives_zero(self):
+        # the fit is a2 = 0: the quotient is 0 to within the refinement's
+        # tolerance (it was -2.4e-13)
+        got = homogeneous_residual_min(StepPair([0.0, 0.0], [1.0, 2.0]))
+        assert abs(got) <= 1e-20
+
     @pytest.mark.parametrize("s, y", [
         ([1.0, 1.0], [1e-200, 1e-200]),  # y'y underflows to 0
         ([1e200, 0.0], [1e-150, 0.0]),  # s's overflows to inf

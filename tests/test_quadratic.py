@@ -462,8 +462,8 @@ class TestSolveBB:
             warnings.simplefilter("always")
             alone = [solve_bb(inst, policy, 1e-6, 100) for policy in policies]
             block = raw_results(
-                [(inst, policy, np.ones(3), None, 1e-6, 100) for policy in policies],
-                len(policies))
+                [(j, inst, policy, np.ones(3), None, 1e-6) for j, policy in enumerate(policies)],
+                len(policies), 100)
         assert caught == []
         assert capsys.readouterr().err == ""
         for tr, (termination, f_hist, g_hist, a_hist, x) in zip(alone, block):
@@ -474,8 +474,9 @@ class TestSolveBB:
 
     def test_block_checks_each_epsilon(self, inst):
         x0 = np.ones(inst.dim)
-        rows = [(inst, SteplengthPolicy("bb1"), x0, None, eps, 500) for eps in (1e-6, 1e-2, 1e-4)]
-        runs = raw_results(rows, 3, history=False)
+        rows = [(j, inst, SteplengthPolicy("bb1"), x0, None, eps)
+                for j, eps in enumerate((1e-6, 1e-2, 1e-4))]
+        runs = raw_results(rows, 3, 500, history=False)
         counts = [solve_bb(inst, SteplengthPolicy("bb1"), eps, 500).iterations
                   for eps in (1e-6, 1e-2, 1e-4)]
         assert [its for _, its in runs] == counts

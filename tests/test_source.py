@@ -131,9 +131,10 @@ def unpassed_keywords(sources, callers):
     definition by name alone: f(...), m.f(...) and obj.f(...) all count
     for every f.  A call passes a parameter by keyword, by position
     (after self or cls for a method), or through a * or ** splat, which
-    passes every parameter it could reach.
+    passes every parameter it could reach.  A keyword given as a constant
+    equal to the parameter's default constant passes nothing.
     """
-    defaulted = []  # (module, function, parameter names, defaulted names)
+    defaulted = []  # (module, function, parameter names, {defaulted name: default})
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, ast.FunctionDef):
@@ -149,8 +150,9 @@ def unpassed_keywords(sources, callers):
                     continue
                 a = d.args
                 positional = [p.arg for p in a.posonlyargs + a.args][skip:]
-                named = positional[len(positional) - len(a.defaults):] if a.defaults else []
-                named += [p.arg for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+                named = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                named.update((p.arg, v) for p, v in zip(a.kwonlyargs, a.kw_defaults)
+                             if v is not None)
                 if named:
                     defaulted.append((module, d.name, positional, named))
     passed = {}  # function name -> parameters some call passes
@@ -163,15 +165,24 @@ def unpassed_keywords(sources, callers):
             got = passed.setdefault(name, set())
             for i, arg in enumerate(node.args):
                 got.add(("*", i) if isinstance(arg, ast.Starred) else i)
-            got.update("**" if k.arg is None else k.arg for k in node.keywords)
+            for k in node.keywords:
+                if k.arg is None:
+                    got.add("**")
+                elif isinstance(k.value, ast.Constant):  # held against the default below
+                    got.add(("=", k.arg, k.value.value))
+                else:
+                    got.add(k.arg)
     found = []
     for module, name, positional, named in defaulted:
         got = passed.get(name, set())
-        starred = [i for i in got if isinstance(i, tuple)]
-        for p in named:
+        marked = [g for g in got if isinstance(g, tuple)]
+        starred = [g[1] for g in marked if g[0] == "*"]
+        for p, default in named.items():
             i = positional.index(p) if p in positional else None
+            same = default.value if isinstance(default, ast.Constant) else object()
             if not (p in got or "**" in got or i in got
-                    or (i is not None and any(i >= j for _, j in starred))):
+                    or (i is not None and any(i >= j for j in starred))
+                    or any(g[:2] == ("=", p) and g[2] != same for g in marked)):
                 found.append((module, name, p))
     return sorted(found)
 
@@ -181,14 +192,17 @@ def test_unpassed_keywords_are_found():
         "a.py": "def f(x, y=1, *, z=2, w=3):\n    pass\ndef _g(x=1):\n    pass\n"
                 "class C:\n    def m(self, a=1, b=2):\n        pass\n"
                 "    @staticmethod\n    def s(a=1, b=2):\n        pass\n"
-                "def h(p=1, q=2):\n    pass\ndef k(u=1, v=2, t=3):\n    pass\n",
+                "def h(p=1, q=2):\n    pass\ndef k(u=1, v=2, t=3):\n    pass\n"
+                "def d(a=None, b=1, c=2, e=x):\n    pass\n",
     }
     callers = {
-        "a.py": "f(0, z=5)\nc.m(1)\nC.s(1)\nkw = {}\nh(**kw)\nk(0, *rest)\n",
+        "a.py": "f(0, z=5)\nc.m(1)\nC.s(1)\nkw = {}\nh(**kw)\nk(0, *rest)\n"
+                "d(a=None, b=2, c=y, e=None)\nd(b=1)\n",
         "b.py": "import a\na.f(1, 2)\n",
     }
+    # d's a is passed only as its own default; its e's default is no constant
     assert unpassed_keywords(sources, callers) == [
-        ("a.py", "f", "w"), ("a.py", "m", "b"), ("a.py", "s", "b"),
+        ("a.py", "d", "a"), ("a.py", "f", "w"), ("a.py", "m", "b"), ("a.py", "s", "b"),
     ]
 
 
@@ -199,6 +213,8 @@ UNPASSED_BY_DESIGN = {
     ("oracle.py", "oracle_steplength", "prev_alpha"),
     # tests audit hand-built traces against a config they give
     ("solver.py", "audit_trace", "config"),
+    # tests start raw runs off other points, such as scaled starts
+    ("quadratic.py", "solve_bb", "x0"),
 }
 
 
