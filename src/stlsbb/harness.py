@@ -340,7 +340,13 @@ def run_rosenbrock_table(
 @dataclass(frozen=True)
 class ProfileTable:
     """Performance ratios r[p, s] = cost[p, s] / min_s cost[p, s], with
-    +inf marking failures."""
+    +inf marking failures.
+
+    Each solver's ratios are sorted once, so rho(theta) is a binary
+    search: the count of ratios <= theta over the P problems, the same
+    float64 as the mean of the boolean column.  A whole profile of T
+    thresholds costs O(S P log P + T S log P) instead of T S passes over
+    P problems."""
 
     solvers: tuple
     ratios: np.ndarray
@@ -350,35 +356,42 @@ class ProfileTable:
         r.setflags(write=False)
         object.__setattr__(self, "ratios", r)
         object.__setattr__(self, "solvers", tuple(self.solvers))
+        object.__setattr__(self, "_sorted", np.sort(r, axis=0))
 
     def _col(self, s):
+        # solver s's ratios in ascending order, nan (if any) last
         if isinstance(s, str):
             s = self.solvers.index(s)
-        return self.ratios[:, s]
+        return self._sorted[:, s]
 
     def rho(self, s, theta):
         """Fraction of problems solver s solves within a factor theta of
         the per-problem best."""
         if not theta >= 1.0:
             raise InvalidParameterError(f"theta must be >= 1, got {theta!r}")
-        return float(np.mean(self._col(s) <= theta))
+        return int(np.searchsorted(self._col(s), theta, side="right")) / len(self.ratios)
 
     def solve_fraction(self, s):
         """rho at theta -> inf: the fraction of problems solved at all."""
-        return float(np.mean(np.isfinite(self._col(s))))
+        return int(np.count_nonzero(np.isfinite(self._col(s)))) / len(self.ratios)
 
     def thresholds(self):
         """Sorted unique finite ratios (always starting at 1), the points
         where some rho curve steps."""
-        finite = self.ratios[np.isfinite(self.ratios)]
-        return np.unique(np.concatenate(([1.0], finite)))
+        v = np.sort(np.concatenate(([1.0], self.ratios[np.isfinite(self.ratios)])))
+        return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
     def to_csv(self):
+        thetas = self.thresholds()
+        if not thetas[0] >= 1.0:  # a ratio below 1, which rho rejects as theta
+            raise InvalidParameterError(f"theta must be >= 1, got {thetas[0]!r}")
+        counts = [np.searchsorted(col, thetas, side="right") for col in self._sorted.T]
+        rhos = np.stack(counts, axis=1) / len(self.ratios)
         return _csv_text(
             "stlsbb-profile-v1",
             ["theta", *self.solvers],
-            ([fmt17(theta)] + [fmt17(self.rho(j, theta)) for j in range(len(self.solvers))]
-             for theta in self.thresholds()),
+            ([fmt17(theta)] + [fmt17(r) for r in row]
+             for theta, row in zip(thetas.tolist(), rhos.tolist())),
         )
 
 

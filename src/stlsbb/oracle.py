@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidBracketError, NonpositiveCurvatureError
+from .errors import (DegenerateInputError, InvalidBracketError, InvalidParameterError,
+                     NonpositiveCurvatureError)
 from .steps import _gamma_value, _run_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -165,6 +166,46 @@ def family_prime_argmin(pair, gamma):
     return 1.0 / _search_centered(yy, ss, sy, gamma, lo, hi, 1e-12)
 
 
+def family_switch_steplength(pair, gamma):
+    """Family steplength written as a curvature switch: bb1 * phi(r, c).
+
+    r = ||y|| / (gamma ||s||) weighs the gradient change against gamma
+    times the step and c = s'y / (||s|| ||y||) is the cosine of their
+    angle; phi = (1 - r^2 + sqrt((1 - r^2)^2 + 4 r^2 c^2)) / 2 runs from 1
+    (bb1) at r -> 0 to c^2 (bb2 = bb1 c^2) at r -> inf and equals c at
+    r = 1, where the steplength is sqrt(bb1 bb2).  It is the positive root
+    of the scaled-TLS ratio's stationarity condition, in closed form but
+    derived here, independently of the kernels; for r > 1 phi is
+    evaluated as 2 r^2 c^2 / (sqrt(...) - (1 - r^2)), which cancels
+    nothing.
+    """
+    ss, yy, sy = _pair_scalars(pair)
+    ns, ny = math.sqrt(ss), math.sqrt(yy)
+    r = ny / (_gamma_value(gamma) * ns)
+    c = sy / (ns * ny)
+    e, w = (1.0 - r) * (1.0 + r), (r * c) ** 2
+    root = math.sqrt(e * e + 4.0 * w)
+    phi = 0.5 * (e + root) if r <= 1.0 else 2.0 * w / (root - e)
+    return ss / sy * phi
+
+
+def family_switch_gamma(pair, alpha):
+    """The gamma whose family steplength is alpha, the inverse of
+    family_switch_steplength: gamma^2 = (alpha yy - s'y) /
+    (alpha (ss - alpha s'y)), from the stationarity condition solved for
+    1/gamma^2.  alpha must lie strictly inside (bb2, bb1); near either
+    end the difference cancels, so gamma there is only as good as alpha's
+    distance from it.
+    """
+    ss, yy, sy = _pair_scalars(pair)
+    a = float(alpha)
+    num, den = a * yy - sy, a * (ss - a * sy)
+    if not (num > 0.0 and den > 0.0):
+        raise InvalidParameterError(
+            f"alpha = {alpha!r} lies outside (bb2, bb1); no gamma gives it")
+    return math.sqrt(num / den)
+
+
 def _least_squares_argmin(a, b, sy):
     # golden-section minimizer over t > 0 of ||t u - v||^2 for ||u||^2 = a,
     # ||v||^2 = b and u'v = sy, searched as t (a t - 2 sy), the fit minus
@@ -208,17 +249,19 @@ def homogeneous_residual_min(pair):
     equals (||s||^2 + ||y||^2)/2 plus the exact sinusoid
     (||s||^2 - ||y||^2)/2 * cos 2t - s'y * sin 2t.  A grid of 200 000
     angles over [-pi/2, pi/2] scans the sinusoid, then golden section
-    refines the winning cell to 4e-16 times the sum of its end values.
-    Where |t| <= pi/4 it refines in quotient coordinates a = tan t, where
-    the residual minus its asymptote is (||s||^2 - ||y||^2 - 2 s'y a) /
-    (1 + a^2); elsewhere in cot t, the same fit with s and y exchanged, and
-    returns the reciprocal: cot is finite and monotone across +-pi/2, where
-    the grid's two ends are one antipodal point.  The quotient is the
-    coefficient on y over the coefficient on s, i.e. the steplength alpha
-    for which alpha*y best reproduces s after homogenizing; for pairs with
-    s'y > 0 it equals the gamma = 1 family steplength.  A zero ||y||^2, an
-    overflowed ||s||^2 or ||y||^2, or a best fit with a1 = 0 (a refined
-    cot within its tolerance of 0) leaves it undefined.
+    refines the winning cell to 4e-16 times the sum of its end values,
+    and once more, 8 of those tolerances either side of the result, to
+    4e-16 times the result itself.  Where |t| <= pi/4 it refines in
+    quotient coordinates a = tan t, where the residual minus its asymptote
+    is (||s||^2 - ||y||^2 - 2 s'y a) / (1 + a^2); elsewhere in cot t, the
+    same fit with s and y exchanged, and returns the reciprocal: cot is
+    finite and monotone across +-pi/2, where the grid's two ends are one
+    antipodal point.  The quotient is the coefficient on y over the
+    coefficient on s, i.e. the steplength alpha for which alpha*y best
+    reproduces s after homogenizing; for pairs with s'y > 0 it equals the
+    gamma = 1 family steplength.  A zero ||y||^2, an overflowed ||s||^2 or
+    ||y||^2, or a best fit with a1 = 0 (a refined cot within its
+    tolerance of 0) leaves it undefined.
     """
     ss, yy, sy = pair.ss, pair.yy, pair.sy
     if yy == 0.0 or not (math.isfinite(ss) and math.isfinite(yy)):
@@ -236,6 +279,10 @@ def homogeneous_residual_min(pair):
     lo, hi = math.tan(u - h), math.tan(u + h)
     tol = 4e-16 * (abs(lo) + abs(hi))
     a = _search_centered(ss, yy, sy, 1.0, lo, hi, tol)
+    # the cell's tolerance is absolute in a: near a = 0 it leaves only
+    # about 1e-9 of the quotient's relative digits
+    a = _search_centered(ss, yy, sy, 1.0, a - 8.0 * tol, a + 8.0 * tol,
+                         max(4e-16 * abs(a), 1e-300))
     if not wrap:
         return a
     if abs(a) <= tol:

@@ -355,6 +355,28 @@ class TestProfile:
             main(["profile", "--costs", "x.csv", "--cells", "y.csv"])
         assert exc.value.code == 1
 
+    def test_profiles_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports all of numpy.ma on its first call; the import
+        # of the CLI alone loads neither numpy.ma nor numpy.random
+        (tmp_path / "costs.csv").write_text("problem,a,b\np1,10,20\np2,20,fail\n")
+        script = (
+            "import sys\n"
+            "import stlsbb.cli\n"
+            "print(sorted(m for m in ('numpy.ma', 'numpy.random') if m in sys.modules))\n"
+            "stlsbb.cli.main(['profile', '--costs', 'costs.csv', '--out', 'p1.csv'])\n"
+            "stlsbb.cli.main(['bench', '--n', '10', '--seeds', '2', '--policies', 'bb1,bb2',\n"
+            "                 '--quiet', '--profile', 'p2.csv'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "False"
+        assert (tmp_path / "p1.csv").exists() and (tmp_path / "p2.csv").exists()
+
 
 def _instance_doc(drop=None, **changes):
     d = generate_instance(5, SpectrumSetting(1, 500.0), 0).to_dict()

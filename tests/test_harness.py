@@ -524,6 +524,62 @@ class TestPerformanceProfile:
         assert lines[3] == f"{fmt17(2.0)},{fmt17(1.0)},{fmt17(1.0)}"
 
 
+def scanned_profile_csv(table):
+    """The profile CSV by full scans: np.unique thresholds and one
+    np.mean(col <= theta) per threshold and solver."""
+    finite = table.ratios[np.isfinite(table.ratios)]
+    thetas = np.unique(np.concatenate(([1.0], finite)))
+    lines = ["# stlsbb-profile-v1", ",".join(["theta", *table.solvers])]
+    for theta in thetas:
+        lines.append(",".join([fmt17(theta)] + [fmt17(np.mean(table.ratios[:, j] <= theta))
+                                                for j in range(len(table.solvers))]))
+    return "\n".join(lines) + "\n", thetas
+
+
+class TestProfileMatchesScans:
+    """The sorted columns answer exactly what full scans of the ratio
+    matrix answer, byte for byte and float for float."""
+
+    def check(self, costs):
+        table = performance_profile(costs)
+        text, thetas = scanned_profile_csv(table)
+        assert table.to_csv() == text
+        assert np.array_equal(table.thresholds(), thetas)
+        probes = np.concatenate((thetas, thetas * (1.0 + 1e-12), [1.5, 1e300, math.inf]))
+        for j in range(len(table.solvers)):
+            col = table.ratios[:, j]
+            assert table.solve_fraction(j) == float(np.mean(np.isfinite(col)))
+            for theta in probes:
+                assert table.rho(j, theta) == float(np.mean(col <= theta))
+
+    def test_random_matrices_with_ties_and_failures(self, rng):
+        for _ in range(40):
+            p, s = rng.integers(1, 40), rng.integers(2, 7)
+            # few distinct costs, so ratios tie within and across columns
+            costs = rng.integers(1, 12, size=(p, s)).astype(float)
+            costs[rng.uniform(size=(p, s)) < 0.3] = math.inf
+            costs[np.isinf(costs).all(axis=1), 0] = 3.0
+            self.check(costs)
+
+    def test_random_real_costs(self, rng):
+        for _ in range(20):
+            self.check(rng.uniform(1.0, 1e4, size=(rng.integers(1, 300), 5)))
+
+    def test_a_solver_that_solves_one_problem(self):
+        costs = np.full((7, 3), math.inf)
+        costs[:, 0] = np.arange(1.0, 8.0)
+        costs[4, 1] = 2.5
+        self.check(costs)
+
+    def test_a_single_problem(self):
+        self.check([[4.0, 4.0, 6.0, math.inf]])
+
+    def test_a_ratio_below_one_is_rejected_as_before(self):
+        table = ProfileTable(("a", "b"), [[0.5, 1.0], [1.0, 2.0]])
+        with pytest.raises(InvalidParameterError, match="theta must be >= 1"):
+            table.to_csv()
+
+
 class TestProfileFromCells:
     def test_pivot_matches_direct_matrix(self):
         cells = [

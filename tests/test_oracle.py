@@ -30,7 +30,9 @@ from stlsbb import (
     parse_policy,
     stls_ratio,
 )
-from stlsbb.oracle import bb1_argmin, bb2_argmin, family_bracket
+from stlsbb.kernels import policy_step
+from stlsbb.oracle import (bb1_argmin, bb2_argmin, family_bracket, family_switch_gamma,
+                           family_switch_steplength)
 
 from conftest import random_pair
 
@@ -243,21 +245,36 @@ class TestHomogeneousResidual:
 
     @pytest.mark.parametrize("c", [10.0**k for k in range(5, 13)])
     def test_tiny_quotients_keep_their_digits(self, c):
-        # the quotient is about 1/c, refined in tan t near t = 0 to a
-        # tolerance relative to the cell; an absolute floor of 1e-12 gave
-        # 7.05e-13 against 9.50e-13 at c = 1e12
+        # the quotient is about 1/c, refined in tan t near t = 0, last to a
+        # tolerance relative to itself; an absolute floor of 1e-12 gave
+        # 7.05e-13 against 9.50e-13 at c = 1e12, and a tolerance relative
+        # to the grid cell alone 7.5e-10 relative
         pair = StepPair([1.0, 1.0], [c, 1.1 * c])
-        assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-9, abs=0)
+        assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-13,
+                                                               abs=0)
 
     def test_random_pairs_across_scales(self, rng):
         # ||y|| / ||s|| across 1e+-9; a quotient near 1e+-12 is refined to
-        # about 1e-20 absolute in a coordinate near 1e-12, so 1e-8 relative
+        # full relative precision by the second pass (worst 2.7e-13 here,
+        # 2.8e-10 with the grid cell's tolerance alone)
         for _ in range(2000):
             s, y = rng.standard_normal((2, 3))
             y *= 10.0 ** rng.uniform(-9.0, 9.0) * np.linalg.norm(s) / np.linalg.norm(y)
             pair = StepPair(s, y if s @ y > 0.0 else -y)
-            assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-8,
+            assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-11,
                                                                    abs=0)
+
+    def test_nearly_orthogonal_pair_keeps_its_digits(self):
+        # quotient 6.16e-16 at cos(s, y) = 4.2e-7, drawn by the generator
+        # above at seed 4: refined to the grid cell's tolerance alone it
+        # came out 5.3e-6 off, and now agrees to 1.4e-10
+        s = [-float.fromhex("0x1.f770675126650p-3"), -float.fromhex("0x1.35988ed3d8e53p-1"),
+             float.fromhex("0x1.a37f0ebf0a49dp-3")]
+        y = [-float.fromhex("0x1.cee8e214d0221p+24"), float.fromhex("0x1.329fbba944904p+27"),
+             float.fromhex("0x1.a1de1703ed675p+28")]
+        pair = StepPair(s, y)
+        assert alpha_tls(pair) == 6.1597078036772681e-16
+        assert homogeneous_residual_min(pair) == pytest.approx(alpha_tls(pair), rel=1e-9, abs=0)
 
     def test_best_fit_off_s_is_degenerate(self):
         # s'y = 0 and ||s|| > ||y||: the best fit is a1 = 0, an infinite
@@ -279,6 +296,50 @@ class TestHomogeneousResidual:
     def test_lost_norm_is_degenerate(self, s, y):
         with pytest.raises(DegenerateInputError):
             homogeneous_residual_min(StepPair(s, y))
+
+
+class TestCurvatureSwitch:
+    """The family as bb1 * phi(r, c), and its inverse alpha -> gamma."""
+
+    def draws(self, rng, count):
+        # ||y|| / ||s|| and gamma log-uniform across 1e+-4
+        for _ in range(count):
+            s, y = rng.standard_normal((2, 3))
+            y *= 10.0 ** rng.uniform(-4.0, 4.0) * np.linalg.norm(s) / np.linalg.norm(y)
+            yield StepPair(s, y if s @ y > 0.0 else -y), 10.0 ** rng.uniform(-4.0, 4.0)
+
+    def test_matches_the_kernel(self, rng):
+        # worst 7.9e-15 relative over 1e5 such draws
+        for pair, g in self.draws(rng, 2000):
+            want = policy_step(SteplengthPolicy("gamma", gamma=g), pair.ss, pair.yy, pair.sy,
+                               None, 0)
+            assert family_switch_steplength(pair, g) == pytest.approx(want, rel=2e-14, abs=0)
+
+    def test_gamma_round_trips(self, rng):
+        # alpha -> gamma -> alpha, for alpha at least 1e-6 relative inside
+        # (bb2, bb1); worst 6.9e-15 over 1e5 draws
+        checked = 0
+        for pair, g in self.draws(rng, 2000):
+            a = family_switch_steplength(pair, g)
+            b1, b2 = bb1(pair), bb2(pair)
+            if a - b2 >= 1e-6 * b2 and b1 - a >= 1e-6 * b1:
+                checked += 1
+                back = family_switch_steplength(pair, family_switch_gamma(pair, a))
+                assert back == pytest.approx(a, rel=2e-14, abs=0)
+        assert checked > 1000
+
+    def test_balanced_gamma_gives_the_geometric_mean(self, rng):
+        # gamma = ||y|| / ||s|| is r = 1, where phi = c
+        for pair, _ in self.draws(rng, 200):
+            g = math.sqrt(pair.yy / pair.ss)
+            assert family_switch_steplength(pair, g) == pytest.approx(
+                math.sqrt(bb1(pair) * bb2(pair)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [lambda b1, b2: 0.5 * b2, lambda b1, b2: 2.0 * b1,
+                                       lambda b1, b2: -b2, lambda b1, b2: -b1])
+    def test_alpha_outside_the_bb_interval_has_no_gamma(self, canonical_pair, alpha):
+        with pytest.raises(InvalidParameterError, match="outside"):
+            family_switch_gamma(canonical_pair, alpha(bb1(canonical_pair), bb2(canonical_pair)))
 
 
 class TestOracleDispatch:
