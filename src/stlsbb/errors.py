@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the three checks that
+every constructor and entry point reads its numbers through."""
+
+import operator
+import sys
 
 
 class StlsbbError(Exception):
@@ -43,3 +47,41 @@ class LineSearchStallError(StlsbbError):
 
 class AllFailedOnProblemError(StlsbbError):
     """A performance profile needs at least one finite cost per problem."""
+
+
+def real(value, name):
+    """value as float() reads it (so nan and inf pass)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def inside(value, name, lo, hi, closed=False):
+    """value as a float in (lo, hi), or [lo, hi] when closed; never nan,
+    so (0, inf) means positive and finite."""
+    v = real(value, name)
+    if not (lo <= v <= hi if closed else lo < v < hi):  # false for nan
+        ends = "[]" if closed else "()"
+        raise InvalidParameterError(
+            f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
+    return v
+
+
+def count(value, name, least=1):
+    """value as an int >= least (any whole number when least is None):
+    ints, numpy integers and digit strings exactly, any other real only
+    when integral, so 2.5 is refused, never truncated; and nothing a
+    float cannot hold, such as 10**400."""
+    try:
+        n = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        try:
+            v = float(value)
+            n = int(v) if v.is_integer() else None  # false for inf and nan
+        except (TypeError, ValueError, OverflowError):
+            n = None
+    if n is None or abs(n) > sys.float_info.max or (least is not None and n < least):
+        floor = "" if least is None else f">= {least} and "
+        raise InvalidParameterError(f"{name} must be {floor}whole, got {value!r}")
+    return n

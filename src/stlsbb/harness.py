@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import kernels, quadratic, solver, trace
-from .errors import AllFailedOnProblemError, InvalidParameterError, StlsbbError
+from .errors import AllFailedOnProblemError, InvalidParameterError, StlsbbError, count, inside
 from .steps import parse_policy
 
 CAP_MARK = "--"
@@ -64,38 +64,36 @@ class ExperimentGrid:
     max_iter: int = 20000
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        for name, read, _ in _AXES:
-            object.__setattr__(self, name, tuple(read(v) for v in getattr(self, name)))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
         for name in ("n", "max_iter"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for name, _, _ in _AXES:
-            if not getattr(self, name):
+            object.__setattr__(self, name, count(getattr(self, name), name))
+        for name, check in _AXES:
+            values = tuple(check(v, name) for v in getattr(self, name))
+            if not values:
                 raise InvalidParameterError(f"grid axis {name} is empty")
-        for e in self.epsilons:
-            if not (0.0 < e < 1.0):
-                raise InvalidParameterError(f"epsilon must lie in (0, 1), got {e!r}")
-        # a repeated value would count one run twice; policy typos fail here
-        for name, _, key in _AXES:
+            object.__setattr__(self, name, values)
+            # a repeated value would count one run twice; policies compare
+            # as parsed, so gamma:20 and gamma:20.0 are one, and typos fail here
             seen = set()
-            for raw in getattr(self, name):
-                value = key(raw)
-                if value in seen:
-                    raise InvalidParameterError(f"grid axis {name} repeats {raw!r}")
-                seen.add(value)
+            for value in values:
+                key = parse_policy(value) if name == "policies" else value
+                if key in seen:
+                    raise InvalidParameterError(f"grid axis {name} repeats {value!r}")
+                seen.add(key)
 
     def cell_count(self):
-        return math.prod(len(getattr(self, name)) for name, _, _ in _AXES)
+        return math.prod(len(getattr(self, name)) for name, _ in _AXES)
 
 
 # ExperimentGrid's axes in grid order, the order run_quadratic_sweep
-# iterates them, each with the reader its values are stored through and
-# the key they compare by: policies compare as parsed, so gamma:20 and
-# gamma:20.0 are one
-_AXES = (("setting_ids", int, int), ("kappas", float, float), ("epsilons", float, float),
-         ("seeds", int, int), ("policies", str, parse_policy))
+# iterates them, each with the check its values are stored through.  A
+# recipe number, or a kappa under a recipe's floor, that the instances
+# refuse ends its cells as errors; a kappa, an epsilon or a seed that no
+# cell could run with fails here
+_AXES = (("setting_ids", lambda sid, name: count(sid, name, least=None)),
+         ("kappas", lambda kappa, name: inside(kappa, name, 1.0, math.inf)),
+         ("epsilons", lambda e, name: inside(e, name, 0.0, 1.0)),
+         ("seeds", lambda seed, name: count(seed, name, least=0)),
+         ("policies", lambda text, name: str(text)))
 
 
 @dataclass(frozen=True)
@@ -238,15 +236,43 @@ def sweep_to_csv(cells):
 
 
 def sweep_from_csv(text):
-    """Inverse of sweep_to_csv."""
+    """Inverse of sweep_to_csv, which reads back every row it writes.
+
+    A row must have the nine columns and numbers of their kinds, read
+    through count and inside; otherwise it raises ValueError, as for
+    text where a number belongs.  A row that reads but breaks a rule
+    the writer keeps raises InvalidParameterError: its policy must parse,
+    and its status hold its iterations, 0..max_iter for ok, max_iter for
+    cap, and none for nonfinite and error:<type>.
+    """
     rows = _csv_rows(text)
     if not rows or rows[0] != _SWEEP_HEADER:
         raise InvalidParameterError("not a sweep CSV (missing or wrong header row)")
-    return [
-        SweepCell(int(sid), float(kappa), float(eps), int(seed), int(n), policy,
-                  int(max_iter), None if iterations == "" else int(iterations), status)
-        for sid, kappa, eps, seed, n, policy, max_iter, iterations, status in rows[1:]
-    ]
+    cells = []
+    for i, (sid, kappa, eps, seed, n, policy, max_iter, iterations, status) in enumerate(
+            rows[1:], 1):
+        try:
+            cell = SweepCell(
+                count(sid, "setting", least=None), inside(kappa, "kappa", 1.0, math.inf),
+                inside(eps, "epsilon", 0.0, 1.0), count(seed, "seed", least=0), count(n, "n"),
+                policy, count(max_iter, "max_iter"),
+                None if iterations == "" else count(iterations, "iterations", least=0), status)
+        except InvalidParameterError as exc:
+            raise ValueError(f"sweep row {i}: {exc}") from exc
+        parse_policy(policy)
+        k, cap = cell.iterations, cell.max_iter
+        if status == "ok":
+            held = k is not None and k <= cap
+        elif status == "cap":
+            held = k == cap
+        else:
+            held = k is None and (status == "nonfinite" or status.startswith("error:"))
+        if not held:
+            raise InvalidParameterError(
+                f"sweep row {i}: status {status!r} cannot hold iterations {iterations!r} "
+                f"at max_iter {cap}")
+        cells.append(cell)
+    return cells
 
 
 def averages_to_csv(avg_rows):
@@ -314,6 +340,8 @@ def run_rosenbrock_table(
     the iterate is within epsilon of the minimizer (1, 1); a run that
     exhausts max_iter first gets None.  Every cell is an independent run.
     """
+    epsilons = tuple(inside(e, "epsilon", 0.0, math.inf) for e in epsilons)
+    max_iter = count(max_iter, "max_iter")
     obj = solver.rosenbrock2()
     target = np.array([1.0, 1.0])
     counts = []
@@ -321,8 +349,8 @@ def run_rosenbrock_table(
         row = []
         for pol in policies:
             config = solver.SolverConfig(
-                epsilon=float(eps),
-                max_iter=int(max_iter),
+                epsilon=eps,
+                max_iter=max_iter,
                 alpha0=1.0,
                 stop_rule=solver.STOP_POINT_DIST,
                 target=target,
@@ -331,7 +359,7 @@ def run_rosenbrock_table(
             row.append(tr.iterations if tr.solved else None)
         counts.append(tuple(row))
     return RosenbrockTable(
-        epsilons=tuple(float(e) for e in epsilons),
+        epsilons=epsilons,
         policies=tuple(policies),
         counts=tuple(counts),
     )
@@ -429,15 +457,21 @@ def performance_profile(costs, solvers=None):
 def profile_from_cells(cells):
     """Pivot sweep cells into a profile: problems are (setting, kappa,
     epsilon, seed), solvers are policies, cost is the iteration count with
-    cap or error as failure."""
+    cap or error as failure.  A policy has at most one cell per problem."""
     problems = {}  # key -> row, in first-seen order
     solvers_ = {}  # policy -> column
     for c in cells:
         problems.setdefault(c.problem_key(), len(problems))
         solvers_.setdefault(c.policy, len(solvers_))
     costs = np.full((len(problems), len(solvers_)), math.inf)
+    seen = set()
     for c in cells:
-        costs[problems[c.problem_key()], solvers_[c.policy]] = c.cost()
+        at = problems[c.problem_key()], solvers_[c.policy]
+        if at in seen:
+            raise InvalidParameterError(
+                f"policy {c.policy!r} has more than one cell on problem {c.problem_key()!r}")
+        seen.add(at)
+        costs[at] = c.cost()
     return performance_profile(costs, tuple(solvers_))
 
 

@@ -299,7 +299,7 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
     family expressions.  It checks index and prev_alpha as next_steplength
     does, with the same errors.
     """
-    prev = _run_state(policy, index, prev_alpha)
+    index, prev = _run_state(policy, index, prev_alpha)
     k = policy.kind
     if k == "bb1":
         return bb1_argmin(pair)

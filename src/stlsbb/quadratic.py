@@ -20,6 +20,8 @@ from .errors import (
     DimensionTooSmallError,
     InvalidParameterError,
     InvalidSettingError,
+    count,
+    inside,
 )
 from .solver import Objective, first_row_eval
 from .steps import SteplengthPolicy
@@ -33,6 +35,22 @@ _FORMAT = "stlsbb-instance-v1"
 _ARRAYS = ("w1", "w2", "w3", "eigenvalues", "linear")
 
 
+def _setting_id(value):
+    sid = count(value, "setting_id", least=None)
+    if sid not in SETTING_IDS:
+        raise InvalidSettingError(f"setting_id must be in 1..7, got {value!r}")
+    return sid
+
+
+# the checks of a generated instance's provenance: SpectrumSetting's two
+# fields, then generate_instance's seed
+_PROVENANCE = {
+    "setting_id": _setting_id,
+    "kappa": lambda kappa: inside(kappa, "kappa", 1.0, math.inf),
+    "seed": lambda seed: count(seed, "seed", least=0),
+}
+
+
 @dataclass(frozen=True)
 class SpectrumSetting:
     """Recipe id (1..7) and condition number kappa for instance spectra."""
@@ -41,14 +59,8 @@ class SpectrumSetting:
     kappa: float
 
     def __post_init__(self):
-        sid = int(self.setting_id)
-        if sid not in SETTING_IDS:
-            raise InvalidSettingError(f"setting_id must be in 1..7, got {self.setting_id!r}")
-        k = float(self.kappa)
-        if not (math.isfinite(k) and k > 1.0):
-            raise InvalidParameterError(f"kappa must be finite and > 1, got {self.kappa!r}")
-        object.__setattr__(self, "setting_id", sid)
-        object.__setattr__(self, "kappa", k)
+        for name in ("setting_id", "kappa"):
+            object.__setattr__(self, name, _PROVENANCE[name](getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,8 @@ class QuadraticInstance:
 
     w1, w2, w3 are the unit Householder vectors composing Q, eigenvalues
     is v (positive), linear is b.  setting_id/kappa/seed record how a
-    generated instance was drawn and are None for hand-built ones.
+    generated instance was drawn, checked as there, and are None for
+    hand-built ones.
     """
 
     dim: int
@@ -71,10 +84,13 @@ class QuadraticInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        n = int(self.dim)
+        n = count(self.dim, "dim", least=None)
         if n < 1:
             raise DimensionTooSmallError(f"dim must be >= 1, got {self.dim!r}")
         object.__setattr__(self, "dim", n)
+        for name, check in _PROVENANCE.items():
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name)))
         for name in _ARRAYS:
             arr = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
             if arr.size != n:
@@ -158,7 +174,8 @@ def generate_instance(n, setting, seed):
     Recipes 2..7 need n >= 10 (their interior breakpoints collapse below
     that) and kappa > 200 (so the block ranges stay increasing).
     """
-    n = int(n)
+    n = count(n, "n", least=None)
+    seed = _PROVENANCE["seed"](seed)
     if not isinstance(setting, SpectrumSetting):
         raise InvalidParameterError("setting must be a SpectrumSetting")
     if n < 3:
@@ -172,7 +189,7 @@ def generate_instance(n, setting, seed):
             raise InvalidSettingError(
                 f"recipe {setting.setting_id} needs kappa > 200, got {setting.kappa:g}"
             )
-    children = np.random.SeedSequence(int(seed)).spawn(5)
+    children = np.random.SeedSequence(seed).spawn(5)
     rngs = [np.random.default_rng(c) for c in children]
 
     def unit(vec):
@@ -197,7 +214,7 @@ def generate_instance(n, setting, seed):
         linear=b,
         setting_id=setting.setting_id,
         kappa=setting.kappa,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -282,17 +299,11 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     to decide anything); meta["alpha0"] is the opening steplength.
     """
     x0 = np.ones(inst.dim) if x0 is None else _check_vec(inst, x0)
-    a0 = None if alpha0 is None else float(alpha0)
-    if a0 is not None and not (math.isfinite(a0) and a0 > 0.0):
-        raise InvalidParameterError(f"alpha0 must be positive and finite, got {alpha0!r}")
+    a0 = None if alpha0 is None else inside(alpha0, "alpha0", 0.0, math.inf)
     if not isinstance(policy, SteplengthPolicy):
         raise InvalidParameterError("policy must be a SteplengthPolicy")
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    cap = int(max_iter)
-    if cap < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter!r}")
+    eps = inside(epsilon, "epsilon", 0.0, 1.0)
+    cap = count(max_iter, "max_iter")
     ends = {}
     kernels.raw_bb_loop([(0, inst, policy, x0, a0, eps)], 1, cap, ends.__setitem__)
     termination, f_hist, g_hist, a_hist, x = ends[0]

@@ -20,6 +20,8 @@ from .errors import (
     InvalidParameterError,
     LineSearchStallError,
     NonpositiveCurvatureError,
+    count,
+    inside,
 )
 from .steps import SecantProducts, next_steplength
 from .trace import (
@@ -59,9 +61,7 @@ class Objective:
     eval_rows: Callable | None = None
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise InvalidParameterError(f"dim must be >= 1, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", count(self.dim, "dim"))
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True).reshape(-1)
             if x0.size != self.dim:
@@ -141,26 +141,15 @@ class SolverConfig:
     backtrack_cap: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon!r}")
-        if int(self.max_iter) < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if int(self.memory) < 0:
-            raise InvalidParameterError(f"memory must be >= 0, got {self.memory!r}")
-        if not (0.0 < self.beta < 1.0):
-            raise InvalidParameterError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not (0.0 < self.eta < 1.0):
-            raise InvalidParameterError(f"eta must lie in (0, 1), got {self.eta!r}")
-        if not (self.eta < self.delta < 1.0 / self.eta):
-            raise InvalidParameterError(
-                f"delta must lie inside the safeguard band (eta, 1/eta), got {self.delta!r}"
-            )
-        if not (0.0 < self.sigma < 1.0):
-            raise InvalidParameterError(f"sigma must lie in (0, 1), got {self.sigma!r}")
-        if self.alpha0 is not None and not (
-            math.isfinite(self.alpha0) and self.alpha0 > 0.0
-        ):
-            raise InvalidParameterError(f"alpha0 must be positive, got {self.alpha0!r}")
+        for name, lo, hi in (("epsilon", 0.0, math.inf), ("beta", 0.0, 1.0),
+                             ("eta", 0.0, 1.0), ("sigma", 0.0, 1.0)):
+            object.__setattr__(self, name, inside(getattr(self, name), name, lo, hi))
+        # the fallback steplength lies inside the safeguard band (eta, 1/eta)
+        object.__setattr__(self, "delta", inside(self.delta, "delta", self.eta, 1.0 / self.eta))
+        for name, least in (("max_iter", 1), ("memory", 0), ("backtrack_cap", 1)):
+            object.__setattr__(self, name, count(getattr(self, name), name, least))
+        if self.alpha0 is not None:
+            object.__setattr__(self, "alpha0", inside(self.alpha0, "alpha0", 0.0, math.inf))
         if self.stop_rule not in STOP_RULES:
             raise InvalidParameterError(
                 f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}"
@@ -176,13 +165,6 @@ class SolverConfig:
                 raise InvalidParameterError(f"target must be finite, got {self.target!r}")
             t.setflags(write=False)
             object.__setattr__(self, "target", t)
-        if int(self.backtrack_cap) < 1:
-            raise InvalidParameterError(
-                f"backtrack_cap must be >= 1, got {self.backtrack_cap!r}"
-            )
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "memory", int(self.memory))
-        object.__setattr__(self, "backtrack_cap", int(self.backtrack_cap))
 
     def to_meta(self):
         """Trace meta: every field but alpha0 and target in declaration
@@ -195,6 +177,9 @@ class SolverConfig:
 
     @classmethod
     def from_meta(cls, meta):
+        missing = [name for name in _META_FIELDS if name not in meta]
+        if missing:
+            raise InvalidParameterError(f"trace meta lacks {', '.join(missing)}")
         return cls(**{name: meta[name] for name in _META_FIELDS}, target=meta.get("target"))
 
 

@@ -28,6 +28,9 @@ from .errors import (
     InvalidParameterError,
     MissingStateError,
     NonpositiveCurvatureError,
+    count,
+    inside,
+    real,
 )
 
 # the interval [bb2, bb1] is treated as collapsed below this relative width
@@ -78,41 +81,16 @@ class SecantProducts(NamedTuple):
     sy: float
 
 
-def _as_float(value, name):
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
-
-
 def _gamma_value(gamma):
     # the scale gamma of the total-least-squares fit: positive and finite
-    g = _as_float(gamma, "gamma")
-    if not (math.isfinite(g) and g > 0.0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    return g
+    return inside(gamma, "gamma", 0.0, math.inf)
 
 
-def _tau_value(tau):
-    # the weight on bb1 of the convex combination: in [0, 1]
-    t = _as_float(tau, "tau")
-    if not 0.0 <= t <= 1.0:  # false for nan
-        raise InvalidParameterError(f"tau must lie in [0, 1], got {tau!r}")
-    return t
-
-
-def _cycle_value(cycle):
-    # ATC's cycle length: an integer >= 1, kept as an int
-    c = _as_float(cycle, "cycle")
-    if not (c >= 1.0 and c.is_integer()):  # false for inf and nan
-        raise InvalidParameterError(f"cycle must be an integer >= 1, got {cycle!r}")
-    return int(c)
-
-
-# each parameter field: how parse_policy reads it, and the check that
-# gives the value a policy keeps
-_FIELDS = {"gamma": (float, _gamma_value), "tau": (float, _tau_value),
-           "cycle": (int, _cycle_value)}
+# each parameter field and the check that gives the value a policy keeps:
+# tau is the weight on bb1 of the convex combination, cycle ATC's length
+_FIELDS = {"gamma": _gamma_value,
+           "tau": lambda tau: inside(tau, "tau", 0.0, 1.0, closed=True),
+           "cycle": lambda cycle: count(cycle, "cycle")}
 # each kind: its descriptor name and its one parameter field (None for
 # bb1 and bb2); kernels.policy_step and oracle_steplength hold its rule
 _KINDS = {
@@ -207,7 +185,7 @@ class SteplengthPolicy:
             value = getattr(self, own)
             if value is None:
                 raise InvalidParameterError(f"policy {self.kind!r} needs {own}")
-            object.__setattr__(self, own, _FIELDS[own][1](value))
+            object.__setattr__(self, own, _FIELDS[own](value))
 
     def describe(self):
         """Stable textual form; parse_policy inverts it."""
@@ -218,7 +196,7 @@ class SteplengthPolicy:
 def _number(value):
     # a float in the short :g form where that reads back as the same
     # float, and otherwise in its shortest form that does (repr); an int
-    # (a cycle, which parse_policy reads with int) always as its digits
+    # (a cycle) always as its digits
     text = f"{value:g}"
     return text if type(value) is float and float(text) == value else repr(value)
 
@@ -240,11 +218,8 @@ def parse_policy(text):
         raise InvalidParameterError(f"unknown policy descriptor {text!r}")
     if own is None and sep:
         raise InvalidParameterError(f"policy {key!r} takes no argument")
-    try:
-        given = {} if own is None else {own: _FIELDS[own][0](arg.strip())}
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad policy argument in {text!r}") from exc
-    return SteplengthPolicy(kind, **given)
+    # the argument's text goes to the field's own check
+    return SteplengthPolicy(kind, **({} if own is None else {own: arg}))
 
 
 def next_steplength(policy, pair, index=0, prev_alpha=None):
@@ -260,7 +235,7 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
     line-search solver turn that into a safeguard reset).
     An ss or yy underflowed to 0 gives float64's inf or nan, not an error.
     """
-    prev = _run_state(policy, index, prev_alpha)
+    index, prev = _run_state(policy, index, prev_alpha)
     if not pair.sy > 0.0:
         raise NonpositiveCurvatureError(
             f"s'y = {pair.sy:.6g} is not positive; no BB steplength is defined"
@@ -269,12 +244,11 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
 
 
 def _run_state(policy, index, prev_alpha):
-    # checks ATC's run state and returns the previous steplength the rule
-    # reads: nan for every call but ATC's off a cycle restart
-    if index < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {index!r}")
+    # ATC's run state, checked: the index as an int, and the previous
+    # steplength the rule reads, nan for every call but ATC's off a restart
+    index = count(index, "index", least=0)
     if policy.kind != "atc" or index % policy.cycle == 0:
-        return math.nan
+        return index, math.nan
     if prev_alpha is None:
         raise MissingStateError("ATC needs prev_alpha between cycle restarts; none was given")
-    return float(prev_alpha)
+    return index, real(prev_alpha, "prev_alpha")

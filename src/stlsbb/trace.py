@@ -1,11 +1,14 @@
 """Per-iteration run records shared by the raw and line-search solvers."""
 
+import copy
 import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, count, real
+
+_FORMAT = "stlsbb-trace-v1"
 
 GRADIENT_TOLERANCE = "gradient_tolerance"
 ITERATION_CAP = "iteration_cap"
@@ -40,8 +43,10 @@ class TraceRow:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict, casting each value to its field's type."""
-        return cls(**{f.name: f.type(d[f.name]) for f in fields(cls)})
+        """Inverse of to_dict: the int fields read through count, the
+        float fields through real."""
+        return cls(**{f.name: count(d[f.name], f.name, least=0) if f.type is int
+                      else real(d[f.name], f.name) for f in fields(cls)})
 
 
 @dataclass
@@ -79,21 +84,26 @@ class RunTrace:
         return np.array([r.f for r in self.rows])
 
     def to_dict(self):
+        """The trace as JSON-ready values, with its own copy of meta."""
         return {
-            "format": "stlsbb-trace-v1",
+            "format": _FORMAT,
             "termination": self.termination,
             "rows": [r.to_dict() for r in self.rows],
             "final_x": [float(v) for v in self.final_x],
-            "meta": self.meta,
+            "meta": copy.deepcopy(self.meta),
         }
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict, for a document of its format only."""
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != _FORMAT:
+            raise InvalidParameterError(f"not a serialized trace (format {fmt!r})")
         return cls(
             rows=[TraceRow.from_dict(r) for r in d["rows"]],
             termination=d["termination"],
             final_x=np.array(d["final_x"], dtype=float),
-            meta=dict(d.get("meta", {})),
+            meta=copy.deepcopy(d.get("meta", {})),
         )
 
     def to_json(self, **kwargs):

@@ -424,6 +424,34 @@ def test_bad_input_file_exit_code(tmp_path, capsys, argv, text, code):
     assert err.startswith(prefix)
 
 
+# files that parse but whose numbers or rows fail their checks: one
+# "stlsbb:" line and exit 2
+CHECKED_FILES = {
+    "instance-text-seed-nan-kappa": (
+        ["quad", "--generate-only", "--instance"], _instance_doc(seed="x", kappa=math.nan)),
+    "instance-fractional-seed": (["quad", "--generate-only", "--instance"],
+                                 _instance_doc(seed=2.5)),
+    "instance-unknown-setting": (["quad", "--generate-only", "--instance"],
+                                 _instance_doc(setting_id=9)),
+    "cells-ok-without-iterations": (
+        ["profile", "--cells"], _SWEEP_HEAD + "1,1e3,1e-4,0,20,bb1,100,,ok\n"
+                                              "1,1e3,1e-4,0,20,bb2,100,5,ok\n"),
+    "cells-repeated-cell": (
+        ["profile", "--cells"], _SWEEP_HEAD + "1,1e3,1e-4,0,20,bb1,100,7,ok\n"
+                                              "1,1e3,1e-4,0,20,bb1,100,5,ok\n"
+                                              "1,1e3,1e-4,0,20,bb2,100,5,ok\n"),
+}
+
+
+@pytest.mark.parametrize("argv, text", list(CHECKED_FILES.values()), ids=list(CHECKED_FILES))
+def test_a_file_failing_its_checks_is_one_line_and_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("stlsbb: ") and err.count("\n") == 1
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -375,6 +375,52 @@ class TestSweep:
         assert [make_cell(status=s).solved for s in statuses] == [True, False, False, False]
 
 
+class TestSweepCsvRules:
+    """sweep_from_csv holds each row to what sweep_to_csv writes."""
+
+    @staticmethod
+    def text(*rows):
+        return sweep_to_csv([]) + "".join(row + "\n" for row in rows)
+
+    def test_every_status_the_writer_writes_reads_back(self):
+        cells = [make_cell(iterations=0), make_cell(iterations=500),
+                 make_cell(status="cap", iterations=500),
+                 make_cell(status="nonfinite", iterations=None),
+                 make_cell(status="error:InvalidSettingError", iterations=None, setting=0,
+                           kappa=1e300, policy="atc:3")]
+        assert sweep_from_csv(sweep_to_csv(cells)) == cells
+
+    @pytest.mark.parametrize("row", [
+        "1,1000,1e-06,0,20,bb1,500,,ok",  # ok without a count
+        "1,1000,1e-06,0,20,bb1,500,501,ok",  # ok past the cap
+        "1,1000,1e-06,0,20,bb1,500,499,cap",  # cap short of the cap
+        "1,1000,1e-06,0,20,bb1,500,,cap",
+        "1,1000,1e-06,0,20,bb1,500,7,nonfinite",
+        "1,1000,1e-06,0,20,bb1,500,7,error:X",
+        "1,1000,1e-06,0,20,bb1,500,7,done",  # no such status
+        "1,1000,1e-06,0,20,bb1,500,,",
+        "1,1000,1e-06,0,20,bb3,500,7,ok",  # a policy that does not parse
+    ])
+    def test_a_row_breaking_a_writer_rule_is_refused(self, row):
+        with pytest.raises(InvalidParameterError):
+            sweep_from_csv(self.text(row))
+
+    @pytest.mark.parametrize("column, value", [
+        (0, "1.5"), (0, "x"), (1, "big"), (1, "nan"), (1, "1"), (2, "2"), (2, "nan"), (3, "-1"), (3, "x"),
+        (4, "0"), (4, "20.5"), (6, "inf"), (7, "2.5"), (7, "-1"),
+    ])
+    def test_a_value_not_of_its_columns_kind_cannot_be_parsed(self, column, value):
+        fields = "1,1000,1e-06,0,20,bb1,500,7,ok".split(",")
+        fields[column] = value
+        with pytest.raises(ValueError, match="sweep row 1: "):
+            sweep_from_csv(self.text(",".join(fields)))
+
+    def test_integral_values_read_as_their_kind(self):
+        (cell,) = sweep_from_csv(self.text("1.0,1e3,1e-06,3,20.0,bb1,5e2,7,ok"))
+        assert cell == make_cell(seed=3, iterations=7)
+        assert type(cell.setting_id) is type(cell.seed) is type(cell.max_iter) is int
+
+
 class TestAverages:
     def test_hand_mean(self):
         cells = [
@@ -592,6 +638,16 @@ class TestProfileFromCells:
         want = performance_profile([[10.0, 30.0], [40.0, 20.0]], ("bb1", "bb2"))
         assert table.solvers == ("bb1", "bb2")
         assert np.array_equal(table.ratios, want.ratios)
+
+    def test_a_repeated_cell_is_refused(self):
+        # a second bb1 cell on one problem would overwrite the first's cost
+        cells = [
+            make_cell(seed=0, policy="bb1", iterations=10),
+            make_cell(seed=0, policy="bb2", iterations=30),
+            make_cell(seed=0, policy="bb1", iterations=40),
+        ]
+        with pytest.raises(InvalidParameterError, match="'bb1' has more than one cell"):
+            profile_from_cells(cells)
 
     def test_cap_and_error_become_failures(self):
         cells = [

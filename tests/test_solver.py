@@ -587,6 +587,44 @@ class TestRunLoop:
                                                               int, int]
 
 
+class TestTraceReader:
+    @staticmethod
+    def make_trace():
+        obj = rosenbrock2()
+        config = SolverConfig(max_iter=5, stop_rule=STOP_POINT_DIST, target=[1.0, 1.0])
+        return run(obj, obj.x0, config, SteplengthPolicy("bb1"))
+
+    def test_dicts_do_not_share_meta_with_the_trace(self):
+        tr = self.make_trace()
+        d = tr.to_dict()
+        d["meta"]["sigma"] = 0.5
+        d["meta"]["target"][0] = 9.0
+        assert tr.meta["sigma"] == 0.8 and tr.meta["target"] == [1.0, 1.0]
+        back = RunTrace.from_dict(d)
+        d["meta"]["target"][1] = 7.0
+        assert back.meta["target"] == [9.0, 1.0]
+
+    @pytest.mark.parametrize("fmt", [None, "stlsbb-trace-v0", "stlsbb-instance-v1"])
+    def test_only_a_trace_document_is_read(self, fmt):
+        d = self.make_trace().to_dict()
+        d["format"] = fmt
+        with pytest.raises(InvalidParameterError, match="not a serialized trace"):
+            RunTrace.from_dict(d)
+        with pytest.raises(InvalidParameterError, match="not a serialized trace"):
+            RunTrace.from_dict([d])
+
+    def test_a_fractional_row_count_is_refused(self):
+        row = self.make_trace().rows[0].to_dict()
+        with pytest.raises(InvalidParameterError, match="k must be >= 0 and whole, got 3.7"):
+            TraceRow.from_dict({**row, "k": 3.7})
+
+    def test_a_meta_without_a_config_field_is_named(self):
+        tr = self.make_trace()
+        del tr.meta["sigma"], tr.meta["memory"]
+        with pytest.raises(InvalidParameterError, match="trace meta lacks memory, sigma"):
+            audit_trace(tr)
+
+
 class TestAudit:
     def make_trace(self):
         obj = rosenbrock2()

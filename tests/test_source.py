@@ -225,3 +225,60 @@ def test_every_keyword_is_passed():
                              for p in perfbench.glob("*.py")}}
     # an entry that some call has come to pass leaves the list too
     assert set(unpassed_keywords(sources, callers)) == UNPASSED_BY_DESIGN
+
+
+def numbers_cast_by_hand(source):
+    """(function, argument) of each int() or float() call on a parameter
+    of the function (or lambda) it is in, and in a __post_init__ of each
+    such call on a self.field."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        name = getattr(fn, "name", "<lambda>")
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("int", "float") and node.args):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Name) and arg.id in params:
+                found.add((name, arg.id))
+            elif (name == "__post_init__" and isinstance(arg, ast.Attribute)
+                  and isinstance(arg.value, ast.Name) and arg.value.id == "self"):
+                found.add((name, f"self.{arg.attr}"))
+    return sorted(found)
+
+
+def test_numbers_cast_by_hand_are_found():
+    source = ("def f(a, b, *, c):\n    x = int(a) + float(c)\n    return float(x) + int(b.k)\n"
+              "class C:\n    def __post_init__(self):\n        self.n = int(self.n)\n"
+              "    def m(self):\n        return float(self.n)\n"
+              "g = lambda v: float(v)\n")
+    assert numbers_cast_by_hand(source) == [
+        ("<lambda>", "v"), ("__post_init__", "self.n"), ("f", "a"), ("f", "c")]
+
+
+# int() and float() calls on an argument that stay, each with its reason
+CAST_BY_DESIGN = {
+    # an argparse type: a bad value is a usage error (exit 1), which
+    # argparse makes of the ValueError
+    ("cli.py", "_parse_seeds", "text"),
+    # the writers' float formatting, of values already checked
+    ("harness.py", "fmt17", "x"),
+    # the oracle verifies closed forms on the scalars it is given, and its
+    # search bracket keeps its own InvalidBracketError
+    ("oracle.py", "__post_init__", "self.tolerance"),
+    ("oracle.py", "family_switch_gamma", "alpha"),
+    ("oracle.py", "stls_ratio", "alpha"),
+}
+
+
+def test_numbers_are_read_through_the_checks():
+    # outside errors.py, an argument becomes a number through errors.real,
+    # inside or count, which name it in an InvalidParameterError; int()
+    # truncates 2.5 to 2 and float() raises bare errors
+    found = {(p.name, *cast) for p in PACKAGE.glob("*.py") if p.name != "errors.py"
+             for cast in numbers_cast_by_hand(p.read_text())}
+    assert found == CAST_BY_DESIGN
