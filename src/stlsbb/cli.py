@@ -133,7 +133,7 @@ def _cmd_quad(args):
     tr = quadratic.solve_bb(inst, policy, args.epsilon, args.max_iter, alpha0=args.alpha0)
     print(
         f"policy={args.policy} n={inst.dim} iterations={tr.iterations} "
-        f"termination={tr.termination} grad_norm={tr.rows[-1].grad_norm:.6e}"
+        f"termination={tr.termination} grad_norm={tr.grad_norm[-1]:.6e}"
     )
     if args.trace:
         _write_text(args.trace, tr.to_json(indent=2))

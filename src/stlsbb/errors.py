@@ -49,12 +49,21 @@ class AllFailedOnProblemError(StlsbbError):
     """A performance profile needs at least one finite cost per problem."""
 
 
+def _shown(value):
+    # repr(value), or for an int too long for str() its size
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def real(value, name):
     """value as float() reads it (so nan and inf pass)."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
+        raise InvalidParameterError(
+            f"{name} must be a real number, got {_shown(value)}") from exc
 
 
 def inside(value, name, lo, hi, closed=False):
@@ -83,5 +92,5 @@ def count(value, name, least=1):
             n = None
     if n is None or abs(n) > sys.float_info.max or (least is not None and n < least):
         floor = "" if least is None else f">= {least} and "
-        raise InvalidParameterError(f"{name} must be {floor}whole, got {value!r}")
+        raise InvalidParameterError(f"{name} must be {floor}whole, got {_shown(value)}")
     return n

@@ -17,7 +17,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import kernels, quadratic, solver, trace
-from .errors import AllFailedOnProblemError, InvalidParameterError, StlsbbError, count, inside
+from .errors import (AllFailedOnProblemError, InvalidParameterError, StlsbbError, count,
+                     inside, real)
 from .steps import parse_policy
 
 CAP_MARK = "--"
@@ -395,9 +396,10 @@ class ProfileTable:
     def rho(self, s, theta):
         """Fraction of problems solver s solves within a factor theta of
         the per-problem best."""
-        if not theta >= 1.0:
+        t = real(theta, "theta")
+        if not t >= 1.0:
             raise InvalidParameterError(f"theta must be >= 1, got {theta!r}")
-        return int(np.searchsorted(self._col(s), theta, side="right")) / len(self.ratios)
+        return int(np.searchsorted(self._col(s), t, side="right")) / len(self.ratios)
 
     def solve_fraction(self, s):
         """rho at theta -> inf: the fraction of problems solved at all."""

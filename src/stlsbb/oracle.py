@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DegenerateInputError, InvalidBracketError, InvalidParameterError,
-                     NonpositiveCurvatureError)
+                     NonpositiveCurvatureError, real)
 from .steps import _gamma_value, _run_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -35,13 +35,21 @@ class ScalarMinProblem:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        lo, hi = self.bracket
+        try:
+            lo, hi = self.bracket
+        except (TypeError, ValueError) as exc:
+            raise InvalidBracketError("bracket must be a pair (lo, hi)") from exc
+        try:
+            lo, hi = real(lo, "bracket lo"), real(hi, "bracket hi")
+            tolerance = real(self.tolerance, "tolerance")
+        except InvalidParameterError as exc:
+            raise InvalidBracketError(str(exc)) from exc
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidBracketError(f"bracket must satisfy lo < hi, got {self.bracket!r}")
-        if not self.tolerance > 0.0:
+        if not tolerance > 0.0:
             raise InvalidBracketError(f"tolerance must be positive, got {self.tolerance!r}")
-        object.__setattr__(self, "bracket", (float(lo), float(hi)))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "bracket", (lo, hi))
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 def minimize_scalar(problem):

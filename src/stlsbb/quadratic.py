@@ -307,22 +307,21 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
     ends = {}
     kernels.raw_bb_loop([(0, inst, policy, x0, a0, eps)], 1, cap, ends.__setitem__)
     termination, f_hist, g_hist, a_hist, x = ends[0]
-    # no step leaves the last iterate, so its row records nan
-    rows = [
-        trace.TraceRow(k=k, f=f, grad_norm=gn, alpha=a)
-        for k, (f, gn, a) in enumerate(zip(f_hist, g_hist, a_hist[:-1] + [math.nan]))
-    ]
+    alpha0_used = a_hist[0]
+    a_hist[-1] = math.nan  # no step leaves the last iterate
+    zeros = np.zeros(len(f_hist), dtype=np.int64)
     meta = {
         "solver": "raw_bb",
         "policy": policy.describe(),
         "stop_rule": "grad_rel",
         "epsilon": eps,
         "max_iter": cap,
-        "alpha0": a_hist[0],
+        "alpha0": alpha0_used,
         "alpha0_rule": "inf_norm" if alpha0 is None else "fixed",
         "n": inst.dim,
         "setting_id": inst.setting_id,
         "kappa": inst.kappa,
         "seed": inst.seed,
     }
-    return trace.RunTrace(rows=rows, termination=termination, final_x=x, meta=meta)
+    return trace.RunTrace.from_columns(f_hist, g_hist, a_hist, zeros, zeros, termination, x,
+                                       meta)

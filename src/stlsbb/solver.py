@@ -24,13 +24,7 @@ from .errors import (
     inside,
 )
 from .steps import SecantProducts, next_steplength
-from .trace import (
-    GRADIENT_TOLERANCE,
-    ITERATION_CAP,
-    NONFINITE,
-    RunTrace,
-    TraceRow,
-)
+from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE, RunTrace
 
 STOP_GRAD_ABS = "grad_abs"
 STOP_GRAD_REL = "grad_rel"
@@ -300,13 +294,16 @@ def run(objective, x0, config, policy):
         alpha = a if objective.eval(x - a * g)[0] < f else 0.25 * a
     alpha0_used = float(alpha)
     window = deque([f], maxlen=config.memory + 1)
-    rows = []
+    # the trace's columns, one entry per iterate
+    f_col, gn_col, alpha_col, bt_col, fe_col = [], [], [], [], []
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     needed = before = 1  # trials the last and the one before needed
     beta, sigma = config.beta, config.sigma
     gn = gn0
     while True:
+        f_col.append(f)
+        gn_col.append(gn)
         if not (math.isfinite(f) and math.isfinite(gn)):
             termination = NONFINITE
             break
@@ -356,10 +353,9 @@ def run(objective, x0, config, policy):
             break
         backtracks = tried + hit
         before, needed = needed, 1 + backtracks
-        rows.append(
-            TraceRow(k=k, f=f, grad_norm=gn, alpha=alpha,
-                     backtracks=backtracks, fevals=needed)
-        )
+        alpha_col.append(alpha)
+        bt_col.append(backtracks)
+        fe_col.append(needed)
         # copies, so no round's block outlives its round and an objective
         # may reuse its output arrays
         x_trial = xs[hit].copy()
@@ -377,7 +373,10 @@ def run(objective, x0, config, policy):
             # out of band on purpose: the next safeguard resets it to delta
             alpha, prev = math.inf, config.delta
         k += 1
-    rows.append(TraceRow(k=k, f=f, grad_norm=gn, alpha=math.nan))
+    # no step leaves the last iterate
+    alpha_col.append(math.nan)
+    bt_col.append(0)
+    fe_col.append(0)
     meta = config.to_meta()
     meta.update(
         {
@@ -387,42 +386,72 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    return RunTrace(rows=rows, termination=termination, final_x=x, meta=meta)
+    return RunTrace.from_columns(f_col, gn_col, alpha_col, bt_col, fe_col, termination, x, meta)
 
 
 def audit_trace(run_trace, config=None):
     """Replay a line-search trace and report inconsistencies.
 
     For every non-terminal row the recorded alpha must be delta or lie
-    strictly inside the safeguard band, and the next row's objective value
-    must pass the nonmonotone test at the effective steplength
-    alpha * sigma**backtracks, reconstructed by repeated multiplication
-    exactly as the solver applied it.  config defaults to the one stored
-    in the trace meta, which only a gbb trace has; any other trace without
-    a config raises InvalidParameterError.  Returns a list of violation
-    strings; empty means the trace is internally consistent.
+    strictly inside the safeguard band, fevals must be 1 + backtracks, and
+    the next row's objective value must pass the nonmonotone test at the
+    effective steplength alpha * sigma**backtracks, reconstructed by
+    repeated multiplication exactly as the solver applied it.  The
+    terminal row must have alpha nan, 0 backtracks and 0 fevals.  A
+    gradient_tolerance trace must meet its stop rule on its last row (or
+    end at a zero gradient), and an iteration_cap trace must end at
+    k = max_iter.  config defaults to the one stored in the trace meta,
+    which only a gbb trace has; any other trace without a config raises
+    InvalidParameterError.  Returns a list of violation strings; empty
+    means the trace is internally consistent.
     """
     solver = run_trace.meta.get("solver")
     if config is None and solver != "gbb":
         raise InvalidParameterError(f"a {solver!r} trace stores no line-search config")
     cfg = config if config is not None else SolverConfig.from_meta(run_trace.meta)
     violations = []
-    rows = run_trace.rows
-    window = deque([rows[0].f], maxlen=cfg.memory + 1)
-    for i, row in enumerate(rows[:-1]):
-        a = row.alpha
+    f, gn, alpha, backtracks, fevals = (
+        col.tolist() for col in (run_trace.f, run_trace.grad_norm, run_trace.alpha,
+                                 run_trace.backtracks, run_trace.fevals))
+    last = run_trace.iterations
+    window = deque([f[0]], maxlen=cfg.memory + 1)
+    for k in range(last):
+        a = alpha[k]
         if not (a == cfg.delta or (cfg.eta < a < 1.0 / cfg.eta)):
             violations.append(
-                f"row {row.k}: alpha {a!r} is neither delta nor inside the safeguard band"
+                f"row {k}: alpha {a!r} is neither delta nor inside the safeguard band"
+            )
+        if fevals[k] != 1 + backtracks[k]:
+            violations.append(
+                f"row {k}: {fevals[k]} fevals after {backtracks[k]} backtracks, "
+                f"not 1 + backtracks"
             )
         a_eff = a
-        for _ in range(row.backtracks):
+        for _ in range(backtracks[k]):
             a_eff *= cfg.sigma
-        f_next = rows[i + 1].f
-        grad_sq = row.grad_norm * row.grad_norm
-        if not nonmonotone_accept(f_next, max(window), cfg.beta, a_eff, grad_sq):
+        if not nonmonotone_accept(f[k + 1], max(window), cfg.beta, a_eff, gn[k] * gn[k]):
             violations.append(
-                f"row {row.k}: accepted step fails the nonmonotone test on replay"
+                f"row {k}: accepted step fails the nonmonotone test on replay"
             )
-        window.append(f_next)
+        window.append(f[k + 1])
+    if not (math.isnan(alpha[last]) and backtracks[last] == fevals[last] == 0):
+        violations.append(
+            f"row {last}: the terminal row has alpha {alpha[last]!r}, {backtracks[last]} "
+            f"backtracks and {fevals[last]} fevals, not nan, 0 and 0"
+        )
+    x = run_trace.final_x
+    if cfg.stop_rule == STOP_POINT_DIST and x.shape != cfg.target.shape:
+        raise DimensionMismatchError(
+            f"final_x has length {x.size}, the target {cfg.target.size}")
+    if run_trace.termination == GRADIENT_TOLERANCE and not (
+            gn[last] == 0.0 or _stopped(cfg, x, gn[last], gn[0])):
+        violations.append(
+            f"row {last}: the trace ends {GRADIENT_TOLERANCE} but does not meet "
+            f"its {cfg.stop_rule} rule at epsilon {cfg.epsilon!r}"
+        )
+    if run_trace.termination == ITERATION_CAP and last != cfg.max_iter:
+        violations.append(
+            f"row {last}: the trace ends {ITERATION_CAP} at k = {last}, "
+            f"not at max_iter = {cfg.max_iter}"
+        )
     return violations

@@ -2,7 +2,9 @@
 
 import copy
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
+from itertools import starmap
 
 import numpy as np
 
@@ -49,46 +51,101 @@ class TraceRow:
                       else real(d[f.name], f.name) for f in fields(cls)})
 
 
-@dataclass
+_FIELDS = tuple(f.name for f in fields(TraceRow))
+_COLUMNS = _FIELDS[1:]  # k is a row's index
+_COUNTS = ("backtracks", "fevals")
+
+
 class RunTrace:
-    """Complete record of one solver run: rows for iterates 0..k_end, why
-    it stopped, the final iterate, and free-form provenance in meta."""
+    """Complete record of one solver run: iterates 0..k_end as five
+    columns, why it stopped, the final iterate, and free-form provenance
+    in meta.
 
-    rows: list
-    termination: str
-    final_x: np.ndarray
-    meta: dict = field(default_factory=dict)
+    f, grad_norm and alpha are read-only float64 arrays, backtracks and
+    fevals read-only int64 arrays, one entry per iterate; k is the index.
+    rows is a TraceRow view of the columns, built anew on every access.
+    RunTrace(rows, ...) takes rows numbered 0, 1, 2, ... in order;
+    from_columns takes the columns as the engines write them.
+    """
 
-    def __post_init__(self):
-        if self.termination not in TERMINATIONS:
+    def __init__(self, rows, termination, final_x, meta=None):
+        rows = list(rows)
+        for i, r in enumerate(rows):
+            if r.k != i:
+                raise InvalidParameterError(
+                    f"row {i} has k = {r.k!r}; rows are numbered 0, 1, 2, ... in order")
+        columns = [[getattr(r, name) for r in rows] for name in _COLUMNS]
+        for i, name in enumerate(_COLUMNS):
+            if name in _COUNTS:  # an int64 array would truncate 2.5 to 2
+                columns[i] = [count(v, name, least=0) for v in columns[i]]
+        self._fill(columns, termination, final_x, meta)
+
+    @classmethod
+    def from_columns(cls, f, grad_norm, alpha, backtracks, fevals, termination, final_x, meta):
+        """A trace of the given columns, each a sequence of one entry per
+        iterate."""
+        tr = cls.__new__(cls)
+        tr._fill((f, grad_norm, alpha, backtracks, fevals), termination, final_x, meta)
+        return tr
+
+    def _fill(self, columns, termination, final_x, meta):
+        if termination not in TERMINATIONS:
             raise InvalidParameterError(
-                f"termination must be one of {TERMINATIONS}, got {self.termination!r}"
+                f"termination must be one of {TERMINATIONS}, got {termination!r}"
             )
-        if not self.rows:
+        if not len(columns[0]):
             raise InvalidParameterError("a trace needs at least one row")
-        self.final_x = np.asarray(self.final_x, dtype=float)
+        if len({len(c) for c in columns}) != 1:
+            raise InvalidParameterError("a trace's columns must have one length")
+        for name, values in zip(_COLUMNS, columns):
+            try:
+                arr = np.array(values, dtype=np.int64 if name in _COUNTS else float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidParameterError(
+                    f"{name} must hold {'ints' if name in _COUNTS else 'reals'} in range") from exc
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        self.termination = termination
+        self.final_x = np.asarray(final_x, dtype=float)
+        self.meta = {} if meta is None else meta
+
+    def _values(self):
+        # (k, f, grad_norm, alpha, backtracks, fevals) per iterate, as
+        # Python ints and floats
+        alpha = self.alpha.tolist()
+        if alpha[-1] != alpha[-1]:
+            # math.nan itself, as the engines write it, so the rows of two
+            # runs that agree compare equal
+            alpha[-1] = math.nan
+        return zip(range(len(alpha)), self.f.tolist(), self.grad_norm.tolist(), alpha,
+                   self.backtracks.tolist(), self.fevals.tolist())
+
+    @property
+    def rows(self):
+        """The iterates as TraceRows, built from the columns on each access."""
+        return tuple(starmap(TraceRow, self._values()))
 
     @property
     def iterations(self):
         """Number of steps taken (index of the terminal row)."""
-        return self.rows[-1].k
+        return len(self.f) - 1
 
     @property
     def solved(self):
         return self.termination == GRADIENT_TOLERANCE
 
     def grad_norms(self):
-        return np.array([r.grad_norm for r in self.rows])
+        return self.grad_norm.copy()
 
     def f_values(self):
-        return np.array([r.f for r in self.rows])
+        return self.f.copy()
 
     def to_dict(self):
         """The trace as JSON-ready values, with its own copy of meta."""
         return {
             "format": _FORMAT,
             "termination": self.termination,
-            "rows": [r.to_dict() for r in self.rows],
+            "rows": [dict(zip(_FIELDS, v)) for v in self._values()],
             "final_x": [float(v) for v in self.final_x],
             "meta": copy.deepcopy(self.meta),
         }

@@ -625,6 +625,14 @@ class TestProfileMatchesScans:
         with pytest.raises(InvalidParameterError, match="theta must be >= 1"):
             table.to_csv()
 
+    def test_theta_is_read_as_a_real(self):
+        table = performance_profile([[1.0, 2.0]], ("a", "b"))
+        with pytest.raises(InvalidParameterError, match="theta must be a real number"):
+            table.rho(0, "x")
+        with pytest.raises(InvalidParameterError, match="theta must be >= 1, got 0.5"):
+            table.rho(1, 0.5)
+        assert table.rho(1, "2") == table.rho(1, np.float64(2.0)) == 1.0
+
 
 class TestProfileFromCells:
     def test_pivot_matches_direct_matrix(self):

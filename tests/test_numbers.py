@@ -189,3 +189,11 @@ class TestChecks:
                 count(bad, "n")
         with pytest.raises(InvalidParameterError, match=r"d must be whole, got 2.5"):
             count(2.5, "d", least=None)
+
+    def test_an_int_too_long_to_print_is_named_by_its_size(self):
+        # str() of an int of more than 4 300 digits raises ValueError, so
+        # the message gives its size instead of its digits
+        with pytest.raises(InvalidParameterError, match=r"n must be >= 1 and whole, got an int of"):
+            count(10**5000, "n")
+        with pytest.raises(InvalidParameterError, match=r"x must be a real number, got an int of"):
+            real(-(10**5000), "x")

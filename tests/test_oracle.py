@@ -77,6 +77,18 @@ class TestGoldenSection:
         with pytest.raises(InvalidBracketError):
             ScalarMinProblem(lambda x: x, (0.0, 1.0), tolerance=0.0)
 
+    @pytest.mark.parametrize("bracket, tolerance", [
+        (("a", 1.0), 1e-10), ((0.0, None), 1e-10), ((0.0, 1.0), "tight"),
+        ((0.0, 1.0, 2.0), 1e-10), (1.0, 1e-10), ((0.0, 10**5000), 1e-10)])
+    def test_a_bracket_of_non_numbers_is_a_bad_bracket(self, bracket, tolerance):
+        with pytest.raises(InvalidBracketError):
+            ScalarMinProblem(lambda x: x, bracket, tolerance)
+
+    def test_bracket_and_tolerance_are_stored_as_floats(self):
+        prob = ScalarMinProblem(lambda x: x, (0, "2.5"), tolerance=np.float32(0.5))
+        assert prob.bracket == (0.0, 2.5) and prob.tolerance == 0.5
+        assert type(prob.bracket[0]) is float and type(prob.tolerance) is float
+
     def test_call_count_is_logarithmic(self):
         calls = [0]
 

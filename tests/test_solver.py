@@ -2,6 +2,7 @@
 loop, and trace auditing."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -618,11 +619,90 @@ class TestTraceReader:
         with pytest.raises(InvalidParameterError, match="k must be >= 0 and whole, got 3.7"):
             TraceRow.from_dict({**row, "k": 3.7})
 
+    def test_a_k_that_jumps_is_refused(self):
+        d = json.loads(self.make_trace().to_json())
+        for row in d["rows"][4:]:
+            row["k"] += 5  # 0, 1, 2, 3, 9, 10
+        with pytest.raises(InvalidParameterError, match="row 4 has k = 9"):
+            RunTrace.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("ks", [(1, 2), (0, 0), (0, 2, 1), (0, 1, 3)])
+    def test_rows_are_numbered_in_order(self, ks):
+        rows = [TraceRow(k=k, f=1.0, grad_norm=1.0, alpha=math.nan) for k in ks]
+        with pytest.raises(InvalidParameterError, match="rows are numbered 0, 1, 2"):
+            RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+
+    def test_a_count_beyond_int64_is_refused(self):
+        d = self.make_trace().to_dict()
+        d["rows"][0]["backtracks"] = 10**30
+        with pytest.raises(InvalidParameterError, match="backtracks must hold ints in range"):
+            RunTrace.from_dict(d)
+
+    @pytest.mark.parametrize("name", ["backtracks", "fevals"])
+    def test_a_fractional_count_in_a_row_is_refused(self, name):
+        row = TraceRow(k=0, f=1.0, grad_norm=1.0, alpha=math.nan, **{name: 2.5})
+        with pytest.raises(InvalidParameterError, match=f"{name} must be >= 0 and whole, got 2.5"):
+            RunTrace(rows=[row], termination=ITERATION_CAP, final_x=[0.0])
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="one length"):
+            RunTrace.from_columns([1.0, 0.5], [1.0, 0.5], [0.1], [0, 0], [1, 0],
+                                  ITERATION_CAP, [0.0], {})
+
     def test_a_meta_without_a_config_field_is_named(self):
         tr = self.make_trace()
         del tr.meta["sigma"], tr.meta["memory"]
         with pytest.raises(InvalidParameterError, match="trace meta lacks memory, sigma"):
             audit_trace(tr)
+
+
+class TestColumns:
+    @staticmethod
+    def traces():
+        obj = rosenbrock2()
+        gbb = run(obj, obj.x0, SolverConfig(max_iter=60), SteplengthPolicy("bb1"))
+        inst = generate_instance(20, SpectrumSetting(1, 1e2), seed=0)
+        return gbb, solve_bb(inst, SteplengthPolicy("bb1"), 1e-6, 500)
+
+    def test_traces_hold_no_row_objects(self, monkeypatch):
+        built = []
+        init = TraceRow.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceRow, "__init__", counted)
+        traces = self.traces()
+        for tr in traces:
+            tr.iterations, tr.solved, tr.f_values(), tr.grad_norms()
+        assert built == []
+        for tr in traces:
+            first, second = tr.rows, tr.rows
+            assert first == second and first is not second
+            assert not any(a is b for a, b in zip(first, second))
+        assert len(built) == 2 * sum(len(tr.f) for tr in traces)
+
+    def test_rows_read_the_columns(self):
+        for tr in self.traces():
+            rows = tr.rows
+            assert [r.k for r in rows] == list(range(tr.iterations + 1))
+            for name in ("f", "grad_norm", "alpha", "backtracks", "fevals"):
+                column = getattr(tr, name)
+                assert column.dtype == (np.int64 if name in ("backtracks", "fevals") else float)
+                assert not column.flags.writeable
+                got = np.array([getattr(r, name) for r in rows], dtype=column.dtype)
+                assert got.tobytes() == column.tobytes()
+            # the engines' terminal nan itself, and Python numbers throughout
+            assert rows[-1].alpha is math.nan
+            assert {type(v) for r in rows for v in r.to_dict().values()} == {int, float}
+            assert np.array_equal(tr.f_values(), tr.f) and tr.f_values() is not tr.f
+
+    def test_rows_build_the_same_trace(self):
+        for tr in self.traces():
+            back = RunTrace(rows=tr.rows, termination=tr.termination, final_x=tr.final_x,
+                            meta=tr.meta)
+            assert back.rows == tr.rows and back.to_json() == tr.to_json()
 
 
 class TestAudit:
@@ -660,26 +740,81 @@ class TestAudit:
     def test_window_holds_the_last_memory_plus_one_values(self):
         # the last step's f = 8 passes only against f = 9, which is four
         # values back: a window of memory + 1 = 3 no longer holds it
-        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1)
+        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1, fevals=1)
                 for k, f in enumerate((9.0, 1.0, 2.0, 3.0))]
         rows.append(TraceRow(k=4, f=8.0, grad_norm=1.0, alpha=math.nan))
         tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
-        assert audit_trace(tr, config=SolverConfig(memory=2)) == [
+        assert audit_trace(tr, config=SolverConfig(memory=2, max_iter=4)) == [
             "row 3: accepted step fails the nonmonotone test on replay"
         ]
-        assert audit_trace(tr, config=SolverConfig(memory=3)) == []
+        assert audit_trace(tr, config=SolverConfig(memory=3, max_iter=4)) == []
 
     def test_window_takes_the_max_over_recent_values(self):
         # the last step's f = 4.9 is above the latest value 4 and passes
         # only against f = 5, the largest of the memory + 1 = 3 values
-        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1)
+        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1, fevals=1)
                 for k, f in enumerate((5.0, 3.0, 4.0))]
         rows.append(TraceRow(k=3, f=4.9, grad_norm=1.0, alpha=math.nan))
         tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
-        assert audit_trace(tr, config=SolverConfig(memory=2)) == []
-        assert audit_trace(tr, config=SolverConfig(memory=1)) == [
+        assert audit_trace(tr, config=SolverConfig(memory=2, max_iter=3)) == []
+        assert audit_trace(tr, config=SolverConfig(memory=1, max_iter=3)) == [
             "row 2: accepted step fails the nonmonotone test on replay"
         ]
+
+    @staticmethod
+    def relabelled(tr, termination=None, edits=()):
+        # the trace under another termination, with rows edited: edits maps
+        # a row's k to the fields it changes
+        rows = list(tr.rows)
+        for k, fields_ in dict(edits).items():
+            rows[k] = dataclasses.replace(rows[k], **fields_)
+        return RunTrace(rows=rows, termination=termination or tr.termination,
+                        final_x=tr.final_x, meta=tr.meta)
+
+    def test_a_capped_trace_relabelled_solved_is_named(self):
+        obj = rosenbrock2()
+        tr = run(obj, obj.x0, SolverConfig(max_iter=20), SteplengthPolicy("bb1"))
+        assert tr.termination == ITERATION_CAP and audit_trace(tr) == []
+        assert audit_trace(self.relabelled(tr, GRADIENT_TOLERANCE)) == [
+            "row 20: the trace ends gradient_tolerance but does not meet "
+            "its grad_abs rule at epsilon 1e-08"
+        ]
+
+    @pytest.mark.parametrize("rule", [STOP_GRAD_ABS, STOP_GRAD_REL, STOP_POINT_DIST])
+    def test_the_stop_rule_is_read_on_the_last_row(self, rule):
+        obj = rosenbrock2()
+        target = [1.0, 1.0] if rule == STOP_POINT_DIST else None
+        cfg = SolverConfig(epsilon=1e-3, stop_rule=rule, target=target)
+        tr = run(obj, obj.x0, cfg, SteplengthPolicy("gamma", gamma=1.0))
+        assert tr.solved and audit_trace(tr) == []
+        # the same run cut two steps short, which has not met its rule yet
+        short = RunTrace(rows=tr.rows[:-2], termination=GRADIENT_TOLERANCE,
+                         final_x=tr.final_x if rule != STOP_POINT_DIST else [-1.2, 1.0],
+                         meta=tr.meta)
+        assert any("does not meet its" in v for v in audit_trace(short))
+
+    def test_a_solved_trace_relabelled_capped_is_named(self):
+        tr = self.make_trace()
+        assert audit_trace(self.relabelled(tr, ITERATION_CAP)) == [
+            f"row {tr.iterations}: the trace ends iteration_cap at k = {tr.iterations}, "
+            "not at max_iter = 2000"
+        ]
+
+    def test_fevals_other_than_one_plus_backtracks_are_named(self):
+        tr = self.make_trace()
+        assert tr.rows[3].fevals == 1 + tr.rows[3].backtracks
+        bad = self.relabelled(tr, edits={3: {"fevals": tr.rows[3].fevals + 1}})
+        assert audit_trace(bad) == [
+            f"row 3: {tr.rows[3].fevals + 1} fevals after {tr.rows[3].backtracks} "
+            "backtracks, not 1 + backtracks"
+        ]
+
+    @pytest.mark.parametrize("fields_", [{"alpha": 0.1}, {"backtracks": 1}, {"fevals": 1}])
+    def test_a_terminal_row_that_steps_is_named(self, fields_):
+        tr = self.make_trace()
+        bad = self.relabelled(tr, edits={tr.iterations: fields_})
+        assert [v.split(":")[0] for v in audit_trace(bad)] == [f"row {tr.iterations}"]
+        assert "the terminal row has" in audit_trace(bad)[0]
 
     def test_explicit_config_overrides_meta(self):
         tr = self.make_trace()

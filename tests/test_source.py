@@ -267,9 +267,7 @@ CAST_BY_DESIGN = {
     ("cli.py", "_parse_seeds", "text"),
     # the writers' float formatting, of values already checked
     ("harness.py", "fmt17", "x"),
-    # the oracle verifies closed forms on the scalars it is given, and its
-    # search bracket keeps its own InvalidBracketError
-    ("oracle.py", "__post_init__", "self.tolerance"),
+    # the oracle verifies closed forms on the scalars it is given
     ("oracle.py", "family_switch_gamma", "alpha"),
     ("oracle.py", "stls_ratio", "alpha"),
 }
