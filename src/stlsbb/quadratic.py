@@ -171,8 +171,10 @@ def generate_instance(n, setting, seed):
     SeedSequence into five independent child streams, one per drawn field
     (w1, w2, w3, v, b), so every instance is reproducible bit-for-bit.
 
-    Recipes 2..7 need n >= 10 (their interior breakpoints collapse below
-    that) and kappa > 200 (so the block ranges stay increasing).
+    Recipes 2..5 need n >= 10 and recipes 6 and 7 n >= 11, whose fixed
+    blocks of ten interior eigenvalues need n - 1 >= 10 (the breakpoints
+    collapse below that), and recipes 2..7 need kappa > 200 (so the block
+    ranges stay increasing).
     """
     n = count(n, "n", least=None)
     seed = _PROVENANCE["seed"](seed)
@@ -181,9 +183,10 @@ def generate_instance(n, setting, seed):
     if n < 3:
         raise DimensionTooSmallError(f"n must be >= 3 to hold both extremes, got {n}")
     if setting.setting_id != 1:
-        if n < 10:
+        least = 11 if setting.setting_id >= 6 else 10
+        if n < least:
             raise DimensionTooSmallError(
-                f"recipe {setting.setting_id} needs n >= 10, got {n}"
+                f"recipe {setting.setting_id} needs n >= {least}, got {n}"
             )
         if not setting.kappa > 200.0:
             raise InvalidSettingError(
@@ -264,6 +267,148 @@ def dense_hessian(inst):
     return q @ np.diag(inst.eigenvalues) @ q.T
 
 
+def _norm_bound(sq):
+    # N(y) of _trial_lower_bounds' step 1, from sq = fl(y . y)
+    return math.sqrt(sq) * (1.0 + 2.0**-30) + 2.0**-520
+
+
+def _trial_lower_bounds(inst):
+    """as_objective's lower_bounds(x, f, g, steps), or None for an
+    instance outside the window.  For each steplength a it gives lo such
+    that the f the evaluator computes at the row fl(x - a g) is finite
+    and at least lo, where f and g are what the evaluator gave at x; lo is
+    -inf outside the window.  The bound is the exact quadratic model
+    f - a g'g + a^2 g'Ag/2 less a rounding-error bound, whose derivation
+    follows (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 3 and 19).
+
+    Notation.  u = 2^-53 and n = dim.  M = P diag(v) P' with P = H3 H2 H1
+    and H_i = I - 2 w_i w_i' for the stored w_i, exactly: the matrix that
+    hessian_apply rounds.  F(y) = y'My/2 - b'y exactly, and
+    f^(y) = fl(fl(y . fl(My))/2 - fl(y . b)) is what the evaluator gives;
+    f = f^(x) and g = fl(fl(Mx) - b).  A float64 product rounds to
+    z(1 + e), |e| <= u, plus at most 2^-1075 where it lands below 2^-1022;
+    a sum or difference rounds to z(1 + e) everywhere; an n-term dot, in
+    any order and with or without fused multiply-adds, errs by at most
+    gamma_n |y|'|z|, gamma_n = nu/(1 - nu) (Higham (3.5)).  Steps 1-8 omit
+    the underflow terms, which step 9 collects.
+
+    Window.  The instance needs n <= 2^20, so that gamma_n <= nu(1 + 2^-32),
+    and fl(w_i . w_i) <= 1 + 2^-32, so that ||w_i||^2 <= 1 + 2^-31 and
+    ||H_i|| = max(1, 2||w_i||^2 - 1) <= 1 + 2^-30: the w_i are unit only to
+    rounding.  A call needs f finite, and a step needs a > 0 and
+    (V + 1)(1 + X + G + B + a(G + 1))^2 <= 2^1000 as computed (below 2^1001
+    exactly); then every quantity the evaluator and this bound compute
+    stays below 2^1003, so none overflows and f^(x - a g) is finite.
+
+    1. Norms.  N(y) = fl(sqrt(fl(y . y)))(1 + 2^-30) + 2^-520 >= ||y||,
+       since fl(y . y) >= (1 - gamma_n) y'y - n 2^-1075.  X = N(x),
+       G = N(g), B = N(b) and V = max(v).
+    2. Householder products.  One reflection fl(y - fl(c w)), with
+       c = 2 fl(w . y) (doubling is exact), errs from H y by at most (2 gamma_n ||w||^2 + u
+       + 2u ||w||^2 (1 + gamma_n)(2 + u)) ||y|| <= (2n + 6)u ||y||, and the
+       scaling by v by at most uV ||y||.  Through the seven stages, whose
+       exact norms are at most 1 + 2^-30 and V, fl(My) errs from My by at
+       most ((1 + 2^-30 + (2n + 6)u)^6 (1 + u) - (1 + 2^-30)^6) V ||y||
+       <= ka V ||y||, ka = (12n + 38)u; and ||M|| <= (1 + 2^-30)^6 V, so
+       ||My|| and ||fl(My)|| are at most V1 ||y||, V1 = (1 + 2^-26)V.
+    3. Evaluation.  |f^(y) - F(y)| <= k1 V ||y||^2 + k2 B ||y|| with
+       k1 = (7n + 21)u >= gamma_n (1 + 2^-26)/2 + ka/2
+       + u(1 + gamma_n)(1 + 2^-26)/2 (the dot with fl(My), whose halving is
+       exact; fl(My) - My; the last difference) and
+       k2 = (n + 2)u >= gamma_n + u(1 + gamma_n) (the dot with b; the last
+       difference).
+    4. Gradient.  g = Mx - b + r with ||r|| <= ka V X + uG/(1 - u) <= R,
+       R = ka V X + 1.01uG (step 2, then the rounding of the subtraction).
+    5. Trial rows.  fl(x - fl(a g)) = x - a g + d with
+       ||d|| <= u(X + (2 + u)aG) <= u(X + 3aG), and
+       ||x - a g + d|| <= Y = (1 + 2^-50)(X + aG).
+    6. Model.  M = P diag(v) P' is positive semidefinite, so
+       F(x - a g + d) >= F(x - a g) - ||d|| ||M(x - a g) - b||, where
+       ||M(x - a g) - b|| = ||g - r - aMg|| <= G + R + aV1 G, and exactly
+       F(x - a g) = F(x) - a g'g + a g'r + a^2 g'Mg/2.  In it
+       F(x) >= f - k1 V X^2 - k2 B X (step 3), g'g <= gg + kq G^2 with
+       gg = fl(g . g) and kq = (n + 1)u >= gamma_n, |g'r| <= GR, and
+       g'Mg >= c - kc V G^2 with c = fl(g . fl(Mg)) and
+       kc = (13n + 39)u >= gamma_n (1 + 2^-26) + ka.
+    7. The bound.  With step 3 at the trial point, f^(x - a g) is at least
+       f - a gg + a^2 c/2 - E(a), where
+       E(a) = k1 V (X^2 + Y^2) + k2 B (X + Y) + a(kq G^2 + GR)
+       + a^2 kc V G^2/2 + u(X + 3aG)(G + R + aV1 G) + W(1 + a)^2
+       and W (step 9) bounds the underflow.  Taking k1 = (7n + 22)u and
+       k2 = (n + 3)u absorbs Y^2 <= (1 + 2^-49)(X + aG)^2 and
+       Y <= (1 + 2^-50)(X + aG), and then E(a) = e0 + e1 a + e2 a^2 with
+       e0 = 2k1 V X^2 + 2k2 B X + uX(G + R) + W,
+       e1 = 2k1 V X G + k2 B G + kq G^2 + GR + uG(3(G + R) + V1 X) + 2W,
+       e2 = (k1 V + kc V/2 + 3uV1) G^2 + W.
+    8. Its own rounding.  lo = fl(q0 - a q1 + a^2 q2) with
+       q0 = f - e0 - s(|f| + e0), q1 = (gg + e1)(1 + s) and
+       q2 = c/2 - e2 - s(|c|/2 + e2), s = 2^-40.  Each e takes fewer than 30
+       roundings of nonnegative terms, and the q's and the polynomial fewer
+       than 10 more, so the computed lo lies within gamma_40 T < 2^-47 T of
+       the exact step 7 bound less sT, where
+       T = |f| + e0 + a(gg + e1) + a^2 (|c|/2 + e2); sT covers that.
+    9. Underflow.  Fewer than 2^30 products are rounded, each within 2^-1075
+       of its value; an error in fl(My) reaches f^ through one dot with y,
+       one in d through the gradient of step 6, one in r, gg or c through
+       a, a or a^2/2, and one of this bound's own arithmetic directly.  Each
+       factor is at most 4(V + 1)(1 + a)^2 (1 + X + G)^2, so together they
+       stay below 2^-1040 (V + 1)(1 + a)^2 (1 + X + G)^2, which
+       W(1 + a)^2, W = 2^-1000 (V + 1)(1 + X + G)^2, covers.
+
+    The per-iterate values gg and c take one 1-D Hessian product, kept
+    while the calls pass the same g, as the rounds of an iteration do.
+    """
+    n, v = inst.dim, inst.eigenvalues
+    ws = (inst.w1, inst.w2, inst.w3)
+    if n > 2**20 or any(float(w.dot(w)) > 1.0 + 2.0**-32 for w in ws):
+        return None
+    u = 2.0**-53
+    k1, k2, kq = (7 * n + 22) * u, (n + 3) * u, (n + 1) * u
+    ka, kc = (12 * n + 38) * u, (13 * n + 39) * u
+    v_max = float(np.max(v))
+    v1 = (1.0 + 2.0**-26) * v_max
+    with np.errstate(**kernels._QUIET):  # an overflowing b'b closes the window
+        b_norm = _norm_bound(float(inst.linear.dot(inst.linear)))
+    # the window on a (G + 1) is room0 - X - G
+    room0 = 2.0**500 / math.sqrt(v_max + 1.0) - b_norm - 1.0
+    e2_per_gg = v_max * (k1 + 0.5 * kc) + 3.0 * u * v1
+    s = 2.0**-40
+    last = None  # (g's bytes, G, gg, c) of the latest g; c is None until needed
+
+    @np.errstate(**kernels._QUIET)
+    def lower_bounds(x, f, g, steps):
+        nonlocal last
+        x, g = _check_vec(inst, x), _check_vec(inst, g)
+        key, held = g.tobytes(), last
+        if held is None or held[0] != key:
+            gg = float(g.dot(g))
+            held = last = key, _norm_bound(gg), gg, None
+        _, gn, gg, c = held
+        xn = _norm_bound(float(x.dot(x)))
+        room = room0 - xn - gn
+        if not (room >= 0.0 and math.isfinite(f)):
+            return [-math.inf] * len(steps)
+        if c is None:  # inside the window the product cannot overflow
+            c = float(g.dot(kernels.hessian_apply(*ws, v, g)))
+            last = key, gn, gg, c
+        t = 1.0 + xn + gn
+        w = 2.0**-1000 * (v_max + 1.0) * t * t
+        r = ka * v_max * xn + 1.01 * u * gn
+        e0 = 2.0 * xn * (k1 * v_max * xn + k2 * b_norm) + u * xn * (gn + r) + w
+        e1 = (gn * (2.0 * k1 * v_max * xn + k2 * b_norm + kq * gn + r
+                    + u * (3.0 * (gn + r) + v1 * xn)) + 2.0 * w)
+        e2 = e2_per_gg * gn * gn + w
+        q0 = f - e0 - s * (abs(f) + e0)
+        q1 = (gg + e1) * (1.0 + s)
+        q2 = 0.5 * c - e2 - s * (0.5 * abs(c) + e2)
+        top = gn + 1.0
+        return [q0 - a * q1 + a * a * q2 if 0.0 < a and a * top <= room else -math.inf
+                for a in steps]
+
+    return lower_bounds
+
+
 def as_objective(inst):
     """Wrap an instance as a generic (f, grad) objective for the
     line-search solver.
@@ -271,7 +416,9 @@ def as_objective(inst):
     Its eval_rows is the evaluator objective also runs: one block Hessian
     product for all rows and row dots that round like the 1-D dot, so each
     row's f and g equal objective's and gradient's bit for bit; eval is
-    row 0 of the one-row block.
+    row 0 of the one-row block.  Its lower_bounds is the proven bound of
+    _trial_lower_bounds, so run rejects most trials of a backtracking
+    search without a Hessian product.
     """
 
     def eval_rows(xs):
@@ -282,7 +429,8 @@ def as_objective(inst):
         return _eval_rows(inst, xs)
 
     return Objective(f"quadratic-n{inst.dim}", inst.dim, first_row_eval(eval_rows),
-                     x0=np.ones(inst.dim), eval_rows=eval_rows)
+                     x0=np.ones(inst.dim), eval_rows=eval_rows,
+                     lower_bounds=_trial_lower_bounds(inst))
 
 
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):

@@ -46,6 +46,17 @@ class Objective:
     The built-in objectives (rosenbrock2, quadratic.as_objective) write
     only eval_rows and take eval from it through first_row_eval, so the
     two agree by construction.
+
+    lower_bounds, when given, is lower_bounds(x, f, g, steps): for an
+    iterate x with the f and g that eval gave there, and each steplength
+    a in steps, one float lo such that the f eval_rows computes at the row
+    kernels.trial_rows(x, g, [a]) is finite and at least lo, or -inf
+    where the bound cannot say.  run() rejects the leading trials of a
+    round whose lo already fails the nonmonotone test without evaluating
+    them, so a bound that breaks this contract changes the run, and one
+    that keeps it changes no decision and no trace.
+    quadratic.as_objective supplies one, proven from rounding-error
+    bounds.
     """
 
     name: str
@@ -53,9 +64,16 @@ class Objective:
     eval: Callable
     x0: np.ndarray | None = None
     eval_rows: Callable | None = None
+    lower_bounds: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", count(self.dim, "dim"))
+        if not callable(self.eval):
+            raise InvalidParameterError(f"eval must be callable, got {self.eval!r}")
+        for name in ("eval_rows", "lower_bounds"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                raise InvalidParameterError(f"{name} must be callable or None, got {value!r}")
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True).reshape(-1)
             if x0.size != self.dim:
@@ -253,11 +271,20 @@ def run(objective, x0, config, policy):
     the one before.  An iteration never evaluates more than
     backtrack_cap + 1 trials, and a round never more rows than fit
     kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
-    of one through eval.  Every decision is the one trial-by-trial
-    backtracking makes, on the same floats as audit_trace.  run copies the
-    opening gradient and each accepted point and gradient out of what the
-    objective returned, so an objective may reuse its output arrays and no
-    round's block outlives its round.
+    of one through eval.  With objective.lower_bounds, a round of two or
+    more trials first rejects, unevaluated, its leading trials whose lower
+    bound lo already fails the test, lo > f_max - beta * a * grad_sq as
+    nonmonotone_accept computes it, and evaluates its rows from the first
+    trial left undecided.  Such trials count as finite, failed trials.
+    On quadratics most rejected trials are decided by the proven bound, so
+    fevals counts trials decided, not objective calls.  Where the
+    safeguard band lets the policies' steps through, as a wide band does,
+    few trials are rejected and the bound seldom acts.  Every decision is
+    the one trial-by-trial backtracking makes, on the same floats as
+    audit_trace, so every trace is the same bit for bit with or without
+    the bound.  run copies the opening gradient and each accepted point
+    and gradient out of what the objective returned, so an objective may
+    reuse its output arrays and no round's block outlives its round.
 
     The whole run, the objective's evaluations included, runs under
     np.errstate(**kernels._QUIET), as the raw loop's products do: an
@@ -275,7 +302,7 @@ def run(objective, x0, config, policy):
         raise DimensionMismatchError(
             f"target has length {config.target.size}, expected {objective.dim}"
         )
-    eval_rows = objective.eval_rows
+    eval_rows, lower_bounds = objective.eval_rows, objective.lower_bounds
     block_rows = max(1, kernels._BLOCK_DOUBLES // objective.dim)
     if eval_rows is None:
         eval_rows, block_rows = _rounds_of_one(objective), 1
@@ -317,7 +344,7 @@ def run(objective, x0, config, policy):
         grad_sq = gn * gn
         f_max = max(window)
         a_eff = alpha
-        tried = 0  # trials evaluated in this iteration's earlier rounds
+        tried = 0  # trials in this iteration's earlier rounds
         size = max(needed, before)
         finite_trial = False
         while tried <= config.backtrack_cap:
@@ -326,17 +353,32 @@ def run(objective, x0, config, policy):
             for _ in range(size):
                 steps.append(a_eff)
                 a_eff *= sigma
-            xs = kernels.trial_rows(x, g, np.array(steps))
-            f_rows, g_rows = eval_rows(xs)
-            if not isinstance(f_rows, list):
-                f_rows = np.asarray(f_rows, dtype=float).tolist()
+            # the leading trials whose lower bound fails the test fail it at
+            # their f too, which is finite, so they are rejected unevaluated;
+            # the rows start at the first trial the bound leaves undecided.
+            # A round of one trial costs about what the bound costs, so it
+            # is evaluated outright
+            skip = 0
+            if lower_bounds is not None and size > 1:
+                for lo, a in zip(lower_bounds(x, f, g, steps), steps):
+                    if nonmonotone_accept(lo, f_max, beta, a, grad_sq):
+                        break
+                    skip += 1
+                steps = steps[skip:]
+            f_rows = ()
+            if steps:
+                xs = kernels.trial_rows(x, g, np.array(steps))
+                f_rows, g_rows = eval_rows(xs)
+                if not isinstance(f_rows, list):
+                    f_rows = np.asarray(f_rows, dtype=float).tolist()
             # the first row that passes is taken, and ends the line search;
             # rows after it are discarded
             for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
                 if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
                     break
             else:
-                finite_trial = finite_trial or any(ft < math.inf for ft in f_rows)  # false for nan
+                finite_trial = (finite_trial or skip > 0
+                                or any(ft < math.inf for ft in f_rows))  # false for nan
                 # most iterations need only a trial or two more than the
                 # last one, so the round after the first holds one trial,
                 # and each later round twice as many as the one before
@@ -351,7 +393,7 @@ def run(objective, x0, config, policy):
                 )
             termination = NONFINITE  # f was nan or +inf at every trial
             break
-        backtracks = tried + hit
+        backtracks = tried + skip + hit
         before, needed = needed, 1 + backtracks
         alpha_col.append(alpha)
         bt_col.append(backtracks)

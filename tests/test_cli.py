@@ -174,6 +174,17 @@ class TestQuad:
     def test_invalid_setting_is_exit_2(self, capsys):
         assert main(["quad", "--n", "20", "--setting", "9"]) == 2
 
+    def test_recipe_below_its_dimension_floor_is_exit_2(self, tmp_path, capsys):
+        # recipes 6 and 7 need n >= 11: one line and exit 2, or a failed cell
+        assert main(["quad", "--n", "10", "--setting", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err == "stlsbb: recipe 6 needs n >= 11, got 10\n"
+        out = tmp_path / "cells.csv"
+        main(["bench", "--n", "10", "--settings", "7", "--kappas", "1e4", "--seeds", "1",
+              "--policies", "bb1", "--quiet", "--out", str(out)])
+        capsys.readouterr()
+        assert out.read_text().splitlines()[-1].endswith(",error:DimensionTooSmallError")
+
     def test_overflow_ends_nonfinite(self, capsys):
         with np.errstate(all="ignore"):
             rc = main(["quad", "--n", "50", "--alpha0", "1e300", "--max-iter", "200"])

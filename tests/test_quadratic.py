@@ -1,7 +1,10 @@
 """Generated quadratic instances: spectra, factored Hessian products, and
 the raw BB solver on them."""
 
+import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +29,10 @@ from stlsbb.errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from stlsbb.quadratic import as_objective
+from stlsbb import kernels
+from stlsbb.errors import LineSearchStallError
+from stlsbb.quadratic import SETTING_IDS, as_objective
+from stlsbb.solver import STOP_GRAD_REL, SolverConfig, run
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
 
 from conftest import raw_results
@@ -171,6 +177,15 @@ class TestGeneration:
             generate_instance(2, SpectrumSetting(1, 100.0), seed=0)
         with pytest.raises(DimensionTooSmallError):
             generate_instance(9, SpectrumSetting(2, 1e4), seed=0)
+
+    @pytest.mark.parametrize("sid", [6, 7])
+    def test_recipes_with_ten_fixed_eigenvalues_need_eleven(self, sid):
+        # their blocks (1, 10) and (n - 10, n - 1) are reversed at n = 10;
+        # the floor names that instead of numpy's bare ValueError
+        with pytest.raises(DimensionTooSmallError, match=f"recipe {sid} needs n >= 11, got 10"):
+            generate_instance(10, SpectrumSetting(sid, 1e4), seed=0)
+        v = generate_instance(11, SpectrumSetting(sid, 1e4), seed=0).eigenvalues
+        assert v[0] == 1.0 and v[-1] == 1e4 and np.all(np.diff(v) >= 0.0)
 
     def test_kappa_floor_for_banded_recipes(self):
         with pytest.raises(InvalidSettingError):
@@ -501,3 +516,166 @@ class TestSolveBB:
             assert np.array_equal(g, want_g)
         with pytest.raises(DimensionMismatchError):
             obj.eval_rows(xs[:, 1:])
+
+
+def _with_and_without_bound(obj, x0, config, policy):
+    # run's trace JSON, or its stall message, with the objective's bound
+    # and without it
+    out = []
+    for o in (obj, dataclasses.replace(obj, lower_bounds=None)):
+        try:
+            out.append(run(o, x0, config, policy).to_json())
+        except LineSearchStallError as exc:
+            out.append(f"stall: {exc}")
+    return out
+
+
+class TestTrialLowerBounds:
+    """as_objective's proven lower bound on a trial's computed f."""
+
+    def test_the_constants_cover_their_terms(self):
+        # the inequalities of _trial_lower_bounds' derivation, in exact
+        # rationals; each left side is convex in n and each constant linear,
+        # so n = 1 and n = 2^20 cover every n of the window
+        u = Fraction(1, 2**53)
+        for n in (1, 2**20):
+            gam = n * u / (1 - n * u)
+            assert gam <= n * u * (1 + Fraction(1, 2**32))
+            w_sq = (1 + Fraction(1, 2**32)) / (1 - gam) + n * Fraction(1, 2**1075) / (1 - gam)
+            assert w_sq <= 1 + Fraction(1, 2**31)
+            assert 2 * w_sq - 1 <= 1 + Fraction(1, 2**30)
+            w_sq = 1 + Fraction(1, 2**31)
+            assert 2 * gam * w_sq + u + 2 * u * w_sq * (1 + gam) * (2 + u) <= (2 * n + 6) * u
+            h, ka = 1 + Fraction(1, 2**30), (12 * n + 38) * u
+            assert (h + (2 * n + 6) * u) ** 6 * (1 + u) - h**6 <= ka
+            v1 = 1 + Fraction(1, 2**26)
+            assert h**6 + ka <= v1
+            k1 = gam * v1 / 2 + ka / 2 + u * (1 + gam) * v1 / 2
+            assert k1 * (1 + Fraction(1, 2**50)) ** 2 <= (7 * n + 22) * u
+            k2 = gam + u * (1 + gam)
+            assert k2 * (1 + Fraction(1, 2**50)) <= (n + 3) * u
+            assert gam <= (n + 1) * u
+            assert gam * v1 + ka <= (13 * n + 39) * u
+            assert 1 / (1 - u) <= Fraction(101, 100)
+
+    def test_every_finite_bound_lies_below_the_computed_f(self):
+        # points near the minimizer x*, where f^ moves by rounding alone;
+        # points near 2x*, where F is 0 and f^ is all rounding; random
+        # points; and, with b = 0, points on the eigenvector of v[0] = 1,
+        # whose trials the product's rounding moves by about kappa times
+        # their F; at four scales of x and b; steps delta sigma^j and
+        # log-uniform draws.  A step inside the window gets a finite lo no
+        # larger than the f that eval_rows computes there, and one outside
+        # it -inf
+        rng = np.random.default_rng(30)
+        steps = [0.1 * 0.8**j for j in range(30)]
+        inside = outside = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sid in SETTING_IDS:
+                for kappa in (1e3, 1e4, 1e6):
+                    for n in (11, 100, 1000):
+                        inst = generate_instance(n, SpectrumSetting(sid, kappa), seed=sid)
+                        x_min = kernels.hessian_apply(inst.w1, inst.w2, inst.w3,
+                                                      1.0 / inst.eigenvalues, inst.linear)
+                        q = np.eye(n)[0]  # P e_0, the eigenvector of v[0] = 1
+                        for w in (inst.w1, inst.w2, inst.w3):
+                            q -= 2.0 * w.dot(q) * w
+                        flat = as_objective(dataclasses.replace(inst, linear=np.zeros(n)))
+                        for scale in (1e3, 1e-3, 2.0**480, 2.0**-480):
+                            obj = as_objective(dataclasses.replace(inst, linear=inst.linear * scale))
+                            points = [(obj, scale * x_min), (obj, 2.0 * scale * x_min),
+                                      (obj, scale * rng.standard_normal(n)), (flat, scale * q)]
+                            for obj, x in points:
+                                b_norm = float(np.linalg.norm(obj.eval(np.zeros(n))[1]))
+                                f, g = obj.eval(x)
+                                a = steps + (10.0 ** rng.uniform(-12.0, 3.0, 10)).tolist()
+                                lo = obj.lower_bounds(x, f, g, a)
+                                got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
+                                xn, gn = float(np.linalg.norm(x)), float(np.linalg.norm(g))
+                                for ai, li, fi in zip(a, lo, got.tolist()):
+                                    z = (math.log2(kappa + 1.0)
+                                         + 2.0 * math.log2(1.0 + xn + gn + b_norm + ai * (gn + 1.0)))
+                                    if z > 1001.0 or not math.isfinite(f):
+                                        assert li == -math.inf
+                                        outside += 1
+                                    elif z < 999.0:
+                                        assert -math.inf < li <= fi < math.inf, (sid, kappa, n, scale, ai)
+                                        inside += 1
+        assert inside > 35000 and outside > 1500
+
+    def test_an_overflowing_b_closes_the_window_quietly(self):
+        inst = generate_instance(20, SpectrumSetting(1, 1e4), seed=0)
+        obj = as_objective(dataclasses.replace(inst, linear=np.full(20, 1e200)))
+        x = np.zeros(20)
+        f, g = obj.eval(x)
+        assert obj.lower_bounds(x, f, g, [0.1, 1e-300]) == [-math.inf] * 2
+
+    def test_one_product_per_gradient(self, monkeypatch):
+        inst = generate_instance(50, SpectrumSetting(1, 1e4), seed=0)
+        obj = as_objective(inst)
+        f, g = obj.eval(obj.x0)
+        calls = []
+        product = kernels.hessian_apply
+        monkeypatch.setattr(kernels, "hessian_apply",
+                            lambda *args: calls.append(1) or product(*args))
+        first = obj.lower_bounds(obj.x0, f, g, [0.1, 0.08])
+        # a second round of the same iterate reuses it, bit for bit
+        assert obj.lower_bounds(obj.x0, f, g.copy(), [0.1, 0.08]) == first
+        assert len(calls) == 1
+        obj.lower_bounds(obj.x0, f, -g, [0.1])
+        assert len(calls) == 2
+
+    def test_the_bound_decides_most_trials_of_the_benchmark_run(self):
+        # perfbench's gbb-linesearch quadratic: every step is reset to
+        # delta and backtracks; without the bound each of its 57 673
+        # trials is a row of a block product
+        obj = as_objective(generate_instance(1000, SpectrumSetting(1, 1e4), seed=0))
+        rows = []
+
+        def eval_rows(xs):
+            rows.append(len(xs))
+            return obj.eval_rows(xs)
+
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000)
+        tr = run(dataclasses.replace(obj, eval_rows=eval_rows), obj.x0, config,
+                 parse_policy("gamma:20"))
+        trials = int(tr.fevals.sum())
+        assert (tr.iterations, trials) == (2000, 57673)
+        assert sum(rows) < 0.1 * trials
+
+
+class TestBoundEquivalence:
+    """Every run with the bound is the run without it, byte for byte."""
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-10])
+    @pytest.mark.parametrize("pol", ["bb1", "bb2", "gamma:1", "atc:3"])
+    def test_golden_gbb_quadratic_runs(self, eta, pol):
+        obj = as_objective(generate_instance(200, SpectrumSetting(1, 1e3), 2))
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=600, eta=eta)
+        with_bound, without = _with_and_without_bound(obj, obj.x0, config, parse_policy(pol))
+        assert with_bound == without
+
+    @pytest.mark.parametrize("k", [-480, -300, -250, 250, 300, 480])
+    @pytest.mark.parametrize(
+        "kind", ["bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.05", "tau:0.3", "atc:3"])
+    def test_scaled_runs(self, k, kind):
+        # TestScaleFree's gbb runs: b and x0 scaled by 2^k
+        inst = generate_instance(100, SpectrumSetting(1, 1e4), 0)
+        obj = as_objective(dataclasses.replace(inst, linear=np.ldexp(inst.linear, k)))
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000, eta=1e-10,
+                              alpha0=1e-3)
+        with_bound, without = _with_and_without_bound(obj, np.ldexp(np.ones(100), k), config,
+                                                      parse_policy(kind))
+        assert with_bound == without
+
+    @pytest.mark.parametrize("alpha0, ends", [(1e300, f'"{NONFINITE}"'), (1e150, "stall: ")])
+    def test_overflowing_trials(self, alpha0, ends):
+        # from 1e300 every trial overflows and the run ends nonfinite; from
+        # 1e150 the first trials overflow and the later ones are finite but
+        # rejected, inside the window, so the search stalls, with the bound
+        # deciding those as without it
+        obj = as_objective(generate_instance(50, SpectrumSetting(1, 1e4), 0))
+        config = SolverConfig(alpha0=alpha0, eta=1e-305)
+        with_bound, without = _with_and_without_bound(obj, obj.x0, config, parse_policy("bb1"))
+        assert with_bound == without
+        assert ends in with_bound

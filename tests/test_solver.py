@@ -180,6 +180,16 @@ class TestObjectiveAndTraceChecks:
         with pytest.raises(DimensionMismatchError, match="x0 has length 2, expected 3"):
             Objective("sphere", 3, lambda x: (0.0, x), x0=[1.0, 2.0])
 
+    def test_objective_eval_must_be_callable(self):
+        # refused here, not inside run with a bare TypeError
+        with pytest.raises(InvalidParameterError, match="eval must be callable, got None"):
+            Objective("q", 2, None)
+
+    @pytest.mark.parametrize("name", ["eval_rows", "lower_bounds"])
+    def test_objective_optional_callables_are_callable(self, name):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be callable or None, got 5"):
+            Objective("q", 2, lambda x: (0.0, x), **{name: 5})
+
     def test_trace_termination_must_be_known(self):
         row = TraceRow(k=0, f=1.0, grad_norm=1.0, alpha=math.nan)
         with pytest.raises(InvalidParameterError, match="termination must be one of"):
