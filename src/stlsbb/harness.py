@@ -254,9 +254,10 @@ def sweep_from_csv(text):
             rows[1:], 1):
         try:
             cell = SweepCell(
-                count(sid, "setting", least=None), inside(kappa, "kappa", 1.0, math.inf),
-                inside(eps, "epsilon", 0.0, 1.0), count(seed, "seed", least=0), count(n, "n"),
-                policy, count(max_iter, "max_iter"),
+                # setting, kappa, epsilon and seed through their grid axes' checks
+                *(check(v, name) for (_, check), v, name
+                  in zip(_AXES, (sid, kappa, eps, seed), _SWEEP_HEADER)),
+                count(n, "n"), policy, count(max_iter, "max_iter"),
                 None if iterations == "" else count(iterations, "iterations", least=0), status)
         except InvalidParameterError as exc:
             raise ValueError(f"sweep row {i}: {exc}") from exc

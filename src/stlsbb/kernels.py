@@ -17,14 +17,12 @@ read the iterate.  The kernels never modify their inputs, and the arrays
 they return are fresh ones.  A block product with its own w per row, on
 rows shorter than _WIDE_ROW doubles, copies each pass's column of row
 dots across one block buffer and scales it by w in place, rather than
-broadcast the column against the rows.  A block product on rows of at
-least _WIDE_ROW doubles, within _BLOCK_DOUBLES, writes its temporaries
-into a work array of _BLOCK_DOUBLES doubles that each thread holds once
-and never hands out, so such a product allocates only its result.  A row
-longer than the work array (the package runs such rows only as blocks of
-one) runs every elementwise pass of its product and of raw_bb_loop's step
-in slices of _BLOCK_DOUBLES doubles through that array; its dots still
-read the whole row, so no bit changes.
+broadcast the column against the rows.  A row longer than _BLOCK_DOUBLES
+doubles (the package runs such rows only as blocks of one) runs every
+elementwise pass of its product and of raw_bb_loop's step in slices of
+_BLOCK_DOUBLES doubles through a work array that each thread holds once
+and never hands out, so its product allocates only its result; its dots
+still read the whole row, so no bit changes.
 
 Nothing in this module validates its inputs: steps.SteplengthPolicy and
 steps.next_steplength check what reaches policy_step; quadratic.solve_bb,
@@ -161,10 +159,10 @@ def _householder_product(dot, w1, w2, w3, v, x):
     # broadcast multiply into a kept buffer, without the copy, read
     # 0.89-1.05x at (96, 100) and 0.96-1.15x at (75, 100).  The copy
     # lost where w is one row for every row (1.07-1.21x below 40 rows,
-    # as the line search's rounds are) and on wide blocks beyond the
-    # work array (1.16-1.39x), which keep c * w.  The operands and their
-    # order are those of c * w, so every bit, nan payloads included, is
-    # the same
+    # as the line search's rounds are) and on wide blocks beyond
+    # _BLOCK_DOUBLES (1.16-1.39x); every block of rows at least _WIDE_ROW
+    # long keeps c * w.  The operands and their order are those of c * w,
+    # so every bit, nan payloads included, is the same
     if w1.ndim == 1 or x.shape[-1] >= _WIDE_ROW:
         scaled = np.multiply
     else:
@@ -183,46 +181,41 @@ def _householder_product(dot, w1, w2, w3, v, x):
     return u
 
 
-def _wide_product(dot, w1, w2, w3, v, x):
-    # _householder_product in the same order, every elementwise pass run
-    # by _subtract_scaled through the thread's work array: the first pass
-    # writes straight into the result and v scales each slice of the third
-    # as it leaves it.  So the product allocates only its result, and a
-    # row longer than the work array runs its passes in cache-sized slices
-    # instead of through n-long temporaries; each dot still reads a whole
-    # row, so no value changes.  Kept apart because the
+def _wide_product(w1, w2, w3, v, x):
+    # _householder_product on a row longer than the work array, in the
+    # same order, every elementwise pass run by _subtract_scaled through
+    # the thread's work array: the first pass writes straight into the
+    # result and v scales each slice of the third as it leaves it.  So the
+    # product allocates only its result and runs its passes in cache-sized
+    # slices instead of through n-long temporaries; each dot still reads
+    # the whole row, so no value changes.  Kept apart because the
     # np.multiply(..., out=None) form on the other paths read 1.9 % slower
     # on the n = 100 sweep benchmark and raised the n = 1e5 raw runs' peak
     # RSS by 0.7 MB
     u = np.empty(x.shape)
-    _subtract_scaled(u, x, 2.0 * dot(w3, x), w3)
-    _subtract_scaled(u, u, 2.0 * dot(w2, u), w2)
-    _subtract_scaled(u, u, 2.0 * dot(w1, u), w1, v)
+    _subtract_scaled(u, x, 2.0 * np.dot(w3, x), w3)
+    _subtract_scaled(u, u, 2.0 * np.dot(w2, u), w2)
+    _subtract_scaled(u, u, 2.0 * np.dot(w1, u), w1, v)
     for w in (w1, w2, w3):
-        _subtract_scaled(u, u, 2.0 * dot(w, u), w)
+        _subtract_scaled(u, u, 2.0 * np.dot(w, u), w)
     return u
 
 
 def _subtract_scaled(out, u, c, w, scale=None):
-    # out = u - c w, then out *= scale, with the c w term written into the
-    # thread's work array, in slices along the last axis of as many
-    # doubles as fill it (one slice for a block it holds), last slice
-    # first: the whole-row dot before a pass ends on the rows' tails, which
-    # are then still in L2, and the pass ends on the heads the next dot
-    # starts from.  c is a scalar or a column, w and scale a row or a
-    # block; out may be u
-    if out.size == 0:
-        return
+    # out = u - c w, then out *= scale, for a scalar c and rows u, w and
+    # scale, with the c w term written into the thread's work array, in
+    # slices of as many doubles as fill it, last slice first: the
+    # whole-row dot before a pass ends on the row's tail, which is then
+    # still in L2, and the pass ends on the head the next dot starts
+    # from.  out may be u
     work = _work_array()
-    n = out.shape[-1]
-    length = work.size // (out.size // n)
-    for i in reversed(range(0, n, length)):
-        cut = np.s_[..., i:i + length]
-        part = out[cut]
-        np.subtract(u[cut], np.multiply(c, w[cut], out=work[:part.size].reshape(part.shape)),
+    length = work.size
+    for i in reversed(range(0, len(out), length)):
+        part = out[i:i + length]
+        np.subtract(u[i:i + length], np.multiply(c, w[i:i + length], out=work[:len(part)]),
                     out=part)
         if scale is not None:
-            part *= scale[cut]
+            part *= scale[i:i + length]
 
 
 def _work_array():
@@ -250,8 +243,9 @@ def hessian_apply(w1, w2, w3, v, x):
     product equals the row's 1-D product bit for bit.  A row longer than
     kernels._BLOCK_DOUBLES, alone or as a block of one, runs each
     elementwise pass in slices of that many doubles through the thread's
-    work array, with whole-row dots, to the same bits.  x is only read,
-    and the result is a fresh array.
+    work array, with whole-row dots, to the same bits; every other block
+    takes numpy's temporaries.  x is only read, and the result is a fresh
+    array.
     """
     one = x.ndim == 2 and len(x) == 1
     if one:
@@ -260,15 +254,10 @@ def hessian_apply(w1, w2, w3, v, x):
             w1, w2, w3, v = w1[0], w2[0], w3[0], v[0]
         x = x[0]
     if x.ndim == 1:
-        product = _wide_product if len(x) > _BLOCK_DOUBLES else _householder_product
-        u = product(np.dot, w1, w2, w3, v, x)
+        u = (_wide_product(w1, w2, w3, v, x) if len(x) > _BLOCK_DOUBLES
+             else _householder_product(np.dot, w1, w2, w3, v, x))
         return u[None] if one else u
-    n = x.shape[1]
-    # wide blocks within _BLOCK_DOUBLES, as the line search's rounds are,
-    # take the work array; narrower blocks keep their fresh temporaries
-    if n >= _WIDE_ROW and x.size <= _BLOCK_DOUBLES:
-        return _with_row_buffers(n, _wide_product, _row_dots, w1, w2, w3, v, x)
-    return _with_row_buffers(n, _householder_product, _row_dots, w1, w2, w3, v, x)
+    return _with_row_buffers(x.shape[1], _householder_product, _row_dots, w1, w2, w3, v, x)
 
 
 def _step_rows(x, g, a):
@@ -302,12 +291,10 @@ def _with_row_buffers(n, f, *args):
     # (29, 1000), the line search's blocks; blocks of four rows lost up to
     # 1.16x below n = 256.  With the small buffers on every block the n =
     # 100 sweep benchmark ran 1.08x slower end to end.  The buffer size
-    # changes how these elementwise loops run, never a value.  Wide blocks
-    # within _BLOCK_DOUBLES also take their product's temporaries from the
-    # thread's work array (_wide_product).  Narrower blocks keep numpy's
-    # buffers; with their own w per row, as the sweep's are, their product
-    # avoids the broadcast instead by copying each column of row dots
-    # across a block buffer that w then scales in place
+    # changes how these elementwise loops run, never a value.  Narrower
+    # blocks keep numpy's buffers; with their own w per row, as the sweep's
+    # are, their product avoids the broadcast instead by copying each
+    # column of row dots across a block buffer that w then scales in place
     # (_householder_product): 0.77-0.91x the product time at (96, 100),
     # where a broadcast multiply into a kept buffer, without the copy,
     # read 0.89-1.05x.
@@ -427,11 +414,12 @@ def raw_bb_loop(rows, width, max_iter, on_end, history=True):
         block = [_block(column) for column in zip(*carried)]
         gg = np.array(ggs)
         ks = [0] * len(keys)
-        # rows longer than the work array step in slices through it, with
-        # no n-long temporaries (the n = 1e5 raw benchmark read 3.2 %
-        # faster than with the operator form, in 17 of 20 alternating
-        # pairs); blocks of shorter rows keep the operator form, as the
-        # helper made the n = 100 sweep benchmark 4.2 % slower (10 of 10)
+        # rows longer than the work array step one at a time in slices
+        # through it, with no n-long temporaries (the n = 1e5 raw benchmark
+        # read 3.2 % faster than with the operator form, in 17 of 20
+        # alternating pairs); blocks of shorter rows keep the operator form,
+        # as the helper made the n = 100 sweep benchmark 4.2 % slower (10 of
+        # 10)
         long_rows = block[0].shape[1] > _BLOCK_DOUBLES
         del slots, carried, ggs  # the block holds what it needs
         while True:
@@ -442,15 +430,15 @@ def raw_bb_loop(rows, width, max_iter, on_end, history=True):
                     ag = hessian_apply(w1, w2, w3, v, g)
                     gag = np.vecdot(g, ag)
                     agag = np.vecdot(ag, ag)
-                    step = np.array(alphas)[:, None]
-                    if history:  # x steps from the g before this step's
-                        if long_rows:
-                            _subtract_scaled(x, x, step, g)
-                        else:
-                            x -= step * g
                     if long_rows:
-                        _subtract_scaled(g, g, step, ag)
+                        for r, a in enumerate(alphas):
+                            if history:  # x steps from the g before this step's
+                                _subtract_scaled(x[r], x[r], a, g[r])
+                            _subtract_scaled(g[r], g[r], a, ag[r])
                     else:
+                        step = np.array(alphas)[:, None]
+                        if history:
+                            x -= step * g
                         g -= step * ag
                     # the policy's index counts its row's policy calls;
                     # alpha0 comes from outside and is not one of them

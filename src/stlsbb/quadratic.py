@@ -471,5 +471,4 @@ def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):
         "kappa": inst.kappa,
         "seed": inst.seed,
     }
-    return trace.RunTrace.from_columns(f_hist, g_hist, a_hist, zeros, zeros, termination, x,
-                                       meta)
+    return trace.RunTrace(f_hist, g_hist, a_hist, zeros, zeros, termination, x, meta)

@@ -285,6 +285,9 @@ def run(objective, x0, config, policy):
     the bound.  run copies the opening gradient and each accepted point
     and gradient out of what the objective returned, so an objective may
     reuse its output arrays and no round's block outlives its round.
+    A round whose eval_rows gives other than one f and one gradient per
+    row, or a kept gradient whose length is not objective.dim, raises
+    DimensionMismatchError.
 
     The whole run, the objective's evaluations included, runs under
     np.errstate(**kernels._QUIET), as the raw loop's products do: an
@@ -371,6 +374,10 @@ def run(objective, x0, config, policy):
                 f_rows, g_rows = eval_rows(xs)
                 if not isinstance(f_rows, list):
                     f_rows = np.asarray(f_rows, dtype=float).tolist()
+                if len(f_rows) != len(steps) or len(g_rows) != len(steps):
+                    raise DimensionMismatchError(
+                        f"eval_rows gave {len(f_rows)} f values and {len(g_rows)} gradients "
+                        f"for {len(steps)} rows")
             # the first row that passes is taken, and ends the line search;
             # rows after it are discarded
             for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
@@ -402,6 +409,9 @@ def run(objective, x0, config, policy):
         # may reuse its output arrays
         x_trial = xs[hit].copy()
         g_trial = np.array(g_rows[hit], dtype=float).reshape(-1)
+        if g_trial.size != objective.dim:
+            raise DimensionMismatchError(
+                f"gradient has length {g_trial.size}, expected {objective.dim}")
         s, y = x_trial - x, g_trial - g
         x = x_trial
         f = f_rows[hit]
@@ -428,7 +438,7 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    return RunTrace.from_columns(f_col, gn_col, alpha_col, bt_col, fe_col, termination, x, meta)
+    return RunTrace(f_col, gn_col, alpha_col, bt_col, fe_col, termination, x, meta)
 
 
 def audit_trace(run_trace, config=None):

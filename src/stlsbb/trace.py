@@ -3,8 +3,8 @@
 import copy
 import json
 import math
-from dataclasses import dataclass, fields
 from itertools import starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ NONFINITE = "nonfinite"  # the objective or gradient became nan or inf
 TERMINATIONS = (GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """State at iterate k plus the step taken from it.
 
     alpha is the steplength entering the acceptance test, i.e. after the
@@ -39,19 +38,8 @@ class TraceRow:
     backtracks: int = 0
     fevals: int = 0
 
-    def to_dict(self):
-        """Every field, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict: the int fields read through count, the
-        float fields through real."""
-        return cls(**{f.name: count(d[f.name], f.name, least=0) if f.type is int
-                      else real(d[f.name], f.name) for f in fields(cls)})
-
-
-_FIELDS = tuple(f.name for f in fields(TraceRow))
+_FIELDS = TraceRow._fields
 _COLUMNS = _FIELDS[1:]  # k is a row's index
 _COUNTS = ("backtracks", "fevals")
 
@@ -63,46 +51,32 @@ class RunTrace:
 
     f, grad_norm and alpha are read-only float64 arrays, backtracks and
     fevals read-only int64 arrays, one entry per iterate; k is the index.
-    rows is a TraceRow view of the columns, built anew on every access.
-    RunTrace(rows, ...) takes rows numbered 0, 1, 2, ... in order;
-    from_columns takes the columns as the engines write them.
+    The constructor takes each column as a sequence of one entry per
+    iterate.  rows is a TraceRow view of the columns, built anew on every
+    access.
     """
 
-    def __init__(self, rows, termination, final_x, meta=None):
-        rows = list(rows)
-        for i, r in enumerate(rows):
-            if r.k != i:
-                raise InvalidParameterError(
-                    f"row {i} has k = {r.k!r}; rows are numbered 0, 1, 2, ... in order")
-        columns = [[getattr(r, name) for r in rows] for name in _COLUMNS]
-        for i, name in enumerate(_COLUMNS):
-            if name in _COUNTS:  # an int64 array would truncate 2.5 to 2
-                columns[i] = [count(v, name, least=0) for v in columns[i]]
-        self._fill(columns, termination, final_x, meta)
-
-    @classmethod
-    def from_columns(cls, f, grad_norm, alpha, backtracks, fevals, termination, final_x, meta):
-        """A trace of the given columns, each a sequence of one entry per
-        iterate."""
-        tr = cls.__new__(cls)
-        tr._fill((f, grad_norm, alpha, backtracks, fevals), termination, final_x, meta)
-        return tr
-
-    def _fill(self, columns, termination, final_x, meta):
+    def __init__(self, f, grad_norm, alpha, backtracks, fevals, termination, final_x, meta=None):
         if termination not in TERMINATIONS:
             raise InvalidParameterError(
                 f"termination must be one of {TERMINATIONS}, got {termination!r}"
             )
-        if not len(columns[0]):
+        columns = (f, grad_norm, alpha, backtracks, fevals)
+        if not len(f):
             raise InvalidParameterError("a trace needs at least one row")
         if len({len(c) for c in columns}) != 1:
             raise InvalidParameterError("a trace's columns must have one length")
         for name, values in zip(_COLUMNS, columns):
+            ints = name in _COUNTS
             try:
-                arr = np.array(values, dtype=np.int64 if name in _COUNTS else float)
+                arr = np.array(values, dtype=None if ints else float)
+                if ints and (arr.dtype != np.int64 or (arr < 0).any()):
+                    # an int64 array would truncate 2.5 to 2 and keep -1,
+                    # which count refuses
+                    arr = np.array([count(v, name, least=0) for v in values], dtype=np.int64)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidParameterError(
-                    f"{name} must hold {'ints' if name in _COUNTS else 'reals'} in range") from exc
+                    f"{name} must hold {'ints' if ints else 'reals'} in range") from exc
             arr.setflags(write=False)
             setattr(self, name, arr)
         self.termination = termination
@@ -152,16 +126,24 @@ class RunTrace:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict, for a document of its format only."""
+        """Inverse of to_dict, for a document of its format only: each
+        row's k and counts read through count, its floats through real,
+        and its k must number the rows 0, 1, 2, ... in order."""
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != _FORMAT:
             raise InvalidParameterError(f"not a serialized trace (format {fmt!r})")
-        return cls(
-            rows=[TraceRow.from_dict(r) for r in d["rows"]],
-            termination=d["termination"],
-            final_x=np.array(d["final_x"], dtype=float),
-            meta=copy.deepcopy(d.get("meta", {})),
-        )
+        columns = {name: [] for name in _FIELDS}
+        for row in d["rows"]:
+            for name, column in columns.items():
+                column.append(count(row[name], name, least=0) if name == "k" or name in _COUNTS
+                              else real(row[name], name))
+        for i, k in enumerate(columns.pop("k")):
+            if k != i:
+                raise InvalidParameterError(
+                    f"row {i} has k = {k!r}; rows are numbered 0, 1, 2, ... in order")
+        return cls(**columns, termination=d["termination"],
+                   final_x=np.array(d["final_x"], dtype=float),
+                   meta=copy.deepcopy(d.get("meta", {})))
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)

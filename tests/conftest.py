@@ -1,9 +1,34 @@
 """Shared helpers for the test suite."""
 
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stlsbb import StepPair, kernels
+
+
+def blas_kernel():
+    """The kernel numpy's bundled OpenBLAS picked as it loaded, as its
+    scipy_openblas_get_corename64_ names it; else OPENBLAS_CORETYPE, which
+    forces one; else "unknown"."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return os.environ.get("OPENBLAS_CORETYPE", "unknown")
+
+
+def pytest_report_header(config):
+    # every dot goes through OpenBLAS, and each kernel sums in its own
+    # order, so the golden digests hold on the kernel they were recorded on
+    return (f"BLAS kernel: {blas_kernel()}; the golden digests were recorded on SkylakeX, "
+            "and on Haswell or Prescott about 40 tests fail on their bits alone")
 
 
 def random_pair(rng, n=5, scale=1.0):

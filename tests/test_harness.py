@@ -412,7 +412,9 @@ class TestSweepCsvRules:
     def test_a_value_not_of_its_columns_kind_cannot_be_parsed(self, column, value):
         fields = "1,1000,1e-06,0,20,bb1,500,7,ok".split(",")
         fields[column] = value
-        with pytest.raises(ValueError, match="sweep row 1: "):
+        name = ("setting", "kappa", "epsilon", "seed", "n", "policy", "max_iter",
+                "iterations")[column]
+        with pytest.raises(ValueError, match=f"sweep row 1: {name} must"):
             sweep_from_csv(self.text(",".join(fields)))
 
     def test_integral_values_read_as_their_kind(self):

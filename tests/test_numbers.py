@@ -14,8 +14,8 @@ from stlsbb import (
     SolverConfig,
     SpectrumSetting,
     StepPair,
+    RunTrace,
     SteplengthPolicy,
-    TraceRow,
     family_argmin,
     generate_instance,
     next_steplength,
@@ -29,11 +29,16 @@ PAIR = StepPair([1.0, 1.0], [1.0, 2.0])
 ATC = SteplengthPolicy("atc", cycle=3)
 BB1 = SteplengthPolicy("bb1")
 INST = generate_instance(5, SpectrumSetting(1, 500.0), 0)
-ROW = {"k": 3, "f": 1.5, "grad_norm": 0.25, "alpha": 0.1, "backtracks": 2, "fevals": 3}
+ROW = {"k": 0, "f": 1.5, "grad_norm": 0.25, "alpha": 0.1, "backtracks": 2, "fevals": 3}
 
 
 def instance_doc(**changes):
     return {**INST.to_dict(), **changes}
+
+
+def one_row_trace(**changes):
+    return RunTrace.from_dict({"format": "stlsbb-trace-v1", "termination": "iteration_cap",
+                               "rows": [{**ROW, **changes}], "final_x": [0.0]})
 
 
 def sphere(x):
@@ -63,9 +68,9 @@ COUNTS = {
     "ExperimentGrid.seeds": (lambda v: ExperimentGrid(n=20, seeds=(v,)), 2),
     "run_rosenbrock_table.max_iter": (
         lambda v: run_rosenbrock_table(epsilons=(0.1,), policies=("bb2",), max_iter=v), 3),
-    "TraceRow.from_dict.k": (lambda v: TraceRow.from_dict({**ROW, "k": v}), 3),
-    "TraceRow.from_dict.backtracks": (lambda v: TraceRow.from_dict({**ROW, "backtracks": v}), 2),
-    "TraceRow.from_dict.fevals": (lambda v: TraceRow.from_dict({**ROW, "fevals": v}), 3),
+    "RunTrace.from_dict.k": (lambda v: one_row_trace(k=v), 0),
+    "RunTrace.from_dict.backtracks": (lambda v: one_row_trace(backtracks=v), 2),
+    "RunTrace.from_dict.fevals": (lambda v: one_row_trace(fevals=v), 3),
 }
 
 # every real an entry point reads: how to pass it a value, a valid one,
@@ -92,10 +97,9 @@ REALS = {
     "ExperimentGrid.epsilons": (lambda v: ExperimentGrid(n=20, epsilons=(v,)), 1e-6, 2.0),
     "run_rosenbrock_table.epsilons": (
         lambda v: run_rosenbrock_table(epsilons=(v,), policies=("bb2",), max_iter=3), 0.1, 0.0),
-    "TraceRow.from_dict.f": (lambda v: TraceRow.from_dict({**ROW, "f": v}), 1.5, None),
-    "TraceRow.from_dict.grad_norm": (
-        lambda v: TraceRow.from_dict({**ROW, "grad_norm": v}), 0.25, None),
-    "TraceRow.from_dict.alpha": (lambda v: TraceRow.from_dict({**ROW, "alpha": v}), 0.1, None),
+    "RunTrace.from_dict.f": (lambda v: one_row_trace(f=v), 1.5, None),
+    "RunTrace.from_dict.grad_norm": (lambda v: one_row_trace(grad_norm=v), 0.25, None),
+    "RunTrace.from_dict.alpha": (lambda v: one_row_trace(alpha=v), 0.1, None),
 }
 
 BAD_COUNTS = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "text": "x", "None": None,

@@ -530,6 +530,14 @@ def _with_and_without_bound(obj, x0, config, policy):
     return out
 
 
+def _eigenvector(inst, i):
+    # P e_i, the eigenvector of v[i]
+    q = np.eye(inst.dim)[i]
+    for w in (inst.w1, inst.w2, inst.w3):
+        q -= 2.0 * w.dot(q) * w
+    return q
+
+
 class TestTrialLowerBounds:
     """as_objective's proven lower bound on a trial's computed f."""
 
@@ -566,7 +574,11 @@ class TestTrialLowerBounds:
         # their F; at four scales of x and b; steps delta sigma^j and
         # log-uniform draws.  A step inside the window gets a finite lo no
         # larger than the f that eval_rows computes there, and one outside
-        # it -inf
+        # it -inf.  Then eigen-aligned points at n = 1000 and kappa up to
+        # 1e14: x on the top eigenvector, b chosen so that g lies on the
+        # bottom one up to a little noise, and steps in [0.1, 30]; their
+        # trials need the bound's a-terms, and with e1 = e2 = 0 some of
+        # them break it from kappa = 1e12 on
         rng = np.random.default_rng(30)
         steps = [0.1 * 0.8**j for j in range(30)]
         inside = outside = 0
@@ -577,9 +589,7 @@ class TestTrialLowerBounds:
                         inst = generate_instance(n, SpectrumSetting(sid, kappa), seed=sid)
                         x_min = kernels.hessian_apply(inst.w1, inst.w2, inst.w3,
                                                       1.0 / inst.eigenvalues, inst.linear)
-                        q = np.eye(n)[0]  # P e_0, the eigenvector of v[0] = 1
-                        for w in (inst.w1, inst.w2, inst.w3):
-                            q -= 2.0 * w.dot(q) * w
+                        q = _eigenvector(inst, 0)  # v[0] = 1
                         flat = as_objective(dataclasses.replace(inst, linear=np.zeros(n)))
                         for scale in (1e3, 1e-3, 2.0**480, 2.0**-480):
                             obj = as_objective(dataclasses.replace(inst, linear=inst.linear * scale))
@@ -601,7 +611,23 @@ class TestTrialLowerBounds:
                                     elif z < 999.0:
                                         assert -math.inf < li <= fi < math.inf, (sid, kappa, n, scale, ai)
                                         inside += 1
-        assert inside > 35000 and outside > 1500
+            n = 1000
+            for kappa in (1e6, 1e9, 1e12, 1e14):
+                inst = generate_instance(n, SpectrumSetting(1, kappa), seed=0)
+                bottom, top = _eigenvector(inst, 0), _eigenvector(inst, n - 1)
+                for _ in range(200):
+                    x = 10.0 ** rng.uniform(-8.0, -2.0) * top
+                    g = 10.0 ** rng.uniform(-2.0, 3.0) * (bottom + 3e-8 * rng.standard_normal(n))
+                    b = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x) - g
+                    obj = as_objective(dataclasses.replace(inst, linear=b))
+                    f, g = obj.eval(x)
+                    a = rng.uniform(0.1, 30.0, 8).tolist()
+                    lo = obj.lower_bounds(x, f, g, a)
+                    got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
+                    for ai, li, fi in zip(a, lo, got.tolist()):
+                        assert -math.inf < li <= fi < math.inf, (kappa, ai)
+                        inside += 1
+        assert inside > 41000 and outside > 1500
 
     def test_an_overflowing_b_closes_the_window_quietly(self):
         inst = generate_instance(20, SpectrumSetting(1, 1e4), seed=0)

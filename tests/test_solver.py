@@ -28,6 +28,7 @@ from stlsbb import (
     safeguard,
     solve_bb,
     solver,
+    trace,
 )
 from stlsbb.errors import DimensionMismatchError, InvalidParameterError
 from stlsbb.quadratic import as_objective
@@ -37,6 +38,8 @@ from stlsbb.solver import (
     STOP_POINT_DIST,
 )
 from stlsbb.trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE
+
+COLUMNS = ("f", "grad_norm", "alpha", "backtracks", "fevals")
 
 
 def sphere(dim=3):
@@ -191,13 +194,12 @@ class TestObjectiveAndTraceChecks:
             Objective("q", 2, lambda x: (0.0, x), **{name: 5})
 
     def test_trace_termination_must_be_known(self):
-        row = TraceRow(k=0, f=1.0, grad_norm=1.0, alpha=math.nan)
         with pytest.raises(InvalidParameterError, match="termination must be one of"):
-            RunTrace(rows=[row], termination="finished", final_x=[0.0])
+            RunTrace([1.0], [1.0], [math.nan], [0], [0], "finished", [0.0])
 
     def test_trace_needs_a_row(self):
         with pytest.raises(InvalidParameterError, match="at least one row"):
-            RunTrace(rows=[], termination=ITERATION_CAP, final_x=[0.0])
+            RunTrace([], [], [], [], [], ITERATION_CAP, [0.0])
 
 
 class TestInitialSteplength:
@@ -368,6 +370,32 @@ class TestRunLoop:
                             lambda x, g=np.array(g): (float(x @ x), g), x0=np.ones(3))
             with pytest.raises(DimensionMismatchError, match="gradient has length"):
                 run(obj, obj.x0, SolverConfig(), SteplengthPolicy("bb1"))
+
+    def test_a_gradient_that_changes_length_is_named(self):
+        # an eval-only objective whose gradient is whole at the start and
+        # short after it: the accepted trial's gradient is checked as g0 is
+        start = np.ones(3)
+
+        def eval_(x):
+            return float(x @ x), 2.0 * (x if np.array_equal(x, start) else x[:2])
+
+        obj = Objective("shrinking-gradient", 3, eval_, x0=start)
+        with pytest.raises(DimensionMismatchError, match="gradient has length 2, expected 3"):
+            run(obj, obj.x0, SolverConfig(), SteplengthPolicy("bb1"))
+
+    def test_eval_rows_must_give_a_value_per_row(self):
+        # an eval_rows that gives one f for a round of two rows is named,
+        # not counted as if both trials ran
+        ros = rosenbrock2()
+
+        def first_row_only(xs):
+            f, g = ros.eval_rows(xs)
+            return f[:1], g[:1]
+
+        obj = dataclasses.replace(ros, eval_rows=first_row_only)
+        with pytest.raises(DimensionMismatchError,
+                           match="eval_rows gave 1 f values and 1 gradients for 2 rows"):
+            run(obj, obj.x0, SolverConfig(alpha0=1.0), SteplengthPolicy("bb1"))
 
     def test_fixed_alpha0_recorded(self):
         obj = sphere()
@@ -587,15 +615,17 @@ class TestRunLoop:
         assert np.array_equal(back.final_x, tr.final_x)
 
     def test_trace_row_dict_keys_and_casts(self):
-        row = TraceRow(k=3, f=1.5, grad_norm=0.25, alpha=0.1, backtracks=2, fevals=3)
-        d = row.to_dict()
-        assert list(d) == ["k", "f", "grad_norm", "alpha", "backtracks", "fevals"]
-        assert TraceRow.from_dict(d) == row
+        tr = RunTrace([1.5], [0.25], [0.1], [2], [3], ITERATION_CAP, [0.0])
+        d = tr.to_dict()
+        assert d["rows"] == [{"k": 0, "f": 1.5, "grad_norm": 0.25, "alpha": 0.1,
+                              "backtracks": 2, "fevals": 3}]
+        assert list(d["rows"][0]) == ["k", "f", "grad_norm", "alpha", "backtracks", "fevals"]
+        assert RunTrace.from_dict(d).rows == tr.rows == (TraceRow(0, 1.5, 0.25, 0.1, 2, 3),)
         # JSON numbers come back as each field's type
-        back = TraceRow.from_dict({"k": 3.0, "f": 1, "grad_norm": 0, "alpha": "0.5",
-                                   "backtracks": 2.0, "fevals": 3})
-        assert [type(v) for v in back.to_dict().values()] == [int, float, float, float,
-                                                              int, int]
+        d["rows"] = [{"k": 0.0, "f": 1, "grad_norm": 0, "alpha": "0.5",
+                      "backtracks": 2.0, "fevals": 3}]
+        row = RunTrace.from_dict(d).to_dict()["rows"][0]
+        assert [type(v) for v in row.values()] == [int, float, float, float, int, int]
 
 
 class TestTraceReader:
@@ -625,9 +655,10 @@ class TestTraceReader:
             RunTrace.from_dict([d])
 
     def test_a_fractional_row_count_is_refused(self):
-        row = self.make_trace().rows[0].to_dict()
+        d = self.make_trace().to_dict()
+        d["rows"][0]["k"] = 3.7
         with pytest.raises(InvalidParameterError, match="k must be >= 0 and whole, got 3.7"):
-            TraceRow.from_dict({**row, "k": 3.7})
+            RunTrace.from_dict(d)
 
     def test_a_k_that_jumps_is_refused(self):
         d = json.loads(self.make_trace().to_json())
@@ -638,9 +669,10 @@ class TestTraceReader:
 
     @pytest.mark.parametrize("ks", [(1, 2), (0, 0), (0, 2, 1), (0, 1, 3)])
     def test_rows_are_numbered_in_order(self, ks):
-        rows = [TraceRow(k=k, f=1.0, grad_norm=1.0, alpha=math.nan) for k in ks]
+        d = self.make_trace().to_dict()
+        d["rows"] = [{**d["rows"][0], "k": k} for k in ks]
         with pytest.raises(InvalidParameterError, match="rows are numbered 0, 1, 2"):
-            RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+            RunTrace.from_dict(d)
 
     def test_a_count_beyond_int64_is_refused(self):
         d = self.make_trace().to_dict()
@@ -650,14 +682,22 @@ class TestTraceReader:
 
     @pytest.mark.parametrize("name", ["backtracks", "fevals"])
     def test_a_fractional_count_in_a_row_is_refused(self, name):
-        row = TraceRow(k=0, f=1.0, grad_norm=1.0, alpha=math.nan, **{name: 2.5})
+        d = self.make_trace().to_dict()
+        d["rows"][0][name] = 2.5
         with pytest.raises(InvalidParameterError, match=f"{name} must be >= 0 and whole, got 2.5"):
-            RunTrace(rows=[row], termination=ITERATION_CAP, final_x=[0.0])
+            RunTrace.from_dict(d)
+        # the constructor too, where an int64 column would truncate 2.5
+        # and keep -1
+        for bad in (2.5, -1):
+            counts = {"backtracks": [0], "fevals": [0], name: [bad]}
+            with pytest.raises(InvalidParameterError,
+                               match=f"{name} must be >= 0 and whole, got {bad}"):
+                RunTrace([1.0], [1.0], [math.nan], counts["backtracks"], counts["fevals"],
+                         ITERATION_CAP, [0.0])
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(InvalidParameterError, match="one length"):
-            RunTrace.from_columns([1.0, 0.5], [1.0, 0.5], [0.1], [0, 0], [1, 0],
-                                  ITERATION_CAP, [0.0], {})
+            RunTrace([1.0, 0.5], [1.0, 0.5], [0.1], [0, 0], [1, 0], ITERATION_CAP, [0.0])
 
     def test_a_meta_without_a_config_field_is_named(self):
         tr = self.make_trace()
@@ -676,13 +716,12 @@ class TestColumns:
 
     def test_traces_hold_no_row_objects(self, monkeypatch):
         built = []
-        init = TraceRow.__init__
 
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+        def counted(*args):
+            built.append(TraceRow(*args))
+            return built[-1]
 
-        monkeypatch.setattr(TraceRow, "__init__", counted)
+        monkeypatch.setattr(trace, "TraceRow", counted)
         traces = self.traces()
         for tr in traces:
             tr.iterations, tr.solved, tr.f_values(), tr.grad_norms()
@@ -705,13 +744,13 @@ class TestColumns:
                 assert got.tobytes() == column.tobytes()
             # the engines' terminal nan itself, and Python numbers throughout
             assert rows[-1].alpha is math.nan
-            assert {type(v) for r in rows for v in r.to_dict().values()} == {int, float}
+            assert {type(v) for r in rows for v in r} == {int, float}
             assert np.array_equal(tr.f_values(), tr.f) and tr.f_values() is not tr.f
 
     def test_rows_build_the_same_trace(self):
         for tr in self.traces():
-            back = RunTrace(rows=tr.rows, termination=tr.termination, final_x=tr.final_x,
-                            meta=tr.meta)
+            _, *columns = zip(*tr.rows)
+            back = RunTrace(*columns, tr.termination, tr.final_x, tr.meta)
             assert back.rows == tr.rows and back.to_json() == tr.to_json()
 
 
@@ -727,18 +766,12 @@ class TestAudit:
 
     def test_corrupted_objective_detected(self):
         tr = self.make_trace()
-        rows = list(tr.rows)
-        rows[3] = dataclasses.replace(rows[3], f=rows[3].f + 100.0)
-        bad = RunTrace(rows=rows, termination=tr.termination,
-                       final_x=tr.final_x, meta=tr.meta)
+        bad = self.relabelled(tr, edits={3: {"f": tr.f[3] + 100.0}})
         assert any("nonmonotone" in v for v in audit_trace(bad))
 
     def test_corrupted_alpha_detected(self):
         tr = self.make_trace()
-        rows = list(tr.rows)
-        rows[2] = dataclasses.replace(rows[2], alpha=2000.0)
-        bad = RunTrace(rows=rows, termination=tr.termination,
-                       final_x=tr.final_x, meta=tr.meta)
+        bad = self.relabelled(tr, edits={2: {"alpha": 2000.0}})
         assert any("safeguard band" in v for v in audit_trace(bad))
 
     def test_raw_trace_needs_a_config(self):
@@ -750,10 +783,8 @@ class TestAudit:
     def test_window_holds_the_last_memory_plus_one_values(self):
         # the last step's f = 8 passes only against f = 9, which is four
         # values back: a window of memory + 1 = 3 no longer holds it
-        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1, fevals=1)
-                for k, f in enumerate((9.0, 1.0, 2.0, 3.0))]
-        rows.append(TraceRow(k=4, f=8.0, grad_norm=1.0, alpha=math.nan))
-        tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+        tr = RunTrace([9.0, 1.0, 2.0, 3.0, 8.0], [1.0] * 5, [0.1] * 4 + [math.nan], [0] * 5,
+                      [1] * 4 + [0], ITERATION_CAP, [0.0])
         assert audit_trace(tr, config=SolverConfig(memory=2, max_iter=4)) == [
             "row 3: accepted step fails the nonmonotone test on replay"
         ]
@@ -762,10 +793,8 @@ class TestAudit:
     def test_window_takes_the_max_over_recent_values(self):
         # the last step's f = 4.9 is above the latest value 4 and passes
         # only against f = 5, the largest of the memory + 1 = 3 values
-        rows = [TraceRow(k=k, f=f, grad_norm=1.0, alpha=0.1, fevals=1)
-                for k, f in enumerate((5.0, 3.0, 4.0))]
-        rows.append(TraceRow(k=3, f=4.9, grad_norm=1.0, alpha=math.nan))
-        tr = RunTrace(rows=rows, termination=ITERATION_CAP, final_x=[0.0])
+        tr = RunTrace([5.0, 3.0, 4.0, 4.9], [1.0] * 4, [0.1] * 3 + [math.nan], [0] * 4,
+                      [1] * 3 + [0], ITERATION_CAP, [0.0])
         assert audit_trace(tr, config=SolverConfig(memory=2, max_iter=3)) == []
         assert audit_trace(tr, config=SolverConfig(memory=1, max_iter=3)) == [
             "row 2: accepted step fails the nonmonotone test on replay"
@@ -775,10 +804,11 @@ class TestAudit:
     def relabelled(tr, termination=None, edits=()):
         # the trace under another termination, with rows edited: edits maps
         # a row's k to the fields it changes
-        rows = list(tr.rows)
+        columns = {name: getattr(tr, name).tolist() for name in COLUMNS}
         for k, fields_ in dict(edits).items():
-            rows[k] = dataclasses.replace(rows[k], **fields_)
-        return RunTrace(rows=rows, termination=termination or tr.termination,
+            for name, value in fields_.items():
+                columns[name][k] = value
+        return RunTrace(**columns, termination=termination or tr.termination,
                         final_x=tr.final_x, meta=tr.meta)
 
     def test_a_capped_trace_relabelled_solved_is_named(self):
@@ -798,9 +828,8 @@ class TestAudit:
         tr = run(obj, obj.x0, cfg, SteplengthPolicy("gamma", gamma=1.0))
         assert tr.solved and audit_trace(tr) == []
         # the same run cut two steps short, which has not met its rule yet
-        short = RunTrace(rows=tr.rows[:-2], termination=GRADIENT_TOLERANCE,
-                         final_x=tr.final_x if rule != STOP_POINT_DIST else [-1.2, 1.0],
-                         meta=tr.meta)
+        short = RunTrace(*(getattr(tr, name)[:-2] for name in COLUMNS), GRADIENT_TOLERANCE,
+                         tr.final_x if rule != STOP_POINT_DIST else [-1.2, 1.0], tr.meta)
         assert any("does not meet its" in v for v in audit_trace(short))
 
     def test_a_solved_trace_relabelled_capped_is_named(self):
