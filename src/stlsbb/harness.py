@@ -244,14 +244,18 @@ def sweep_from_csv(text):
     text where a number belongs.  A row that reads but breaks a rule
     the writer keeps raises InvalidParameterError: its policy must parse,
     and its status hold its iterations, 0..max_iter for ok, max_iter for
-    cap, and none for nonfinite and error:<type>.
+    cap, and none for nonfinite and error:<type>.  Either error names the
+    row as "sweep row i: ...", counting data rows from 1.
     """
     rows = _csv_rows(text)
     if not rows or rows[0] != _SWEEP_HEADER:
         raise InvalidParameterError("not a sweep CSV (missing or wrong header row)")
     cells = []
-    for i, (sid, kappa, eps, seed, n, policy, max_iter, iterations, status) in enumerate(
-            rows[1:], 1):
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(_SWEEP_HEADER):
+            raise ValueError(
+                f"sweep row {i}: has {len(row)} columns, expected {len(_SWEEP_HEADER)}")
+        sid, kappa, eps, seed, n, policy, max_iter, iterations, status = row
         try:
             cell = SweepCell(
                 # setting, kappa, epsilon and seed through their grid axes' checks
@@ -261,7 +265,10 @@ def sweep_from_csv(text):
                 None if iterations == "" else count(iterations, "iterations", least=0), status)
         except InvalidParameterError as exc:
             raise ValueError(f"sweep row {i}: {exc}") from exc
-        parse_policy(policy)
+        try:
+            parse_policy(policy)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"sweep row {i}: {exc}") from exc
         k, cap = cell.iterations, cell.max_iter
         if status == "ok":
             held = k is not None and k <= cap

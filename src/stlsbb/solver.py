@@ -41,8 +41,11 @@ class Objective:
     (rows, dim) array returns (f_rows, G_rows), with f_rows a list of
     floats or a 1-D float array, and row i must equal eval(X[i]) bit for
     bit, because run() uses it to evaluate a round of trial points whose
-    first acceptable row it keeps.  Without it, run() calls eval once per
-    trial point and never at a point it does not need.
+    first acceptable row it keeps.  G_rows may be any sequence of one
+    gradient per row: run() reads only len(G_rows) and the kept row
+    G_rows[i], so an objective whose gradients cost more than its f may
+    compute each when it is read, as rosenbrock2 does.  Without it, run()
+    calls eval once per trial point and never at a point it does not need.
     The built-in objectives (rosenbrock2, quadratic.as_objective) write
     only eval_rows and take eval from it through first_row_eval, so the
     two agree by construction.
@@ -103,25 +106,61 @@ def _square_or_inf(r):
         return math.inf
 
 
+def _rosenbrock_gradient(x1, x2):
+    t = x2 - x1 * x1
+    return -400.0 * x1 * t - 2.0 * (1.0 - x1), 200.0 * t
+
+
+class _RosenbrockGradients:
+    # the gradient rows of one block, each computed from the block's Python
+    # floats (x1, x2, x1, x2, ...) when it is read, since run reads one row
+    # of a round; np.asarray gives the whole (rows, 2) float64 block
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat):
+        self._flat = flat
+
+    def __len__(self):
+        return len(self._flat) // 2
+
+    def __getitem__(self, i):
+        # 2i and 2i + 1 index the flat list as i indexes the rows, from
+        # either end, and raise IndexError where i is past one
+        return np.array(_rosenbrock_gradient(self._flat[2 * i], self._flat[2 * i + 1]))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("gradient rows are computed, so reading them copies")
+        it = iter(self._flat)
+        g = [v for pair in zip(it, it) for v in _rosenbrock_gradient(*pair)]
+        return np.array(g, dtype=dtype).reshape(-1, 2)
+
+
 def rosenbrock2():
     """Planar Rosenbrock valley, minimum f = 0 at (1, 1); the conventional
-    start is (-1.2, 1)."""
+    start is (-1.2, 1).
+
+    Its eval_rows gives f as a list of floats and G as a sequence of
+    gradient rows that computes row i, a float64 array, only when it is
+    read, and the whole (rows, 2) float64 block through np.asarray: run
+    reads the gradient of the one row it keeps from each round.
+    """
 
     def eval_rows(xs):
         # one pass on Python floats, which round each operation as float64
         # does and overflow to inf, and give nan, without a warning.
         # (1 - x1)^2 is squared through libm pow, which the published
         # traces and goldens were recorded with; numpy's square, power and
-        # u * u do not always round the same way
-        f, g = [], []
-        it = iter(xs.ravel().tolist())
+        # u * u do not always round the same way.  Below 1e150 in size it
+        # cannot overflow, so pow is called without the guard
+        f = []
+        flat = xs.ravel().tolist()
+        it = iter(flat)
         for x1, x2 in zip(it, it):
             t = x2 - x1 * x1
             u = 1.0 - x1
-            f.append(100.0 * t * t + _square_or_inf(u))
-            g.append(-400.0 * x1 * t - 2.0 * u)
-            g.append(200.0 * t)
-        return f, np.array(g).reshape(-1, 2)
+            f.append(100.0 * t * t + (u**2 if -1e150 < u < 1e150 else _square_or_inf(u)))
+        return f, _RosenbrockGradients(flat)
 
     return Objective("rosenbrock2", 2, first_row_eval(eval_rows),
                      x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
@@ -273,13 +312,15 @@ def run(objective, x0, config, policy):
     kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
     of one through eval.  With objective.lower_bounds, a round of two or
     more trials first rejects, unevaluated, its leading trials whose lower
-    bound lo already fails the test, lo > f_max - beta * a * grad_sq as
-    nonmonotone_accept computes it, and evaluates its rows from the first
-    trial left undecided.  Such trials count as finite, failed trials.
-    On quadratics most rejected trials are decided by the proven bound, so
-    fevals counts trials decided, not objective calls.  Where the
-    safeguard band lets the policies' steps through, as a wide band does,
-    few trials are rejected and the bound seldom acts.  Every decision is
+    bound lo already fails the test, lo > f_max - beta * a * grad_sq,
+    and evaluates its rows from the first trial left undecided.  Such
+    trials count as finite, failed trials.  Each bound and each trial is
+    decided by nonmonotone_accept's float expression, written out in the
+    loop rather than called once per trial.  On quadratics most rejected
+    trials are decided by the proven bound, so fevals counts trials
+    decided, not objective calls.  Where the safeguard band lets the
+    policies' steps through, as a wide band does, few trials are rejected
+    and the bound seldom acts.  Every decision is
     the one trial-by-trial backtracking makes, on the same floats as
     audit_trace, so every trace is the same bit for bit with or without
     the bound.  run copies the opening gradient and each accepted point
@@ -364,7 +405,7 @@ def run(objective, x0, config, policy):
             skip = 0
             if lower_bounds is not None and size > 1:
                 for lo, a in zip(lower_bounds(x, f, g, steps), steps):
-                    if nonmonotone_accept(lo, f_max, beta, a, grad_sq):
+                    if lo <= f_max - beta * a * grad_sq:  # nonmonotone_accept's test
                         break
                     skip += 1
                 steps = steps[skip:]
@@ -381,7 +422,7 @@ def run(objective, x0, config, policy):
             # the first row that passes is taken, and ends the line search;
             # rows after it are discarded
             for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
-                if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
+                if f_trial <= f_max - beta * a * grad_sq:  # nonmonotone_accept's test
                     break
             else:
                 finite_trial = (finite_trial or skip > 0

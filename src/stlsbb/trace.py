@@ -52,8 +52,9 @@ class RunTrace:
     f, grad_norm and alpha are read-only float64 arrays, backtracks and
     fevals read-only int64 arrays, one entry per iterate; k is the index.
     The constructor takes each column as a sequence of one entry per
-    iterate.  rows is a TraceRow view of the columns, built anew on every
-    access.
+    iterate, and refuses an entry that is not a real, such as None, or
+    not a count, naming its column.  rows is a TraceRow view of the
+    columns, built anew on every access.
     """
 
     def __init__(self, f, grad_norm, alpha, backtracks, fevals, termination, final_x, meta=None):
@@ -69,11 +70,14 @@ class RunTrace:
         for name, values in zip(_COLUMNS, columns):
             ints = name in _COUNTS
             try:
-                arr = np.array(values, dtype=None if ints else float)
+                arr = np.array(values)
                 if ints and (arr.dtype != np.int64 or (arr < 0).any()):
                     # an int64 array would truncate 2.5 to 2 and keep -1,
                     # which count refuses
                     arr = np.array([count(v, name, least=0) for v in values], dtype=np.int64)
+                elif not ints and arr.dtype != np.float64:
+                    # a float array would read None as nan, which real refuses
+                    arr = np.array([real(v, name) for v in values], dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidParameterError(
                     f"{name} must hold {'ints' if ints else 'reals'} in range") from exc

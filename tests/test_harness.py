@@ -417,6 +417,17 @@ class TestSweepCsvRules:
         with pytest.raises(ValueError, match=f"sweep row 1: {name} must"):
             sweep_from_csv(self.text(",".join(fields)))
 
+    @pytest.mark.parametrize("row, error, message", [
+        ("1,1000,1e-06,0,20,bb1,500,7", ValueError, "has 8 columns, expected 9"),
+        ("1,1000,1e-06,0,20,bb1,500,7,ok,x", ValueError, "has 10 columns, expected 9"),
+        ("1,1000,1e-06,0,20,bb3,500,7,ok", InvalidParameterError,
+         "unknown policy descriptor 'bb3'"),
+    ], ids=["8-columns", "10-columns", "unknown-policy"])
+    def test_a_bad_row_is_named(self, row, error, message):
+        # the second data row is the bad one
+        with pytest.raises(error, match=f"^sweep row 2: {message}$"):
+            sweep_from_csv(self.text("1,1000,1e-06,0,20,bb1,500,7,ok", row))
+
     def test_integral_values_read_as_their_kind(self):
         (cell,) = sweep_from_csv(self.text("1.0,1e3,1e-06,3,20.0,bb1,5e2,7,ok"))
         assert cell == make_cell(seed=3, iterations=7)

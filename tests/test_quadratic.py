@@ -1,8 +1,11 @@
 """Generated quadratic instances: spectra, factored Hessian products, and
 the raw BB solver on them."""
 
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 import warnings
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from stlsbb.errors import (
     InvalidParameterError,
     InvalidSettingError,
 )
-from stlsbb import kernels
+from stlsbb import kernels, quadratic
 from stlsbb.errors import LineSearchStallError
 from stlsbb.quadratic import SETTING_IDS, as_objective
 from stlsbb.solver import STOP_GRAD_REL, SolverConfig, run
@@ -538,6 +541,94 @@ def _eigenvector(inst, i):
     return q
 
 
+def _soundness_points():
+    # (inst, x, steps, kappa) for TestTrialLowerBounds: points near the
+    # minimizer x*, where f^ moves by rounding alone; points near 2x*, where
+    # F is 0 and f^ is all rounding; random points; and, with b = 0, points
+    # on the eigenvector of v[0] = 1, whose trials the product's rounding
+    # moves by about kappa times their F; at four scales of x and b; steps
+    # delta sigma^j and log-uniform draws.  Then, with kappa None, since
+    # every step lies inside the window, eigen-aligned points at n = 1000
+    # and kappa up to 1e14: x on the top eigenvector, b chosen so that g
+    # lies on the bottom one up to a little noise, and steps in [0.1, 30];
+    # their trials need the bound's a-terms, and with e1 = e2 = 0 some of
+    # them break it from kappa = 1e12 on
+    rng = np.random.default_rng(30)
+    steps = [0.1 * 0.8**j for j in range(30)]
+    for sid in SETTING_IDS:
+        for kappa in (1e3, 1e4, 1e6):
+            for n in (11, 100, 1000):
+                inst = generate_instance(n, SpectrumSetting(sid, kappa), seed=sid)
+                x_min = kernels.hessian_apply(inst.w1, inst.w2, inst.w3,
+                                              1.0 / inst.eigenvalues, inst.linear)
+                q = _eigenvector(inst, 0)  # v[0] = 1
+                flat = dataclasses.replace(inst, linear=np.zeros(n))
+                for scale in (1e3, 1e-3, 2.0**480, 2.0**-480):
+                    scaled = dataclasses.replace(inst, linear=inst.linear * scale)
+                    points = [(scaled, scale * x_min), (scaled, 2.0 * scale * x_min),
+                              (scaled, scale * rng.standard_normal(n)), (flat, scale * q)]
+                    for point_inst, x in points:
+                        a = steps + (10.0 ** rng.uniform(-12.0, 3.0, 10)).tolist()
+                        yield point_inst, x, a, kappa
+    n = 1000
+    for kappa in (1e6, 1e9, 1e12, 1e14):
+        inst = generate_instance(n, SpectrumSetting(1, kappa), seed=0)
+        bottom, top = _eigenvector(inst, 0), _eigenvector(inst, n - 1)
+        for _ in range(200):
+            x = 10.0 ** rng.uniform(-8.0, -2.0) * top
+            g = 10.0 ** rng.uniform(-2.0, 3.0) * (bottom + 3e-8 * rng.standard_normal(n))
+            b = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x) - g
+            yield dataclasses.replace(inst, linear=b), x, rng.uniform(0.1, 30.0, 8).tolist(), None
+
+
+def _bound_checks(make_bounds=None):
+    # (where, lo, f, label) for each step of each soundness point: lo from
+    # make_bounds(inst), as_objective's own bound by default, f the value
+    # eval_rows computes at the trial, and where "inside" the window,
+    # "outside" it, or "edge" within a factor 2 of its edge, where neither
+    # is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inst, x, a, kappa in _soundness_points():
+            obj = as_objective(inst)
+            bounds = obj.lower_bounds if make_bounds is None else make_bounds(inst)
+            f, g = obj.eval(x)
+            lo = bounds(x, f, g, a)
+            got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
+            if kappa is None:
+                for ai, li, fi in zip(a, lo, got.tolist()):
+                    yield "inside", li, fi, ai
+                continue
+            b_norm = float(np.linalg.norm(inst.linear))
+            xn, gn = float(np.linalg.norm(x)), float(np.linalg.norm(g))
+            for ai, li, fi in zip(a, lo, got.tolist()):
+                z = (math.log2(kappa + 1.0)
+                     + 2.0 * math.log2(1.0 + xn + gn + b_norm + ai * (gn + 1.0)))
+                where = ("outside" if z > 1001.0 or not math.isfinite(f)
+                         else "inside" if z < 999.0 else "edge")
+                yield where, li, fi, (inst.setting_id, kappa, inst.dim, ai)
+
+
+def _rebuilt_trial_lower_bounds(*zeroed):
+    # quadratic._trial_lower_bounds compiled again from its source, with
+    # each assignment to a name in zeroed made an assignment of 0.0
+    tree = ast.parse(textwrap.dedent(inspect.getsource(quadratic._trial_lower_bounds)))
+    found = set()
+
+    class Zero(ast.NodeTransformer):
+        def visit_Assign(self, node):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)} & set(zeroed)
+            if names:
+                found.update(names)
+                node.value = ast.Constant(0.0)
+            return node
+
+    tree = ast.fix_missing_locations(Zero().visit(tree))
+    assert found == set(zeroed)
+    namespace = dict(vars(quadratic))
+    exec(compile(tree, quadratic.__file__, "exec"), namespace)
+    return namespace["_trial_lower_bounds"]
+
+
 class TestTrialLowerBounds:
     """as_objective's proven lower bound on a trial's computed f."""
 
@@ -567,67 +658,33 @@ class TestTrialLowerBounds:
             assert 1 / (1 - u) <= Fraction(101, 100)
 
     def test_every_finite_bound_lies_below_the_computed_f(self):
-        # points near the minimizer x*, where f^ moves by rounding alone;
-        # points near 2x*, where F is 0 and f^ is all rounding; random
-        # points; and, with b = 0, points on the eigenvector of v[0] = 1,
-        # whose trials the product's rounding moves by about kappa times
-        # their F; at four scales of x and b; steps delta sigma^j and
-        # log-uniform draws.  A step inside the window gets a finite lo no
-        # larger than the f that eval_rows computes there, and one outside
-        # it -inf.  Then eigen-aligned points at n = 1000 and kappa up to
-        # 1e14: x on the top eigenvector, b chosen so that g lies on the
-        # bottom one up to a little noise, and steps in [0.1, 30]; their
-        # trials need the bound's a-terms, and with e1 = e2 = 0 some of
-        # them break it from kappa = 1e12 on
-        rng = np.random.default_rng(30)
-        steps = [0.1 * 0.8**j for j in range(30)]
+        # a step inside the window gets a finite lo no larger than the f
+        # that eval_rows computes there, and one outside it -inf
         inside = outside = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for sid in SETTING_IDS:
-                for kappa in (1e3, 1e4, 1e6):
-                    for n in (11, 100, 1000):
-                        inst = generate_instance(n, SpectrumSetting(sid, kappa), seed=sid)
-                        x_min = kernels.hessian_apply(inst.w1, inst.w2, inst.w3,
-                                                      1.0 / inst.eigenvalues, inst.linear)
-                        q = _eigenvector(inst, 0)  # v[0] = 1
-                        flat = as_objective(dataclasses.replace(inst, linear=np.zeros(n)))
-                        for scale in (1e3, 1e-3, 2.0**480, 2.0**-480):
-                            obj = as_objective(dataclasses.replace(inst, linear=inst.linear * scale))
-                            points = [(obj, scale * x_min), (obj, 2.0 * scale * x_min),
-                                      (obj, scale * rng.standard_normal(n)), (flat, scale * q)]
-                            for obj, x in points:
-                                b_norm = float(np.linalg.norm(obj.eval(np.zeros(n))[1]))
-                                f, g = obj.eval(x)
-                                a = steps + (10.0 ** rng.uniform(-12.0, 3.0, 10)).tolist()
-                                lo = obj.lower_bounds(x, f, g, a)
-                                got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
-                                xn, gn = float(np.linalg.norm(x)), float(np.linalg.norm(g))
-                                for ai, li, fi in zip(a, lo, got.tolist()):
-                                    z = (math.log2(kappa + 1.0)
-                                         + 2.0 * math.log2(1.0 + xn + gn + b_norm + ai * (gn + 1.0)))
-                                    if z > 1001.0 or not math.isfinite(f):
-                                        assert li == -math.inf
-                                        outside += 1
-                                    elif z < 999.0:
-                                        assert -math.inf < li <= fi < math.inf, (sid, kappa, n, scale, ai)
-                                        inside += 1
-            n = 1000
-            for kappa in (1e6, 1e9, 1e12, 1e14):
-                inst = generate_instance(n, SpectrumSetting(1, kappa), seed=0)
-                bottom, top = _eigenvector(inst, 0), _eigenvector(inst, n - 1)
-                for _ in range(200):
-                    x = 10.0 ** rng.uniform(-8.0, -2.0) * top
-                    g = 10.0 ** rng.uniform(-2.0, 3.0) * (bottom + 3e-8 * rng.standard_normal(n))
-                    b = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, x) - g
-                    obj = as_objective(dataclasses.replace(inst, linear=b))
-                    f, g = obj.eval(x)
-                    a = rng.uniform(0.1, 30.0, 8).tolist()
-                    lo = obj.lower_bounds(x, f, g, a)
-                    got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
-                    for ai, li, fi in zip(a, lo, got.tolist()):
-                        assert -math.inf < li <= fi < math.inf, (kappa, ai)
-                        inside += 1
+        for where, lo, f, label in _bound_checks():
+            if where == "outside":
+                assert lo == -math.inf, label
+                outside += 1
+            elif where == "inside":
+                assert -math.inf < lo <= f < math.inf, label
+                inside += 1
         assert inside > 41000 and outside > 1500
+
+    @pytest.mark.parametrize("zeroed", [(), ("e0",), ("e1", "e2")],
+                             ids=["rebuilt", "e0", "e1-e2"])
+    def test_the_points_need_the_error_terms(self, zeroed):
+        # _trial_lower_bounds rebuilt from its source with the named error
+        # terms set to 0 must break the bound at some of the soundness
+        # test's points, and rebuilt unchanged must give the real bound's
+        # bits, which break it nowhere.  Setting e1 alone or e2 alone to 0
+        # breaks it at none of these points, so neither is pinned on its own
+        mutant = _rebuilt_trial_lower_bounds(*zeroed)
+        if zeroed:
+            assert any(where == "inside" and lo > f for where, lo, f, _ in _bound_checks(mutant))
+        else:
+            for (_, lo, _, label), (_, real_lo, _, _) in zip(_bound_checks(mutant),
+                                                             _bound_checks(), strict=True):
+                assert lo == real_lo, label
 
     def test_an_overflowing_b_closes_the_window_quietly(self):
         inst = generate_instance(20, SpectrumSetting(1, 1e4), seed=0)

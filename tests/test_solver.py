@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestObjectiveAndTraceChecks:
         with pytest.raises(InvalidParameterError, match="at least one row"):
             RunTrace([], [], [], [], [], ITERATION_CAP, [0.0])
 
+    @pytest.mark.parametrize("column", ["f", "grad_norm", "alpha"])
+    def test_a_missing_real_is_named_not_read_as_nan(self, column):
+        # a None in a float column is refused with the column's name, where
+        # a float array would have made it a nan no one could tell apart
+        cols = {"f": [1.0, 0.5], "grad_norm": [2.0, 1.0], "alpha": [0.1, math.nan]}
+        RunTrace(**cols, backtracks=[0, 0], fevals=[1, 0], termination=ITERATION_CAP,
+                 final_x=[0.0])
+        cols[column] = [cols[column][0], None]
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{column} must be a real number, got None$"):
+            RunTrace(**cols, backtracks=[0, 0], fevals=[1, 0], termination=ITERATION_CAP,
+                     final_x=[0.0])
+
 
 class TestInitialSteplength:
     # run's opening probe, read back from the trace meta
@@ -308,6 +322,7 @@ class TestRosenbrock:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 f, g = obj.eval_rows(xs)
+                g = np.asarray(g)
             # f comes as a list of floats, which run reads as it is
             assert type(f) is list
             f = np.asarray(f)
@@ -319,7 +334,43 @@ class TestRosenbrock:
 
     def test_empty_block(self):
         f, g = rosenbrock2().eval_rows(np.empty((0, 2)))
-        assert (np.asarray(f).shape, g.shape) == ((0,), (0, 2))
+        g = np.asarray(g)
+        assert len(f) == 0
+        assert (np.asarray(f).shape, g.shape, g.dtype) == ((0,), (0, 2), np.float64)
+
+    def test_gradient_rows_are_the_eager_rows_when_read(self, rng):
+        # G is computed row by row as it is read; every row, counted from
+        # either end, and the whole block through np.asarray, must be the
+        # eager numpy rows byte for byte, on near, far (to 1e300) and
+        # nonfinite points, and an index past either end is refused
+        special = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e154, -1e160])
+        obj = rosenbrock2()
+        for _ in range(1000):
+            rows = int(rng.integers(1, 8))
+            xs = rng.uniform(-3.0, 3.0, (rows, 2))
+            far = rng.random((rows, 2)) < 0.4
+            xs[far] = rng.choice([-1.0, 1.0], far.sum()) * 10.0 ** rng.uniform(0, 300, far.sum())
+            odd = rng.random((rows, 2)) < 0.15
+            xs[odd] = rng.choice(special, odd.sum())
+            _, want = self.numpy_rows(xs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, g = obj.eval_rows(xs)
+                assert len(g) == rows
+                for i in range(-rows, rows):
+                    row = g[i]
+                    assert (row.dtype, row.shape) == (np.float64, (2,))
+                    assert row.tobytes() == want[i].tobytes(), (xs, i)
+                block = np.asarray(g)
+            assert (block.dtype, block.shape) == (np.float64, (rows, 2))
+            assert block.tobytes() == want.tobytes()
+            for i in (rows, -rows - 1):
+                with pytest.raises(IndexError):
+                    g[i]
+        _, g = obj.eval_rows(np.empty((0, 2)))
+        assert len(g) == 0 and np.asarray(g).shape == (0, 2)
+        with pytest.raises(IndexError):
+            g[0]
 
 
 class TestRunLoop:
@@ -390,7 +441,7 @@ class TestRunLoop:
 
         def first_row_only(xs):
             f, g = ros.eval_rows(xs)
-            return f[:1], g[:1]
+            return f[:1], np.asarray(g)[:1]
 
         obj = dataclasses.replace(ros, eval_rows=first_row_only)
         with pytest.raises(DimensionMismatchError,
@@ -1160,3 +1211,146 @@ class TestRounds:
         want = run(without_rows(obj), obj.x0, cfg, SteplengthPolicy("bb1"))
         assert got.to_json() == want.to_json()
         assert any(r.backtracks > 1 for r in got.rows)
+
+
+class TestInlineDecisions:
+    """run decides each trial, and each lower bound it skips by, with
+    nonmonotone_accept's expression written out in its loops.  A replay of
+    every round it evaluated, through nonmonotone_accept itself, must give
+    the same skips, the same accepted trial and the same end of a search
+    that runs out of trials."""
+
+    @staticmethod
+    def recorded(obj, events):
+        # obj with its eval_rows and lower_bounds writing each call's
+        # outputs to events, in call order
+        eval_rows, lower_bounds = obj.eval_rows, obj.lower_bounds
+
+        def rows(xs):
+            f, g = eval_rows(xs)
+            events.append(("rows", xs.copy(), np.asarray(f, dtype=float).tolist()))
+            return f, g
+
+        def bounds(x, f, g, steps):
+            lo = lower_bounds(x, f, g, steps)
+            events.append(("bounds", x.copy(), g.copy(), list(steps), list(lo)))
+            return lo
+
+        return dataclasses.replace(
+            obj, eval_rows=rows, lower_bounds=None if lower_bounds is None else bounds)
+
+    @staticmethod
+    def replay(events, searches, config):
+        # searches: (f_max, grad_sq, alpha, outcome) for each line search in
+        # order, where outcome is the accepted trial's index, or "stall" or
+        # NONFINITE for a search that runs out of trials
+        events = list(events)
+        beta, sigma, cap = config.beta, config.sigma, config.backtrack_cap
+        for f_max, grad_sq, alpha, outcome in searches:
+            a_eff, tried, finite_trial, x_g, hit = alpha, 0, False, None, None
+            while tried <= cap:
+                event = events.pop(0)
+                skip = 0
+                if event[0] == "bounds":
+                    _, x, g, steps, lo = event
+                    x_g = x, g
+                    assert len(lo) == len(steps)
+                    for lo_j, a in zip(lo, steps):
+                        if nonmonotone_accept(lo_j, f_max, beta, a, grad_sq):
+                            break
+                        skip += 1
+                    f_rows = []
+                    if skip < len(steps):
+                        event = events.pop(0)
+                        assert event[0] == "rows"
+                        f_rows = event[2]
+                else:
+                    f_rows = event[2]
+                    steps = [None] * len(f_rows)
+                # the round's steplengths, built as run builds them
+                for j in range(len(steps)):
+                    assert steps[j] in (None, a_eff)
+                    steps[j] = a_eff
+                    a_eff *= sigma
+                rest = steps[skip:]
+                assert len(f_rows) == len(rest)
+                if f_rows and x_g is not None:
+                    # the rows start at the first trial the bound left undecided
+                    assert event[1].tobytes() == kernels.trial_rows(*x_g, np.array(rest)).tobytes()
+                for j, (f_trial, a) in enumerate(zip(f_rows, rest)):
+                    if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
+                        hit = tried + skip + j
+                        break
+                if hit is not None:
+                    break
+                finite_trial = finite_trial or skip > 0 or any(ft < math.inf for ft in f_rows)
+                tried += len(steps)
+            if hit is None:
+                hit = "stall" if finite_trial else NONFINITE
+            assert hit == outcome
+        assert events == []
+
+    @staticmethod
+    def searches(tr):
+        # (f_max, grad_sq, alpha, accepted trial) of every step of a trace
+        window = deque(maxlen=tr.meta["memory"] + 1)
+        out = []
+        for k, row in enumerate(tr.rows[:-1]):
+            window.append(row.f)
+            out.append((max(window), row.grad_norm * row.grad_norm, row.alpha, row.backtracks))
+        return out
+
+    def test_rosenbrock_table(self, monkeypatch):
+        runs = []
+        original = solver.run
+
+        def recorded_run(obj, x0, config, policy):
+            events = []
+            tr = original(self.recorded(obj, events), x0, config, policy)
+            runs.append((tr, events, config))
+            return tr
+
+        monkeypatch.setattr(solver, "run", recorded_run)
+        run_rosenbrock_table()
+        assert len(runs) == 16
+        for tr, events, config in runs:
+            self.replay(events, self.searches(tr), config)
+        assert sum(r.iterations for r, _, _ in runs) == 24_675
+
+    @pytest.mark.parametrize("eta, policy", [(1e-3, "gamma:20"), (1e-10, "bb1")])
+    def test_quadratics(self, eta, policy):
+        # the benchmark's n = 1000 quadratic, whose trials the bound mostly
+        # decides, and the same instance in a wide band, where it seldom acts
+        obj = as_objective(generate_instance(1000, SpectrumSetting(1, 1e4), seed=0))
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000, eta=eta)
+        events = []
+        tr = run(self.recorded(obj, events), obj.x0, config, parse_policy(policy))
+        self.replay(events, self.searches(tr), config)
+        assert any(e[0] == "bounds" for e in events)
+        skipped = sum(len(e[3]) for e in events if e[0] == "bounds") - sum(
+            len(e[2]) for e in events if e[0] == "rows")
+        assert skipped > (10_000 if eta == 1e-3 else 0)
+
+    @pytest.mark.parametrize("make, alpha0, eta, outcome", [
+        (rosenbrock2, 1e160, 1e-300, NONFINITE),
+        (lambda: as_objective(generate_instance(50, SpectrumSetting(1, 1e4), 0)), 1e300, 1e-305,
+         NONFINITE),
+        (lambda: as_objective(generate_instance(50, SpectrumSetting(1, 1e4), 0)), 1e150, 1e-305,
+         "stall"),
+    ], ids=["rosenbrock-far", "quadratic-overflow", "quadratic-stall"])
+    def test_a_search_that_runs_out(self, make, alpha0, eta, outcome):
+        # the first search runs out of trials: a finite trial among them
+        # makes it a stall, and none a nonfinite end
+        obj = make()
+        config = SolverConfig(alpha0=alpha0, eta=eta)
+        events = []
+        try:
+            tr = run(self.recorded(obj, events), obj.x0, config, SteplengthPolicy("bb1"))
+            got = tr.termination
+            assert tr.iterations == 0
+        except LineSearchStallError:
+            got = "stall"
+        assert got == outcome
+        f0, g0 = obj.eval(obj.x0)
+        gn0 = math.sqrt(float(g0.dot(g0)))
+        self.replay(events, [(f0, gn0 * gn0, alpha0, outcome)], config)
