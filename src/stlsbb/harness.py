@@ -68,21 +68,26 @@ class ExperimentGrid:
         for name in ("n", "max_iter"):
             object.__setattr__(self, name, count(getattr(self, name), name))
         for name, check in _AXES:
-            values = tuple(check(v, name) for v in getattr(self, name))
-            if not values:
-                raise InvalidParameterError(f"grid axis {name} is empty")
-            object.__setattr__(self, name, values)
-            # a repeated value would count one run twice; policies compare
-            # as parsed, so gamma:20 and gamma:20.0 are one, and typos fail here
-            seen = set()
-            for value in values:
-                key = parse_policy(value) if name == "policies" else value
-                if key in seen:
-                    raise InvalidParameterError(f"grid axis {name} repeats {value!r}")
-                seen.add(key)
+            object.__setattr__(self, name, _axis(name, getattr(self, name), check))
 
     def cell_count(self):
         return math.prod(len(getattr(self, name)) for name, _ in _AXES)
+
+
+def _axis(name, values, check):
+    """check(value, name) of each value, as a tuple; an empty axis, or a
+    value repeated, which would count one run twice, is refused.  Policies
+    compare as parsed, so gamma:20 and gamma:20.0 are one, and typos fail."""
+    values = tuple(check(v, name) for v in values)
+    if not values:
+        raise InvalidParameterError(f"grid axis {name} is empty")
+    seen = set()
+    for value in values:
+        key = parse_policy(value) if name == "policies" else value
+        if key in seen:
+            raise InvalidParameterError(f"grid axis {name} repeats {value!r}")
+        seen.add(key)
+    return values
 
 
 # ExperimentGrid's axes in grid order, the order run_quadratic_sweep
@@ -348,8 +353,11 @@ def run_rosenbrock_table(
     Each run starts at (-1.2, 1) with opening steplength 1 and stops when
     the iterate is within epsilon of the minimizer (1, 1); a run that
     exhausts max_iter first gets None.  Every cell is an independent run.
+    Both axes are checked as ExperimentGrid's are before the first run.
     """
-    epsilons = tuple(inside(e, "epsilon", 0.0, math.inf) for e in epsilons)
+    # each value keeps the table's own check and message
+    epsilons = _axis("epsilons", epsilons, lambda e, _: inside(e, "epsilon", 0.0, math.inf))
+    policies = _axis("policies", policies, lambda pol, _: pol)
     max_iter = count(max_iter, "max_iter")
     obj = solver.rosenbrock2()
     target = np.array([1.0, 1.0])
@@ -369,7 +377,7 @@ def run_rosenbrock_table(
         counts.append(tuple(row))
     return RosenbrockTable(
         epsilons=epsilons,
-        policies=tuple(policies),
+        policies=policies,
         counts=tuple(counts),
     )
 

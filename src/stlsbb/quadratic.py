@@ -356,8 +356,10 @@ def _trial_lower_bounds(inst):
        stay below 2^-1040 (V + 1)(1 + a)^2 (1 + X + G)^2, which
        W(1 + a)^2, W = 2^-1000 (V + 1)(1 + X + G)^2, covers.
 
-    The per-iterate values gg and c take one 1-D Hessian product, kept
-    while the calls pass the same g, as the rounds of an iteration do.
+    Each call computes gg and, inside the window, c through one 1-D
+    Hessian product, and keeps nothing for the next call: an iteration
+    seldom reads the bound twice, since only rounds of two or more trials
+    read it.
     """
     n, v = inst.dim, inst.eigenvalues
     ws = (inst.w1, inst.w2, inst.w3)
@@ -374,24 +376,17 @@ def _trial_lower_bounds(inst):
     room0 = 2.0**500 / math.sqrt(v_max + 1.0) - b_norm - 1.0
     e2_per_gg = v_max * (k1 + 0.5 * kc) + 3.0 * u * v1
     s = 2.0**-40
-    last = None  # (g's bytes, G, gg, c) of the latest g; c is None until needed
 
     @np.errstate(**kernels._QUIET)
     def lower_bounds(x, f, g, steps):
-        nonlocal last
         x, g = _check_vec(inst, x), _check_vec(inst, g)
-        key, held = g.tobytes(), last
-        if held is None or held[0] != key:
-            gg = float(g.dot(g))
-            held = last = key, _norm_bound(gg), gg, None
-        _, gn, gg, c = held
-        xn = _norm_bound(float(x.dot(x)))
+        gg = float(g.dot(g))
+        gn, xn = _norm_bound(gg), _norm_bound(float(x.dot(x)))
         room = room0 - xn - gn
         if not (room >= 0.0 and math.isfinite(f)):
             return [-math.inf] * len(steps)
-        if c is None:  # inside the window the product cannot overflow
-            c = float(g.dot(kernels.hessian_apply(*ws, v, g)))
-            last = key, gn, gg, c
+        # inside the window the product cannot overflow
+        c = float(g.dot(kernels.hessian_apply(*ws, v, g)))
         t = 1.0 + xn + gn
         w = 2.0**-1000 * (v_max + 1.0) * t * t
         r = ka * v_max * xn + 1.01 * u * gn

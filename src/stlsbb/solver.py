@@ -55,11 +55,12 @@ class Objective:
     a in steps, one float lo such that the f eval_rows computes at the row
     kernels.trial_rows(x, g, [a]) is finite and at least lo, or -inf
     where the bound cannot say.  run() rejects the leading trials of a
-    round whose lo already fails the nonmonotone test without evaluating
-    them, so a bound that breaks this contract changes the run, and one
-    that keeps it changes no decision and no trace.
-    quadratic.as_objective supplies one, proven from rounding-error
-    bounds.
+    round whose lo > f_max - beta * a * ||g||^2 without evaluating them,
+    so a nan or -inf lo decides nothing, a bound that breaks this contract
+    changes the run, and one that keeps it changes no decision and no
+    trace.  It needs eval_rows, since only rounds of two or more trials
+    read it.  quadratic.as_objective supplies one, proven from
+    rounding-error bounds.
     """
 
     name: str
@@ -77,6 +78,8 @@ class Objective:
             value = getattr(self, name)
             if value is not None and not callable(value):
                 raise InvalidParameterError(f"{name} must be callable or None, got {value!r}")
+        if self.lower_bounds is not None and self.eval_rows is None:
+            raise InvalidParameterError("lower_bounds needs eval_rows")
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True).reshape(-1)
             if x0.size != self.dim:
@@ -114,7 +117,7 @@ def _rosenbrock_gradient(x1, x2):
 class _RosenbrockGradients:
     # the gradient rows of one block, each computed from the block's Python
     # floats (x1, x2, x1, x2, ...) when it is read, since run reads one row
-    # of a round; np.asarray gives the whole (rows, 2) float64 block
+    # of a round; np.asarray reads every row through __getitem__
     __slots__ = ("_flat",)
 
     def __init__(self, flat):
@@ -128,13 +131,6 @@ class _RosenbrockGradients:
         # either end, and raise IndexError where i is past one
         return np.array(_rosenbrock_gradient(self._flat[2 * i], self._flat[2 * i + 1]))
 
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("gradient rows are computed, so reading them copies")
-        it = iter(self._flat)
-        g = [v for pair in zip(it, it) for v in _rosenbrock_gradient(*pair)]
-        return np.array(g, dtype=dtype).reshape(-1, 2)
-
 
 def rosenbrock2():
     """Planar Rosenbrock valley, minimum f = 0 at (1, 1); the conventional
@@ -142,8 +138,8 @@ def rosenbrock2():
 
     Its eval_rows gives f as a list of floats and G as a sequence of
     gradient rows that computes row i, a float64 array, only when it is
-    read, and the whole (rows, 2) float64 block through np.asarray: run
-    reads the gradient of the one row it keeps from each round.
+    read (np.asarray(G) reads them one by one): run reads the gradient of
+    the one row it keeps from each round.
     """
 
     def eval_rows(xs):
@@ -244,10 +240,10 @@ def nonmonotone_accept(f_trial, f_max, beta, alpha, grad_sq):
     """Acceptance test: f_trial <= f_max - beta * alpha * grad_sq, where
     f_max is the largest of the last memory+1 objective values.
 
-    run() and audit_trace() both decide with it on one trial's Python
-    floats, which overflow to inf quietly, so a replayed trace reproduces
-    each decision bit for bit.  On numpy arrays it rounds each element as
-    on floats.
+    audit_trace() decides with it on one trial's Python floats, which
+    overflow to inf quietly, and run() writes the same expression out in
+    its loop, so a replayed trace reproduces each decision bit for bit.
+    On numpy arrays it rounds each element as on floats.
     """
     return f_trial <= f_max - beta * alpha * grad_sq
 
@@ -313,10 +309,10 @@ def run(objective, x0, config, policy):
     of one through eval.  With objective.lower_bounds, a round of two or
     more trials first rejects, unevaluated, its leading trials whose lower
     bound lo already fails the test, lo > f_max - beta * a * grad_sq,
-    and evaluates its rows from the first trial left undecided.  Such
-    trials count as finite, failed trials.  Each bound and each trial is
-    decided by nonmonotone_accept's float expression, written out in the
-    loop rather than called once per trial.  On quadratics most rejected
+    and evaluates its rows from the first trial left undecided; a nan lo
+    decides nothing.  Such trials count as finite, failed trials.  Each
+    bound and each trial is compared with nonmonotone_accept's float
+    expression, written out in the loop.  On quadratics most rejected
     trials are decided by the proven bound, so fevals counts trials
     decided, not objective calls.  Where the safeguard band lets the
     policies' steps through, as a wide band does, few trials are rejected
@@ -399,13 +395,13 @@ def run(objective, x0, config, policy):
                 a_eff *= sigma
             # the leading trials whose lower bound fails the test fail it at
             # their f too, which is finite, so they are rejected unevaluated;
-            # the rows start at the first trial the bound leaves undecided.
-            # A round of one trial costs about what the bound costs, so it
-            # is evaluated outright
+            # the rows start at the first trial the bound leaves undecided,
+            # as a nan lo does.  A round of one trial costs about what the
+            # bound costs, so it is evaluated outright
             skip = 0
             if lower_bounds is not None and size > 1:
                 for lo, a in zip(lower_bounds(x, f, g, steps), steps):
-                    if lo <= f_max - beta * a * grad_sq:  # nonmonotone_accept's test
+                    if not lo > f_max - beta * a * grad_sq:
                         break
                     skip += 1
                 steps = steps[skip:]

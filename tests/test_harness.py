@@ -495,6 +495,24 @@ class TestRosenbrockTable:
         assert CAP_MARK in table.render()
         assert CAP_MARK in table.to_csv()
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"policies": ()}, "grid axis policies is empty"),
+        ({"epsilons": ()}, "grid axis epsilons is empty"),
+        ({"epsilons": (0.1, 1e-2, 0.1)}, "grid axis epsilons repeats 0.1"),
+        ({"policies": ("gamma:1", "bb2", "gamma:1.0")}, "grid axis policies repeats 'gamma:1.0'"),
+        ({"policies": ("bb1", "nope")}, "unknown policy descriptor 'nope'"),
+        ({"policies": ("bb1", parse_policy("bb2"))}, "policy descriptor must be a string"),
+        ({"epsilons": (0.1, -1.0)}, "epsilon must"),
+    ])
+    def test_refused_axes_run_nothing(self, monkeypatch, kwargs, match):
+        # the axes are checked as ExperimentGrid's are, and every policy is
+        # parsed, before the first run
+        runs = []
+        monkeypatch.setattr(harness.solver, "run", lambda *args: runs.append(args))
+        with pytest.raises(InvalidParameterError, match=re.escape(match)):
+            run_rosenbrock_table(**kwargs)
+        assert runs == []
+
     def test_render_and_csv_agree(self):
         table = RosenbrockTable(
             epsilons=(0.1, 0.01), policies=("a", "b"),

@@ -693,20 +693,31 @@ class TestTrialLowerBounds:
         f, g = obj.eval(x)
         assert obj.lower_bounds(x, f, g, [0.1, 1e-300]) == [-math.inf] * 2
 
-    def test_one_product_per_gradient(self, monkeypatch):
+    def test_the_bound_is_a_pure_function(self, monkeypatch):
+        # calls that repeat g, then interleave -g, g/2 and g, give the bits
+        # of fresh calls, each on a fresh objective; inside the window each
+        # call takes exactly one Hessian product, and outside it none.  The
+        # bound reads g through ||g|| and g'Ag, so -g gives g's bits and g/2
+        # others
         inst = generate_instance(50, SpectrumSetting(1, 1e4), seed=0)
         obj = as_objective(inst)
         f, g = obj.eval(obj.x0)
+        steps = [0.1, 0.08, 0.064]
+        gs = (g, g, -g, 0.5 * g, g.copy())
         calls = []
         product = kernels.hessian_apply
         monkeypatch.setattr(kernels, "hessian_apply",
                             lambda *args: calls.append(1) or product(*args))
-        first = obj.lower_bounds(obj.x0, f, g, [0.1, 0.08])
-        # a second round of the same iterate reuses it, bit for bit
-        assert obj.lower_bounds(obj.x0, f, g.copy(), [0.1, 0.08]) == first
-        assert len(calls) == 1
-        obj.lower_bounds(obj.x0, f, -g, [0.1])
-        assert len(calls) == 2
+        got = [obj.lower_bounds(obj.x0, f, h, steps) for h in gs]
+        assert len(calls) == len(gs)
+        fresh = [as_objective(inst).lower_bounds(obj.x0, f, h, steps) for h in gs]
+        assert np.array(got).tobytes() == np.array(fresh).tobytes()
+        assert got[0] == got[1] == got[2] == got[4] != got[3]
+        assert all(-math.inf < lo < math.inf for lo in got[0] + got[3])
+        calls.clear()
+        assert obj.lower_bounds(obj.x0, math.nan, g, steps) == [-math.inf] * 3
+        assert obj.lower_bounds(np.full(50, 1e300), f, g, steps) == [-math.inf] * 3
+        assert calls == []
 
     def test_the_bound_decides_most_trials_of_the_benchmark_run(self):
         # perfbench's gbb-linesearch quadratic: every step is reset to
@@ -750,6 +761,19 @@ class TestBoundEquivalence:
         with_bound, without = _with_and_without_bound(obj, np.ldexp(np.ones(100), k), config,
                                                       parse_policy(kind))
         assert with_bound == without
+
+    @pytest.mark.parametrize("lo", [math.nan, -math.inf])
+    def test_a_bound_that_cannot_say_decides_nothing(self, lo):
+        # a nan or -inf lo leaves every trial to be evaluated, so the run is
+        # the run without a bound; a nan read as a failed test would reject
+        # every trial unevaluated and raise LineSearchStallError at iterate 0
+        obj = as_objective(generate_instance(50, SpectrumSetting(1, 1e3), 0))
+        config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=300)
+        silent = dataclasses.replace(obj, lower_bounds=lambda x, f, g, steps: [lo] * len(steps))
+        with_bound, without = _with_and_without_bound(silent, obj.x0, config,
+                                                      parse_policy("bb1"))
+        assert with_bound == without
+        assert run(obj, obj.x0, config, parse_policy("bb1")).iterations == 230
 
     @pytest.mark.parametrize("alpha0, ends", [(1e300, f'"{NONFINITE}"'), (1e150, "stall: ")])
     def test_overflowing_trials(self, alpha0, ends):

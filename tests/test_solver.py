@@ -194,6 +194,18 @@ class TestObjectiveAndTraceChecks:
         with pytest.raises(InvalidParameterError, match=f"{name} must be callable or None, got 5"):
             Objective("q", 2, lambda x: (0.0, x), **{name: 5})
 
+    def test_objective_bound_needs_eval_rows(self):
+        # without eval_rows every round holds one trial, which run never
+        # reads a bound for
+        def bounds(x, f, g, steps):
+            return [-math.inf] * len(steps)
+
+        with pytest.raises(InvalidParameterError, match="lower_bounds needs eval_rows"):
+            Objective("q", 2, lambda x: (0.0, x), lower_bounds=bounds)
+        obj = as_objective(generate_instance(20, SpectrumSetting(1, 1e3), seed=0))
+        with pytest.raises(InvalidParameterError, match="lower_bounds needs eval_rows"):
+            dataclasses.replace(obj, eval_rows=None)
+
     def test_trace_termination_must_be_known(self):
         with pytest.raises(InvalidParameterError, match="termination must be one of"):
             RunTrace([1.0], [1.0], [math.nan], [0], [0], "finished", [0.0])
@@ -333,10 +345,11 @@ class TestRosenbrock:
             assert g.tobytes() == want_g.tobytes()
 
     def test_empty_block(self):
+        # numpy reads an empty sequence of rows as shape (0,)
         f, g = rosenbrock2().eval_rows(np.empty((0, 2)))
         g = np.asarray(g)
         assert len(f) == 0
-        assert (np.asarray(f).shape, g.shape, g.dtype) == ((0,), (0, 2), np.float64)
+        assert (np.asarray(f).shape, g.shape, g.dtype) == ((0,), (0,), np.float64)
 
     def test_gradient_rows_are_the_eager_rows_when_read(self, rng):
         # G is computed row by row as it is read; every row, counted from
@@ -368,7 +381,7 @@ class TestRosenbrock:
                 with pytest.raises(IndexError):
                     g[i]
         _, g = obj.eval_rows(np.empty((0, 2)))
-        assert len(g) == 0 and np.asarray(g).shape == (0, 2)
+        assert len(g) == 0 and np.asarray(g).shape == (0,)
         with pytest.raises(IndexError):
             g[0]
 
