@@ -47,7 +47,7 @@ from .oracle import (
     oracle_steplength,
     stls_ratio,
 )
-from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, RunTrace, TraceRow
+from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE, RunTrace, TraceRow
 from .quadratic import (
     QuadraticInstance,
     SpectrumSetting,

@@ -126,8 +126,11 @@ def _cmd_quad(args):
     if args.save_instance:
         _write_text(args.save_instance, inst.to_json(indent=2))
     if args.generate_only:
-        print(f"instance n={inst.dim} setting={inst.setting_id} "
-              f"kappa={inst.kappa:g} seed={inst.seed}")
+        # a hand-built instance records none of its provenance
+        provenance = (inst.setting_id, None if inst.kappa is None else f"{inst.kappa:g}",
+                      inst.seed)
+        setting, kappa, seed = ("none" if v is None else v for v in provenance)
+        print(f"instance n={inst.dim} setting={setting} kappa={kappa} seed={seed}")
         return 0
     policy = parse_policy(args.policy)
     tr = quadratic.solve_bb(inst, policy, args.epsilon, args.max_iter, alpha0=args.alpha0)

@@ -99,7 +99,7 @@ _AXES = (("setting_ids", lambda sid, name: count(sid, name, least=None)),
          ("kappas", lambda kappa, name: inside(kappa, name, 1.0, math.inf)),
          ("epsilons", lambda e, name: inside(e, name, 0.0, 1.0)),
          ("seeds", lambda seed, name: count(seed, name, least=0)),
-         ("policies", lambda text, name: str(text)))
+         ("policies", lambda text, name: text))  # parse_policy checks each
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ hands its secant pair to the steplength policy for the next proposal.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -288,12 +287,13 @@ def run(objective, x0, config, policy):
     Each iteration safeguards the proposed steplength into (eta, 1/eta)
     (resetting to delta otherwise), backtracks by sigma until the trial
     point passes the nonmonotone test, then steps and asks the policy for
-    the next proposal from the accepted secant pair.  Nonpositive
-    curvature maps the proposal to +inf, which the next safeguard resets
-    to delta, and ATC then reads delta as its previous steplength.  A
-    zero gradient stops immediately regardless of stop rule; a nan or inf
-    f or ||g|| at an iterate stops the run first, with
-    termination nonfinite.  So does a line search whose every trial f was
+    the next proposal from the accepted secant pair.  The test's window,
+    the last memory+1 values of f, is read from the trace's own f
+    column.  Nonpositive curvature maps the proposal to +inf, which the
+    next safeguard resets to delta, and ATC then reads delta as its
+    previous steplength.  A zero gradient stops immediately regardless of
+    stop rule; a nan or inf f or ||g|| at an iterate stops the run first,
+    with termination nonfinite.  So does a line search whose every trial f was
     nan or +inf when the backtrack cap is hit; if some trial f was finite,
     that raises LineSearchStallError instead.
 
@@ -301,7 +301,8 @@ def run(objective, x0, config, policy):
     steplengths a, sigma*a, sigma^2*a, ... as the rows of one
     objective.eval_rows call and keeps the first row that passes; rows
     after it are discarded.  An iteration's first round holds as many
-    trials as the larger of the last two iterations needed; if it fails,
+    trials as the larger of the last two iterations needed, read from the
+    trace's backtracks column, and one at k = 0; if it fails,
     the next round holds one trial and each later round twice as many as
     the one before.  An iteration never evaluates more than
     backtrack_cap + 1 trials, and a round never more rows than fit
@@ -360,12 +361,11 @@ def run(objective, x0, config, policy):
         a = 1.0 / float(np.max(np.abs(g)))
         alpha = a if objective.eval(x - a * g)[0] < f else 0.25 * a
     alpha0_used = float(alpha)
-    window = deque([f], maxlen=config.memory + 1)
-    # the trace's columns, one entry per iterate
-    f_col, gn_col, alpha_col, bt_col, fe_col = [], [], [], [], []
+    # the trace's columns, one entry per iterate, from which the line
+    # search reads its window and its first round's size
+    f_col, gn_col, alpha_col, bt_col = [], [], [], []
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
-    needed = before = 1  # trials the last and the one before needed
     beta, sigma = config.beta, config.sigma
     gn = gn0
     while True:
@@ -382,10 +382,10 @@ def run(objective, x0, config, policy):
             break
         alpha = safeguard(alpha, config.eta, config.delta)
         grad_sq = gn * gn
-        f_max = max(window)
+        f_max = max(f_col[-1 - config.memory:])
         a_eff = alpha
         tried = 0  # trials in this iteration's earlier rounds
-        size = max(needed, before)
+        size = 1 + max(bt_col[-2:]) if k else 1  # the larger of the last two needs
         finite_trial = False
         while tried <= config.backtrack_cap:
             size = min(size, config.backtrack_cap + 1 - tried, block_rows)
@@ -437,11 +437,8 @@ def run(objective, x0, config, policy):
                 )
             termination = NONFINITE  # f was nan or +inf at every trial
             break
-        backtracks = tried + skip + hit
-        before, needed = needed, 1 + backtracks
         alpha_col.append(alpha)
-        bt_col.append(backtracks)
-        fe_col.append(needed)
+        bt_col.append(tried + skip + hit)
         # copies, so no round's block outlives its round and an objective
         # may reuse its output arrays
         x_trial = xs[hit].copy()
@@ -454,7 +451,6 @@ def run(objective, x0, config, policy):
         f = f_rows[hit]
         g = g_trial
         gn = _norm(g)
-        window.append(f)
         try:
             alpha = prev = next_steplength(
                 policy, SecantProducts(float(s.dot(s)), float(y.dot(y)), float(s.dot(y))), k, prev)
@@ -462,10 +458,11 @@ def run(objective, x0, config, policy):
             # out of band on purpose: the next safeguard resets it to delta
             alpha, prev = math.inf, config.delta
         k += 1
-    # no step leaves the last iterate
+    # each step counts its accepted trial and its backtracks; no step
+    # leaves the last iterate
+    fevals = [1 + b for b in bt_col] + [0]
     alpha_col.append(math.nan)
     bt_col.append(0)
-    fe_col.append(0)
     meta = config.to_meta()
     meta.update(
         {
@@ -475,24 +472,27 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    return RunTrace(f_col, gn_col, alpha_col, bt_col, fe_col, termination, x, meta)
+    return RunTrace(f_col, gn_col, alpha_col, bt_col, fevals, termination, x, meta)
 
 
 def audit_trace(run_trace, config=None):
     """Replay a line-search trace and report inconsistencies.
 
     For every non-terminal row the recorded alpha must be delta or lie
-    strictly inside the safeguard band, fevals must be 1 + backtracks, and
-    the next row's objective value must pass the nonmonotone test at the
-    effective steplength alpha * sigma**backtracks, reconstructed by
-    repeated multiplication exactly as the solver applied it.  The
-    terminal row must have alpha nan, 0 backtracks and 0 fevals.  A
-    gradient_tolerance trace must meet its stop rule on its last row (or
-    end at a zero gradient), and an iteration_cap trace must end at
-    k = max_iter.  config defaults to the one stored in the trace meta,
-    which only a gbb trace has; any other trace without a config raises
-    InvalidParameterError.  Returns a list of violation strings; empty
-    means the trace is internally consistent.
+    strictly inside the safeguard band, fevals must be 1 + backtracks and
+    backtracks at most backtrack_cap, ||g|| must not be zero nor, under a
+    gradient stop rule, meet it, and the next row's objective value must
+    pass the nonmonotone test against the largest of the last memory+1
+    values of f at the effective steplength alpha * sigma**backtracks,
+    reconstructed by repeated multiplication exactly as the solver applied
+    it; a row past backtrack_cap is not replayed.  The terminal row must
+    have alpha nan, 0 backtracks and 0 fevals.  A trace ends
+    gradient_tolerance exactly when its last row is finite and meets its
+    stop rule (or has a zero gradient), no trace runs past k = max_iter,
+    and an iteration_cap trace ends there.  config defaults to the one
+    stored in the trace meta, which only a gbb trace has; any other trace
+    without a config raises InvalidParameterError.  Returns a list of
+    violation strings; empty means the trace is internally consistent.
     """
     solver = run_trace.meta.get("solver")
     if config is None and solver != "gbb":
@@ -503,7 +503,6 @@ def audit_trace(run_trace, config=None):
         col.tolist() for col in (run_trace.f, run_trace.grad_norm, run_trace.alpha,
                                  run_trace.backtracks, run_trace.fevals))
     last = run_trace.iterations
-    window = deque([f[0]], maxlen=cfg.memory + 1)
     for k in range(last):
         a = alpha[k]
         if not (a == cfg.delta or (cfg.eta < a < 1.0 / cfg.eta)):
@@ -515,14 +514,26 @@ def audit_trace(run_trace, config=None):
                 f"row {k}: {fevals[k]} fevals after {backtracks[k]} backtracks, "
                 f"not 1 + backtracks"
             )
+        # x_k is not in the trace, so only the gradient rules are read here
+        if gn[k] == 0.0 or (cfg.stop_rule != STOP_POINT_DIST
+                            and _stopped(cfg, None, gn[k], gn[0])):
+            violations.append(
+                f"row {k}: ||g|| {gn[k]!r} would have stopped the run before its last row"
+            )
+        if backtracks[k] > cfg.backtrack_cap:
+            violations.append(
+                f"row {k}: {backtracks[k]} backtracks, more than backtrack_cap = "
+                f"{cfg.backtrack_cap}"
+            )
+            continue
         a_eff = a
         for _ in range(backtracks[k]):
             a_eff *= cfg.sigma
-        if not nonmonotone_accept(f[k + 1], max(window), cfg.beta, a_eff, gn[k] * gn[k]):
+        f_max = max(f[max(0, k - cfg.memory):k + 1])
+        if not nonmonotone_accept(f[k + 1], f_max, cfg.beta, a_eff, gn[k] * gn[k]):
             violations.append(
                 f"row {k}: accepted step fails the nonmonotone test on replay"
             )
-        window.append(f[k + 1])
     if not (math.isnan(alpha[last]) and backtracks[last] == fevals[last] == 0):
         violations.append(
             f"row {last}: the terminal row has alpha {alpha[last]!r}, {backtracks[last]} "
@@ -532,13 +543,17 @@ def audit_trace(run_trace, config=None):
     if cfg.stop_rule == STOP_POINT_DIST and x.shape != cfg.target.shape:
         raise DimensionMismatchError(
             f"final_x has length {x.size}, the target {cfg.target.size}")
-    if run_trace.termination == GRADIENT_TOLERANCE and not (
-            gn[last] == 0.0 or _stopped(cfg, x, gn[last], gn[0])):
+    stops = (math.isfinite(f[last]) and math.isfinite(gn[last])
+             and (gn[last] == 0.0 or _stopped(cfg, x, gn[last], gn[0])))
+    if stops != (run_trace.termination == GRADIENT_TOLERANCE):
         violations.append(
-            f"row {last}: the trace ends {GRADIENT_TOLERANCE} but does not meet "
-            f"its {cfg.stop_rule} rule at epsilon {cfg.epsilon!r}"
+            f"row {last}: the trace ends {run_trace.termination} but "
+            f"{'meets' if stops else 'does not meet'} its {cfg.stop_rule} rule "
+            f"at epsilon {cfg.epsilon!r}"
         )
-    if run_trace.termination == ITERATION_CAP and last != cfg.max_iter:
+    if last > cfg.max_iter:
+        violations.append(f"row {last}: the trace runs past max_iter = {cfg.max_iter}")
+    elif run_trace.termination == ITERATION_CAP and last != cfg.max_iter:
         violations.append(
             f"row {last}: the trace ends {ITERATION_CAP} at k = {last}, "
             f"not at max_iter = {cfg.max_iter}"

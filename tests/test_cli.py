@@ -152,6 +152,16 @@ class TestQuad:
         assert out.startswith("instance n=20")
         assert "iterations=" not in out
 
+    def test_generate_only_names_missing_provenance(self, tmp_path, capsys):
+        # a hand-built instance records no setting, kappa or seed
+        path = tmp_path / "hand.json"
+        e = np.eye(3)
+        path.write_text(QuadraticInstance(3, e[0], e[1], e[2], [1, 2, 3], [1, 1, 1]).to_json())
+        assert main(["quad", "--instance", str(path), "--generate-only"]) == 0
+        assert capsys.readouterr().out == "instance n=3 setting=none kappa=none seed=none\n"
+        assert main(["quad", "--n", "20", "--kappa", "500", "--generate-only"]) == 0
+        assert capsys.readouterr().out == "instance n=20 setting=1 kappa=500 seed=0\n"
+
     def test_cap_exit_code(self, capsys):
         rc = main(["quad", "--n", "20", "--kappa", "500", "--epsilon", "1e-8",
                    "--max-iter", "3"])

@@ -109,11 +109,27 @@ def golden_outputs():
     # an objective without eval_rows backtracks in rounds of one
     plain = solver.Objective("plain", 2, ros.eval, x0=ros.x0)
     out["rosenbrock-plain"] = solver.run(plain, plain.x0, config, parse_policy("bb2")).to_json()
+    # the nonmonotone window at its edges: the latest f alone, the last
+    # two, and longer than the run
+    for memory in (0, 1, 5000):
+        config = solver.SolverConfig(epsilon=1e-6, max_iter=500, memory=memory)
+        out[f"gbb-memory{memory}-rosenbrock"] = solver.run(
+            ros, ros.x0, config, parse_policy("bb2")).to_json()
+        config = solver.SolverConfig(epsilon=1e-6, stop_rule=solver.STOP_GRAD_REL,
+                                     max_iter=600, memory=memory)
+        out[f"gbb-memory{memory}-quad"] = solver.run(
+            obj, obj.x0, config, parse_policy("bb1")).to_json()
     return out
 
 
 GOLDEN = {
     "costs-profile": "9a3f772dda5af01f0d36f56b223b29e9fbd52533398652e6c604cf2959639b24",
+    "gbb-memory0-quad": "8d1f8b53355a439acccf3cc4c2d3fad021a4087ed75ca3dc6df6f66b5e5af85d",
+    "gbb-memory0-rosenbrock": "e511900af13c65a7933ad77e16e8b36d10101a6a19df239a28a8d9f6bd7970d5",
+    "gbb-memory1-quad": "3c115af3f99d8a245fba2e7de16b8156376d77411b5690cf7d91ce779281c505",
+    "gbb-memory1-rosenbrock": "3985cc5c775bbbaf4c21d7433137f9500e3f13563f93431201ebe79f67fd3425",
+    "gbb-memory5000-quad": "fab87a647a3d8580e81909edb1024f95cb1e1f95ae6145bcce14857d534b0493",
+    "gbb-memory5000-rosenbrock": "8dd33204b7c280cd0fe2dd27a4ab536fd2982d71dad02714e201b1777409b251",
     "gbb-quad-0.001-atc:3": "56fb634cbbad61de60815698a5c16034e0b0b089592952d90a303d39e8509b10",
     "gbb-quad-0.001-bb1": "1e54abb0a56638a63006229bcb8eb32c887b1b66c8b9187caa87f36d5b649a72",
     "gbb-quad-0.001-bb2": "a3175ebf02b7d724ea114fc51b129259c8bad763e86cc3d7a248d19fca25674d",

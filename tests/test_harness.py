@@ -85,6 +85,12 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             ExperimentGrid(n=20, policies=("bb3",))
 
+    def test_a_policy_that_is_not_a_string_is_named(self):
+        # refused as run_rosenbrock_table refuses it, not read through str()
+        with pytest.raises(InvalidParameterError,
+                           match="policy descriptor must be a string, got SteplengthPolicy"):
+            ExperimentGrid(n=10, policies=(parse_policy("bb2"),))
+
     @pytest.mark.parametrize("axis", [
         {"setting_ids": (1, 2, 1)},
         {"kappas": (1e3, 1000)},

@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import stlsbb
 from stlsbb import (
     LineSearchStallError,
     Objective,
@@ -818,6 +819,11 @@ class TestColumns:
             assert back.rows == tr.rows and back.to_json() == tr.to_json()
 
 
+def test_every_termination_is_exported():
+    for name in trace.TERMINATIONS:
+        assert name.upper() in stlsbb.__all__ and getattr(stlsbb, name.upper()) == name
+
+
 class TestAudit:
     def make_trace(self):
         obj = rosenbrock2()
@@ -899,6 +905,8 @@ class TestAudit:
     def test_a_solved_trace_relabelled_capped_is_named(self):
         tr = self.make_trace()
         assert audit_trace(self.relabelled(tr, ITERATION_CAP)) == [
+            f"row {tr.iterations}: the trace ends iteration_cap but meets its grad_abs rule "
+            "at epsilon 1e-05",
             f"row {tr.iterations}: the trace ends iteration_cap at k = {tr.iterations}, "
             "not at max_iter = 2000"
         ]
@@ -924,6 +932,54 @@ class TestAudit:
         strict = dataclasses.replace(SolverConfig.from_meta(tr.meta), beta=0.999)
         # a near-1 sufficient decrease coefficient rejects real steps
         assert audit_trace(tr, config=strict) != []
+
+    @staticmethod
+    def bb2_trace(**config):
+        # the bb2 Rosenbrock run at epsilon 1e-3: 70 steps under grad_abs
+        obj = rosenbrock2()
+        tr = run(obj, obj.x0, SolverConfig(epsilon=1e-3, **config), parse_policy("bb2"))
+        assert tr.solved and audit_trace(tr) == []
+        return tr
+
+    @staticmethod
+    def edited(tr, meta=(), **fields_):
+        # tr through to_dict and from_dict, with rows' or the meta's
+        # fields changed: fields_ maps a row field to {k: value}
+        d = tr.to_dict()
+        for name, values in fields_.items():
+            for k, value in values.items():
+                d["rows"][k][name] = value
+        d["meta"].update(meta)
+        return RunTrace.from_dict(d)
+
+    def test_backtracks_past_the_cap_are_named_and_not_replayed(self):
+        # a replay multiplies once per backtrack, so a huge count would
+        # stall it; the row is named without replaying it
+        tr = self.bb2_trace()
+        bad = self.edited(tr, backtracks={0: 10**7}, fevals={0: 10**7 + 1})
+        assert audit_trace(bad) == ["row 0: 10000000 backtracks, more than backtrack_cap = 100"]
+
+    def test_no_trace_runs_past_max_iter(self):
+        tr = self.bb2_trace()
+        bad = self.edited(tr, meta={"max_iter": 10})
+        assert audit_trace(bad) == ["row 70: the trace runs past max_iter = 10"]
+
+    @pytest.mark.parametrize("gn", [0.0, 5e-4])
+    def test_a_row_that_would_have_stopped_is_named(self, gn):
+        # a zero gradient, or one below epsilon, stops the run at row 5
+        tr = self.bb2_trace()
+        bad = self.edited(tr, grad_norm={5: gn})
+        assert audit_trace(bad) == [
+            f"row 5: ||g|| {gn!r} would have stopped the run before its last row"
+        ]
+
+    def test_a_solved_trace_relabelled_capped_meets_its_rule(self):
+        tr = self.bb2_trace(stop_rule=STOP_POINT_DIST, target=[1.0, 1.0])
+        bad = self.relabelled(self.edited(tr, meta={"max_iter": tr.iterations}), ITERATION_CAP)
+        assert audit_trace(bad) == [
+            f"row {tr.iterations}: the trace ends iteration_cap but meets its point_dist rule "
+            "at epsilon 0.001"
+        ]
 
 
 def without_rows(obj):
@@ -1329,6 +1385,24 @@ class TestInlineDecisions:
         for tr, events, config in runs:
             self.replay(events, self.searches(tr), config)
         assert sum(r.iterations for r, _, _ in runs) == 24_675
+
+    @pytest.mark.parametrize("memory", [0, 5000])
+    @pytest.mark.parametrize("problem", ["rosenbrock", "quadratic"])
+    def test_memory_edges(self, problem, memory):
+        # a window of the latest f only, and one longer than the run (at
+        # most 600 steps)
+        if problem == "rosenbrock":
+            obj, policy = rosenbrock2(), "bb2"
+            config = SolverConfig(epsilon=1e-6, max_iter=500, memory=memory)
+        else:
+            obj = as_objective(generate_instance(200, SpectrumSetting(1, 1e3), 2))
+            policy = "bb1"
+            config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=600,
+                                  memory=memory)
+        events = []
+        tr = run(self.recorded(obj, events), obj.x0, config, parse_policy(policy))
+        assert any(r.backtracks > 1 for r in tr.rows)
+        self.replay(events, self.searches(tr), config)
 
     @pytest.mark.parametrize("eta, policy", [(1e-3, "gamma:20"), (1e-10, "bb1")])
     def test_quadratics(self, eta, policy):
