@@ -9,13 +9,14 @@ check disagrees.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, harness, oracle, quadratic
-from .errors import InvalidParameterError, StlsbbError
+from .errors import InvalidParameterError, StlsbbError, inside
 from .harness import fmt17
 from .steps import _KINDS, StepPair, next_steplength, parse_policy
 
@@ -46,6 +47,15 @@ def _float_list(text):
 
 def _int_list(text):
     return _split(text, int, "int list")
+
+
+def _tol(text):
+    # positive and finite: a nan or inf tolerance passes every pair, a
+    # negative one fails every pair
+    try:
+        return inside(text, "tol", 0.0, math.inf)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_seeds(text):
@@ -214,7 +224,7 @@ def build_parser():
         name if own is None else f"{name}:{own[0].upper()}" for name, own in _KINDS.values()))
     ps.add_argument("--verify", action="store_true",
                     help="cross-check against the brute-force oracle")
-    ps.add_argument("--tol", type=float, default=1e-6, help="verify tolerance (relative)")
+    ps.add_argument("--tol", type=_tol, default=1e-6, help="verify tolerance (relative)")
     ps.set_defaults(func=_cmd_steps)
 
     pq = sub.add_parser("quad", help="solve one random quadratic instance with the raw BB method")

@@ -4,6 +4,8 @@ every constructor and entry point reads its numbers through."""
 import operator
 import sys
 
+import numpy as np
+
 
 class StlsbbError(Exception):
     """Base class for all package-specific errors."""
@@ -57,9 +59,15 @@ def _shown(value):
         return f"an int of {value.bit_length()} bits"
 
 
+# True reads as 1 through float() and operator.index, but is no number
+_BOOLS = (bool, np.bool_)
+
+
 def real(value, name):
-    """value as float() reads it (so nan and inf pass)."""
+    """value as float() reads it (so nan and inf pass), but never a bool."""
     try:
+        if isinstance(value, _BOOLS):
+            raise TypeError("a bool is not a real number")
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(
@@ -81,7 +89,7 @@ def count(value, name, least=1):
     """value as an int >= least (any whole number when least is None):
     ints, numpy integers and digit strings exactly, any other real only
     when integral, so 2.5 is refused, never truncated; and nothing a
-    float cannot hold, such as 10**400."""
+    float cannot hold, such as 10**400, nor a bool."""
     try:
         n = int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
@@ -90,7 +98,8 @@ def count(value, name, least=1):
             n = int(v) if v.is_integer() else None  # false for inf and nan
         except (TypeError, ValueError, OverflowError):
             n = None
-    if n is None or abs(n) > sys.float_info.max or (least is not None and n < least):
+    if (n is None or isinstance(value, _BOOLS) or abs(n) > sys.float_info.max
+            or (least is not None and n < least)):
         floor = "" if least is None else f">= {least} and "
         raise InvalidParameterError(f"{name} must be {floor}whole, got {_shown(value)}")
     return n

@@ -29,6 +29,14 @@ def fmt17(x):
     return format(float(x), ".17g")
 
 
+def _position(values, value, what):
+    # values.index(value), or an error that names what is missing
+    try:
+        return values.index(value)
+    except ValueError:
+        raise InvalidParameterError(f"no {what} {value!r} in {values}") from None
+
+
 def _csv_value(v):
     """A table value as written: floats at 17 digits, None as empty."""
     if v is None:
@@ -309,16 +317,17 @@ def sweep_to_json(cells):
 
 @dataclass(frozen=True)
 class RosenbrockTable:
-    """Iteration counts per (epsilon, policy); None marks a cap hit."""
+    """Iteration counts per (epsilon, policy); None marks a cap hit, and
+    count() of an epsilon or a policy not in the table raises
+    InvalidParameterError."""
 
     epsilons: tuple
     policies: tuple
     counts: tuple  # counts[i][j] for epsilons[i] x policies[j]
 
     def count(self, epsilon, policy):
-        i = self.epsilons.index(epsilon)
-        j = self.policies.index(policy)
-        return self.counts[i][j]
+        return self.counts[_position(self.epsilons, epsilon, "epsilon")][
+            _position(self.policies, policy, "policy")]
 
     def render(self):
         """Plain-text table with cap hits shown as '--'."""
@@ -404,14 +413,20 @@ class ProfileTable:
         object.__setattr__(self, "_sorted", np.sort(r, axis=0))
 
     def _col(self, s):
-        # solver s's ratios in ascending order, nan (if any) last
+        # the ratios of solver s, a name or an index, in ascending order,
+        # nan (if any) last
         if isinstance(s, str):
-            s = self.solvers.index(s)
-        return self._sorted[:, s]
+            return self._sorted[:, _position(self.solvers, s, "solver")]
+        j = count(s, "solver index", least=0)
+        if j >= len(self.solvers):
+            raise InvalidParameterError(
+                f"solver index must be < {len(self.solvers)}, got {s!r}")
+        return self._sorted[:, j]
 
     def rho(self, s, theta):
-        """Fraction of problems solver s solves within a factor theta of
-        the per-problem best."""
+        """Fraction of problems solver s (its name, or its index in
+        solvers) solves within a factor theta of the per-problem best; a
+        solver not in the table raises InvalidParameterError."""
         t = real(theta, "theta")
         if not t >= 1.0:
             raise InvalidParameterError(f"theta must be >= 1, got {theta!r}")

@@ -23,7 +23,7 @@ from .errors import (
     count,
     inside,
 )
-from .solver import Objective, first_row_eval
+from .solver import Objective
 from .steps import SteplengthPolicy
 
 SETTING_IDS = (1, 2, 3, 4, 5, 6, 7)
@@ -363,6 +363,9 @@ def _trial_lower_bounds(inst):
     """
     n, v = inst.dim, inst.eigenvalues
     ws = (inst.w1, inst.w2, inst.w3)
+    # the window is the proof's hypothesis, so both halves are checked,
+    # though a validated instance never fails the second: its unit check
+    # (|norm - 1| <= 1e-12) keeps fl(w . w) below 1 + 3e-12
     if n > 2**20 or any(float(w.dot(w)) > 1.0 + 2.0**-32 for w in ws):
         return None
     u = 2.0**-53
@@ -410,8 +413,8 @@ def as_objective(inst):
 
     Its eval_rows is the evaluator objective also runs: one block Hessian
     product for all rows and row dots that round like the 1-D dot, so each
-    row's f and g equal objective's and gradient's bit for bit; eval is
-    row 0 of the one-row block.  Its lower_bounds is the proven bound of
+    row's f and g equal objective's and gradient's bit for bit, and it is
+    written once: eval is its row 0.  Its lower_bounds is the proven bound of
     _trial_lower_bounds, so run rejects most trials of a backtracking
     search without a Hessian product.
     """
@@ -423,9 +426,8 @@ def as_objective(inst):
             )
         return _eval_rows(inst, xs)
 
-    return Objective(f"quadratic-n{inst.dim}", inst.dim, first_row_eval(eval_rows),
-                     x0=np.ones(inst.dim), eval_rows=eval_rows,
-                     lower_bounds=_trial_lower_bounds(inst))
+    return Objective(f"quadratic-n{inst.dim}", inst.dim, x0=np.ones(inst.dim),
+                     eval_rows=eval_rows, lower_bounds=_trial_lower_bounds(inst))
 
 
 def solve_bb(inst, policy, epsilon, max_iter, x0=None, alpha0=None):

@@ -45,9 +45,9 @@ class Objective:
     G_rows[i], so an objective whose gradients cost more than its f may
     compute each when it is read, as rosenbrock2 does.  Without it, run()
     calls eval once per trial point and never at a point it does not need.
-    The built-in objectives (rosenbrock2, quadratic.as_objective) write
-    only eval_rows and take eval from it through first_row_eval, so the
-    two agree by construction.
+    An objective may be written once, as eval_rows, as the built-in ones
+    are: eval(x) is then row 0 of eval_rows(x[None]), f as a float, and a
+    strided x is made contiguous first, so a view gives its copy's bits.
 
     lower_bounds, when given, is lower_bounds(x, f, g, steps): for an
     iterate x with the f and g that eval gave there, and each steplength
@@ -64,19 +64,26 @@ class Objective:
 
     name: str
     dim: int
-    eval: Callable
+    eval: Callable | None = None
     x0: np.ndarray | None = None
     eval_rows: Callable | None = None
     lower_bounds: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", count(self.dim, "dim"))
-        if not callable(self.eval):
-            raise InvalidParameterError(f"eval must be callable, got {self.eval!r}")
         for name in ("eval_rows", "lower_bounds"):
             value = getattr(self, name)
             if value is not None and not callable(value):
                 raise InvalidParameterError(f"{name} must be callable or None, got {value!r}")
+        eval_rows = self.eval_rows
+        if self.eval is None and eval_rows is not None:
+            # a closure, so that an Objective holds no reference to itself
+            def eval_(x):
+                f, g = eval_rows(np.ascontiguousarray(x, dtype=float)[None])
+                return float(f[0]), g[0]
+            object.__setattr__(self, "eval", eval_)
+        if not callable(self.eval):
+            raise InvalidParameterError(f"eval must be callable, got {self.eval!r}")
         if self.lower_bounds is not None and self.eval_rows is None:
             raise InvalidParameterError("lower_bounds needs eval_rows")
         if self.x0 is not None:
@@ -87,18 +94,6 @@ class Objective:
                 )
             x0.setflags(write=False)
             object.__setattr__(self, "x0", x0)
-
-
-def first_row_eval(eval_rows):
-    """eval(x) of an objective written as eval_rows: row 0 of eval_rows
-    on the one-row block x[None], with f as a float.  A strided x is made
-    contiguous first, so a view gives its copy's bits."""
-
-    def eval_(x):
-        f, g = eval_rows(np.ascontiguousarray(x, dtype=float)[None])
-        return float(f[0]), g[0]
-
-    return eval_
 
 
 def _square_or_inf(r):
@@ -138,7 +133,7 @@ def rosenbrock2():
     Its eval_rows gives f as a list of floats and G as a sequence of
     gradient rows that computes row i, a float64 array, only when it is
     read (np.asarray(G) reads them one by one): run reads the gradient of
-    the one row it keeps from each round.
+    the one row it keeps from each round.  It is written once: eval is row 0.
     """
 
     def eval_rows(xs):
@@ -157,8 +152,7 @@ def rosenbrock2():
             f.append(100.0 * t * t + (u**2 if -1e150 < u < 1e150 else _square_or_inf(u)))
         return f, _RosenbrockGradients(flat)
 
-    return Objective("rosenbrock2", 2, first_row_eval(eval_rows),
-                     x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
+    return Objective("rosenbrock2", 2, x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,9 @@ class SolverConfig:
     """Line-search solver parameters.
 
     memory is the nonmonotone window length M (the test compares against
-    the max of the last M+1 objective values); beta the sufficient
+    the max of the last M+1 objective values, which costs O(min(k, M))
+    per iteration in both run and audit_trace, so a long window makes a
+    long run quadratic in its length); beta the sufficient
     decrease coefficient; eta the safeguard band edge (steplengths outside
     (eta, 1/eta) reset to delta); sigma the backtracking shrink factor;
     epsilon/stop_rule/target define termination, and only the point_dist

@@ -68,6 +68,16 @@ class TestSteps:
         assert rc == 2
         assert "disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_outside_its_range_is_a_usage_error(self, capsys, tol):
+        # a nan or inf tolerance would pass every pair, and one of 0 or
+        # below would fail every pair
+        with pytest.raises(SystemExit) as exc:
+            main(["steps", "--s", "1,1", "--y", "1,2", "--policy", "bb1", "--verify",
+                  "--tol", tol])
+        assert exc.value.code == 1
+        assert f"argument --tol: tol must lie in (0, inf), got '{tol}'" in capsys.readouterr().err
+
     def test_unknown_policy_is_a_library_error(self, capsys):
         assert main(["steps", "--s", "1,1", "--y", "1,2", "--policy", "bb9"]) == 2
         assert "stlsbb:" in capsys.readouterr().err

@@ -519,6 +519,14 @@ class TestRosenbrockTable:
             run_rosenbrock_table(**kwargs)
         assert runs == []
 
+    def test_count_names_what_it_misses(self):
+        table = RosenbrockTable(epsilons=(0.1,), policies=("bb2",), counts=((61,),))
+        assert table.count(0.1, "bb2") == 61
+        with pytest.raises(InvalidParameterError, match=r"^no epsilon 0\.5 in \(0\.1,\)$"):
+            table.count(0.5, "bb2")
+        with pytest.raises(InvalidParameterError, match=r"^no policy 'bb1' in \('bb2',\)$"):
+            table.count(0.1, "bb1")
+
     def test_render_and_csv_agree(self):
         table = RosenbrockTable(
             epsilons=(0.1, 0.01), policies=("a", "b"),
@@ -564,6 +572,21 @@ class TestPerformanceProfile:
         table = performance_profile([[1.0, 2.0]])
         with pytest.raises(InvalidParameterError):
             table.rho(0, 0.5)
+
+    def test_a_missing_solver_is_named(self):
+        table = performance_profile([[1.0, 2.0]], ("a", "b"))
+        for lookup in (lambda s: table.rho(s, 1.0), table.solve_fraction):
+            with pytest.raises(InvalidParameterError, match=r"^no solver 'zz' in \('a', 'b'\)$"):
+                lookup("zz")
+            # an index past the table, or below 0, is refused, not read
+            # from the end of the table or left to numpy's IndexError
+            with pytest.raises(InvalidParameterError, match=r"^solver index must be < 2, got 5$"):
+                lookup(5)
+            for bad in (-1, 0.5, True):
+                with pytest.raises(InvalidParameterError,
+                                   match=r"^solver index must be >= 0 and whole"):
+                    lookup(bad)
+        assert table.rho(np.int64(1), 2.0) == table.rho(1.0, 2.0) == table.rho("b", 2.0) == 1.0
 
     def test_repeated_solver_rejected(self):
         # rho and solve_fraction look a name up, so a second column of the

@@ -102,8 +102,11 @@ REALS = {
     "RunTrace.from_dict.alpha": (lambda v: one_row_trace(alpha=v), 0.1, None),
 }
 
+# True reads as 1 through both float() and operator.index, so a bool
+# passed where a number belongs would go through unnoticed
+BOOLS = {"True": True, "np.True_": np.True_}
 BAD_COUNTS = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "text": "x", "None": None,
-              "10**400": 10**400}
+              "10**400": 10**400, **BOOLS}
 # an instance's provenance may be unrecorded, which None says
 UNRECORDED = {"QuadraticInstance.setting_id", "QuadraticInstance.seed"}
 
@@ -128,7 +131,7 @@ def test_every_count_takes_integral_floats_and_integer_strings(name):
 @pytest.mark.parametrize("name", list(REALS))
 def test_every_real_refuses_text_nan_where_ranged_and_out_of_range(name):
     build, good, outside = REALS[name]
-    bad = ["x"] if outside is None else ["x", math.nan, outside]
+    bad = ["x", *BOOLS.values()] + ([] if outside is None else [math.nan, outside])
     for value in bad:
         with pytest.raises(InvalidParameterError):
             build(value)
@@ -161,7 +164,7 @@ class TestChecks:
     def test_real(self):
         assert real("2.5", "x") == 2.5 and math.isnan(real("nan", "x"))
         assert real(np.float32(0.5), "x") == 0.5
-        for bad in ("x", None, 10**400, [1.0]):
+        for bad in ("x", None, 10**400, [1.0], *BOOLS.values()):
             with pytest.raises(InvalidParameterError, match="x must be a real number"):
                 real(bad, "x")
 
@@ -181,7 +184,7 @@ class TestChecks:
     def test_count(self):
         assert count(3, "n") == 3 and count(3.0, "n") == 3 and count("3", "n") == 3
         assert count(" 4 ", "n") == 4 and count("5.0", "n") == 5 and count("1e3", "n") == 1000
-        assert count(np.float64(6.0), "n") == 6 and count(True, "n") == 1
+        assert count(np.float64(6.0), "n") == 6
         assert count(0, "k", least=0) == 0
         assert count(-7, "d", least=None) == -7
         # digit strings and numpy integers are read without a float between

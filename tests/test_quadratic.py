@@ -657,6 +657,21 @@ class TestTrialLowerBounds:
             assert gam * v1 + ka <= (13 * n + 39) * u
             assert 1 / (1 - u) <= Fraction(101, 100)
 
+    def test_no_bound_past_the_windows_dimension(self):
+        # past n = 2^20 gamma_n <= nu(1 + 2^-32) no longer holds, so the
+        # proof does not apply and run evaluates every trial; the instance
+        # is hand-built from unit basis vectors (about 40 MB of arrays).
+        # The window's other half, fl(w . w) > 1 + 2^-32, no validated
+        # instance reaches: its unit check keeps fl(w . w) below 1 + 3e-12
+        for n, bounded in ((2**20, True), (2**20 + 1, False)):
+            basis = [np.zeros(n) for _ in range(3)]
+            for i, w in enumerate(basis):
+                w[i] = 1.0
+            inst = QuadraticInstance(n, *basis, np.ones(n), np.ones(n))
+            del basis
+            assert (as_objective(inst).lower_bounds is not None) == bounded
+            del inst
+
     def test_every_finite_bound_lies_below_the_computed_f(self):
         # a step inside the window gets a finite lo no larger than the f
         # that eval_rows computes there, and one outside it -inf

@@ -1,8 +1,11 @@
 """The command-line examples in README.md, run as shown."""
 
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
+import stlsbb
 from stlsbb.cli import main
 from stlsbb.steps import _KINDS
 
@@ -59,3 +62,30 @@ def test_policy_list_names_every_kind():
     for name, own in _KINDS.values():
         form = name if own is None else f"{name}:{own[0].upper()}"
         assert f"`{form}`" in paragraph, form
+
+
+def readme_references():
+    """Each backticked name README gives under the package, as the dotted
+    path below stlsbb: `stlsbb.X.Y`, and `X.Y` where X is a submodule or a
+    public name, with a call's arguments dropped, so `kernels.trial_rows(x,
+    g, [a])` is kernels.trial_rows and `RunTrace.from_json` a method."""
+    heads = {m.name for m in pkgutil.iter_modules(stlsbb.__path__)} | set(stlsbb.__all__)
+    refs = []
+    for prefix, path in re.findall(r"`(stlsbb\.)?(\w+(?:\.\w+)*)(?:\([^`]*\))?`",
+                                   README.read_text()):
+        if prefix or ("." in path and path.split(".")[0] in heads):
+            refs.append(path)
+    return refs
+
+
+def test_named_references_exist():
+    # a name README gives must be one the package has, so a rename or a
+    # deletion fails here until README follows
+    refs = readme_references()
+    assert {"errors", "GRADIENT_TOLERANCE", "quadratic.as_objective",
+            "RunTrace.from_json", "kernels.trial_rows"} <= set(refs)
+    for path in refs:
+        obj = stlsbb
+        for name in path.split("."):
+            assert hasattr(obj, name), f"README names stlsbb.{path}, which does not exist"
+            obj = getattr(obj, name)

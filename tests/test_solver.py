@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import warnings
+import weakref
 from collections import deque
 
 import numpy as np
@@ -186,9 +187,12 @@ class TestObjectiveAndTraceChecks:
             Objective("sphere", 3, lambda x: (0.0, x), x0=[1.0, 2.0])
 
     def test_objective_eval_must_be_callable(self):
-        # refused here, not inside run with a bare TypeError
+        # refused here, not inside run with a bare TypeError, whether given
+        # as None or left out without eval_rows
         with pytest.raises(InvalidParameterError, match="eval must be callable, got None"):
             Objective("q", 2, None)
+        with pytest.raises(InvalidParameterError, match="eval must be callable, got None"):
+            Objective("q", 2)
 
     @pytest.mark.parametrize("name", ["eval_rows", "lower_bounds"])
     def test_objective_optional_callables_are_callable(self, name):
@@ -206,6 +210,51 @@ class TestObjectiveAndTraceChecks:
         obj = as_objective(generate_instance(20, SpectrumSetting(1, 1e3), seed=0))
         with pytest.raises(InvalidParameterError, match="lower_bounds needs eval_rows"):
             dataclasses.replace(obj, eval_rows=None)
+
+    @pytest.mark.parametrize("name", ["rosenbrock2", "quadratic"])
+    def test_eval_is_row_zero_of_eval_rows(self, name):
+        # an objective written once, as eval_rows, takes eval from it
+        if name == "rosenbrock2":
+            eval_rows = rosenbrock2().eval_rows
+        else:
+            e1, e2 = [1.0, 0.0], [0.0, 1.0]
+            inst = stlsbb.QuadraticInstance(2, e1, e2, e1, [1.0, 3.0], [1.0, -2.0])
+            eval_rows = as_objective(inst).eval_rows
+        seen = []
+
+        def recorded(xs):
+            seen.append(xs)
+            return eval_rows(xs)
+
+        obj = Objective("r", 2, eval_rows=recorded)
+        base = np.array([0.3, 7.0, -1.7, 5.0])
+        for x in (base[:2].copy(), base[::2]):  # contiguous, and strided
+            f, g = obj.eval(x)
+            want_f, want_g = eval_rows(x[None])
+            assert type(f) is float and f == float(want_f[0])
+            assert np.array_equal(g, want_g[0])
+            # the block is one contiguous row, so a view gives its copy's bits
+            assert seen[-1].shape == (1, 2) and seen[-1].flags.c_contiguous
+
+    def test_derived_eval_holds_no_reference_to_its_objective(self):
+        obj = rosenbrock2()
+        ref = weakref.ref(obj)
+        f = obj.eval
+        del obj
+        assert ref() is None  # no cycle keeps it alive until a collection
+        assert f(np.array([1.0, 1.0]))[0] == 0.0
+
+    def test_replace_keeps_the_derived_eval(self):
+        obj = rosenbrock2()
+
+        def rows(xs):
+            return obj.eval_rows(xs)
+
+        assert dataclasses.replace(obj, eval_rows=rows).eval is obj.eval
+
+    def test_a_non_callable_eval_rows_is_named_before_eval_is_derived(self):
+        with pytest.raises(InvalidParameterError, match="eval_rows must be callable or None, got 5"):
+            Objective("q", 2, eval_rows=5)
 
     def test_trace_termination_must_be_known(self):
         with pytest.raises(InvalidParameterError, match="termination must be one of"):
@@ -843,6 +892,12 @@ class TestAudit:
         tr = self.make_trace()
         bad = self.relabelled(tr, edits={2: {"alpha": 2000.0}})
         assert any("safeguard band" in v for v in audit_trace(bad))
+
+    def test_final_x_must_match_the_point_dist_target(self):
+        tr = self.make_trace()
+        cfg = SolverConfig(stop_rule=STOP_POINT_DIST, target=[1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatchError, match="final_x has length 2, the target 3"):
+            audit_trace(tr, config=cfg)
 
     def test_raw_trace_needs_a_config(self):
         inst = generate_instance(20, SpectrumSetting(1, 1e2), seed=0)
