@@ -8,6 +8,7 @@ hands its secant pair to the steplength policy for the next proposal.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -141,15 +142,18 @@ def rosenbrock2():
         # does and overflow to inf, and give nan, without a warning.
         # (1 - x1)^2 is squared through libm pow, which the published
         # traces and goldens were recorded with; numpy's square, power and
-        # u * u do not always round the same way.  Below 1e150 in size it
-        # cannot overflow, so pow is called without the guard
-        f = []
+        # u * u do not always round the same way.  pow raises OverflowError
+        # where the square passes float range, from |1 - x1| about 1.34e154
+        # on; only then is the block taken again row by row, with that
+        # square read as inf
         flat = xs.ravel().tolist()
         it = iter(flat)
-        for x1, x2 in zip(it, it):
-            t = x2 - x1 * x1
-            u = 1.0 - x1
-            f.append(100.0 * t * t + (u**2 if -1e150 < u < 1e150 else _square_or_inf(u)))
+        try:
+            f = [100.0 * (t := x2 - x1 * x1) * t + (1.0 - x1) ** 2 for x1, x2 in zip(it, it)]
+        except OverflowError:
+            it = iter(flat)
+            f = [100.0 * (t := x2 - x1 * x1) * t + _square_or_inf(1.0 - x1)
+                 for x1, x2 in zip(it, it)]
         return f, _RosenbrockGradients(flat)
 
     return Objective("rosenbrock2", 2, x0=np.array([-1.2, 1.0]), eval_rows=eval_rows)
@@ -160,11 +164,14 @@ class SolverConfig:
     """Line-search solver parameters.
 
     memory is the nonmonotone window length M (the test compares against
-    the max of the last M+1 objective values, which costs O(min(k, M))
-    per iteration in both run and audit_trace, so a long window makes a
-    long run quadratic in its length); beta the sufficient
+    the max of the last M+1 objective values, which costs run O(min(k, M))
+    per iteration, so a long window makes a long run quadratic in its
+    length, and audit_trace O(1) amortised per row); beta the sufficient
     decrease coefficient; eta the safeguard band edge (steplengths outside
-    (eta, 1/eta) reset to delta); sigma the backtracking shrink factor;
+    (eta, 1/eta) reset to delta); sigma the backtracking shrink factor, by
+    which run builds one trial ladder alpha, sigma*alpha, ... per
+    safeguarded alpha, extended as rounds need it and kept while alpha is
+    unchanged, as it is across delta resets;
     epsilon/stop_rule/target define termination, and only the point_dist
     rule takes a target, which must be finite; alpha0 = None means run's
     opening probe.
@@ -284,9 +291,9 @@ def run(objective, x0, config, policy):
     (resetting to delta otherwise), backtracks by sigma until the trial
     point passes the nonmonotone test, then steps and asks the policy for
     the next proposal from the accepted secant pair.  The test's window,
-    the last memory+1 values of f, is read from the trace's own f
-    column.  Nonpositive curvature maps the proposal to +inf, which the
-    next safeguard resets to delta, and ATC then reads delta as its
+    the last memory+1 values of f, is a slice of the trace's own f column
+    at each iteration.  Nonpositive curvature maps the proposal to +inf,
+    which the next safeguard resets to delta, and ATC then reads delta as its
     previous steplength.  A zero gradient stops immediately regardless of
     stop rule; a nan or inf f or ||g|| at an iterate stops the run first,
     with termination nonfinite.  So does a line search whose every trial f was
@@ -300,9 +307,15 @@ def run(objective, x0, config, policy):
     trials as the larger of the last two iterations needed, read from the
     trace's backtracks column, and one at k = 0; if it fails,
     the next round holds one trial and each later round twice as many as
-    the one before.  An iteration never evaluates more than
-    backtrack_cap + 1 trials, and a round never more rows than fit
-    kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
+    the one before.  The trials are rungs of one ladder per safeguarded
+    alpha: the steplengths alpha, sigma*alpha, sigma^2*alpha, ... made by
+    repeated multiplication, beta times each, and a float64 array of them
+    for kernels.trial_rows.  The ladder is started only when alpha
+    changes, so the many searches that start at delta share one, and
+    extended only when a round needs rungs past its end; a round reads
+    slices of it, and lower_bounds is handed a list of its own.  An
+    iteration never evaluates more than backtrack_cap + 1 trials, and a
+    round never more rows than fit kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
     of one through eval.  With objective.lower_bounds, a round of two or
     more trials first rejects, unevaluated, its leading trials whose lower
     bound lo already fails the test, lo > f_max - beta * a * grad_sq,
@@ -362,7 +375,11 @@ def run(objective, x0, config, policy):
     f_col, gn_col, alpha_col, bt_col = [], [], [], []
     k = 0
     prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
-    beta, sigma = config.beta, config.sigma
+    beta, sigma, eta, delta = config.beta, config.sigma, config.eta, config.delta
+    memory, cap, max_iter = config.memory, config.backtrack_cap, config.max_iter
+    # the trial ladder of the current safeguarded alpha: rungs, beta times
+    # each in rungs_beta, and rungs_array; see the docstring
+    ladder_alpha = math.nan  # equal to no alpha, so the first search starts one
     gn = gn0
     while True:
         f_col.append(f)
@@ -373,48 +390,55 @@ def run(objective, x0, config, policy):
         if gn == 0.0 or _stopped(config, x, gn, gn0):
             termination = GRADIENT_TOLERANCE
             break
-        if k >= config.max_iter:
+        if k >= max_iter:
             termination = ITERATION_CAP
             break
-        alpha = safeguard(alpha, config.eta, config.delta)
+        alpha = safeguard(alpha, eta, delta)
+        if alpha != ladder_alpha:
+            ladder_alpha, next_rung, rungs, rungs_beta = alpha, alpha, [], []
         grad_sq = gn * gn
-        f_max = max(f_col[-1 - config.memory:])
-        a_eff = alpha
+        f_max = max(f_col[-1 - memory:])
         tried = 0  # trials in this iteration's earlier rounds
         size = 1 + max(bt_col[-2:]) if k else 1  # the larger of the last two needs
         finite_trial = False
-        while tried <= config.backtrack_cap:
-            size = min(size, config.backtrack_cap + 1 - tried, block_rows)
-            steps = []
-            for _ in range(size):
-                steps.append(a_eff)
-                a_eff *= sigma
+        while tried <= cap:
+            size = min(size, cap + 1 - tried, block_rows)
+            stop = tried + size
+            if stop > len(rungs):
+                for _ in range(stop - len(rungs)):
+                    rungs.append(next_rung)
+                    rungs_beta.append(beta * next_rung)
+                    next_rung *= sigma
+                rungs_array = np.array(rungs)
             # the leading trials whose lower bound fails the test fail it at
             # their f too, which is finite, so they are rejected unevaluated;
             # the rows start at the first trial the bound leaves undecided,
             # as a nan lo does.  A round of one trial costs about what the
-            # bound costs, so it is evaluated outright
+            # bound costs, so it is evaluated outright.  The bound is handed
+            # a copy of the round's rungs, so it cannot change the ladder
             skip = 0
             if lower_bounds is not None and size > 1:
-                for lo, a in zip(lower_bounds(x, f, g, steps), steps):
-                    if not lo > f_max - beta * a * grad_sq:
+                for lo, ba in zip(lower_bounds(x, f, g, rungs[tried:stop]),
+                                  rungs_beta[tried:stop]):
+                    if not lo > f_max - ba * grad_sq:
                         break
                     skip += 1
-                steps = steps[skip:]
+            start = tried + skip
             f_rows = ()
-            if steps:
-                xs = kernels.trial_rows(x, g, np.array(steps))
+            if start < stop:
+                xs = kernels.trial_rows(x, g, rungs_array[start:stop])
                 f_rows, g_rows = eval_rows(xs)
                 if not isinstance(f_rows, list):
                     f_rows = np.asarray(f_rows, dtype=float).tolist()
-                if len(f_rows) != len(steps) or len(g_rows) != len(steps):
+                if len(f_rows) != stop - start or len(g_rows) != stop - start:
                     raise DimensionMismatchError(
                         f"eval_rows gave {len(f_rows)} f values and {len(g_rows)} gradients "
-                        f"for {len(steps)} rows")
+                        f"for {stop - start} rows")
             # the first row that passes is taken, and ends the line search;
-            # rows after it are discarded
-            for hit, (f_trial, a) in enumerate(zip(f_rows, steps)):
-                if f_trial <= f_max - beta * a * grad_sq:  # nonmonotone_accept's test
+            # rows after it are discarded.  beta * a * grad_sq multiplies
+            # left to right, so beta * a read from the ladder gives its bits
+            for hit, (f_trial, ba) in enumerate(zip(f_rows, rungs_beta[start:stop])):
+                if f_trial <= f_max - ba * grad_sq:  # nonmonotone_accept's test
                     break
             else:
                 finite_trial = (finite_trial or skip > 0
@@ -422,23 +446,22 @@ def run(objective, x0, config, policy):
                 # most iterations need only a trial or two more than the
                 # last one, so the round after the first holds one trial,
                 # and each later round twice as many as the one before
-                size, tried = (1 if tried == 0 else 2 * size), tried + size
+                size, tried = (1 if tried == 0 else 2 * size), stop
                 continue
             break
         else:
             if finite_trial:
                 raise LineSearchStallError(
-                    f"no acceptable step after {config.backtrack_cap} backtracks "
-                    f"at iterate {k}"
+                    f"no acceptable step after {cap} backtracks at iterate {k}"
                 )
             termination = NONFINITE  # f was nan or +inf at every trial
             break
         alpha_col.append(alpha)
-        bt_col.append(tried + skip + hit)
-        # copies, so no round's block outlives its round and an objective
-        # may reuse its output arrays
+        bt_col.append(start + hit)
+        # one copy of each, so no round's block outlives its round and an
+        # objective may reuse its output arrays
         x_trial = xs[hit].copy()
-        g_trial = np.array(g_rows[hit], dtype=float).reshape(-1)
+        g_trial = np.asarray(g_rows[hit], dtype=float).flatten()
         if g_trial.size != objective.dim:
             raise DimensionMismatchError(
                 f"gradient has length {g_trial.size}, expected {objective.dim}")
@@ -452,7 +475,7 @@ def run(objective, x0, config, policy):
                 policy, SecantProducts(float(s.dot(s)), float(y.dot(y)), float(s.dot(y))), k, prev)
         except NonpositiveCurvatureError:
             # out of band on purpose: the next safeguard resets it to delta
-            alpha, prev = math.inf, config.delta
+            alpha, prev = math.inf, delta
         k += 1
     # each step counts its accepted trial and its backtracks; no step
     # leaves the last iterate
@@ -469,6 +492,30 @@ def run(objective, x0, config, policy):
         }
     )
     return RunTrace(f_col, gn_col, alpha_col, bt_col, fevals, termination, x, meta)
+
+
+def _window_maxima(f, memory):
+    """[max(f[max(0, k - memory):k + 1]) for k in range(len(f))], each the
+    very float that builtin max returns, in O(1) amortised per entry.
+
+    max keeps its first item and replaces it only by a later item greater
+    than it, so it returns a nan first item, and otherwise the earliest
+    item equal to the largest of the window's items that are not nan.  The
+    deque holds the indices of the window's items that are not nan and
+    that no later item exceeds, in order, their values falling or level.
+    """
+    out, best = [], deque()
+    for k, v in enumerate(f):
+        if v == v:  # not nan
+            while best and f[best[-1]] < v:
+                best.pop()
+            best.append(k)
+        lo = k - memory
+        if best and best[0] < lo:
+            best.popleft()
+        first = f[max(0, lo)]
+        out.append(first if first != first else f[best[0]])
+    return out
 
 
 def audit_trace(run_trace, config=None):
@@ -499,6 +546,7 @@ def audit_trace(run_trace, config=None):
         col.tolist() for col in (run_trace.f, run_trace.grad_norm, run_trace.alpha,
                                  run_trace.backtracks, run_trace.fevals))
     last = run_trace.iterations
+    f_max = _window_maxima(f, cfg.memory)
     for k in range(last):
         a = alpha[k]
         if not (a == cfg.delta or (cfg.eta < a < 1.0 / cfg.eta)):
@@ -525,8 +573,7 @@ def audit_trace(run_trace, config=None):
         a_eff = a
         for _ in range(backtracks[k]):
             a_eff *= cfg.sigma
-        f_max = max(f[max(0, k - cfg.memory):k + 1])
-        if not nonmonotone_accept(f[k + 1], f_max, cfg.beta, a_eff, gn[k] * gn[k]):
+        if not nonmonotone_accept(f[k + 1], f_max[k], cfg.beta, a_eff, gn[k] * gn[k]):
             violations.append(
                 f"row {k}: accepted step fails the nonmonotone test on replay"
             )

@@ -245,8 +245,11 @@ def next_steplength(policy, pair, index=0, prev_alpha=None):
 
 def _run_state(policy, index, prev_alpha):
     # ATC's run state, checked: the index as an int, and the previous
-    # steplength the rule reads, nan for every call but ATC's off a restart
-    index = count(index, "index", least=0)
+    # steplength the rule reads, nan for every call but ATC's off a restart.
+    # count returns a plain int in [0, 2^53] as it is, so only other
+    # indices are read through it
+    if type(index) is not int or not 0 <= index <= 1 << 53:
+        index = count(index, "index", least=0)
     if policy.kind != "atc" or index % policy.cycle == 0:
         return index, math.nan
     if prev_alpha is None:

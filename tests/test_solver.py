@@ -4,6 +4,7 @@ loop, and trace auditing."""
 import dataclasses
 import json
 import math
+import time
 import warnings
 import weakref
 from collections import deque
@@ -342,6 +343,38 @@ class TestRosenbrock:
         tr = run(obj, obj.x0, SolverConfig(alpha0=1e160, eta=1e-300),
                  SteplengthPolicy("bb1"))
         assert tr.termination == NONFINITE and tr.iterations == 0
+
+    def test_an_overflowing_square_takes_the_guarded_rows(self):
+        # where pow overflows on (1 - x1)^2, from |1 - x1| about 1.34e154
+        # on, the block is taken again row by row, each such square read as
+        # inf; with inf and nan coordinates that gives the f of a per-row
+        # loop that guards every square, pinned here on a fixed block
+        inf, nan = math.inf, math.nan
+        xs = np.array([[0.5, 0.3], [1.4e154, 0.0], [-1.4e154, 1.0], [1.0 - 1.4e154, 2.0],
+                       [1.4e154, inf], [-1.4e154, -inf], [1e300, -1e300], [inf, 0.0],
+                       [-inf, inf], [nan, 1.0], [1.0, nan], [2.0, 1.0], [-1.3e154, 0.0]])
+
+        def guarded(xs):
+            f = []
+            for x1, x2 in xs.tolist():
+                t = x2 - x1 * x1
+                try:
+                    square = (1.0 - x1) ** 2
+                except OverflowError:
+                    square = inf
+                f.append(100.0 * t * t + square)
+            return f
+
+        want = [0.4999999999999999, inf, inf, inf, nan, inf, inf, inf, nan, nan, nan, 901.0,
+                inf]
+        obj = rosenbrock2()
+        for block in (xs, xs[::-1], xs[:2], xs[1:2]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f, _ = obj.eval_rows(block)
+            assert type(f) is list
+            assert [v.hex() for v in f] == [v.hex() for v in guarded(block)]
+        assert [v.hex() for v in obj.eval_rows(xs)[0]] == [v.hex() for v in want]
 
     def test_far_trials_end_nonfinite_without_any_warning(self):
         obj = rosenbrock2()
@@ -925,6 +958,34 @@ class TestAudit:
             "row 2: accepted step fails the nonmonotone test on replay"
         ]
 
+    @pytest.mark.parametrize("memory", [0, 1, 10, 60, 10**6])
+    def test_window_maxima_are_builtin_max(self, rng, memory):
+        # the sliding-window maximum audit_trace replays with returns the
+        # very float max(f[max(0, k - memory):k + 1]) does: nan when the
+        # window's first item is nan, else the earliest of the largest
+        # items that are not nan, so that 0.0 and -0.0 keep their order
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            f = rng.integers(-3, 4, n).astype(float).tolist()
+            for i in np.flatnonzero(rng.random(n) < 0.3).tolist():
+                f[i] = special[int(rng.integers(len(special)))]
+            want = [max(f[max(0, k - memory):k + 1]) for k in range(n)]
+            got = solver._window_maxima(f, memory)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (f, memory)
+
+    def test_a_long_window_audits_in_linear_time(self):
+        # memory = 10**6 over 20 000 steps: a window that is the whole
+        # trace, which a max over each window's slice takes seconds to replay
+        steps = 20_000
+        f = [1.0] + [0.5] * steps
+        tr = RunTrace(f, [1.0] * (steps + 1), [0.1] * steps + [math.nan], [0] * (steps + 1),
+                      [1] * steps + [0], ITERATION_CAP, [0.0])
+        config = SolverConfig(memory=10**6, max_iter=steps)
+        start = time.process_time()
+        assert audit_trace(tr, config=config) == []
+        assert time.process_time() - start < 1.0
+
     @staticmethod
     def relabelled(tr, termination=None, edits=()):
         # the trace under another termination, with rows edited: edits maps
@@ -1208,6 +1269,118 @@ class TestRounds:
         assert got.termination == NONFINITE and got.iterations == 1
         assert (got.rows[0].backtracks, got.rows[1].f) == (2, -1.0)
         assert sizes == want_sizes
+
+    @staticmethod
+    def ladder(miss, rows, scribble=False):
+        # 1-D, g = 1 everywhere, so every secant pair has s'y = 0 and every
+        # search after the first starts at delta, on one trial ladder.  f is
+        # 0 at the start, -k at exactly the point the search from iterate
+        # k - 1 accepts after LADDER_NEEDS[k - 1] backtracks, and miss(t)
+        # elsewhere.  rows records each round's points; scribble
+        # overwrites, after they are evaluated, the rows whose f misses,
+        # and, after it has answered, the steps each lower_bounds call is
+        # handed
+        hits, x, a = {0.0: 0.0}, 0.0, []
+        for k, need in enumerate(TestRounds.LADDER_NEEDS):
+            while len(a) <= need:
+                a.append(a[-1] * 0.5 if a else 0.1)
+            x -= a[need]
+            hits[x] = -(k + 1.0)
+
+        def f_at(t):
+            return hits.get(t, miss(t))
+
+        def eval_(x):
+            return f_at(float(x[0])), np.array([1.0])
+
+        def eval_rows(xs):
+            rows.append(xs[:, 0].tolist())
+            f = [f_at(t) for t in xs[:, 0].tolist()]
+            if scribble:
+                xs[[t not in hits for t in xs[:, 0].tolist()]] = 1e300
+            return f, np.ones_like(xs)
+
+        def lower_bounds(x, f, g, steps):
+            # f itself where it is finite, else -inf, and nan, which
+            # decides nothing, where the point's bit pattern is 1 mod 3
+            lo = []
+            for a in steps:
+                t = float(kernels.trial_rows(x, g, np.array([a]))[0, 0])
+                v = f_at(t) if math.isfinite(f_at(t)) else -math.inf
+                lo.append(math.nan if int(np.float64(t).view(np.uint64)) % 3 == 1 else v)
+            if scribble:
+                steps[:] = [-1.0] * len(steps)
+            return lo
+
+        return Objective("ladder", 1, eval_, x0=[0.0], eval_rows=eval_rows,
+                         lower_bounds=lower_bounds)
+
+    # the backtracks of the searches that pass; each search after the
+    # first starts at delta, needs more trials than the one before and
+    # outgrows the ladder, and the next one runs out of its 21 trials
+    LADDER_NEEDS = (2, 5, 12)
+    LADDER = SolverConfig(alpha0=0.1, sigma=0.5, backtrack_cap=20)
+    # the round sizes without the bound: 1, 1, 2; 3, 1, 2; 6, 1, 2, 4;
+    # then 13, 1, 2, 4 and the 1 trial left
+    LADDER_SIZES = [1, 1, 2, 3, 1, 2, 6, 1, 2, 4, 13, 1, 2, 4, 1]
+    MISSES = {
+        "stall": lambda t: 1.0,
+        NONFINITE: lambda t: math.nan if int(np.float64(t).view(np.uint64)) % 2 else math.inf,
+    }
+
+    @staticmethod
+    def ladder_run(obj):
+        # the trace, or the message of the stall that ends the run
+        try:
+            return run(obj, obj.x0, TestRounds.LADDER, SteplengthPolicy("bb1")).to_json()
+        except LineSearchStallError as stall:
+            return f"stall: {stall}"
+
+    @pytest.mark.parametrize("bounds", [False, True], ids=["rows", "rows-and-bounds"])
+    @pytest.mark.parametrize("end", sorted(MISSES))
+    def test_a_ladder_is_reused_then_outgrown(self, end, bounds):
+        rows = []
+        obj = self.ladder(self.MISSES[end], rows)
+        if not bounds:
+            obj = dataclasses.replace(obj, lower_bounds=None)
+        got = self.ladder_run(obj)
+        assert got == self.ladder_run(without_rows(obj))
+        if end == "stall":
+            assert got == "stall: no acceptable step after 20 backtracks at iterate 3"
+        else:
+            tr = RunTrace.from_json(got)
+            assert tr.termination == NONFINITE
+            assert tr.backtracks.tolist() == [*self.LADDER_NEEDS, 0]
+        # every search's trials are x - a on the rungs of one delta ladder,
+        # as many as its rounds hold (LADDER_SIZES summed per search), each
+        # evaluated once unless the bound rejected it
+        steps = [0.1]
+        while len(steps) <= self.LADDER.backtrack_cap:
+            steps.append(steps[-1] * 0.5)
+        trials, x = [], 0.0
+        for need, evaluated in zip((*self.LADDER_NEEDS, 0), (4, 6, 13, 21)):
+            trials += [x - a for a in steps[:evaluated]]
+            x -= steps[need]
+        points = [p for r in rows for p in r]
+        if bounds:
+            remaining = iter(trials)
+            assert all(p in remaining for p in points)
+            # the bound rejects finite misses unevaluated, and no other trial
+            assert (len(points) < len(trials)) == (end == "stall")
+        else:
+            assert points == trials
+            assert [len(r) for r in rows] == self.LADDER_SIZES
+
+    @pytest.mark.parametrize("end", sorted(MISSES))
+    def test_the_objective_cannot_change_the_ladder(self, end):
+        # a lower_bounds that overwrites the steps it is handed and an
+        # eval_rows that overwrites the rows it rejects leave every later
+        # round's points and the run as they are
+        clean_rows, rows = [], []
+        want = self.ladder_run(self.ladder(self.MISSES[end], clean_rows))
+        got = self.ladder_run(self.ladder(self.MISSES[end], rows, scribble=True))
+        assert got == want
+        assert rows == clean_rows
 
     def test_eval_is_called_only_for_needed_trials(self):
         # without eval_rows, eval runs at the start, at its opening probe
