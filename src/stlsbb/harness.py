@@ -361,8 +361,12 @@ def run_rosenbrock_table(
 
     Each run starts at (-1.2, 1) with opening steplength 1 and stops when
     the iterate is within epsilon of the minimizer (1, 1); a run that
-    exhausts max_iter first gets None.  Every cell is an independent run.
-    Both axes are checked as ExperimentGrid's are before the first run.
+    exhausts max_iter first gets None.  Both axes are checked as
+    ExperimentGrid's are before the first run.  The cells run in
+    decreasing epsilon, one solver.run call each, and each policy's call
+    resumes the trace of that policy's previous cell, so a policy's rows
+    are computed once; each cell's trace is, bit for bit, the one an
+    independent run gives.  The table keeps the order of its axes.
     """
     # each value keeps the table's own check and message
     epsilons = _axis("epsilons", epsilons, lambda e, _: inside(e, "epsilon", 0.0, math.inf))
@@ -370,20 +374,20 @@ def run_rosenbrock_table(
     max_iter = count(max_iter, "max_iter")
     obj = solver.rosenbrock2()
     target = np.array([1.0, 1.0])
-    counts = []
-    for eps in epsilons:
-        row = []
-        for pol in policies:
-            config = solver.SolverConfig(
-                epsilon=eps,
-                max_iter=max_iter,
-                alpha0=1.0,
-                stop_rule=solver.STOP_POINT_DIST,
-                target=target,
-            )
-            tr = solver.run(obj, obj.x0, config, parse_policy(pol))
-            row.append(tr.iterations if tr.solved else None)
-        counts.append(tuple(row))
+    parsed = [parse_policy(pol) for pol in policies]
+    last = [None] * len(policies)  # each policy's trace at the previous epsilon
+    counts = [None] * len(epsilons)
+    for i in sorted(range(len(epsilons)), key=epsilons.__getitem__, reverse=True):
+        config = solver.SolverConfig(
+            epsilon=epsilons[i],
+            max_iter=max_iter,
+            alpha0=1.0,
+            stop_rule=solver.STOP_POINT_DIST,
+            target=target,
+        )
+        for j, policy in enumerate(parsed):
+            last[j] = solver.run(obj, obj.x0, config, policy, resume=last[j])
+        counts[i] = tuple(tr.iterations if tr.solved else None for tr in last)
     return RosenbrockTable(
         epsilons=epsilons,
         policies=policies,

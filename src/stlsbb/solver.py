@@ -10,7 +10,7 @@ hands its secant pair to the steplength policy for the next proposal.
 import math
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,11 +44,14 @@ class Objective:
     first acceptable row it keeps.  G_rows may be any sequence of one
     gradient per row: run() reads only len(G_rows) and the kept row
     G_rows[i], so an objective whose gradients cost more than its f may
-    compute each when it is read, as rosenbrock2 does.  Without it, run()
-    calls eval once per trial point and never at a point it does not need.
-    An objective may be written once, as eval_rows, as the built-in ones
-    are: eval(x) is then row 0 of eval_rows(x[None]), f as a float, and a
-    strided x is made contiguous first, so a view gives its copy's bits.
+    compute each when it is read, as rosenbrock2 does; a row may be any
+    sequence of floats, which run() copies once into the float64 array it
+    keeps.  Without it, run() calls eval once per trial point and never at
+    a point it does not need.  An objective may be written once, as
+    eval_rows, as the built-in ones are: eval(x) is then row 0 of
+    eval_rows(x[None]), f as a float and the gradient as a float64 array,
+    and a strided x is made contiguous first, so a view gives its copy's
+    bits.
 
     lower_bounds, when given, is lower_bounds(x, f, g, steps): for an
     iterate x with the f and g that eval gave there, and each steplength
@@ -81,7 +84,7 @@ class Objective:
             # a closure, so that an Objective holds no reference to itself
             def eval_(x):
                 f, g = eval_rows(np.ascontiguousarray(x, dtype=float)[None])
-                return float(f[0]), g[0]
+                return float(f[0]), np.asarray(g[0], dtype=float)
             object.__setattr__(self, "eval", eval_)
         if not callable(self.eval):
             raise InvalidParameterError(f"eval must be callable, got {self.eval!r}")
@@ -123,8 +126,10 @@ class _RosenbrockGradients:
 
     def __getitem__(self, i):
         # 2i and 2i + 1 index the flat list as i indexes the rows, from
-        # either end, and raise IndexError where i is past one
-        return np.array(_rosenbrock_gradient(self._flat[2 * i], self._flat[2 * i + 1]))
+        # either end, and raise IndexError where i is past one.  The row is
+        # its two Python floats, so the one array made of it is the copy
+        # run keeps
+        return _rosenbrock_gradient(self._flat[2 * i], self._flat[2 * i + 1])
 
 
 def rosenbrock2():
@@ -132,9 +137,11 @@ def rosenbrock2():
     start is (-1.2, 1).
 
     Its eval_rows gives f as a list of floats and G as a sequence of
-    gradient rows that computes row i, a float64 array, only when it is
-    read (np.asarray(G) reads them one by one): run reads the gradient of
-    the one row it keeps from each round.  It is written once: eval is row 0.
+    gradient rows that computes row i, a pair of Python floats, only when
+    it is read (np.asarray(G) reads them one by one into a (rows, 2)
+    float64 block): run reads the gradient of the one row it keeps from
+    each round, and makes its one float64 copy of that pair.  It is
+    written once: eval is row 0, its gradient a float64 array.
     """
 
     def eval_rows(xs):
@@ -280,8 +287,56 @@ def _rounds_of_one(objective):
     return eval_rows
 
 
+class _Continuation(NamedTuple):
+    # what a resumed run reads beside the trace's read-only columns: the
+    # run it continues (origin is run's own copy of x0), and the state at
+    # its last row that the columns do not hold.  meta and final_x are the
+    # caller's to change, so nothing is read from them
+    objective: Objective
+    origin: np.ndarray
+    config: SolverConfig
+    policy: object
+    x: np.ndarray
+    g: np.ndarray
+    alpha: float  # the next safeguard's input, which it maps to itself if safeguarded
+    prev: float | None  # ATC's previous steplength
+    alpha0: float
+
+
+def _bits(value):
+    # an array (x0, a config's target) compares by its bits
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+def _continuation(resume, objective, origin, config, policy):
+    """resume's continuation, checked to continue this very run: the same
+    objective object, x0 bits and policy, and a config equal in every
+    field but epsilon, which may only tighten."""
+    cont = getattr(resume, "_continuation", None) if isinstance(resume, RunTrace) else None
+    if cont is None:
+        raise InvalidParameterError(
+            "resume takes a trace that solver.run returned, not one loaded from JSON, "
+            f"written by another solver or built by hand; got {type(resume).__name__}")
+    then = cont.config
+    same = {"objective": cont.objective is objective,
+            "x0": _bits(cont.origin) == _bits(origin),
+            "policy": cont.policy == policy}
+    same.update((f.name, _bits(getattr(then, f.name)) == _bits(getattr(config, f.name)))
+                for f in fields(SolverConfig) if f.name != "epsilon")
+    differs = [name for name, held in same.items() if not held]
+    if differs:
+        raise InvalidParameterError(
+            f"resume takes a trace of this same run, but its {', '.join(differs)} differ "
+            f"from this call's")
+    if then.epsilon < config.epsilon:
+        raise InvalidParameterError(
+            f"resume takes a trace run at a looser or equal epsilon; it ran at "
+            f"{then.epsilon!r}, tighter than {config.epsilon!r}")
+    return cont.origin, cont.x, cont.g, cont.alpha, cont.prev, cont.alpha0
+
+
 @np.errstate(**kernels._QUIET)
-def run(objective, x0, config, policy):
+def run(objective, x0, config, policy, resume=None):
     """Minimize a smooth objective with safeguarded nonmonotone BB steps.
 
     The opening steplength is config.alpha0, or else the probe from the
@@ -341,6 +396,28 @@ def run(objective, x0, config, policy):
     overflow, inf - inf or zero divisor warns of nothing and ends the run
     as nonfinite or takes a safeguard reset.
 
+    resume, when given, is a trace that an earlier run call returned for
+    this same run at a looser or equal epsilon: the same objective object,
+    the same x0 bits, an equal policy and a config equal in every field but
+    epsilon.  The run then starts at that trace's last row instead of at
+    x0: it takes over x, f, g, ||g||, ||g0||, the pending alpha, ATC's
+    previous steplength, k and the opening steplength, and its columns are
+    the earlier ones without the last row, which the loop appends again
+    and tests under this epsilon.  It returns the very trace an
+    independent run gives, bit for bit, because epsilon reaches the loop
+    only through the stop test, and each rule is monotone in it (||g|| <
+    eps, ||g|| <= eps ||g0||, ||x - target|| <= eps): every earlier row
+    failed the looser test, so it fails this one too.  The zero-gradient,
+    nonfinite and max_iter stops read no epsilon, the window and the round
+    sizes read the columns, and the trial ladder depends only on alpha, so
+    a resume from a capped or nonfinite trace ends the same way at the
+    same row.  What the resume reads beside the read-only columns is held
+    by a private continuation that run attaches to each trace it returns;
+    nothing is read from the trace's meta or final_x, and to_dict writes
+    none of it.  Any other resume, such as a trace loaded from JSON or one
+    of solve_bb, or a trace of another run or of a tighter epsilon, raises
+    InvalidParameterError naming what differs.
+
     Returns a RunTrace; row k records f and ||g|| at iterate k plus the
     post-safeguard steplength alpha, so the step actually taken is
     alpha * sigma**backtracks.
@@ -356,31 +433,42 @@ def run(objective, x0, config, policy):
     block_rows = max(1, kernels._BLOCK_DOUBLES // objective.dim)
     if eval_rows is None:
         eval_rows, block_rows = _rounds_of_one(objective), 1
-    f, g = objective.eval(x)
-    f = float(f)
-    g = np.array(g, dtype=float).reshape(-1)
-    if g.size != objective.dim:
-        raise DimensionMismatchError(f"gradient has length {g.size}, expected {objective.dim}")
-    gn0 = _norm(g)
-    if config.alpha0 is not None:
-        alpha = config.alpha0
-    elif gn0 == 0.0 or not math.isfinite(gn0):
-        alpha = config.delta  # never used: the loop stops before stepping
+    if resume is not None:
+        origin, x, g, alpha, prev, alpha0_used = _continuation(
+            resume, objective, x, config, policy)
+        # the earlier run's columns without its last row, which the loop
+        # appends again and tests under this run's epsilon
+        f_col, gn_col = resume.f.tolist(), resume.grad_norm.tolist()
+        f, gn, gn0 = f_col.pop(), gn_col.pop(), resume.grad_norm[0].item()
+        alpha_col, bt_col = resume.alpha[:-1].tolist(), resume.backtracks[:-1].tolist()
+        k = len(bt_col)
     else:
-        a = 1.0 / float(np.max(np.abs(g)))
-        alpha = a if objective.eval(x - a * g)[0] < f else 0.25 * a
-    alpha0_used = float(alpha)
-    # the trace's columns, one entry per iterate, from which the line
-    # search reads its window and its first round's size
-    f_col, gn_col, alpha_col, bt_col = [], [], [], []
-    k = 0
-    prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
+        origin = x  # never written: each step binds x to a new array
+        f, g = objective.eval(x)
+        f = float(f)
+        g = np.array(g, dtype=float).reshape(-1)
+        if g.size != objective.dim:
+            raise DimensionMismatchError(
+                f"gradient has length {g.size}, expected {objective.dim}")
+        gn = gn0 = _norm(g)
+        if config.alpha0 is not None:
+            alpha = config.alpha0
+        elif gn0 == 0.0 or not math.isfinite(gn0):
+            alpha = config.delta  # never used: the loop stops before stepping
+        else:
+            a = 1.0 / float(np.max(np.abs(g)))
+            alpha = a if objective.eval(x - a * g)[0] < f else 0.25 * a
+        alpha0_used = float(alpha)
+        # the trace's columns, one entry per iterate, from which the line
+        # search reads its window and its first round's size
+        f_col, gn_col, alpha_col, bt_col = [], [], [], []
+        k = 0
+        prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     beta, sigma, eta, delta = config.beta, config.sigma, config.eta, config.delta
     memory, cap, max_iter = config.memory, config.backtrack_cap, config.max_iter
     # the trial ladder of the current safeguarded alpha: rungs, beta times
     # each in rungs_beta, and rungs_array; see the docstring
     ladder_alpha = math.nan  # equal to no alpha, so the first search starts one
-    gn = gn0
     while True:
         f_col.append(f)
         gn_col.append(gn)
@@ -461,7 +549,9 @@ def run(objective, x0, config, policy):
         # one copy of each, so no round's block outlives its round and an
         # objective may reuse its output arrays
         x_trial = xs[hit].copy()
-        g_trial = np.asarray(g_rows[hit], dtype=float).flatten()
+        g_trial = np.array(g_rows[hit], dtype=float)
+        if g_trial.ndim != 1:
+            g_trial = g_trial.reshape(-1)
         if g_trial.size != objective.dim:
             raise DimensionMismatchError(
                 f"gradient has length {g_trial.size}, expected {objective.dim}")
@@ -491,7 +581,10 @@ def run(objective, x0, config, policy):
             "alpha0_rule": "fixed" if config.alpha0 is not None else "probe",
         }
     )
-    return RunTrace(f_col, gn_col, alpha_col, bt_col, fevals, termination, x, meta)
+    tr = RunTrace(f_col, gn_col, alpha_col, bt_col, fevals, termination, x, meta)
+    tr._continuation = _Continuation(objective, origin, config, policy, x, g, alpha, prev,
+                                     alpha0_used)
+    return tr
 
 
 def _window_maxima(f, memory):

@@ -51,6 +51,7 @@ class RunTrace:
 
     f, grad_norm and alpha are read-only float64 arrays, backtracks and
     fevals read-only int64 arrays, one entry per iterate; k is the index.
+    final_x is a read-only float64 view of the array it is given.
     The constructor takes each column as a sequence of one entry per
     iterate, and refuses an entry that is not a real, such as None, or
     not a count, naming its column.  rows is a TraceRow view of the
@@ -84,7 +85,10 @@ class RunTrace:
             arr.setflags(write=False)
             setattr(self, name, arr)
         self.termination = termination
-        self.final_x = np.asarray(final_x, dtype=float)
+        # a read-only view, so the caller's array keeps its own flags and
+        # nothing is copied
+        self.final_x = np.asarray(final_x, dtype=float).view()
+        self.final_x.setflags(write=False)
         self.meta = {} if meta is None else meta
 
     def _values(self):

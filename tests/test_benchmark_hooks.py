@@ -4,6 +4,7 @@ that goes through a local name instead of the module, would read as a
 crash or a silent zero in a traced benchmark run; this checks that every
 wrapped layer still records spans, nested where the benchmark expects."""
 
+import hashlib
 import heapq
 import importlib
 from collections import Counter
@@ -119,3 +120,50 @@ def test_traced_gbb_objective_rebuild_runs(perfbench):
     # eval call each
     calls = spans.self_times(tracer.rows())["quadratic.objective_eval"][0]
     assert calls == 2 + sum(r.fevals for r in tr.rows)
+
+
+def test_the_table_makes_one_run_call_per_cell(monkeypatch):
+    # gbb-linesearch times and counts the Rosenbrock table through a
+    # (*args, **kwargs) wrapper on solver.run, and its golden pins the 16
+    # cells' 24 675 iterations: the cells resume one another, but each is
+    # still one call whose trace holds its whole run.  One run per policy
+    # would change what the benchmark counts, not only how fast it runs
+    traces = []
+    original = solver.run
+
+    def timed_run(*args, **kwargs):
+        traces.append(original(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(solver, "run", timed_run)
+    table = harness.run_rosenbrock_table()
+    assert len(traces) == 16
+    assert sum(tr.iterations for tr in traces) == 24_675
+    assert hashlib.sha256(table.to_csv().encode()).hexdigest() == (
+        "c7d772d59fbe243502e54e83e336e2a6b5945a457c6e2fe93579bb99ae785c2d")
+
+
+def test_traced_table_resumes_its_cells(perfbench):
+    # under --trace 1 the Rosenbrock objective is rebuilt once per table,
+    # so its cells still resume one another, and the table and each trace
+    # are those of independent untraced runs
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    axes = {"epsilons": (1e-1, 1e-2, 1e-4), "policies": ("bb2", "atc:4")}
+    traces = []
+
+    def kept(original):
+        def run(*args, **kwargs):
+            traces.append((args, kwargs.get("resume"), original(*args, **kwargs)))
+            return traces[-1][2]
+
+        return run
+
+    with spans.patched(workloads.trace_targets(tracer) + [(solver, "run", kept)]):
+        table = harness.run_rosenbrock_table(**axes)
+    assert table == harness.run_rosenbrock_table(**axes)
+    assert [resume is None for _, resume, _ in traces] == [True] * 2 + [False] * 4
+    for (obj, x0, config, policy), _, tr in traces:
+        want = solver.run(solver.rosenbrock2(), x0, config, policy)
+        assert tr.to_json() == want.to_json()
+    assert spans.self_times(tracer.rows())["solver.run"][0] == 6

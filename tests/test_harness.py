@@ -493,6 +493,18 @@ class TestRosenbrockTable:
             c = table.count(1e-1, pol)
             assert isinstance(c, int) and 0 < c <= 300
 
+    def test_cells_in_any_epsilon_order(self):
+        # the cells run loosest first, each resuming its policy's looser
+        # cell, whatever the axis order; the table keeps that order, and
+        # each count is that of a table of its epsilon alone
+        epsilons, policies = (1e-2, 1e-4, 1e-1), ("bb2", "gamma:1")
+        table = run_rosenbrock_table(epsilons=epsilons, policies=policies, max_iter=500)
+        assert table.epsilons == epsilons
+        for eps, row in zip(epsilons, table.counts):
+            alone = run_rosenbrock_table(epsilons=(eps,), policies=policies, max_iter=500)
+            assert row == alone.counts[0]
+        assert table.counts[1] > table.counts[0] > table.counts[2]
+
     def test_cap_marks(self):
         table = run_rosenbrock_table(
             epsilons=(1e-8,), policies=("bb2", "gamma:1"), max_iter=5

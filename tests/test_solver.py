@@ -435,10 +435,11 @@ class TestRosenbrock:
         assert (np.asarray(f).shape, g.shape, g.dtype) == ((0,), (0,), np.float64)
 
     def test_gradient_rows_are_the_eager_rows_when_read(self, rng):
-        # G is computed row by row as it is read; every row, counted from
-        # either end, and the whole block through np.asarray, must be the
-        # eager numpy rows byte for byte, on near, far (to 1e300) and
-        # nonfinite points, and an index past either end is refused
+        # G is computed row by row as it is read, as a pair of Python
+        # floats; every row, counted from either end, and the whole block
+        # through np.asarray, must be the eager numpy rows byte for byte, on
+        # near, far (to 1e300) and nonfinite points, and an index past
+        # either end is refused
         special = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e154, -1e160])
         obj = rosenbrock2()
         for _ in range(1000):
@@ -455,8 +456,8 @@ class TestRosenbrock:
                 assert len(g) == rows
                 for i in range(-rows, rows):
                     row = g[i]
-                    assert (row.dtype, row.shape) == (np.float64, (2,))
-                    assert row.tobytes() == want[i].tobytes(), (xs, i)
+                    assert [type(v) for v in row] == [float, float]
+                    assert np.array(row).tobytes() == want[i].tobytes(), (xs, i)
                 block = np.asarray(g)
             assert (block.dtype, block.shape) == (np.float64, (rows, 2))
             assert block.tobytes() == want.tobytes()
@@ -529,6 +530,20 @@ class TestRunLoop:
         obj = Objective("shrinking-gradient", 3, eval_, x0=start)
         with pytest.raises(DimensionMismatchError, match="gradient has length 2, expected 3"):
             run(obj, obj.x0, SolverConfig(), SteplengthPolicy("bb1"))
+
+    def test_eval_gives_a_float64_gradient_and_asarray_the_block(self):
+        # the derived eval gives an array, though G's rows are float pairs,
+        # and np.asarray(G) reads them into the (rows, 2) float64 block
+        obj = rosenbrock2()
+        f, g = obj.eval(np.array([-1.2, 1.0]))
+        assert type(f) is float
+        assert type(g) is np.ndarray and (g.dtype, g.shape) == (np.float64, (2,))
+        assert g.tolist() == [-215.6, -87.99999999999999]
+        xs = np.array([[-1.2, 1.0], [0.5, 0.3], [1.0, 1.0]])
+        _, G = obj.eval_rows(xs)
+        block = np.asarray(G)
+        assert (block.dtype, block.shape) == (np.float64, (3, 2))
+        assert block.tobytes() == np.array([obj.eval(x)[1] for x in xs]).tobytes()
 
     def test_eval_rows_must_give_a_value_per_row(self):
         # an eval_rows that gives one f for a round of two rows is named,
@@ -900,6 +915,19 @@ class TestColumns:
             back = RunTrace(*columns, tr.termination, tr.final_x, tr.meta)
             assert back.rows == tr.rows and back.to_json() == tr.to_json()
 
+    def test_final_x_is_a_read_only_view(self):
+        # as the columns are read-only; a view, so nothing is copied and
+        # the array handed in keeps its own flags
+        for tr in (*self.traces(), RunTrace.from_json(self.traces()[0].to_json())):
+            assert tr.final_x.dtype == np.float64 and not tr.final_x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                tr.final_x[0] = 0.0
+        given = np.array([1.0, 2.0])
+        tr = RunTrace([0.0], [1.0], [math.nan], [0], [0], ITERATION_CAP, given)
+        assert np.shares_memory(tr.final_x, given) and given.flags.writeable
+        given[0] = 3.0
+        assert tr.final_x[0] == 3.0
+
 
 def test_every_termination_is_exported():
     for name in trace.TERMINATIONS:
@@ -1194,10 +1222,9 @@ class TestRounds:
         # most iterations one eval_rows call
         assert len(rows) <= 1.15 * tr.iterations
 
-    def test_rosenbrock_table_call_pattern(self, monkeypatch):
-        # the published table's rounds, call by call: a change to the round
-        # sizing that stays within test_rounds_waste_few_rows' bounds
-        # changes these counts
+    @staticmethod
+    def table_call_pattern(monkeypatch):
+        # (eval_rows calls, rows) of the published table
         sizes = []
         original = solver.rosenbrock2
 
@@ -1213,7 +1240,22 @@ class TestRounds:
 
         monkeypatch.setattr(solver, "rosenbrock2", counted)
         run_rosenbrock_table()
-        assert (len(sizes), sum(sizes)) == (26_453, 439_859)
+        return len(sizes), sum(sizes)
+
+    def test_rosenbrock_table_call_pattern(self, monkeypatch):
+        # the published table's rounds, call by call, its 16 cells run
+        # independently: a change to the round sizing that stays within
+        # test_rounds_waste_few_rows' bounds changes these counts
+        original = solver.run
+        monkeypatch.setattr(solver, "run", lambda *args, resume=None: original(*args))
+        assert self.table_call_pattern(monkeypatch) == (26_453, 439_859)
+
+    def test_resumed_rosenbrock_table_call_pattern(self, monkeypatch):
+        # the table itself, whose tighter cells resume the looser ones: the
+        # sum of each policy's tightest run's own pattern (bb1 5 441 /
+        # 96 639, bb2 693 / 1 733, gamma:1 682 / 1 825, gamma:1.5 5 057 /
+        # 93 736)
+        assert self.table_call_pattern(monkeypatch) == (11_873, 193_933)
 
     @staticmethod
     def notch(miss, sizes):
@@ -1598,21 +1640,33 @@ class TestInlineDecisions:
         return out
 
     def test_rosenbrock_table(self, monkeypatch):
-        runs = []
+        # every published run, run independently, replayed round by round;
+        # the table's own cells, which resume one another, give the same
+        # traces
+        runs, table = [], []
         original = solver.run
 
-        def recorded_run(obj, x0, config, policy):
+        def recorded_run(obj, x0, config, policy, resume=None):
             events = []
             tr = original(self.recorded(obj, events), x0, config, policy)
             runs.append((tr, events, config))
             return tr
 
-        monkeypatch.setattr(solver, "run", recorded_run)
-        run_rosenbrock_table()
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "run", recorded_run)
+            run_rosenbrock_table()
         assert len(runs) == 16
         for tr, events, config in runs:
             self.replay(events, self.searches(tr), config)
         assert sum(r.iterations for r, _, _ in runs) == 24_675
+
+        def kept(*args, **kwargs):
+            table.append(original(*args, **kwargs))
+            return table[-1]
+
+        monkeypatch.setattr(solver, "run", kept)
+        run_rosenbrock_table()
+        assert [tr.to_json() for tr in table] == [tr.to_json() for tr, _, _ in runs]
 
     @pytest.mark.parametrize("memory", [0, 5000])
     @pytest.mark.parametrize("problem", ["rosenbrock", "quadratic"])
@@ -1669,3 +1723,160 @@ class TestInlineDecisions:
         f0, g0 = obj.eval(obj.x0)
         gn0 = math.sqrt(float(g0.dot(g0)))
         self.replay(events, [(f0, gn0 * gn0, alpha0, outcome)], config)
+
+
+class TestResume:
+    """run(..., resume=trace) continues a run from the last row of its own
+    trace at a looser or equal epsilon, and must give the trace an
+    independent run gives, bit for bit."""
+
+    ROSENBROCK = SolverConfig(alpha0=1.0, max_iter=1000, stop_rule=STOP_POINT_DIST,
+                              target=[1.0, 1.0])
+
+    @staticmethod
+    def chain(obj, config, policy, epsilons):
+        # the runs at each epsilon, loosest first, each resuming the last;
+        # each must equal its independent run and pass the audit
+        traces, tr = [], None
+        for eps in sorted(epsilons, reverse=True):
+            cfg = dataclasses.replace(config, epsilon=eps)
+            tr = run(obj, obj.x0, cfg, policy, resume=tr)
+            assert tr.to_json() == run(obj, obj.x0, cfg, policy).to_json()
+            assert audit_trace(tr) == []
+            traces.append(tr)
+        return traces
+
+    @pytest.mark.parametrize("rule, epsilons", [
+        (STOP_GRAD_ABS, (1e-1, 1e-3, 1e-6, 1e-9)),
+        (STOP_GRAD_REL, (1e-2, 1e-4, 1e-7, 1e-10)),
+        (STOP_POINT_DIST, (1e-1, 1e-2, 1e-4, 1e-8)),
+    ])
+    @pytest.mark.parametrize("descriptor", ["bb2", "gamma:1.5", "atc:3"])
+    def test_each_stop_rule(self, rule, epsilons, descriptor):
+        # a chain of three resumes; ATC's previous steplength carries over
+        config = (self.ROSENBROCK if rule == STOP_POINT_DIST
+                  else SolverConfig(alpha0=1.0, max_iter=1000, stop_rule=rule))
+        traces = self.chain(rosenbrock2(), config, parse_policy(descriptor), epsilons)
+        its = [tr.iterations for tr in traces]
+        assert its == sorted(its) and its[0] < its[-1]
+
+    @pytest.mark.parametrize("descriptor", ["bb1", "atc:3"])
+    def test_through_a_curvature_reset(self, descriptor):
+        # the quartic's steps from iterates 1 to 4 fail curvature.  A
+        # target 1e-3 from iterate 2 stops the looser run there, with a
+        # reset pending: alpha +inf, and ATC's previous steplength delta
+        obj, policy = product_quartic(), parse_policy(descriptor)
+        x2 = run(obj, obj.x0, SolverConfig(max_iter=2), policy).final_x
+        config = SolverConfig(max_iter=40, stop_rule=STOP_POINT_DIST, target=x2 + [1e-3, 0.0])
+        loose, tight = self.chain(obj, config, policy, (1.5e-3, 1e-12))
+        assert loose.iterations == 2 and loose._continuation.alpha == math.inf
+        assert tight.termination == ITERATION_CAP
+
+    def test_quadratic_with_lower_bounds(self):
+        obj = as_objective(generate_instance(200, SpectrumSetting(1, 1e4), seed=0))
+        assert obj.lower_bounds is not None
+        config = SolverConfig(stop_rule=STOP_GRAD_REL, max_iter=600)
+        for descriptor in ("bb1", "atc:3"):
+            self.chain(obj, config, parse_policy(descriptor), (1e-2, 1e-4, 1e-6))
+
+    def test_memory_longer_than_the_prefix(self):
+        config = SolverConfig(memory=5000, max_iter=500)
+        self.chain(rosenbrock2(), config, parse_policy("bb2"), (1e-1, 1e-3, 1e-6))
+
+    def test_an_equal_epsilon(self):
+        obj, policy = rosenbrock2(), parse_policy("gamma:1")
+        first = run(obj, obj.x0, self.ROSENBROCK, policy)
+        again = run(obj, obj.x0, self.ROSENBROCK, policy, resume=first)
+        assert again.to_json() == first.to_json() and again is not first
+
+    def test_from_a_capped_trace(self):
+        obj, policy = rosenbrock2(), parse_policy("bb1")
+        traces = self.chain(obj, dataclasses.replace(self.ROSENBROCK, max_iter=50), policy,
+                            (1e-1, 1e-2))
+        assert [(tr.termination, tr.iterations) for tr in traces] == [(ITERATION_CAP, 50)] * 2
+
+    def test_from_a_search_that_ran_out(self):
+        # every trial of the first search overflows: nonfinite at row 0
+        traces = self.chain(rosenbrock2(), SolverConfig(alpha0=1e160, eta=1e-300),
+                            parse_policy("bb1"), (1e-2, 1e-6))
+        assert [(tr.termination, tr.iterations) for tr in traces] == [(NONFINITE, 0)] * 2
+
+    def test_from_a_nonfinite_row(self):
+        # f = x, and -inf past x = -0.5: the first step lands there
+        def eval_(x):
+            return (float(x[0]) if x[0] > -0.5 else -math.inf), np.array([1.0])
+
+        obj = Objective("cliff", 1, eval_, x0=[0.0])
+        traces = self.chain(obj, SolverConfig(alpha0=1.0), parse_policy("bb1"), (1e-2, 1e-6))
+        assert [(tr.termination, tr.iterations) for tr in traces] == [(NONFINITE, 1)] * 2
+
+    def test_from_a_zero_gradient(self):
+        # f = x^2 from 1 with alpha0 = 0.5 steps onto 0, where g = 0
+        obj = Objective("square", 1, lambda x: (float(x[0] * x[0]), 2.0 * x), x0=[1.0])
+        traces = self.chain(obj, SolverConfig(alpha0=0.5), parse_policy("bb1"), (1e-3, 1e-9))
+        assert [(tr.termination, tr.grad_norm[-1]) for tr in traces] == [
+            (GRADIENT_TOLERANCE, 0.0)] * 2
+
+    @pytest.mark.parametrize("change, match", [
+        ({"max_iter": 999}, "max_iter"),
+        ({"memory": 9}, "memory"),
+        ({"beta": 0.2}, "beta"),
+        ({"delta": 0.2}, "delta"),
+        ({"eta": 0.002}, "eta"),
+        ({"sigma": 0.5}, "sigma"),
+        ({"alpha0": None}, "alpha0"),
+        ({"alpha0": 0.5}, "alpha0"),
+        ({"target": [1.0, math.nextafter(1.0, 2.0)]}, "target"),
+        ({"stop_rule": STOP_GRAD_ABS, "target": None}, "stop_rule, target"),
+        ({"backtrack_cap": 99}, "backtrack_cap"),
+        ({"epsilon": 1.0}, "tighter than 1.0"),
+    ])
+    def test_another_config_is_refused(self, change, match):
+        obj, policy = rosenbrock2(), parse_policy("bb2")
+        config = dataclasses.replace(self.ROSENBROCK, epsilon=1e-1)
+        first = run(obj, obj.x0, config, policy)
+        with pytest.raises(InvalidParameterError, match=match):
+            run(obj, obj.x0, dataclasses.replace(config, **change), policy, resume=first)
+
+    def test_another_run_is_refused(self):
+        obj, policy = rosenbrock2(), parse_policy("bb2")
+        first = run(obj, obj.x0, self.ROSENBROCK, policy)
+        refusals = [
+            (obj, obj.x0, parse_policy("bb1"), first, "its policy differ"),
+            (obj, [-1.2, math.nextafter(1.0, 2.0)], policy, first, "its x0 differ"),
+            (rosenbrock2(), obj.x0, policy, first, "its objective differ"),
+            (dataclasses.replace(obj), obj.x0, policy, first, "its objective differ"),
+            (rosenbrock2(), obj.x0, parse_policy("bb1"), first, "its objective, policy differ"),
+        ]
+        for o, x0, p, resume, match in refusals:
+            with pytest.raises(InvalidParameterError, match=match):
+                run(o, x0, self.ROSENBROCK, p, resume=resume)
+
+    def test_a_trace_run_did_not_return_is_refused(self):
+        obj, policy = rosenbrock2(), parse_policy("bb2")
+        first = run(obj, obj.x0, self.ROSENBROCK, policy)
+        inst = generate_instance(20, SpectrumSetting(1, 1e2), seed=0)
+        for resume in (RunTrace.from_json(first.to_json()),
+                       RunTrace(*(getattr(first, c) for c in COLUMNS), first.termination,
+                                first.final_x, first.meta),
+                       solve_bb(inst, policy, 1e-6, 500), first.to_dict()):
+            with pytest.raises(InvalidParameterError, match="a trace that solver.run returned"):
+                run(obj, obj.x0, self.ROSENBROCK, policy, resume=resume)
+        assert "_continuation" not in first.to_json()
+
+    def test_meta_and_final_x_are_not_read(self):
+        # a caller may change a trace's meta and rebind its final_x, and
+        # cannot write into final_x; none of it changes the resume
+        obj, policy = rosenbrock2(), parse_policy("atc:3")
+        loose = dataclasses.replace(self.ROSENBROCK, epsilon=1e-2)
+        tight = dataclasses.replace(self.ROSENBROCK, epsilon=1e-6)
+        want = run(obj, obj.x0, tight, policy).to_json()
+        first = run(obj, obj.x0, loose, policy)
+        with pytest.raises(ValueError, match="read-only"):
+            first.final_x[:] = 0.0
+        first.meta.update(epsilon=1e-300, policy="bb1", alpha0=7.0, memory=0)
+        first.final_x = np.array([5.0, 5.0])
+        assert run(obj, obj.x0, tight, policy, resume=first).to_json() == want
+        first.meta.clear()
+        del first.final_x
+        assert run(obj, obj.x0, tight, policy, resume=first).to_json() == want
