@@ -116,9 +116,8 @@ def _cmd_steps(args):
     if args.verify:
         ref = oracle.oracle_steplength(policy, pair)
         err = abs(alpha - ref)
-        scale = max(1.0, abs(ref))
         print(f"oracle {fmt17(ref)} |diff| {err:.3e}")
-        if err > args.tol * scale:
+        if err > args.tol * abs(ref):
             print(
                 f"stlsbb: closed form and oracle disagree beyond {args.tol:g}",
                 file=sys.stderr,

@@ -11,6 +11,7 @@ defining minimization problems.
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -298,31 +299,58 @@ def homogeneous_residual_min(pair):
     return 1.0 / a
 
 
+def _unit_scale(pair):
+    # the exact power of two c that brings ||c y|| / ||s|| within a factor
+    # 2^0.5 of 1; 1 where the ratio lies within about 2^8 of 1 already, or
+    # where ||s||^2 or ||y||^2 is 0 or inf, which leaves every fit degenerate
+    ss, yy = pair.ss, pair.yy
+    if not (0.0 < ss < math.inf and 0.0 < yy < math.inf):
+        return 1.0
+    e = round(0.5 * (math.log2(yy) - math.log2(ss)))
+    return math.ldexp(1.0, -e) if abs(e) > 8 else 1.0
+
+
 def oracle_steplength(policy, pair, index=0, prev_alpha=None):
     """Independent value for one policy evaluation; index and prev_alpha
     are ATC's run state, as next_steplength takes them.
 
     Every route goes through golden-section searches on the defining
     least-squares or scaled-TLS objectives; none touches the closed-form
-    family expressions.  It checks index and prev_alpha as next_steplength
-    does, with the same errors.
+    family expressions.  Their brackets and tolerances are sized for
+    steplengths near 1, so a pair whose ||y|| / ||s|| lies outside about
+    [2^-8, 2^8] is searched with y scaled by the exact power of two c that
+    brings that ratio near 1, gamma by c (it is a curvature) or, for
+    gammaPrime, by 1/c, and ATC's previous steplength by 1/c; the result
+    is c times the scaled search's, by the homogeneity of each fit.  A
+    gamma that the scaling would take out of float range is searched
+    unscaled.  It checks index and prev_alpha as next_steplength does,
+    with the same errors.
     """
     index, prev = _run_state(policy, index, prev_alpha)
     k = policy.kind
+    c, gamma = _unit_scale(pair), policy.gamma
+    if gamma is not None:
+        gamma = gamma * c if k == "gamma" else gamma / c
+        if not 0.0 < gamma < math.inf:
+            c, gamma = 1.0, policy.gamma
+    if c != 1.0:
+        # every fit here reads only the three products, each scaled exactly
+        pair = SimpleNamespace(ss=pair.ss, yy=c * c * pair.yy, sy=c * pair.sy)
+        prev /= c
     if k == "bb1":
-        return bb1_argmin(pair)
-    if k == "bb2":
-        return bb2_argmin(pair)
-    if k == "gamma":
-        return family_argmin(pair, policy.gamma)
-    if k == "gamma_prime":
-        return family_prime_argmin(pair, policy.gamma)
-    if k == "tau":
+        alpha = bb1_argmin(pair)
+    elif k == "bb2":
+        alpha = bb2_argmin(pair)
+    elif k == "gamma":
+        alpha = family_argmin(pair, gamma)
+    elif k == "gamma_prime":
+        alpha = family_prime_argmin(pair, gamma)
+    elif k == "tau":
         t = policy.tau
-        return t * bb1_argmin(pair) + (1.0 - t) * bb2_argmin(pair)
-    # atc: restart gives the long steplength, otherwise clamp prev_alpha
-    if index % policy.cycle == 0:
-        return bb1_argmin(pair)
-    lo = bb2_argmin(pair)
-    hi = bb1_argmin(pair)
-    return min(max(prev, lo), hi)
+        alpha = t * bb1_argmin(pair) + (1.0 - t) * bb2_argmin(pair)
+    elif index % policy.cycle == 0:
+        # atc: restart gives the long steplength, otherwise clamp prev_alpha
+        alpha = bb1_argmin(pair)
+    else:
+        alpha = min(max(prev, bb2_argmin(pair)), bb1_argmin(pair))
+    return c * alpha

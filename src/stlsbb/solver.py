@@ -171,9 +171,8 @@ class SolverConfig:
     """Line-search solver parameters.
 
     memory is the nonmonotone window length M (the test compares against
-    the max of the last M+1 objective values, which costs run O(min(k, M))
-    per iteration, so a long window makes a long run quadratic in its
-    length, and audit_trace O(1) amortised per row); beta the sufficient
+    the max of the last M+1 objective values, which run and audit_trace
+    both read in O(1) amortised per row); beta the sufficient
     decrease coefficient; eta the safeguard band edge (steplengths outside
     (eta, 1/eta) reset to delta); sigma the backtracking shrink factor, by
     which run builds one trial ladder alpha, sigma*alpha, ... per
@@ -346,11 +345,12 @@ def run(objective, x0, config, policy, resume=None):
     (resetting to delta otherwise), backtracks by sigma until the trial
     point passes the nonmonotone test, then steps and asks the policy for
     the next proposal from the accepted secant pair.  The test's window,
-    the last memory+1 values of f, is a slice of the trace's own f column
-    at each iteration.  Nonpositive curvature maps the proposal to +inf,
-    which the next safeguard resets to delta, and ATC then reads delta as its
-    previous steplength.  A zero gradient stops immediately regardless of
-    stop rule; a nan or inf f or ||g|| at an iterate stops the run first,
+    the last memory+1 values of f, is read from the trace's own f column
+    by the sliding-window maximum audit_trace replays with, in O(1)
+    amortised per iteration.  Nonpositive curvature maps the proposal to
+    +inf, which the next safeguard resets to delta, and ATC then reads
+    delta as its previous steplength.  A zero gradient stops immediately
+    regardless of stop rule; a nan or inf f or ||g|| at an iterate stops the run first,
     with termination nonfinite.  So does a line search whose every trial f was
     nan or +inf when the backtrack cap is hit; if some trial f was finite,
     that raises LineSearchStallError instead.
@@ -465,7 +465,14 @@ def run(objective, x0, config, policy, resume=None):
         k = 0
         prev = None  # ATC's state is (k, prev), as in kernels.raw_bb_loop
     beta, sigma, eta, delta = config.beta, config.sigma, config.eta, config.delta
-    memory, cap, max_iter = config.memory, config.backtrack_cap, config.max_iter
+    cap, max_iter = config.backtrack_cap, config.max_iter
+    # the largest of the last memory + 1 values of f, read once per step
+    # after its f is appended and found finite, so every value it reads is
+    # finite and it is builtin max's; a resumed run's window first passes
+    # the rows it inherits
+    window = _window_maxima(f_col, config.memory)
+    for _ in range(k):
+        next(window)
     # the trial ladder of the current safeguarded alpha: rungs, beta times
     # each in rungs_beta, and rungs_array; see the docstring
     ladder_alpha = math.nan  # equal to no alpha, so the first search starts one
@@ -485,7 +492,7 @@ def run(objective, x0, config, policy, resume=None):
         if alpha != ladder_alpha:
             ladder_alpha, next_rung, rungs, rungs_beta = alpha, alpha, [], []
         grad_sq = gn * gn
-        f_max = max(f_col[-1 - memory:])
+        f_max = next(window)
         tried = 0  # trials in this iteration's earlier rounds
         size = 1 + max(bt_col[-2:]) if k else 1  # the larger of the last two needs
         finite_trial = False
@@ -588,8 +595,14 @@ def run(objective, x0, config, policy, resume=None):
 
 
 def _window_maxima(f, memory):
-    """[max(f[max(0, k - memory):k + 1]) for k in range(len(f))], each the
+    """Yield max(f[max(0, k - memory):k + 1]) for k = 0, 1, ..., each the
     very float that builtin max returns, in O(1) amortised per entry.
+
+    The k-th value is computed when it is asked for, from the items f then
+    holds, so run reads its window from its growing f column, one row
+    after each append, and audit_trace reads a whole column at once.  A
+    list f must not be asked for a value past its end, since its iterator
+    then stops for good.
 
     max keeps its first item and replaces it only by a later item greater
     than it, so it returns a nan first item, and otherwise the earliest
@@ -597,7 +610,7 @@ def _window_maxima(f, memory):
     deque holds the indices of the window's items that are not nan and
     that no later item exceeds, in order, their values falling or level.
     """
-    out, best = [], deque()
+    best = deque()
     for k, v in enumerate(f):
         if v == v:  # not nan
             while best and f[best[-1]] < v:
@@ -607,8 +620,7 @@ def _window_maxima(f, memory):
         if best and best[0] < lo:
             best.popleft()
         first = f[max(0, lo)]
-        out.append(first if first != first else f[best[0]])
-    return out
+        yield first if first != first else f[best[0]]
 
 
 def audit_trace(run_trace, config=None):
@@ -639,7 +651,7 @@ def audit_trace(run_trace, config=None):
         col.tolist() for col in (run_trace.f, run_trace.grad_norm, run_trace.alpha,
                                  run_trace.backtracks, run_trace.fevals))
     last = run_trace.iterations
-    f_max = _window_maxima(f, cfg.memory)
+    f_max = list(_window_maxima(f, cfg.memory))
     for k in range(last):
         a = alpha[k]
         if not (a == cfg.delta or (cfg.eta < a < 1.0 / cfg.eta)):

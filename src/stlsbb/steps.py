@@ -151,7 +151,7 @@ def tau_from_gamma(pair, gamma):
     """
     policy = SteplengthPolicy("gamma", gamma=gamma)
     b1, b2 = bb1(pair), bb2(pair)
-    if b1 - b2 <= DEGENERACY_RTOL * max(1.0, abs(b1)):
+    if b1 - b2 <= DEGENERACY_RTOL * abs(b1):
         return 0.5
     t = (next_steplength(policy, pair) - b2) / (b1 - b2)
     return min(max(t, 0.0), 1.0)

@@ -53,6 +53,16 @@ def raw_results(rows, width, max_iter, history=True):
     return [ends[j] for j in range(len(ends))]
 
 
+@pytest.fixture(autouse=True)
+def numpy_state_is_restored():
+    """Fail a test that leaves numpy's error state or buffer size changed.
+    pyproject turns RuntimeWarnings into errors, and an errstate left at
+    "ignore" would silence them in every test that runs after."""
+    err, bufsize = np.geterr(), np.getbufsize()
+    yield
+    assert (np.geterr(), np.getbufsize()) == (err, bufsize), "numpy state left changed"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

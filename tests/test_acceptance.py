@@ -207,6 +207,26 @@ def test_criterion_05_quadratic_benchmark_ordering(report):
     )
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_criterion_05_ordering_survives_a_one_ulp_start(r):
+    # raw BB on these quadratics is chaotic in rounding, so one cell's count
+    # moves with the last bit of x0; criterion 5's ordering of medians over
+    # seeds must not.  Replicate r moves x0[r] of the all-ones start up by
+    # one ulp
+    policies = ("bb1", "bb2", "gamma:1", "gamma:20")
+    x0 = np.ones(100)
+    x0[r] = np.nextafter(1.0, 2.0)
+    iters = {p: [] for p in policies}
+    for seed in range(10):
+        inst = generate_instance(100, SpectrumSetting(1, 1e4), seed)
+        for p in policies:
+            tr = solve_bb(inst, parse_policy(p), 1e-6, 20_000, x0=x0)
+            assert tr.solved, (p, seed)
+            iters[p].append(tr.iterations)
+    med = {p: float(np.median(iters[p])) for p in policies}
+    assert med["gamma:20"] < min(med["bb1"], med["bb2"]), med
+
+
 def test_criterion_06_r_linear_envelope(report):
     ok = True
     worst_frac = 1.0

@@ -17,6 +17,8 @@ from stlsbb import (
     SpectrumSetting,
     __version__,
     generate_instance,
+    next_steplength,
+    oracle,
     sweep_from_csv,
 )
 from stlsbb.cli import main
@@ -66,6 +68,24 @@ class TestSteps:
         rc = main(["steps", "--s", "1,1", "--y", "1,2", "--policy", "gamma:2",
                    "--verify", "--tol", "1e-18"])
         assert rc == 2
+        assert "disagree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["bb1", "bb2", "gamma:1", "gammaPrime:1", "tau:0.3"])
+    @pytest.mark.parametrize("y", ["1e12,1e12", "1e-12,1e-12"])
+    def test_verify_agrees_at_any_scale(self, capsys, policy, y):
+        assert main(["steps", "--s", "1,0.2", "--y", y, "--policy", policy, "--verify"]) == 0
+        alpha, oracle_line = capsys.readouterr().out.strip().split("\n")
+        ref = float(oracle_line.split()[1])
+        assert abs(ref - float(alpha)) <= 1e-7 * ref
+
+    def test_verify_compares_relative_to_the_oracle(self, capsys, monkeypatch):
+        # an oracle off by a factor of 2 on a steplength of about 1e-12
+        # differs from it by only about 1e-12, far below a tolerance of 1e-6
+        # read against 1
+        monkeypatch.setattr(oracle, "oracle_steplength",
+                            lambda policy, pair: 2.0 * next_steplength(policy, pair))
+        assert main(["steps", "--s", "1,0.2", "--y", "1e12,1e12", "--policy", "bb1",
+                     "--verify"]) == 2
         assert "disagree" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

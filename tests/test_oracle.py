@@ -390,3 +390,21 @@ class TestOracleDispatch:
                 call(atc, pair, 1)
             with pytest.raises(MissingStateError):
                 call(atc, flat, 1)
+
+    @pytest.mark.parametrize("text", ["bb1", "bb2", "gamma:1", "gamma:20", "gammaPrime:0.05",
+                                      "tau:0.3", "atc:3"])
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_every_kind_is_scale_free(self, rng, text, k):
+        # the searches' brackets and tolerances are sized for steplengths
+        # near 1; with ||y|| / ||s|| scaled by 2^k each kind still agrees
+        # with its closed form
+        policy = parse_policy(text)
+        pairs = [StepPair([1.0, 0.2], [1.0, 1.0])] + [random_pair(rng) for _ in range(30)]
+        for pair in pairs:
+            scaled = StepPair(pair.s, 2.0**k * pair.y)
+            b1, b2 = bb1(scaled), bb2(scaled)
+            prev = b2 + rng.uniform(-0.5, 1.5) * (b1 - b2)  # ATC's last step, maybe outside
+            for index in (0, 1):
+                want = next_steplength(policy, scaled, index, prev)
+                got = oracle_steplength(policy, scaled, index, prev)
+                assert abs(got - want) <= 1e-7 * want, (pair, index)

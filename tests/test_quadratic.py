@@ -582,11 +582,14 @@ def _soundness_points():
 
 
 def _bound_checks(make_bounds=None):
-    # (where, lo, f, label) for each step of each soundness point: lo from
-    # make_bounds(inst), as_objective's own bound by default, f the value
-    # eval_rows computes at the trial, and where "inside" the window,
+    # [(where, lo, f, label)] for each step of each soundness point: lo
+    # from make_bounds(inst), as_objective's own bound by default, f the
+    # value eval_rows computes at the trial, and where "inside" the window,
     # "outside" it, or "edge" within a factor 2 of its edge, where neither
-    # is checked
+    # is checked.  A list, so the errstate is left before any caller reads
+    # it: a generator suspended inside it, or two of them interleaved, would
+    # leave numpy's error state changed for the tests that run after
+    checks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for inst, x, a, kappa in _soundness_points():
             obj = as_objective(inst)
@@ -595,8 +598,7 @@ def _bound_checks(make_bounds=None):
             lo = bounds(x, f, g, a)
             got, _ = obj.eval_rows(kernels.trial_rows(x, g, np.array(a)))
             if kappa is None:
-                for ai, li, fi in zip(a, lo, got.tolist()):
-                    yield "inside", li, fi, ai
+                checks.extend(("inside", li, fi, ai) for ai, li, fi in zip(a, lo, got.tolist()))
                 continue
             b_norm = float(np.linalg.norm(inst.linear))
             xn, gn = float(np.linalg.norm(x)), float(np.linalg.norm(g))
@@ -605,7 +607,8 @@ def _bound_checks(make_bounds=None):
                      + 2.0 * math.log2(1.0 + xn + gn + b_norm + ai * (gn + 1.0)))
                 where = ("outside" if z > 1001.0 or not math.isfinite(f)
                          else "inside" if z < 999.0 else "edge")
-                yield where, li, fi, (inst.setting_id, kappa, inst.dim, ai)
+                checks.append((where, li, fi, (inst.setting_id, kappa, inst.dim, ai)))
+    return checks
 
 
 def _rebuilt_trial_lower_bounds(*zeroed):

@@ -1002,6 +1002,34 @@ class TestAudit:
             got = solver._window_maxima(f, memory)
             assert [v.hex() for v in got] == [v.hex() for v in want], (f, memory)
 
+    def test_window_maxima_read_rows_appended_after_they_start(self):
+        # run reads its window from its f column as it grows, one row
+        # after each append
+        f, memory = [], 2
+        window = solver._window_maxima(f, memory)
+        got = []
+        for v in [3.0, 1.0, 2.0, 0.0, -1.0, 5.0]:
+            f.append(v)
+            got.append(next(window))
+        assert got == [max(f[max(0, k - memory):k + 1]) for k in range(len(f))]
+
+    def test_a_long_window_runs_in_linear_time(self):
+        # memory = 10**6 over 20 000 steps of a 1-D exp, whose steps the
+        # safeguard holds at delta: a window that is the whole trace, which
+        # a max over each window's slice takes seconds to read
+        def eval_rows(xs):
+            f = np.exp(xs[:, 0])
+            return f, f[:, None]
+
+        obj = Objective("exp", 1, x0=np.zeros(1), eval_rows=eval_rows)
+        config = SolverConfig(memory=10**6, max_iter=20_000, stop_rule=STOP_GRAD_REL,
+                              epsilon=1e-300)
+        start = time.process_time()
+        tr = run(obj, obj.x0, config, parse_policy("bb1"))
+        assert time.process_time() - start < 1.0
+        assert (tr.termination, tr.iterations) == (ITERATION_CAP, 20_000)
+        assert audit_trace(tr) == []
+
     def test_a_long_window_audits_in_linear_time(self):
         # memory = 10**6 over 20 000 steps: a window that is the whole
         # trace, which a max over each window's slice takes seconds to replay
@@ -1782,6 +1810,15 @@ class TestResume:
     def test_memory_longer_than_the_prefix(self):
         config = SolverConfig(memory=5000, max_iter=500)
         self.chain(rosenbrock2(), config, parse_policy("bb2"), (1e-1, 1e-3, 1e-6))
+
+    @pytest.mark.parametrize("rule", [STOP_GRAD_REL, STOP_POINT_DIST])
+    def test_memory_shorter_than_the_prefix(self, rule):
+        # the resumed window must slide past the inherited rows, not start
+        # over at the last one
+        config = SolverConfig(alpha0=1.0, memory=3, max_iter=5000, stop_rule=rule,
+                              target=[1.0, 1.0] if rule == STOP_POINT_DIST else None)
+        loose, tight = self.chain(rosenbrock2(), config, parse_policy("bb1"), (1e-8, 1e-10))
+        assert 200 <= loose.iterations < tight.iterations
 
     def test_an_equal_epsilon(self):
         obj, policy = rosenbrock2(), parse_policy("gamma:1")

@@ -208,6 +208,19 @@ class TestFamilyProperties:
             assert alpha_family(pair, g) == pytest.approx(bb1(pair), rel=1e-12)
             assert alpha_family_prime(pair, g) == pytest.approx(bb2(pair), rel=1e-12)
 
+    def test_tau_from_gamma_is_scale_free(self):
+        # y scaled by c and gamma by c scale bb1, bb2 and the family step
+        # by 1/c, exactly for a power of two c, so the weight keeps its
+        # bits; an interval is collapsed relative to bb1, not below 1
+        s = np.array([1.0, 0.0])
+        for y, gamma in (([1.0, 1.0], 1.0), ([1.0, 0.2], 1.5), ([3.0, -0.5], 0.25)):
+            want = tau_from_gamma(StepPair(s, np.array(y)), gamma)
+            assert 0.0 < want < 1.0
+            for k in range(61):
+                c = 2.0**k
+                got = tau_from_gamma(StepPair(s, c * np.array(y)), c * gamma)
+                assert got.hex() == want.hex(), (y, k)
+
     def test_parallel_pair_collapses(self):
         pair = StepPair(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
         assert bb1(pair) == pytest.approx(bb2(pair), rel=1e-15)
