@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the three checks that
-every constructor and entry point reads its numbers through."""
+"""Exception types shared across the package, the three checks that
+every constructor and entry point reads its numbers through, and their
+vector twin."""
 
 import operator
 import sys
@@ -103,3 +104,22 @@ def count(value, name, least=1):
         floor = "" if least is None else f">= {least} and "
         raise InvalidParameterError(f"{name} must be {floor}whole, got {_shown(value)}")
     return n
+
+
+def vector(value, name, size=None, finite=False):
+    """value as a read-only 1-D float64 copy, flattened from any shape, of
+    length size when given and with every entry finite when finite is set.
+    An array of bools or complex numbers is refused, as real refuses one
+    such number; text that float() cannot read is left to numpy's
+    ValueError.  As in RunTrace's float columns, a list that mixes bools
+    and floats reads its bools as 1.0 and 0.0, and None reads as nan."""
+    arr = np.array(value, copy=True)
+    if arr.dtype.kind in "bc":
+        raise InvalidParameterError(f"{name} must hold real numbers, not {arr.dtype.name}")
+    arr = arr.astype(float, copy=False).reshape(-1)
+    if size is not None and arr.size != size:
+        raise DimensionMismatchError(f"{name} has length {arr.size}, expected {size}")
+    if finite and not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr

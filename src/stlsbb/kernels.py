@@ -286,18 +286,18 @@ def _with_row_buffers(n, f, *args):
     # on a 2-vCPU Xeon (numpy 2.4, medians of 11 to 15 alternating runs,
     # the cost of setting the size included): a block product with per-row
     # w took 0.76x the time at (rows, n) = (96, 160), 0.73x at (96, 256)
-    # and 0.84x at (32, 1000), but 1.21x at (96, 100), the quadratic
-    # sweep's blocks, and 1.20x at (96, 128); with shared w, 0.6x at
-    # (29, 1000), the line search's blocks; blocks of four rows lost up to
-    # 1.16x below n = 256.  With the small buffers on every block the n =
-    # 100 sweep benchmark ran 1.08x slower end to end.  The buffer size
-    # changes how these elementwise loops run, never a value.  Narrower
-    # blocks keep numpy's buffers; with their own w per row, as the sweep's
-    # are, their product avoids the broadcast instead by copying each
-    # column of row dots across a block buffer that w then scales in place
-    # (_householder_product): 0.77-0.91x the product time at (96, 100),
-    # where a broadcast multiply into a kept buffer, without the copy,
-    # read 0.89-1.05x.
+    # and 0.84x at (32, 1000), a sweep's blocks at n = 1000, but 1.21x at
+    # (96, 100), the quadratic sweep's blocks at n = 100, and 1.20x at
+    # (96, 128); with shared w, 0.6x at (29, 1000); blocks of four rows
+    # lost up to 1.16x below n = 256.  With the small buffers on every
+    # block the n = 100 sweep benchmark ran 1.08x slower end to end.  The
+    # buffer size changes how these elementwise loops run, never a value.
+    # Narrower blocks keep numpy's buffers; with their own w per row, as
+    # the sweep's are, their product avoids the broadcast instead by
+    # copying each column of row dots across a block buffer that w then
+    # scales in place (_householder_product): 0.77-0.91x the product time
+    # at (96, 100), where a broadcast multiply into a kept buffer, without
+    # the copy, read 0.89-1.05x.
     if n < _WIDE_ROW:
         return f(*args)
     with np.errstate():  # which restores numpy's buffer size on exit

@@ -10,6 +10,7 @@ defining minimization problems.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -21,6 +22,7 @@ from .errors import (DegenerateInputError, InvalidBracketError, InvalidParameter
 from .steps import _gamma_value, _run_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TINIEST = math.ulp(0.0)  # the least positive float, 5e-324
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,13 @@ def stls_ratio(pair, gamma, alpha):
     """Scaled-TLS objective ||alpha*y - s||^2 / (1/gamma^2 + alpha^2).
 
     Its minimizer over alpha is the family steplength for this gamma.
+    Where gamma^2 underflows to 0, 1/gamma^2 is read as inf, as float64
+    divides, so the ratio is 0.
     """
     g = _gamma_value(gamma)
     a = float(alpha)
     r = a * pair.y - pair.s
-    return float(r @ r) / (1.0 / (g * g) + a * a)
+    return float(r @ r) / ((1.0 / (g * g) if g * g else math.inf) + a * a)
 
 
 def _centered_coeffs(ss, yy, sy, t, center):
@@ -135,8 +139,13 @@ def _search_centered(ss, yy, sy, gamma, lo, hi, tol):
     # with its numerator expanded about x (constant, slope, curvature
     # computed once), so no large terms cancel during the search and the
     # well stays resolvable at full relative precision even when it is
-    # orders of magnitude shallower than the surrounding plateau.
+    # orders of magnitude shallower than the surrounding plateau.  Where
+    # gamma^2 is subnormal or 0, t = 1/gamma^2 is inf or beyond float's
+    # digits; the ratio's minimizer has then reached its limit as t -> inf,
+    # the plain least-squares fit of s by a y.
     g = _gamma_value(gamma)
+    if g * g < sys.float_info.min:
+        return _least_squares_argmin(yy, ss, sy)
     t = 1.0 / (g * g)
     x = 0.5 * (lo + hi)
     for _ in range(2):
@@ -322,17 +331,16 @@ def oracle_steplength(policy, pair, index=0, prev_alpha=None):
     brings that ratio near 1, gamma by c (it is a curvature) or, for
     gammaPrime, by 1/c, and ATC's previous steplength by 1/c; the result
     is c times the scaled search's, by the homogeneity of each fit.  A
-    gamma that the scaling would take out of float range is searched
-    unscaled.  It checks index and prev_alpha as next_steplength does,
-    with the same errors.
+    gamma that the scaling would take out of float range is clamped into
+    it, where the search has reached its limit at either end.  It checks
+    index and prev_alpha as next_steplength does, with the same errors.
     """
     index, prev = _run_state(policy, index, prev_alpha)
     k = policy.kind
     c, gamma = _unit_scale(pair), policy.gamma
     if gamma is not None:
-        gamma = gamma * c if k == "gamma" else gamma / c
-        if not 0.0 < gamma < math.inf:
-            c, gamma = 1.0, policy.gamma
+        # past float range the search is at its limit either way
+        gamma = min(max(gamma * c if k == "gamma" else gamma / c, _TINIEST), sys.float_info.max)
     if c != 1.0:
         # every fit here reads only the three products, each scaled exactly
         pair = SimpleNamespace(ss=pair.ss, yy=c * c * pair.yy, sy=c * pair.sy)

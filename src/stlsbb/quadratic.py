@@ -22,6 +22,7 @@ from .errors import (
     InvalidSettingError,
     count,
     inside,
+    vector,
 )
 from .solver import Objective
 from .steps import SteplengthPolicy
@@ -92,15 +93,7 @@ class QuadraticInstance:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check(getattr(self, name)))
         for name in _ARRAYS:
-            arr = np.array(getattr(self, name), dtype=float, copy=True).reshape(-1)
-            if arr.size != n:
-                raise DimensionMismatchError(
-                    f"{name} has length {arr.size}, expected {n}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameterError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, vector(getattr(self, name), name, n, finite=True))
         for name in _ARRAYS[:3]:
             nrm = float(np.linalg.norm(getattr(self, name)))
             if abs(nrm - 1.0) > 1e-12:

@@ -22,6 +22,7 @@ from .errors import (
     NonpositiveCurvatureError,
     count,
     inside,
+    vector,
 )
 from .steps import SecantProducts, next_steplength
 from .trace import GRADIENT_TOLERANCE, ITERATION_CAP, NONFINITE, RunTrace
@@ -91,13 +92,7 @@ class Objective:
         if self.lower_bounds is not None and self.eval_rows is None:
             raise InvalidParameterError("lower_bounds needs eval_rows")
         if self.x0 is not None:
-            x0 = np.array(self.x0, dtype=float, copy=True).reshape(-1)
-            if x0.size != self.dim:
-                raise DimensionMismatchError(
-                    f"x0 has length {x0.size}, expected {self.dim}"
-                )
-            x0.setflags(write=False)
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", vector(self.x0, "x0", self.dim))
 
 
 def _square_or_inf(r):
@@ -215,11 +210,7 @@ class SolverConfig:
         elif self.target is None:
             raise InvalidParameterError("stop rule 'point_dist' needs a target point")
         else:
-            t = np.array(self.target, dtype=float, copy=True).reshape(-1)
-            if not np.all(np.isfinite(t)):
-                raise InvalidParameterError(f"target must be finite, got {self.target!r}")
-            t.setflags(write=False)
-            object.__setattr__(self, "target", t)
+            object.__setattr__(self, "target", vector(self.target, "target", finite=True))
 
     def to_meta(self):
         """Trace meta: every field but alpha0 and target in declaration
@@ -386,7 +377,9 @@ def run(objective, x0, config, policy, resume=None):
     audit_trace, so every trace is the same bit for bit with or without
     the bound.  run copies the opening gradient and each accepted point
     and gradient out of what the objective returned, so an objective may
-    reuse its output arrays and no round's block outlives its round.
+    reuse its output arrays and no round's block outlives its round.  Its
+    copy of x0 is read-only, as Objective.x0 is, so an eval that writes
+    into the point it is handed raises instead of moving the iterate.
     A round whose eval_rows gives other than one f and one gradient per
     row, or a kept gradient whose length is not objective.dim, raises
     DimensionMismatchError.
@@ -422,13 +415,9 @@ def run(objective, x0, config, policy, resume=None):
     post-safeguard steplength alpha, so the step actually taken is
     alpha * sigma**backtracks.
     """
-    x = np.array(x0, dtype=float, copy=True).reshape(-1)
-    if x.size != objective.dim:
-        raise DimensionMismatchError(f"x0 has length {x.size}, expected {objective.dim}")
-    if config.stop_rule == STOP_POINT_DIST and config.target.size != objective.dim:
-        raise DimensionMismatchError(
-            f"target has length {config.target.size}, expected {objective.dim}"
-        )
+    x = vector(x0, "x0", objective.dim)
+    if config.target is not None:
+        vector(config.target, "target", objective.dim)
     eval_rows, lower_bounds = objective.eval_rows, objective.lower_bounds
     block_rows = max(1, kernels._BLOCK_DOUBLES // objective.dim)
     if eval_rows is None:

@@ -31,6 +31,7 @@ from .errors import (
     count,
     inside,
     real,
+    vector,
 )
 
 # the interval [bb2, bb1] is treated as collapsed below this relative width
@@ -52,16 +53,13 @@ class StepPair:
     sy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float, copy=True).reshape(-1)
-        y = np.array(self.y, dtype=float, copy=True).reshape(-1)
+        s, y = vector(self.s, "s"), vector(self.y, "y")
         if s.size == 0 or y.size == 0:
             raise DimensionMismatchError("secant vectors must be nonempty")
         if s.shape != y.shape:
             raise DimensionMismatchError(
                 f"secant vectors disagree in length: {s.size} vs {y.size}"
             )
-        s.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
         with np.errstate(over="ignore"):  # an overflowed product is inf, as the rules expect

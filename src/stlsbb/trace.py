@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, count, real
+from .errors import InvalidParameterError, count, real, vector
 
 _FORMAT = "stlsbb-trace-v1"
 
@@ -51,10 +51,12 @@ class RunTrace:
 
     f, grad_norm and alpha are read-only float64 arrays, backtracks and
     fevals read-only int64 arrays, one entry per iterate; k is the index.
-    final_x is a read-only float64 view of the array it is given.
-    The constructor takes each column as a sequence of one entry per
-    iterate, and refuses an entry that is not a real, such as None, or
-    not a count, naming its column.  rows is a TraceRow view of the
+    final_x is a read-only float64 view of the 1-D array it is given, and
+    meta a dict (None reads as {}).  The constructor takes each column as
+    a sequence of one entry per iterate, and refuses an entry that is not
+    a real, such as None, or not a count, naming its column; it refuses a
+    final_x that is not 1-D and a meta that is not a dict, which to_json
+    could not write or audit_trace read.  rows is a TraceRow view of the
     columns, built anew on every access.
     """
 
@@ -88,8 +90,13 @@ class RunTrace:
         # a read-only view, so the caller's array keeps its own flags and
         # nothing is copied
         self.final_x = np.asarray(final_x, dtype=float).view()
+        if self.final_x.ndim != 1:
+            raise InvalidParameterError(
+                f"final_x must be 1-D, got an array of shape {self.final_x.shape}")
         self.final_x.setflags(write=False)
         self.meta = {} if meta is None else meta
+        if not isinstance(self.meta, dict):
+            raise InvalidParameterError(f"meta must be a dict, got {type(meta).__name__}")
 
     def _values(self):
         # (k, f, grad_norm, alpha, backtracks, fevals) per iterate, as
@@ -150,7 +157,7 @@ class RunTrace:
                 raise InvalidParameterError(
                     f"row {i} has k = {k!r}; rows are numbered 0, 1, 2, ... in order")
         return cls(**columns, termination=d["termination"],
-                   final_x=np.array(d["final_x"], dtype=float),
+                   final_x=vector(d["final_x"], "final_x"),
                    meta=copy.deepcopy(d.get("meta", {})))
 
     def to_json(self, **kwargs):

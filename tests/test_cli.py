@@ -78,6 +78,14 @@ class TestSteps:
         ref = float(oracle_line.split()[1])
         assert abs(ref - float(alpha)) <= 1e-7 * ref
 
+    @pytest.mark.parametrize("policy", ["gamma:1e-160", "gamma:1e-300", "gammaPrime:1e-300"])
+    def test_verify_agrees_at_a_vanishing_gamma(self, capsys, policy):
+        # gamma^2 is subnormal or 0: the oracle searches its limit, where it
+        # gave a value outside [bb2, bb1] or a ZeroDivisionError traceback
+        assert main(["steps", "--s", "1,0.2", "--y", "1,1", "--policy", policy, "--verify"]) == 0
+        alpha, oracle_line = capsys.readouterr().out.strip().split("\n")
+        assert abs(float(oracle_line.split()[1]) - float(alpha)) <= 1e-7 * float(alpha)
+
     def test_verify_compares_relative_to_the_oracle(self, capsys, monkeypatch):
         # an oracle off by a factor of 2 on a steplength of about 1e-12
         # differs from it by only about 1e-12, far below a tolerance of 1e-6

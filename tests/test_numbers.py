@@ -1,6 +1,8 @@
 """The number contract: every constructor and entry point reads its counts
 and reals through errors.count, errors.real and errors.inside, so a bad
-number ends in InvalidParameterError and 2.5 is refused, never truncated."""
+number ends in InvalidParameterError and 2.5 is refused, never truncated;
+and its vectors through errors.vector, which refuses bools and complex
+numbers as real does."""
 
 import math
 
@@ -20,10 +22,12 @@ from stlsbb import (
     generate_instance,
     next_steplength,
     oracle_steplength,
+    rosenbrock2,
+    run,
     run_rosenbrock_table,
     solve_bb,
 )
-from stlsbb.errors import InvalidParameterError, count, inside, real
+from stlsbb.errors import DimensionMismatchError, InvalidParameterError, count, inside, real, vector
 
 PAIR = StepPair([1.0, 1.0], [1.0, 2.0])
 ATC = SteplengthPolicy("atc", cycle=3)
@@ -111,6 +115,41 @@ BAD_COUNTS = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "text": "x", "None":
 UNRECORDED = {"QuadraticInstance.setting_id", "QuadraticInstance.seed"}
 
 
+# every vector an entry point reads, by the name its errors give it: how
+# to pass it a value, and a valid one
+VECTORS = {
+    "Objective.x0": ("x0", lambda v: Objective("sphere", 2, sphere, x0=v), [1.0, 2.0]),
+    "SolverConfig.target": (
+        "target", lambda v: SolverConfig(stop_rule="point_dist", target=v), [1.0, 1.0]),
+    "run.x0": ("x0", lambda v: run(rosenbrock2(), v, SolverConfig(max_iter=1), BB1),
+               [-1.2, 1.0]),
+    **{f"QuadraticInstance.{name}": (
+        name, lambda v, name=name: QuadraticInstance.from_dict(instance_doc(**{name: v})),
+        getattr(INST, name)) for name in ("w1", "w2", "w3", "eigenvalues", "linear")},
+    "StepPair.s": ("s", lambda v: StepPair(v, [1.0, 2.0]), [1.0, 1.0]),
+    "StepPair.y": ("y", lambda v: StepPair([1.0, 1.0], v), [1.0, 2.0]),
+    "RunTrace.from_dict.final_x": (
+        "final_x", lambda v: RunTrace.from_dict({**one_row_trace().to_dict(), "final_x": v}),
+        [0.0]),
+}
+
+
+# refused before the length is read, so one of any length will do
+NOT_REAL = {**BOOLS, "1j": 1j, "bools": [True, False], "complex": np.array([1.0, 2.0 + 0j])}
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{name}-{label}")
+    for name in VECTORS for label, bad in NOT_REAL.items()])
+def test_every_vector_refuses_bools_and_complex_numbers(name, bad):
+    # as real refuses True and 1j, where a float copy would read True as
+    # 1.0 and keep only the real part of 1j, with a ComplexWarning
+    field, build, good = VECTORS[name]
+    with pytest.raises(InvalidParameterError, match=f"^{field} must hold real numbers, not "):
+        build(bad)
+    build(good)
+
+
 @pytest.mark.parametrize("name, bad", [
     pytest.param(name, bad, id=f"{name}-{label}")
     for name in COUNTS for label, bad in BAD_COUNTS.items()
@@ -196,6 +235,29 @@ class TestChecks:
                 count(bad, "n")
         with pytest.raises(InvalidParameterError, match=r"d must be whole, got 2.5"):
             count(2.5, "d", least=None)
+
+    def test_vector(self):
+        given = np.array([[1.0, 2.0], [3.0, 4.0]])
+        v = vector(given, "x")
+        assert v.tolist() == [1.0, 2.0, 3.0, 4.0] and v.dtype == np.float64
+        assert not v.flags.writeable and not np.shares_memory(v, given)
+        assert vector(2.5, "x").tolist() == [2.5]
+        assert vector([1, "2"], "x", size=2).tolist() == [1.0, 2.0]
+        assert vector([math.inf], "x").tolist() == [math.inf]
+        # what stays uncaught, as in RunTrace's float columns
+        assert vector([True, 0.5], "x").tolist() == [1.0, 0.5]
+        assert np.isnan(vector([None], "x")).all()
+        with pytest.raises(DimensionMismatchError, match=r"^x has length 4, expected 3$"):
+            vector(given, "x", size=3)
+        with pytest.raises(InvalidParameterError, match=r"^x must be finite$"):
+            vector([1.0, math.nan], "x", finite=True)
+        for bad in (True, [np.True_], [1j], np.zeros(2, dtype=np.complex64)):
+            with pytest.raises(InvalidParameterError, match=r"^x must hold real numbers, not "):
+                vector(bad, "x")
+        # text float() cannot read is numpy's ValueError, which the CLI
+        # reports as an unparseable file
+        with pytest.raises(ValueError):
+            vector(["one"], "x")
 
     def test_an_int_too_long_to_print_is_named_by_its_size(self):
         # str() of an int of more than 4 300 digits raises ValueError, so

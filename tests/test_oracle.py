@@ -124,6 +124,12 @@ class TestStlsRatio:
             bb1(canonical_pair), abs=1e-6
         )
 
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300, 5e-324])
+    def test_a_vanishing_gamma_gives_the_limit(self, canonical_pair, gamma):
+        # where gamma^2 underflows, 1/gamma^2 is read as inf, as float64
+        # divides, and the ratio is 0 where it used to divide by zero
+        assert stls_ratio(canonical_pair, gamma, 0.5) == 0.0
+
     def test_bracket_contains_family(self, rng):
         for _ in range(100):
             pair = random_pair(rng)
@@ -162,6 +168,21 @@ class TestOracleAgreement:
         assert family_prime_argmin(pair, 1e-150) == pytest.approx(
             alpha_family_prime(pair, 1e-150), rel=1e-6
         )
+
+    @pytest.mark.parametrize("kind", ["gamma", "gammaPrime"])
+    @pytest.mark.parametrize("k", [0, 40, -40])
+    def test_every_float_gamma_agrees(self, kind, k):
+        # gamma = 10^e across float range.  Where gamma^2 is subnormal or
+        # 0, 1/gamma^2 was inf or a division by zero, and the search takes
+        # its limit, the plain least-squares fit, instead; at ||y|| / ||s||
+        # = 2^40 or 2^-40 the scaled gamma of one end leaves float range
+        # and is clamped into it
+        for s, y in (([1.0, 0.2], [1.0, 1.0]), ([3.0, -1.0, 0.5], [2.0, 0.1, 1.0])):
+            pair = StepPair(s, 2.0**k * np.array(y))
+            for e in range(-323, 309):
+                policy = parse_policy(f"{kind}:1e{e}")
+                want = next_steplength(policy, pair)
+                assert abs(oracle_steplength(policy, pair) - want) <= 1e-7 * want, e
 
     def test_bb_fits(self, rng):
         for _ in range(150):

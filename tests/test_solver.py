@@ -265,6 +265,19 @@ class TestObjectiveAndTraceChecks:
         with pytest.raises(InvalidParameterError, match="at least one row"):
             RunTrace([], [], [], [], [], ITERATION_CAP, [0.0])
 
+    @pytest.mark.parametrize("final_x", [np.zeros((2, 2)), 0.5, [[1.0]]])
+    def test_trace_final_x_must_be_one_dimensional(self, final_x):
+        # to_json writes final_x as a list of floats, which no other shape gives
+        with pytest.raises(InvalidParameterError, match="^final_x must be 1-D, got an array"):
+            RunTrace([1.0], [1.0], [math.nan], [0], [0], ITERATION_CAP, final_x)
+
+    @pytest.mark.parametrize("meta", [[], True, "x", 3, 2.5])
+    def test_trace_meta_must_be_a_dict(self, meta):
+        # audit_trace reads meta as a mapping; None reads as {}
+        assert RunTrace([1.0], [1.0], [math.nan], [0], [0], ITERATION_CAP, [0.0]).meta == {}
+        with pytest.raises(InvalidParameterError, match="^meta must be a dict, got "):
+            RunTrace([1.0], [1.0], [math.nan], [0], [0], ITERATION_CAP, [0.0], meta)
+
     @pytest.mark.parametrize("column", ["f", "grad_norm", "alpha"])
     def test_a_missing_real_is_named_not_read_as_nan(self, column):
         # a None in a float column is refused with the column's name, where
@@ -544,6 +557,22 @@ class TestRunLoop:
         block = np.asarray(G)
         assert (block.dtype, block.shape) == (np.float64, (3, 2))
         assert block.tobytes() == np.array([obj.eval(x)[1] for x in xs]).tobytes()
+
+    def test_a_kept_gradient_row_of_another_shape_is_flattened(self):
+        # run copies the kept gradient row and flattens it when it is not
+        # 1-D, so gradients given as (2, 1) columns make the plain run
+        ros = rosenbrock2()
+
+        def column_rows(xs):
+            f, g = ros.eval_rows(xs)
+            return f, [np.reshape(row, (2, 1)) for row in g]
+
+        obj = dataclasses.replace(ros, eval=None, eval_rows=column_rows)
+        assert obj.eval(obj.x0)[1].shape == (2, 1)
+        for policy in ("bb1", "gamma:1"):
+            config, policy = SolverConfig(epsilon=1e-6), parse_policy(policy)
+            want = run(ros, ros.x0, config, policy)
+            assert run(obj, obj.x0, config, policy).to_json() == want.to_json()
 
     def test_eval_rows_must_give_a_value_per_row(self):
         # an eval_rows that gives one f for a round of two rows is named,
@@ -856,6 +885,14 @@ class TestTraceReader:
                                match=f"{name} must be >= 0 and whole, got {bad}"):
                 RunTrace([1.0], [1.0], [math.nan], counts["backtracks"], counts["fevals"],
                          ITERATION_CAP, [0.0])
+
+    @pytest.mark.parametrize("final_x, want", [(2.5, [2.5]), ([[1.0], [2.0]], [1.0, 2.0])])
+    def test_a_scalar_or_nested_final_x_reads_as_a_vector(self, final_x, want):
+        # read through errors.vector, so the trace's to_json writes it back
+        # as a flat list
+        d = self.make_trace().to_dict()
+        d["final_x"] = final_x
+        assert RunTrace.from_dict(d).to_dict()["final_x"] == want
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(InvalidParameterError, match="one length"):

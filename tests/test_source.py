@@ -280,3 +280,50 @@ def test_numbers_are_read_through_the_checks():
     found = {(p.name, *cast) for p in PACKAGE.glob("*.py") if p.name != "errors.py"
              for cast in numbers_cast_by_hand(p.read_text())}
     assert found == CAST_BY_DESIGN
+
+
+def vectors_copied_by_hand(source):
+    """Qualified name (Class.function, or <module>) of the innermost
+    class or function around each np.array(..., copy=True) call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "array" and isinstance(child.func.value, ast.Name)
+                  and child.func.value.id in ("np", "numpy")
+                  and any(k.arg == "copy" and isinstance(k.value, ast.Constant)
+                          and k.value.value is True for k in child.keywords)):
+                found.append(where)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_vectors_copied_by_hand_are_found():
+    source = ("import numpy as np\nA = np.array([1.0], copy=True)\n"
+              "class C:\n    def __post_init__(self):\n"
+              "        self.v = np.array(self.v, dtype=float, copy=True).reshape(-1)\n"
+              "def f(x):\n    def g():\n        return numpy.array(x, copy=True)\n"
+              "    return np.array(x, copy=False), np.asarray(x), g()\n")
+    assert vectors_copied_by_hand(source) == ["<module>", "C.__post_init__", "f.g"]
+
+
+# np.array(..., copy=True) calls that stay, each with its reason
+COPIED_BY_DESIGN = {
+    # a profile's 2-D ratio matrix, which is no vector
+    ("harness.py", "ProfileTable.__post_init__"),
+}
+
+
+def test_vectors_are_read_through_the_check():
+    # outside errors.py, a caller's vector becomes the package's copy
+    # through errors.vector, which fixes its length, finiteness, dtype and
+    # read-only flag in one place
+    found = {(p.name, where) for p in PACKAGE.glob("*.py") if p.name != "errors.py"
+             for where in vectors_copied_by_hand(p.read_text())}
+    assert found == COPIED_BY_DESIGN
