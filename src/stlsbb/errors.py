@@ -1,6 +1,6 @@
 """Exception types shared across the package, the three checks that
 every constructor and entry point reads its numbers through, and their
-vector twin."""
+array and vector twins."""
 
 import operator
 import sys
@@ -106,17 +106,24 @@ def count(value, name, least=1):
     return n
 
 
-def vector(value, name, size=None, finite=False):
-    """value as a read-only 1-D float64 copy, flattened from any shape, of
-    length size when given and with every entry finite when finite is set.
-    An array of bools or complex numbers is refused, as real refuses one
-    such number; text that float() cannot read is left to numpy's
-    ValueError.  As in RunTrace's float columns, a list that mixes bools
-    and floats reads its bools as 1.0 and 0.0, and None reads as nan."""
-    arr = np.array(value, copy=True)
+def real_array(value, name):
+    """value as a float64 array of its own shape, the very array where it
+    already is one.  An array of bools or complex numbers is refused, as
+    real refuses one such number; text that float() cannot read is left
+    to numpy's ValueError.  As in RunTrace's float columns, a list that
+    mixes bools and floats reads its bools as 1.0 and 0.0, and None reads
+    as nan."""
+    arr = np.asarray(value)
     if arr.dtype.kind in "bc":
         raise InvalidParameterError(f"{name} must hold real numbers, not {arr.dtype.name}")
-    arr = arr.astype(float, copy=False).reshape(-1)
+    return arr.astype(float, copy=False)
+
+
+def vector(value, name, size=None, finite=False):
+    """value read by real_array as a read-only 1-D float64 copy, flattened
+    from any shape, of length size when given and with every entry finite
+    when finite is set."""
+    arr = np.array(real_array(value, name), copy=True).reshape(-1)
     if size is not None and arr.size != size:
         raise DimensionMismatchError(f"{name} has length {arr.size}, expected {size}")
     if finite and not np.isfinite(arr).all():

@@ -171,13 +171,21 @@ def _householder_product(dot, w1, w2, w3, v, x):
         def scaled(c, w):
             np.copyto(cw, c)
             return np.multiply(cw, w, out=cw)
-    u = x - scaled(2.0 * dot(w3, x), w3)
-    u -= scaled(2.0 * dot(w2, u), w2)
-    u -= scaled(2.0 * dot(w1, u), w1)
+    u = _reflect(dot, scaled, w1, w2, w3, x)
     u *= v
     u -= scaled(2.0 * dot(w1, u), w1)
     u -= scaled(2.0 * dot(w2, u), w2)
     u -= scaled(2.0 * dot(w3, u), w3)
+    return u
+
+
+def _reflect(dot, scaled, w1, w2, w3, x):
+    # Q'x, the first half of _householder_product: the reflections by w3,
+    # w2 and w1 in that order, into a fresh array.  The trial bound reads
+    # g'Ag as the scaled square of Q'g through it
+    u = x - scaled(2.0 * dot(w3, x), w3)
+    u -= scaled(2.0 * dot(w2, u), w2)
+    u -= scaled(2.0 * dot(w1, u), w1)
     return u
 
 

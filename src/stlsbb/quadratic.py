@@ -232,9 +232,15 @@ def _eval_rows(inst, xs):
     # f = x'Ax/2 - b'x and g = Ax - b of a 1-D x or of each row of a block:
     # one block product, row dots through np.vecdot (which rounds like the
     # 1-D dot), and b taken out of the product's own fresh array once f
-    # has read it
+    # has read it.  A block of one row, as a line-search round after a skip
+    # by the bound is, takes 1-D dots and gives f as a list, which cost
+    # less than the row dots and their one-element arrays
     ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
-    f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
+    if xs.ndim == 2 and len(xs) == 1:
+        x = xs[0]
+        f = [0.5 * float(x.dot(ax[0])) - float(x.dot(inst.linear))]
+    else:
+        f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
     ax -= inst.linear
     return f, ax
 
@@ -297,14 +303,17 @@ def _trial_lower_bounds(inst):
     1. Norms.  N(y) = fl(sqrt(fl(y . y)))(1 + 2^-30) + 2^-520 >= ||y||,
        since fl(y . y) >= (1 - gamma_n) y'y - n 2^-1075.  X = N(x),
        G = N(g), B = N(b) and V = max(v).
-    2. Householder products.  One reflection fl(y - fl(c w)), with
-       c = 2 fl(w . y) (doubling is exact), errs from H y by at most (2 gamma_n ||w||^2 + u
-       + 2u ||w||^2 (1 + gamma_n)(2 + u)) ||y|| <= (2n + 6)u ||y||, and the
-       scaling by v by at most uV ||y||.  Through the seven stages, whose
-       exact norms are at most 1 + 2^-30 and V, fl(My) errs from My by at
-       most ((1 + 2^-30 + (2n + 6)u)^6 (1 + u) - (1 + 2^-30)^6) V ||y||
-       <= ka V ||y||, ka = (12n + 38)u; and ||M|| <= (1 + 2^-30)^6 V, so
-       ||My|| and ||fl(My)|| are at most V1 ||y||, V1 = (1 + 2^-26)V.
+    2. Householder products.  One reflection fl(y - fl(t w)), with
+       t = 2 fl(w . y) (doubling is exact), errs from H y by at most
+       eH ||y||, eH = 2 gamma_n ||w||^2 + u + 2u ||w||^2 (1 + gamma_n)(2 + u)
+       <= (2n + 6)u, and the scaling by v by at most uV ||y||.  Through
+       the seven stages, whose exact norms are at most h = 1 + 2^-30 and
+       V, fl(My) errs from My by at most
+       ((h + (2n + 6)u)^6 (1 + u) - h^6) V ||y|| <= ka V ||y||,
+       ka = (12n + 38)u; and ||M|| <= h^6 V, so ||My|| and ||fl(My)|| are
+       at most V1 ||y||, V1 = (1 + 2^-26)V.  The first three stages alone,
+       fl(P'y), err from P'y by at most ((h + eH)^3 - h^3) ||y||
+       <= kp ||y||, kp = (6n + 18)u, and ||P'y|| <= h^3 ||y||.
     3. Evaluation.  |f^(y) - F(y)| <= k1 V ||y||^2 + k2 B ||y|| with
        k1 = (7n + 21)u >= gamma_n (1 + 2^-26)/2 + ka/2
        + u(1 + gamma_n)(1 + 2^-26)/2 (the dot with fl(My), whose halving is
@@ -322,8 +331,12 @@ def _trial_lower_bounds(inst):
        F(x - a g) = F(x) - a g'g + a g'r + a^2 g'Mg/2.  In it
        F(x) >= f - k1 V X^2 - k2 B X (step 3), g'g <= gg + kq G^2 with
        gg = fl(g . g) and kq = (n + 1)u >= gamma_n, |g'r| <= GR, and
-       g'Mg >= c - kc V G^2 with c = fl(g . fl(Mg)) and
-       kc = (13n + 39)u >= gamma_n (1 + 2^-26) + ka.
+       g'Mg >= c - kc V G^2 with c = fl(p . fl(v p)), p = fl(P'g).  For
+       g'Mg = q'diag(v)q with q = P'g exactly: c errs from p'diag(v)p by
+       at most (u + gamma_n (1 + u)) V ||p||^2 (the scaling, then the dot),
+       which errs from q'diag(v)q by at most V ||p - q|| (||p|| + ||q||),
+       and ||p - q|| <= kp G (step 2), so
+       kc = (13n + 39)u >= kp (2h^3 + kp) + (u + gamma_n (1 + u))(h^3 + kp)^2.
     7. The bound.  With step 3 at the trial point, f^(x - a g) is at least
        f - a gg + a^2 c/2 - E(a), where
        E(a) = k1 V (X^2 + Y^2) + k2 B (X + Y) + a(kq G^2 + GR)
@@ -343,16 +356,18 @@ def _trial_lower_bounds(inst):
        T = |f| + e0 + a(gg + e1) + a^2 (|c|/2 + e2); sT covers that.
     9. Underflow.  Fewer than 2^30 products are rounded, each within 2^-1075
        of its value; an error in fl(My) reaches f^ through one dot with y,
-       one in d through the gradient of step 6, one in r, gg or c through
-       a, a or a^2/2, and one of this bound's own arithmetic directly.  Each
+       one in d through the gradient of step 6, one in p or fl(v p) reaches
+       c through at most 3(V + 1)G, one in r, gg or c reaches lo through a,
+       a or a^2/2, and one of this bound's own arithmetic directly.  Each
        factor is at most 4(V + 1)(1 + a)^2 (1 + X + G)^2, so together they
        stay below 2^-1040 (V + 1)(1 + a)^2 (1 + X + G)^2, which
        W(1 + a)^2, W = 2^-1000 (V + 1)(1 + X + G)^2, covers.
 
-    Each call computes gg and, inside the window, c through one 1-D
-    Hessian product, and keeps nothing for the next call: an iteration
-    seldom reads the bound twice, since only rounds of two or more trials
-    read it.
+    Each call computes gg and, inside the window, c through the first
+    three reflections of a 1-D Hessian product (kernels._reflect), about
+    half of one, and keeps nothing for the next call: an iteration seldom
+    reads the bound twice, since only rounds of two or more trials read
+    it.
     """
     n, v = inst.dim, inst.eigenvalues
     ws = (inst.w1, inst.w2, inst.w3)
@@ -381,8 +396,10 @@ def _trial_lower_bounds(inst):
         room = room0 - xn - gn
         if not (room >= 0.0 and math.isfinite(f)):
             return [-math.inf] * len(steps)
-        # inside the window the product cannot overflow
-        c = float(g.dot(kernels.hessian_apply(*ws, v, g)))
+        # c = g'Ag to within kc v_max gg (step 6); inside the window the
+        # reflections cannot overflow
+        p = kernels._reflect(np.dot, np.multiply, *ws, g)
+        c = float(p.dot(v * p))
         t = 1.0 + xn + gn
         w = 2.0**-1000 * (v_max + 1.0) * t * t
         r = ka * v_max * xn + 1.01 * u * gn
@@ -405,9 +422,10 @@ def as_objective(inst):
     line-search solver.
 
     Its eval_rows is the evaluator objective also runs: one block Hessian
-    product for all rows and row dots that round like the 1-D dot, so each
-    row's f and g equal objective's and gradient's bit for bit, and it is
-    written once: eval is its row 0.  Its lower_bounds is the proven bound of
+    product for all rows and row dots that round like the 1-D dot (1-D
+    dots, and f as a list, on a block of one row), so each row's f and g
+    equal objective's and gradient's bit for bit, and it is written once:
+    eval is its row 0.  Its lower_bounds is the proven bound of
     _trial_lower_bounds, so run rejects most trials of a backtracking
     search without a Hessian product.
     """

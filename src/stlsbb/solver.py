@@ -348,25 +348,30 @@ def run(objective, x0, config, policy, resume=None):
 
     The line search backtracks in rounds: a round evaluates the next trial
     steplengths a, sigma*a, sigma^2*a, ... as the rows of one
-    objective.eval_rows call and keeps the first row that passes; rows
-    after it are discarded.  An iteration's first round holds as many
-    trials as the larger of the last two iterations needed, read from the
-    trace's backtracks column, and one at k = 0; if it fails,
-    the next round holds one trial and each later round twice as many as
-    the one before.  The trials are rungs of one ladder per safeguarded
-    alpha: the steplengths alpha, sigma*alpha, sigma^2*alpha, ... made by
-    repeated multiplication, beta times each, and a float64 array of them
-    for kernels.trial_rows.  The ladder is started only when alpha
-    changes, so the many searches that start at delta share one, and
-    extended only when a round needs rungs past its end; a round reads
-    slices of it, and lower_bounds is handed a list of its own.  An
+    objective.eval_rows call, or of two after a skip by the bound (below),
+    and keeps the first row that passes; rows after it are discarded.  An
+    iteration's first round holds as many trials as the larger of the
+    last two iterations needed, read from the trace's backtracks column,
+    and one at k = 0; if it fails, the next round holds one trial and each
+    later round twice as many as the one before.  The trials are rungs of
+    one ladder per safeguarded alpha: the steplengths alpha, sigma*alpha,
+    sigma^2*alpha, ... made by repeated multiplication, beta times each,
+    and a float64 array of them for kernels.trial_rows.  The ladder is
+    started only when alpha changes, so the many searches that start at
+    delta share one, and extended only when a round needs rungs past its
+    end; a round reads slices of it, and lower_bounds is handed a list of
+    its own.  An
     iteration never evaluates more than backtrack_cap + 1 trials, and a
-    round never more rows than fit kernels._BLOCK_DOUBLES.  An objective without eval_rows takes rounds
-    of one through eval.  With objective.lower_bounds, a round of two or
-    more trials first rejects, unevaluated, its leading trials whose lower
-    bound lo already fails the test, lo > f_max - beta * a * grad_sq,
-    and evaluates its rows from the first trial left undecided; a nan lo
-    decides nothing.  Such trials count as finite, failed trials.  Each
+    round never more rows than fit kernels._BLOCK_DOUBLES.  An objective
+    without eval_rows takes rounds of one through eval.  With
+    objective.lower_bounds, a round of two or more trials first rejects,
+    unevaluated, its leading trials whose lower bound lo already fails the
+    test, lo > f_max - beta * a * grad_sq, and evaluates its rows from the
+    first trial left undecided; a nan lo decides nothing.  Such trials
+    count as finite, failed trials.  After such a skip the first trial
+    left, which is most often the one accepted, is evaluated alone as a
+    one-row eval_rows call, and the rest of the round only if it fails; a
+    round of which the bound rejects nothing is evaluated whole.  Each
     bound and each trial is compared with nonmonotone_accept's float
     expression, written out in the loop.  On quadratics most rejected
     trials are decided by the proven bound, so fevals counts trials
@@ -507,26 +512,35 @@ def run(objective, x0, config, policy, resume=None):
                     if not lo > f_max - ba * grad_sq:
                         break
                     skip += 1
+            # after a skip the first trial left is mostly the one accepted,
+            # so it is evaluated alone, and the rest of the round only if it
+            # fails
             start = tried + skip
-            f_rows = ()
-            if start < stop:
-                xs = kernels.trial_rows(x, g, rungs_array[start:stop])
+            end = start + 1 if skip else stop
+            while start < stop:
+                xs = kernels.trial_rows(x, g, rungs_array[start:end])
                 f_rows, g_rows = eval_rows(xs)
                 if not isinstance(f_rows, list):
                     f_rows = np.asarray(f_rows, dtype=float).tolist()
-                if len(f_rows) != stop - start or len(g_rows) != stop - start:
+                if len(f_rows) != end - start or len(g_rows) != end - start:
                     raise DimensionMismatchError(
                         f"eval_rows gave {len(f_rows)} f values and {len(g_rows)} gradients "
-                        f"for {stop - start} rows")
-            # the first row that passes is taken, and ends the line search;
-            # rows after it are discarded.  beta * a * grad_sq multiplies
-            # left to right, so beta * a read from the ladder gives its bits
-            for hit, (f_trial, ba) in enumerate(zip(f_rows, rungs_beta[start:stop])):
-                if f_trial <= f_max - ba * grad_sq:  # nonmonotone_accept's test
-                    break
+                        f"for {end - start} rows")
+                # the first row that passes is taken, and ends the line
+                # search; rows after it are discarded.  beta * a * grad_sq
+                # multiplies left to right, so beta * a read from the ladder
+                # gives its bits
+                for hit, (f_trial, ba) in enumerate(zip(f_rows, rungs_beta[start:end])):
+                    if f_trial <= f_max - ba * grad_sq:  # nonmonotone_accept's test
+                        break
+                else:
+                    finite_trial = (finite_trial
+                                    or any(ft < math.inf for ft in f_rows))  # false for nan
+                    start, end = end, stop
+                    continue
+                break
             else:
-                finite_trial = (finite_trial or skip > 0
-                                or any(ft < math.inf for ft in f_rows))  # false for nan
+                finite_trial = finite_trial or skip > 0
                 # most iterations need only a trial or two more than the
                 # last one, so the round after the first holds one trial,
                 # and each later round twice as many as the one before

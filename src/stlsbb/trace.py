@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, count, real, vector
+from .errors import InvalidParameterError, count, real, real_array, vector
 
 _FORMAT = "stlsbb-trace-v1"
 
@@ -55,9 +55,10 @@ class RunTrace:
     meta a dict (None reads as {}).  The constructor takes each column as
     a sequence of one entry per iterate, and refuses an entry that is not
     a real, such as None, or not a count, naming its column; it refuses a
-    final_x that is not 1-D and a meta that is not a dict, which to_json
-    could not write or audit_trace read.  rows is a TraceRow view of the
-    columns, built anew on every access.
+    final_x of bools or complex numbers (errors.real_array) or that is not
+    1-D, and a meta that is not a dict, which to_json could not write or
+    audit_trace read.  rows is a TraceRow view of the columns, built anew
+    on every access.
     """
 
     def __init__(self, f, grad_norm, alpha, backtracks, fevals, termination, final_x, meta=None):
@@ -87,9 +88,9 @@ class RunTrace:
             arr.setflags(write=False)
             setattr(self, name, arr)
         self.termination = termination
-        # a read-only view, so the caller's array keeps its own flags and
-        # nothing is copied
-        self.final_x = np.asarray(final_x, dtype=float).view()
+        # a read-only view, so the caller's float64 array keeps its own
+        # flags and nothing is copied
+        self.final_x = real_array(final_x, "final_x").view()
         if self.final_x.ndim != 1:
             raise InvalidParameterError(
                 f"final_x must be 1-D, got an array of shape {self.final_x.shape}")

@@ -131,6 +131,9 @@ VECTORS = {
     "RunTrace.from_dict.final_x": (
         "final_x", lambda v: RunTrace.from_dict({**one_row_trace().to_dict(), "final_x": v}),
         [0.0]),
+    "RunTrace.final_x": (
+        "final_x", lambda v: RunTrace([0.0], [0.0], [math.nan], [0], [0], "nonfinite", v),
+        [0.0]),
 }
 
 

@@ -1235,17 +1235,23 @@ class TestRounds:
         obj = make()
         policy = parse_policy(descriptor)
         sizes = []
-        eval_rows = obj.eval_rows
+        eval_rows, lower_bounds = obj.eval_rows, obj.lower_bounds
 
         def recorded(xs):
             sizes.append(len(xs))
             return eval_rows(xs)
 
-        obj = dataclasses.replace(obj, eval_rows=recorded)
+        def bounded(x, f, g, steps):
+            sizes.append(len(steps))
+            return lower_bounds(x, f, g, steps)
+
+        obj = dataclasses.replace(
+            obj, eval_rows=recorded, lower_bounds=lower_bounds and bounded)
         got = run(obj, obj.x0, cfg, policy)
         want = run(without_rows(obj), obj.x0, cfg, policy)
         assert got.to_json() == want.to_json()
-        # a run that ever backtracks evaluates some round of several trials
+        # a run that ever backtracks takes some round of several trials,
+        # evaluated as one block or, on a quadratic, first read by the bound
         assert max(sizes) > 1 or not any(r.backtracks for r in got.rows)
         if problem == "quartic":
             # the runs pass through a curvature failure
@@ -1474,6 +1480,12 @@ class TestRounds:
             assert all(p in remaining for p in points)
             # the bound rejects finite misses unevaluated, and no other trial
             assert (len(points) < len(trials)) == (end == "stall")
+            # after a skip the first trial left is evaluated alone, and the
+            # rest of its round only if it fails: rounds of 2 and 12 rows
+            # come as 1 + 1 and 1 + 11
+            assert [len(r) for r in rows] == (
+                self.LADDER_SIZES if end == NONFINITE
+                else [1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 11, 1, 1, 1, 1])
         else:
             assert points == trials
             assert [len(r) for r in rows] == self.LADDER_SIZES
@@ -1647,9 +1659,12 @@ class TestInlineDecisions:
     def replay(events, searches, config):
         # searches: (f_max, grad_sq, alpha, outcome) for each line search in
         # order, where outcome is the accepted trial's index, or "stall" or
-        # NONFINITE for a search that runs out of trials
+        # NONFINITE for a search that runs out of trials.  Returns the
+        # number of trials the bound rejected and of rounds whose rows came
+        # in two calls
         events = list(events)
         beta, sigma, cap = config.beta, config.sigma, config.backtrack_cap
+        skipped = split = 0
         for f_max, grad_sq, alpha, outcome in searches:
             a_eff, tried, finite_trial, x_g, hit = alpha, 0, False, None, None
             while tried <= cap:
@@ -1660,27 +1675,39 @@ class TestInlineDecisions:
                     x_g = x, g
                     assert len(lo) == len(steps)
                     for lo_j, a in zip(lo, steps):
-                        if nonmonotone_accept(lo_j, f_max, beta, a, grad_sq):
+                        # a nan lo decides nothing
+                        if math.isnan(lo_j) or nonmonotone_accept(lo_j, f_max, beta, a, grad_sq):
                             break
                         skip += 1
-                    f_rows = []
-                    if skip < len(steps):
-                        event = events.pop(0)
-                        assert event[0] == "rows"
-                        f_rows = event[2]
+                    calls = []
                 else:
-                    f_rows = event[2]
-                    steps = [None] * len(f_rows)
+                    calls = [event]
+                    steps = [None] * len(event[2])
                 # the round's steplengths, built as run builds them
                 for j in range(len(steps)):
                     assert steps[j] in (None, a_eff)
                     steps[j] = a_eff
                     a_eff *= sigma
                 rest = steps[skip:]
-                assert len(f_rows) == len(rest)
+                if not calls and rest:
+                    # the rows start at the first trial the bound left
+                    # undecided: after a skip that trial alone, then the rest
+                    # of the round only if it fails
+                    calls.append(events.pop(0))
+                    if skip and len(rest) > 1 and not nonmonotone_accept(
+                            calls[0][2][0], f_max, beta, rest[0], grad_sq):
+                        calls.append(events.pop(0))
+                        split += 1
+                    want = [1, len(rest) - 1] if skip else [len(rest)]
+                    assert [(e[0], len(e[2])) for e in calls] == [
+                        ("rows", n) for n in want[:len(calls)]]
+                f_rows = [ft for e in calls for ft in e[2]]
+                assert len(f_rows) == len(rest) or (skip and len(f_rows) == 1)
                 if f_rows and x_g is not None:
-                    # the rows start at the first trial the bound left undecided
-                    assert event[1].tobytes() == kernels.trial_rows(*x_g, np.array(rest)).tobytes()
+                    # each call's rows are the trials it holds, as one block
+                    assert b"".join(e[1].tobytes() for e in calls) == kernels.trial_rows(
+                        *x_g, np.array(rest[:len(f_rows)])).tobytes()
+                skipped += skip
                 for j, (f_trial, a) in enumerate(zip(f_rows, rest)):
                     if nonmonotone_accept(f_trial, f_max, beta, a, grad_sq):
                         hit = tried + skip + j
@@ -1693,6 +1720,7 @@ class TestInlineDecisions:
                 hit = "stall" if finite_trial else NONFINITE
             assert hit == outcome
         assert events == []
+        return skipped, split
 
     @staticmethod
     def searches(tr):
@@ -1759,11 +1787,22 @@ class TestInlineDecisions:
         config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000, eta=eta)
         events = []
         tr = run(self.recorded(obj, events), obj.x0, config, parse_policy(policy))
-        self.replay(events, self.searches(tr), config)
+        skipped, _ = self.replay(events, self.searches(tr), config)
         assert any(e[0] == "bounds" for e in events)
-        skipped = sum(len(e[3]) for e in events if e[0] == "bounds") - sum(
-            len(e[2]) for e in events if e[0] == "rows")
         assert skipped > (10_000 if eta == 1e-3 else 0)
+
+    def test_rounds_in_two_calls(self):
+        # TestRounds' ladder with its bound, whose nan lo decides nothing:
+        # after a skip, some rounds' first undecided trial fails, and the
+        # rest of the round is a second call.  Its f is 0 at the start and
+        # falls, g = 1, and every search starts at delta = 0.1
+        events = []
+        obj = self.recorded(TestRounds.ladder(TestRounds.MISSES["stall"], []), events)
+        with pytest.raises(LineSearchStallError):
+            run(obj, obj.x0, TestRounds.LADDER, SteplengthPolicy("bb1"))
+        searches = [(0.0, 1.0, 0.1, need) for need in (*TestRounds.LADDER_NEEDS, "stall")]
+        skipped, split = self.replay(events, searches, TestRounds.LADDER)
+        assert skipped > 0 and split > 0
 
     @pytest.mark.parametrize("make, alpha0, eta, outcome", [
         (rosenbrock2, 1e160, 1e-300, NONFINITE),

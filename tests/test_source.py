@@ -327,3 +327,62 @@ def test_vectors_are_read_through_the_check():
     found = {(p.name, where) for p in PACKAGE.glob("*.py") if p.name != "errors.py"
              for where in vectors_copied_by_hand(p.read_text())}
     assert found == COPIED_BY_DESIGN
+
+
+def scope_names(fn):
+    """Names a function binds in its own scope: its parameters and each
+    name it assigns, loops over, imports, catches or defines.  Nested
+    functions, classes, lambdas and comprehensions bind in scopes of their
+    own, so what they bind inside does not count."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    names.update(p.arg for p in (a.vararg, a.kwarg) if p is not None)
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                             ast.GeneratorExp)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def names_rebound_by_closure(source, outer, inner):
+    """The names that the function inner, defined in the body of the
+    function outer, binds in its own scope and outer binds too, sorted."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    fn = next(node for node in ast.walk(ast.parse(source))
+              if isinstance(node, defs) and node.name == outer)
+    closure = next(node for node in ast.walk(fn)
+                   if isinstance(node, defs) and node.name == inner)
+    return sorted(scope_names(closure) & scope_names(fn))
+
+
+def test_names_rebound_by_a_closure_are_found():
+    source = ("def bound(n):\n    u = 2.0**-53\n    k = n * u\n    ws = [w for w in range(n)]\n"
+              "    def lower(x, n=n):\n        w = x * 2\n        t = [k for k in x]\n"
+              "        def deeper():\n            k = 1\n            return k\n"
+              "        for u in t:\n            pass\n        return w, deeper\n"
+              "    return lower\n")
+    # k only in a comprehension and in a nested function, w only in the
+    # outer function's comprehension
+    assert names_rebound_by_closure(source, "bound", "lower") == ["n", "u"]
+
+
+def test_the_trial_bound_rebinds_none_of_its_constants():
+    # the bound's closure reads the proof's constants (u, k1, k2, kq, ka,
+    # kc, s, v_max, v1, b_norm, room0, e2_per_gg) from the function that
+    # makes it; a local of the same name, such as u for a reflected
+    # vector, would silently make every rounding term that reads it an
+    # array
+    source = (PACKAGE / "quadratic.py").read_text()
+    assert names_rebound_by_closure(source, "_trial_lower_bounds", "lower_bounds") == []
