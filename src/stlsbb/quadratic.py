@@ -232,15 +232,9 @@ def _eval_rows(inst, xs):
     # f = x'Ax/2 - b'x and g = Ax - b of a 1-D x or of each row of a block:
     # one block product, row dots through np.vecdot (which rounds like the
     # 1-D dot), and b taken out of the product's own fresh array once f
-    # has read it.  A block of one row, as a line-search round after a skip
-    # by the bound is, takes 1-D dots and gives f as a list, which cost
-    # less than the row dots and their one-element arrays
+    # has read it
     ax = kernels.hessian_apply(inst.w1, inst.w2, inst.w3, inst.eigenvalues, xs)
-    if xs.ndim == 2 and len(xs) == 1:
-        x = xs[0]
-        f = [0.5 * float(x.dot(ax[0])) - float(x.dot(inst.linear))]
-    else:
-        f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
+    f = 0.5 * np.vecdot(xs, ax) - np.vecdot(xs, inst.linear)
     ax -= inst.linear
     return f, ax
 
@@ -422,10 +416,9 @@ def as_objective(inst):
     line-search solver.
 
     Its eval_rows is the evaluator objective also runs: one block Hessian
-    product for all rows and row dots that round like the 1-D dot (1-D
-    dots, and f as a list, on a block of one row), so each row's f and g
-    equal objective's and gradient's bit for bit, and it is written once:
-    eval is its row 0.  Its lower_bounds is the proven bound of
+    product for all rows and row dots that round like the 1-D dot, so each
+    row's f and g equal objective's and gradient's bit for bit, and it is
+    written once: eval is its row 0.  Its lower_bounds is the proven bound of
     _trial_lower_bounds, so run rejects most trials of a backtracking
     search without a Hessian product.
     """

@@ -2,8 +2,8 @@
 
 Refactors must keep these bytes: sweep cells, averages and profile CSVs,
 a sweep's JSON, the Rosenbrock table's CSV and text, the profile of a
-cost-matrix CSV, and the JSON of raw BB, gbb-quadratic and Rosenbrock
-traces.  The digests
+cost-matrix CSV, and the JSON of raw BB, gbb-quadratic (the benchmark's
+n = 1 000 quadratic among them) and Rosenbrock traces.  The digests
 were recorded with numpy 2.4.6 on Python 3.11.7 (x86-64); another numpy
 or libm may round some runs differently, so a mismatch on another
 platform is a question to check, not proof of a regression.
@@ -97,6 +97,16 @@ def golden_outputs():
         for pol in ("bb1", "bb2", "gamma:1", "atc:3"):
             tr = solver.run(obj, obj.x0, config, parse_policy(pol))
             out[f"gbb-quad-{eta:g}-{pol}"] = tr.to_json()
+    # the benchmark's n = 1 000 quadratic in a wide band, where the bound
+    # reads g'Ag from three reflections and a round after a skip by the
+    # bound evaluates one row first
+    obj1000 = quadratic.as_objective(
+        quadratic.generate_instance(1000, quadratic.SpectrumSetting(1, 1e4), 0))
+    config = solver.SolverConfig(epsilon=1e-6, stop_rule=solver.STOP_GRAD_REL,
+                                 max_iter=2000, eta=1e-10)
+    for pol in ("bb1", "bb2", "gamma:20"):
+        tr = solver.run(obj1000, obj1000.x0, config, parse_policy(pol))
+        out[f"gbb-quad1000-1e-10-{pol}"] = tr.to_json()
 
     ros = solver.rosenbrock2()
     config = solver.SolverConfig(epsilon=1e-4, alpha0=1.0, eta=1e-5,
@@ -138,6 +148,9 @@ GOLDEN = {
     "gbb-quad-1e-10-bb1": "69233b28d5198fa7052e09335256da2ef29e97e781229494d0e3773e0c9f65f7",
     "gbb-quad-1e-10-bb2": "972830acb7224cbb1a32400d66dd0fa01f3e52f4c81b6344b6fc419c6fc56528",
     "gbb-quad-1e-10-gamma:1": "0fc11edcb5366d3eb8b775f323e63456e7b433d5e1f44b0884826976bd93b067",
+    "gbb-quad1000-1e-10-bb1": "026483b93b46c095ecabff23c4d7dfe87956e268ba986305802dea49a6a57171",
+    "gbb-quad1000-1e-10-bb2": "315110dc9b537de6c35fc2309a23ff59bcab5aa370feb4c7ef43729c6ec75bb2",
+    "gbb-quad1000-1e-10-gamma:20": "7168d098dfe90942e2c283ff44e43cf670be41d69647decb68a0fecfa49c95e3",
     "raw-atc:3": "72a664d3eba72c1c4114324a8a8f3929af9e8a3ad12222a92c80be0547508271",
     "raw-bb1": "9ef3172a9317046e75b06a4c7baf9d0b059bd10f0b414d1123b0650f4e7c7165",
     "raw-bb2": "f8da0b9147b622172cf0f1c82a388a04d8556c69061af2f419cb8c82ecf4ea48",

@@ -3,7 +3,6 @@ the raw BB solver on them."""
 
 import ast
 import dataclasses
-import hashlib
 import inspect
 import math
 import textwrap
@@ -803,23 +802,18 @@ class TestTrialLowerBounds:
         assert (tr.iterations, trials) == (2000, 57673)
         assert sum(rows) < 0.1 * trials
 
-    # sha256 of the trace JSON of gamma:20 on the benchmark's quadratic at
-    # the documented band, and of three policies in a wide band, where they
-    # act.  They were recorded while the bound read g'Ag from a whole
-    # Hessian product and every round was evaluated in one call: the bound
-    # and the round shape change no byte
-    BENCHMARK_TRACES = {
-        (1e-3, "gamma:20"): (
-            2000, "28afc21dda12145f8ebca427b7708090f1842df727c8a4170fb7475943bf0e31"),
-        (1e-10, "bb1"): (
-            638, "026483b93b46c095ecabff23c4d7dfe87956e268ba986305802dea49a6a57171"),
-        (1e-10, "bb2"): (
-            486, "315110dc9b537de6c35fc2309a23ff59bcab5aa370feb4c7ef43729c6ec75bb2"),
-        (1e-10, "gamma:20"): (
-            293, "7168d098dfe90942e2c283ff44e43cf670be41d69647decb68a0fecfa49c95e3"),
+    # iterations of gamma:20 on the benchmark's quadratic at the documented
+    # band, and of three policies in a wide band, where they act.  The wide
+    # band's trace bytes are pinned in test_golden.py, and the band's in
+    # perfbench/golden.json
+    BENCHMARK_RUNS = {
+        (1e-3, "gamma:20"): 2000,
+        (1e-10, "bb1"): 638,
+        (1e-10, "bb2"): 486,
+        (1e-10, "gamma:20"): 293,
     }
 
-    @pytest.mark.parametrize("eta, policy", sorted(BENCHMARK_TRACES))
+    @pytest.mark.parametrize("eta, policy", sorted(BENCHMARK_RUNS))
     def test_the_benchmark_run_evaluates_about_one_row_per_search(self, monkeypatch, eta,
                                                                    policy):
         # every evaluation (eval's included) goes through quadratic._eval_rows
@@ -857,9 +851,7 @@ class TestTrialLowerBounds:
         config = SolverConfig(epsilon=1e-6, stop_rule=STOP_GRAD_REL, max_iter=2000, eta=eta)
         tr = run(dataclasses.replace(obj, lower_bounds=counted_bounds), obj.x0, config,
                  parse_policy(policy))
-        iterations, digest = self.BENCHMARK_TRACES[eta, policy]
-        assert tr.iterations == iterations
-        assert hashlib.sha256(tr.to_json().encode()).hexdigest() == digest
+        assert tr.iterations == self.BENCHMARK_RUNS[eta, policy]
         # one half product in each bound call, and the evaluations' own
         assert reflections.count(True) == len(bounds) > 0
         if eta == 1e-3:
